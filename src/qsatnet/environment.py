@@ -55,7 +55,6 @@ class WeatherRecord:
 @dataclass(frozen=True)
 class EnvironmentTable:
     records: dict[tuple[str, int, int], WeatherRecord]
-    interpolation: str = "nearest-hour"
 
     def lookup(self, station_id: str, month: int, hour_utc: float) -> WeatherRecord:
         """Record at the nearest covered hour (circular distance, ties early)."""

@@ -4,7 +4,8 @@ The source emits polarization-entangled photon pairs with thermal pair-number
 statistics.  Each emission round sends one rail pair toward each of two
 receivers through independent lossy arms; every receiver gates two threshold
 detectors, and a round is accepted when each receiver sees exactly one click.
-All functions here are pure and broadcast over numpy arrays where noted.
+All functions here are pure; ``acceptance_and_bell_weights`` and
+``_one_click_prob`` also broadcast over numpy arrays.
 """
 
 from __future__ import annotations
@@ -36,15 +37,12 @@ class SourceParams:
 
     mean_photon_number: float
     repetition_rate: float
-    sign: int = -1
 
     def __post_init__(self):
         if self.mean_photon_number < 0:
             raise ConfigurationError("mean_photon_number must be >= 0")
         if self.repetition_rate <= 0:
             raise ConfigurationError("repetition_rate must be > 0")
-        if self.sign not in (-1, 1):
-            raise ConfigurationError("sign must be +1 or -1")
 
 
 @dataclass(frozen=True)
@@ -195,7 +193,6 @@ def end_to_end_outcome(
 
     Fidelity is the probability, given acceptance, that the delivered state
     is the intact single-pair Bell state; zero when nothing is ever accepted.
-    Both source sign branches behave identically under this accounting.
     """
     success, bell = acceptance_and_bell_weights(
         source.mean_photon_number,
@@ -242,13 +239,12 @@ def rate_fidelity_curve(
     arm1: ArmChannel,
     arm2: ArmChannel,
     repetition_rate: float = 1e9,
-    sign: int = -1,
 ) -> list[tuple[float, float, float]]:
     """Evaluate (mean photon number, edr, fidelity) along a source-power grid."""
     curve = []
     for ns in ns_grid:
         source = SourceParams(
-            mean_photon_number=float(ns), repetition_rate=repetition_rate, sign=sign
+            mean_photon_number=float(ns), repetition_rate=repetition_rate
         )
         outcome = end_to_end_outcome(source, arm1, arm2)
         curve.append((float(ns), outcome.edr, outcome.fidelity))

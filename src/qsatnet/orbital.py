@@ -17,7 +17,6 @@ Vec3 = tuple[float, float, float]
 EARTH_RADIUS = 6371e3
 EARTH_ROTATION_PERIOD = 86400.0
 GRAVITATIONAL_PARAMETER = 3.986e14
-ATMOSPHERE_HEIGHT = 20e3
 ISL_CLEARANCE = 100e3
 
 
@@ -104,7 +103,6 @@ class ConstellationSnapshot:
 class LinkGeometry:
     elevation: float
     slant_range: float
-    atmospheric_path: float
 
 
 @dataclass(frozen=True)
@@ -202,13 +200,8 @@ def propagate(
     )
 
 
-def link_geometry(
-    snapshot: ConstellationSnapshot,
-    sat: str,
-    gs: str,
-    atmosphere_height: float = ATMOSPHERE_HEIGHT,
-) -> LinkGeometry:
-    """Elevation, slant range, and in-atmosphere path for one downlink."""
+def link_geometry(snapshot: ConstellationSnapshot, sat: str, gs: str) -> LinkGeometry:
+    """Elevation and slant range for one downlink."""
     try:
         sat_pos = snapshot.sat_positions[sat]
     except KeyError:
@@ -226,16 +219,7 @@ def link_geometry(
     dot_gd = gs_pos[0] * d[0] + gs_pos[1] * d[1] + gs_pos[2] * d[2]
     sin_e = max(-1.0, min(1.0, dot_gd / (station_radius * slant)))
     elevation = math.degrees(math.asin(sin_e))
-    # distance along the slant line to where it exits the atmosphere shell:
-    # solve |gs + s * unit(d)| = R + h for s >= 0
-    shell = station_radius + atmosphere_height
-    vert = station_radius * sin_e
-    path = math.sqrt(vert**2 + shell**2 - station_radius**2) - vert
-    return LinkGeometry(
-        elevation=elevation,
-        slant_range=slant,
-        atmospheric_path=min(path, slant),
-    )
+    return LinkGeometry(elevation=elevation, slant_range=slant)
 
 
 def _segment_min_radius(p: Vec3, q: Vec3) -> float:

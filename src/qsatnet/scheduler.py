@@ -23,7 +23,6 @@ from .errors import (
     UnknownIdError,
 )
 from .ilpcore import (
-    GAP_LIMIT,
     OPTIMAL,
     LinearProgram,
     MipProblem,
@@ -180,21 +179,6 @@ def zero_allocation(instance: SlotInstance) -> Allocation:
 # weight construction
 
 
-def _station_link_table(snapshot, network, min_elevation):
-    """elevation and slant range for every (station, satellite), gated."""
-    from .orbital import link_geometry
-
-    table = {}
-    for station in network.stations:
-        per_sat = {}
-        for spec in network.satellites:
-            geom = link_geometry(snapshot, spec.id, station.id)
-            if geom.elevation >= min_elevation:
-                per_sat[spec.id] = geom
-        table[station.id] = per_sat
-    return table
-
-
 @dataclass(frozen=True)
 class NetworkSpec:
     satellites: tuple
@@ -246,6 +230,79 @@ def _arm_for(geom, record, physics, irradiance) -> ArmChannel:
     return ArmChannel(transmissivity=eta, dark_click_prob=dark)
 
 
+def _slot_links(snapshot, network, physics, env, min_elevation, month, hour_utc):
+    """The slot's gated geometry and a memoized downlink-arm lookup.
+
+    The table maps each station to the satellites that clear the minimum
+    elevation there.  A station's weather is read on its first arm, so a
+    station no satellite serves needs no weather record.
+    """
+    from .orbital import link_geometry
+
+    links = {}
+    for station in network.stations:
+        per_sat = {}
+        for spec in network.satellites:
+            geom = link_geometry(snapshot, spec.id, station.id)
+            if geom.elevation >= min_elevation:
+                per_sat[spec.id] = geom
+        links[station.id] = per_sat
+    records = {}
+    arms: dict[tuple[str, str], ArmChannel] = {}
+
+    def arm(sat_id, station_id):
+        key = (sat_id, station_id)
+        if key not in arms:
+            if station_id not in records:
+                records[station_id] = _weather_record(env, station_id, month, hour_utc)
+            record = records[station_id]
+            arms[key] = _arm_for(
+                links[station_id][sat_id], record, physics, record.solar_irradiance
+            )
+        return arms[key]
+
+    return links, arm
+
+
+def _direct_instance(snapshot, network, physics, links, arm, fidelity_threshold):
+    """Slot instance with every direct cell filled and no relayed entries."""
+    sat_ids = tuple(s.id for s in network.satellites)
+    station_ids = tuple(g.id for g in network.stations)
+    gs_index = {sid: g for g, sid in enumerate(station_ids)}
+    sat_index = {sid: i for i, sid in enumerate(sat_ids)}
+    n_pair = len(network.pairs)
+    omega = [[0.0] * n_pair for _ in sat_ids]
+    fidelity = [[0.0] * n_pair for _ in sat_ids]
+    for j, pair in enumerate(network.pairs):
+        visible_b = links[pair.station_b]
+        for sat_id in links[pair.station_a]:
+            if sat_id not in visible_b:
+                continue
+            i = sat_index[sat_id]
+            outcome = end_to_end_outcome(
+                physics.source, arm(sat_id, pair.station_a), arm(sat_id, pair.station_b)
+            )
+            fidelity[i][j] = outcome.fidelity
+            if outcome.fidelity >= fidelity_threshold:
+                omega[i][j] = outcome.edr
+    return SlotInstance(
+        time=snapshot.time,
+        sat_ids=sat_ids,
+        station_ids=station_ids,
+        pair_ids=tuple(p.id for p in network.pairs),
+        pair_stations=tuple(
+            (gs_index[p.station_a], gs_index[p.station_b]) for p in network.pairs
+        ),
+        omega=tuple(tuple(row) for row in omega),
+        fidelity=tuple(tuple(row) for row in fidelity),
+        nu=None,
+        sat_caps=tuple(s.transmitter_cap for s in network.satellites),
+        gs_caps=tuple(g.receiver_cap for g in network.stations),
+        pair_caps=tuple(p.pair_cap for p in network.pairs),
+        reflector_caps=tuple(s.reflector_cap for s in network.satellites),
+    )
+
+
 def build_weights(
     snapshot: ConstellationSnapshot,
     network: NetworkSpec,
@@ -263,62 +320,10 @@ def build_weights(
     threshold; the computed fidelity is recorded either way for gated
     cells, with zeros where geometry already rules the link out.
     """
-    sat_ids = tuple(s.id for s in network.satellites)
-    station_ids = tuple(g.id for g in network.stations)
-    pair_ids = tuple(p.id for p in network.pairs)
-    gs_index = {sid: g for g, sid in enumerate(station_ids)}
-    pair_stations = tuple(
-        (gs_index[p.station_a], gs_index[p.station_b]) for p in network.pairs
+    links, arm = _slot_links(
+        snapshot, network, physics, env, min_elevation, month, hour_utc
     )
-
-    links = _station_link_table(snapshot, network, min_elevation)
-
-    n_sat, n_pair = len(sat_ids), len(pair_ids)
-    omega = [[0.0] * n_pair for _ in range(n_sat)]
-    fidelity = [[0.0] * n_pair for _ in range(n_sat)]
-    sat_index = {sid: i for i, sid in enumerate(sat_ids)}
-    records: dict[str, object] = {}
-    arm_cache: dict[tuple[str, str], ArmChannel] = {}
-
-    def weather(station_id):
-        if station_id not in records:
-            records[station_id] = _weather_record(env, station_id, month, hour_utc)
-        return records[station_id]
-
-    def arm(sat_id, station_id):
-        key = (sat_id, station_id)
-        if key not in arm_cache:
-            geom = links[station_id][sat_id]
-            record = weather(station_id)
-            arm_cache[key] = _arm_for(geom, record, physics, record.solar_irradiance)
-        return arm_cache[key]
-
-    for j, pair in enumerate(network.pairs):
-        visible_a = links[pair.station_a]
-        visible_b = links[pair.station_b]
-        for sat_id in visible_a.keys() & visible_b.keys():
-            i = sat_index[sat_id]
-            outcome = end_to_end_outcome(
-                physics.source, arm(sat_id, pair.station_a), arm(sat_id, pair.station_b)
-            )
-            fidelity[i][j] = outcome.fidelity
-            if outcome.fidelity >= fidelity_threshold:
-                omega[i][j] = outcome.edr
-
-    return SlotInstance(
-        time=snapshot.time,
-        sat_ids=sat_ids,
-        station_ids=station_ids,
-        pair_ids=pair_ids,
-        pair_stations=pair_stations,
-        omega=tuple(tuple(row) for row in omega),
-        fidelity=tuple(tuple(row) for row in fidelity),
-        nu=None,
-        sat_caps=tuple(s.transmitter_cap for s in network.satellites),
-        gs_caps=tuple(g.receiver_cap for g in network.stations),
-        pair_caps=tuple(p.pair_cap for p in network.pairs),
-        reflector_caps=tuple(s.reflector_cap for s in network.satellites),
-    )
+    return _direct_instance(snapshot, network, physics, links, arm, fidelity_threshold)
 
 
 def build_reflection_weights(
@@ -345,18 +350,10 @@ def build_reflection_weights(
 
     if not 0.0 <= mirror_efficiency <= 1.0:
         raise ConfigurationError("mirror efficiency must lie in [0, 1]")
-    base = build_weights(
-        snapshot, network, physics, env, min_elevation, fidelity_threshold,
-        month=month, hour_utc=hour_utc,
+    links, arm = _slot_links(
+        snapshot, network, physics, env, min_elevation, month, hour_utc
     )
-    links = _station_link_table(snapshot, network, min_elevation)
-    records: dict[str, object] = {}
-
-    def weather(station_id):
-        if station_id not in records:
-            records[station_id] = _weather_record(env, station_id, month, hour_utc)
-        return records[station_id]
-
+    base = _direct_instance(snapshot, network, physics, links, arm, fidelity_threshold)
     sat_index = {sid: i for i, sid in enumerate(base.sat_ids)}
     hop_optics = OpticsParams(
         tx_radius=physics.optics.tx_radius,
@@ -366,23 +363,33 @@ def build_reflection_weights(
         rx_efficiency=1.0,
     )
 
+    def hop_transmissivity(src_id, relay_id):
+        """Free-space factor into the relay mirror; None without a sight line."""
+        if not inter_satellite_visible(snapshot, src_id, relay_id):
+            return None
+        hop = inter_satellite_distance(snapshot, src_id, relay_id)
+        return free_space_transmissivity(hop_optics, hop) if hop > 0 else 1.0
+
+    # keyed by the ordered (source, relay) pair: the sight-line test is not
+    # guaranteed to give the same bits in both directions
+    hops: dict[tuple[str, str], float | None] = {}
     nu: dict[tuple[int, int, int], float] = {}
     for j, pair in enumerate(network.pairs):
-        for src_id, geom_a in links[pair.station_a].items():
+        for src_id in links[pair.station_a]:
             i = sat_index[src_id]
-            record_a = weather(pair.station_a)
-            arm_a = _arm_for(geom_a, record_a, physics, record_a.solar_irradiance)
-            for relay_id, geom_b in links[pair.station_b].items():
+            arm_a = arm(src_id, pair.station_a)
+            for relay_id in links[pair.station_b]:
                 k = sat_index[relay_id]
                 if i == k:
                     continue
-                if not inter_satellite_visible(snapshot, src_id, relay_id):
+                key = (src_id, relay_id)
+                if key not in hops:
+                    hops[key] = hop_transmissivity(src_id, relay_id)
+                if hops[key] is None:
                     continue
-                hop = inter_satellite_distance(snapshot, src_id, relay_id)
-                hop_fs = free_space_transmissivity(hop_optics, hop) if hop > 0 else 1.0
-                record_b = weather(pair.station_b)
-                relay_arm = _arm_for(geom_b, record_b, physics, record_b.solar_irradiance)
-                arm1, arm2 = reflection_arms(arm_a, hop_fs, mirror_efficiency, relay_arm)
+                arm1, arm2 = reflection_arms(
+                    arm_a, hops[key], mirror_efficiency, arm(relay_id, pair.station_b)
+                )
                 outcome = end_to_end_outcome(physics.source, arm1, arm2)
                 if outcome.fidelity >= fidelity_threshold and outcome.edr > 0:
                     nu[(i, k, j)] = outcome.edr
@@ -406,27 +413,16 @@ def _variable_upper(instance, i, j, k=None):
     return max(0, cap)
 
 
-def _solve_assignment(
-    instance: SlotInstance,
-    x_weights,
-    y_weights: dict[tuple[int, int, int], float],
-    objective_x,
-    objective_y,
-    extra_vars=0,
-    extra_objective=(),
-    extra_constraints=(),
-    extra_bounds=(),
-):
-    """Shared MIP scaffold over support variables.
-
-    Variables are the positive-weight x cells, then the positive-weight y
-    triples, then any extras (continuous).  Returns the solver result with
-    the variable maps so callers can rebuild the allocation.
-    """
+def _support(instance, x_weights, y_weights, pairs=None):
+    """The solver's integer variables: positive-weight cells (restricted to
+    ``pairs`` when given), then positive-weight triples in key order, each
+    with room under every cap it touches."""
+    if pairs is None:
+        pairs = range(instance.num_pairs)
     x_vars = [
         (i, j)
         for i in range(instance.num_sats)
-        for j in range(instance.num_pairs)
+        for j in pairs
         if x_weights[i][j] > 0 and _variable_upper(instance, i, j) > 0
     ]
     y_vars = [
@@ -434,83 +430,67 @@ def _solve_assignment(
         for key in sorted(y_weights)
         if y_weights[key] > 0 and _variable_upper(instance, key[0], key[2], key[1]) > 0
     ]
-    nx, ny = len(x_vars), len(y_vars)
-    n = nx + ny + extra_vars
-    if nx + ny == 0:
-        return None, x_vars, y_vars
+    return x_vars, y_vars
 
-    objective = [0.0] * n
+
+def _coefficients(x_vars, y_vars, x_weights, y_weights) -> list[float]:
+    return [x_weights[i][j] for i, j in x_vars] + [y_weights[key] for key in y_vars]
+
+
+def _solve_assignment(
+    instance: SlotInstance,
+    x_vars,
+    y_vars,
+    objective,
+    extra_constraints=(),
+    extra_bounds=(),
+):
+    """Shared MIP scaffold over support variables.
+
+    ``objective`` has one entry per x variable, then per y variable, then
+    per continuous extra, whose bounds ``extra_bounds`` gives.  The cap
+    rows come from one pass over the variables: transmitter, receiver,
+    pair, then reflector caps, each in index order and only where some
+    variable takes part.  Returns None on an empty support; a solve that
+    does not prove optimality raises.
+    """
+    nx = len(x_vars)
+    if nx + len(y_vars) == 0:
+        return None
+    # the columns each transmitter, station, pair and reflector cap covers
+    by_sat = [[] for _ in range(instance.num_sats)]
+    by_station = [[] for _ in instance.station_ids]
+    by_pair = [[] for _ in range(instance.num_pairs)]
+    by_reflector = [[] for _ in range(instance.num_sats)]
     for idx, (i, j) in enumerate(x_vars):
-        objective[idx] = objective_x[i][j]
-    for idx, key in enumerate(y_vars):
-        objective[nx + idx] = objective_y[key]
-    for offset, value in enumerate(extra_objective):
-        objective[nx + ny + offset] = value
+        by_sat[i].append(idx)
+        by_pair[j].append(idx)
+    for idx, (i, k, j) in enumerate(y_vars, nx):
+        by_sat[i].append(idx)
+        by_pair[j].append(idx)
+        by_reflector[k].append(idx)
+    for j, members in enumerate(by_pair):
+        for g in instance.pair_stations[j]:
+            by_station[g].extend(members)
 
+    n = len(objective)
     constraints = []
-    # transmitter cap: direct service plus the source role of relayed links
-    for i in range(instance.num_sats):
-        row = [0.0] * n
-        involved = False
-        for idx, (vi, _) in enumerate(x_vars):
-            if vi == i:
-                row[idx] = 1.0
-                involved = True
-        for idx, (vi, _, _) in enumerate(y_vars):
-            if vi == i:
-                row[nx + idx] = 1.0
-                involved = True
-        if involved:
-            constraints.append((tuple(row), "<=", float(instance.sat_caps[i])))
-    # receiver cap: every connection of an incident pair occupies a receiver
-    for g in range(len(instance.station_ids)):
-        row = [0.0] * n
-        involved = False
-        incident = set(instance.pairs_at_station(g))
-        for idx, (_, vj) in enumerate(x_vars):
-            if vj in incident:
-                row[idx] = 1.0
-                involved = True
-        for idx, (_, _, vj) in enumerate(y_vars):
-            if vj in incident:
-                row[nx + idx] = 1.0
-                involved = True
-        if involved:
-            constraints.append((tuple(row), "<=", float(instance.gs_caps[g])))
-    # pair cap over both connection kinds
-    for j in range(instance.num_pairs):
-        row = [0.0] * n
-        involved = False
-        for idx, (_, vj) in enumerate(x_vars):
-            if vj == j:
-                row[idx] = 1.0
-                involved = True
-        for idx, (_, _, vj) in enumerate(y_vars):
-            if vj == j:
-                row[nx + idx] = 1.0
-                involved = True
-        if involved:
-            constraints.append((tuple(row), "<=", float(instance.pair_caps[j])))
-    # reflector cap
-    if y_vars:
-        for k in range(instance.num_sats):
-            row = [0.0] * n
-            involved = False
-            for idx, (_, vk, _) in enumerate(y_vars):
-                if vk == k:
-                    row[nx + idx] = 1.0
-                    involved = True
-            if involved:
-                constraints.append(
-                    (tuple(row), "<=", float(instance.reflector_caps[k]))
-                )
+    for incidence, caps in (
+        (by_sat, instance.sat_caps),
+        (by_station, instance.gs_caps),
+        (by_pair, instance.pair_caps),
+        (by_reflector, instance.reflector_caps),
+    ):
+        for members, cap in zip(incidence, caps):
+            if members:
+                row = [0.0] * n
+                for idx in members:
+                    row[idx] = 1.0
+                constraints.append((tuple(row), "<=", float(cap)))
     constraints.extend(extra_constraints)
 
-    bounds = []
-    for i, j in x_vars:
-        bounds.append((0.0, float(_variable_upper(instance, i, j))))
-    for i, k, j in y_vars:
-        bounds.append((0.0, float(_variable_upper(instance, i, j, k))))
+    bounds = [(0.0, float(_variable_upper(instance, i, j))) for i, j in x_vars]
+    bounds += [(0.0, float(_variable_upper(instance, i, j, k))) for i, k, j in y_vars]
     bounds.extend(extra_bounds)
 
     mip = MipProblem(
@@ -519,60 +499,55 @@ def _solve_assignment(
             constraints=tuple(constraints),
             variable_bounds=tuple(bounds),
         ),
-        integer_vars=tuple(range(nx + ny)),
+        integer_vars=tuple(range(nx + len(y_vars))),
     )
     result = solve_mip(mip)
-    if result.status not in (OPTIMAL, GAP_LIMIT) or result.assignment is None:
+    if result.status != OPTIMAL:
         raise StructuralError(f"assignment solve returned {result.status}")
-    return result, x_vars, y_vars
+    return result
+
+
+def _priced(instance, x_counts, y_counts) -> Allocation:
+    """Allocation holding the given nonzero direct (i, j, count) and relayed
+    (i, k, j, count) counts, priced at the instance's rates."""
+    x = [[0] * instance.num_pairs for _ in range(instance.num_sats)]
+    for i, j, count in x_counts:
+        x[i][j] = count
+    # the served cells in row-major order sum to the same float as the
+    # whole table, whose other terms are exact zeros
+    objective = float(sum(instance.omega[i][j] * c for i, j, c in sorted(x_counts)))
+    y = sorted(y_counts)
+    if y:
+        objective += sum(instance.nu[(i, k, j)] * c for i, k, j, c in y)
+    return Allocation(x=tuple(tuple(row) for row in x), y=tuple(y), objective=objective)
 
 
 def _allocation_from(instance, result, x_vars, y_vars) -> Allocation:
-    x = [[0] * instance.num_pairs for _ in range(instance.num_sats)]
-    y = []
-    if result is not None:
-        for idx, (i, j) in enumerate(x_vars):
-            count = int(round(result.assignment[idx]))
-            if count:
-                x[i][j] = count
-        for idx, (i, k, j) in enumerate(y_vars):
-            count = int(round(result.assignment[len(x_vars) + idx]))
-            if count:
-                y.append((i, k, j, count))
-    objective = float(
-        sum(
-            instance.omega[i][j] * x[i][j]
-            for i in range(instance.num_sats)
-            for j in range(instance.num_pairs)
-        )
-    )
-    if instance.nu:
-        objective += sum(instance.nu[(i, k, j)] * c for i, k, j, c in y)
-    return Allocation(
-        x=tuple(tuple(row) for row in x), y=tuple(sorted(y)), objective=objective
-    )
+    counts = [] if result is None else [int(round(v)) for v in result.assignment]
+    x = [(i, j, c) for (i, j), c in zip(x_vars, counts) if c]
+    y = [(i, k, j, c) for (i, k, j), c in zip(y_vars, counts[len(x_vars):]) if c]
+    return _priced(instance, x, y)
 
 
 # ---------------------------------------------------------------------------
 # policies
 
 
+def _ratesum(instance, nu, pairs=None) -> Allocation:
+    x_vars, y_vars = _support(instance, instance.omega, nu, pairs)
+    objective = _coefficients(x_vars, y_vars, instance.omega, nu)
+    result = _solve_assignment(instance, x_vars, y_vars, objective)
+    return _allocation_from(instance, result, x_vars, y_vars)
+
+
 def solve_primary_ratesum(instance: SlotInstance) -> Allocation:
     """Maximize aggregate direct rate under the capacity caps."""
-    empty: dict[tuple[int, int, int], float] = {}
-    result, x_vars, y_vars = _solve_assignment(
-        instance, instance.omega, empty, instance.omega, empty
-    )
-    return _allocation_from(instance, result, x_vars, y_vars)
+    return _ratesum(instance, {})
 
 
 def solve_reflection_ratesum(instance: SlotInstance) -> Allocation:
     """Maximize aggregate rate over direct and relayed connections."""
-    nu = instance.nu or {}
-    result, x_vars, y_vars = _solve_assignment(
-        instance, instance.omega, nu, instance.omega, nu
-    )
-    return _allocation_from(instance, result, x_vars, y_vars)
+    return _ratesum(instance, instance.nu or {})
 
 
 def solve_one_shot_maxmin(
@@ -599,61 +574,33 @@ def solve_one_shot_maxmin(
     if not active:
         return zero_allocation(instance), 0.0
 
-    def floor_rows(x_vars, y_vars, lam_index, n):
-        rows = []
-        for j in sorted(active):
-            row = [0.0] * n
-            for idx, (vi, vj) in enumerate(x_vars):
-                if vj == j:
-                    row[idx] = f[vi][vj]
-            for idx, key in enumerate(y_vars):
-                if key[2] == j:
-                    row[len(x_vars) + idx] = fy[key]
-            row[lam_index] = -1.0
-            rows.append((tuple(row), ">=", 0.0))
-        return rows
+    x_vars, y_vars = _support(instance, f, fy)
+    weights = _coefficients(x_vars, y_vars, f, fy)
+    lam_index = len(weights)
+    # one floor row per active pair: its weighted rate minus the floor;
+    # every support variable's pair is active, and is its last index
+    floors = {j: [0.0] * (lam_index + 1) for j in sorted(active)}
+    for idx, var in enumerate(x_vars + y_vars):
+        floors[var[-1]][idx] = weights[idx]
+    rows = []
+    for row in floors.values():
+        row[lam_index] = -1.0
+        rows.append((tuple(row), ">=", 0.0))
 
-    # both solves share the variable layout, so build it once via a probe
-    probe_x = [
-        (i, j)
-        for i in range(instance.num_sats)
-        for j in range(instance.num_pairs)
-        if f[i][j] > 0 and _variable_upper(instance, i, j) > 0
-    ]
-    probe_y = [
-        key
-        for key in sorted(fy)
-        if fy[key] > 0 and _variable_upper(instance, key[0], key[2], key[1]) > 0
-    ]
-    n_total = len(probe_x) + len(probe_y) + 1
-    lam_index = n_total - 1
-    rows = floor_rows(probe_x, probe_y, lam_index, n_total)
-
-    stage1, x_vars, y_vars = _solve_assignment(
-        instance,
-        f,
-        fy,
-        [[0.0] * instance.num_pairs for _ in range(instance.num_sats)],
-        {key: 0.0 for key in fy},
-        extra_vars=1,
-        extra_objective=(1.0,),
-        extra_constraints=rows,
-        extra_bounds=((0.0, None),),
+    stage1 = _solve_assignment(
+        instance, x_vars, y_vars, [0.0] * lam_index + [1.0], rows, ((0.0, None),)
     )
     if stage1 is None:
         return zero_allocation(instance), 0.0
     lam_star = stage1.assignment[lam_index]
 
-    stage2, x_vars, y_vars = _solve_assignment(
+    stage2 = _solve_assignment(
         instance,
-        f,
-        fy,
-        f,
-        fy,
-        extra_vars=1,
-        extra_objective=(0.0,),
-        extra_constraints=rows,
-        extra_bounds=((max(0.0, lam_star - LAMBDA_SLACK), None),),
+        x_vars,
+        y_vars,
+        weights + [0.0],
+        rows,
+        ((max(0.0, lam_star - LAMBDA_SLACK), None),),
     )
     allocation = _allocation_from(instance, stage2, x_vars, y_vars)
     achieved = min(
@@ -682,17 +629,10 @@ def uncontended_max_edr(
         raise ConfigurationError(f"pair index {pair} out of range")
     if include_reflection is None:
         include_reflection = instance.nu is not None
-    masked = tuple(
-        tuple(row[j] if j == pair else 0.0 for j in range(instance.num_pairs))
-        for row in instance.omega
-    )
     nu = {}
     if include_reflection and instance.nu:
         nu = {key: v for key, v in instance.nu.items() if key[2] == pair}
-    result, x_vars, y_vars = _solve_assignment(instance, masked, nu, masked, nu)
-    if result is None:
-        return 0.0
-    return _allocation_from(instance, result, x_vars, y_vars).objective
+    return _ratesum(instance, nu, pairs=(pair,)).objective
 
 
 def fractional_weights(omega, a_values):
@@ -724,7 +664,7 @@ def _ratefair(instance: SlotInstance, use_reflection: bool) -> Allocation:
     caps_t = list(instance.sat_caps)
     caps_r = list(instance.gs_caps)
     caps_u = list(instance.reflector_caps)
-    frozen_x = [[0] * instance.num_pairs for _ in range(instance.num_sats)]
+    frozen_x: dict[tuple[int, int], int] = {}
     frozen_y: dict[tuple[int, int, int], int] = {}
 
     while remaining:
@@ -759,34 +699,23 @@ def _ratefair(instance: SlotInstance, use_reflection: bool) -> Allocation:
             for i in range(instance.num_sats):
                 count = allocation.x[i][j]
                 if count:
-                    frozen_x[i][j] += count
+                    frozen_x[(i, j)] = count
                     caps_t[i] -= count
                     caps_r[a] -= count
                     caps_r[b] -= count
             for (vi, vk, vj, count) in allocation.y:
                 if vj == j:
-                    frozen_y[(vi, vk, vj)] = frozen_y.get((vi, vk, vj), 0) + count
+                    frozen_y[(vi, vk, vj)] = count
                     caps_t[vi] -= count
                     caps_u[vk] -= count
                     caps_r[a] -= count
                     caps_r[b] -= count
             remaining.discard(j)
 
-    objective = float(
-        sum(
-            instance.omega[i][j] * frozen_x[i][j]
-            for i in range(instance.num_sats)
-            for j in range(instance.num_pairs)
-        )
-    )
-    y_items = []
-    for (i, k, j), count in frozen_y.items():
-        objective += (instance.nu or {})[(i, k, j)] * count
-        y_items.append((i, k, j, count))
-    return Allocation(
-        x=tuple(tuple(row) for row in frozen_x),
-        y=tuple(sorted(y_items)),
-        objective=objective,
+    return _priced(
+        instance,
+        [(*key, c) for key, c in frozen_x.items()],
+        [(*key, c) for key, c in frozen_y.items()],
     )
 
 

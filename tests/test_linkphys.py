@@ -216,13 +216,6 @@ def test_edr_equals_rate_times_success():
     assert out.edr == 1e9 * out.success_prob
 
 
-def test_sign_branches_identical():
-    arm1, arm2 = ArmChannel(0.2, 0.01), ArmChannel(0.4, 0.02)
-    plus = end_to_end_outcome(SourceParams(0.0078, 1e9, sign=1), arm1, arm2)
-    minus = end_to_end_outcome(SourceParams(0.0078, 1e9, sign=-1), arm1, arm2)
-    assert plus == minus
-
-
 def test_reflection_arms_lossless_relay():
     direct = ArmChannel(0.123, 0.004)
     other = ArmChannel(0.456, 0.007)

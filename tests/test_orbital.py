@@ -81,14 +81,12 @@ def test_zenith_link():
     geom = link_geometry(snap, satellite_id(0, 0), "g")
     assert geom.elevation == 90.0
     assert geom.slant_range == pytest.approx(1_000_000.0, abs=1e-6)
-    assert geom.atmospheric_path == pytest.approx(20_000.0, abs=1e-6)
 
 
 def test_below_horizon_negative_elevation():
     snap = propagate(single_sat_config(), [GroundStation("g", 0.0, 179.0, 1)], 0, 10.0)
     geom = link_geometry(snap, satellite_id(0, 0), "g")
     assert geom.elevation < 0.0
-    assert geom.atmospheric_path <= geom.slant_range
 
 
 def test_elevation_matches_planar_oracle():

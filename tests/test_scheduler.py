@@ -2,11 +2,21 @@
 
 import itertools
 import random
+from dataclasses import replace
 
 import pytest
 
+from qsatnet import orbital, scheduler, simharness
+from qsatnet.config import default_scenario
 from qsatnet.environment import EnvironmentTable, WeatherRecord
-from qsatnet.errors import ConfigurationError, IngestionError, ModeError, StructuralError
+from qsatnet.errors import (
+    ConfigurationError,
+    IngestionError,
+    ModeError,
+    SimulationError,
+    StructuralError,
+)
+from qsatnet.ilpcore import GAP_LIMIT, SolveResult, solve_mip
 from qsatnet.linkphys import OpticsParams, SourceParams, end_to_end_outcome
 from qsatnet.orbital import ConstellationSnapshot, GroundStation, SatelliteSpec
 from qsatnet.scheduler import (
@@ -644,12 +654,64 @@ def test_reflection_weights_colocated_relay_identity():
     assert inst.nu[(1, 0, 0)] == inst.omega[1][0]
 
 
+def _count_calls(monkeypatch, module, name):
+    calls = []
+    real = getattr(module, name)
+
+    def counted(snapshot, *ids):
+        calls.append(ids)
+        return real(snapshot, *ids)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_reflection_weights_reuse_the_direct_link_table(monkeypatch):
+    snapshot, network, env = overhead_scene(n_sats=3)
+    # the reversed pair needs every (source, relay) sight line a second time
+    network = replace(
+        network,
+        pairs=network.pairs + (PairSpec(id="ba", station_a="gb", station_b="ga"),),
+    )
+    downlinks = _count_calls(monkeypatch, orbital, "link_geometry")
+    sight_lines = _count_calls(monkeypatch, orbital, "inter_satellite_visible")
+    inst = build_reflection_weights(
+        snapshot, network, PHYSICS, env, 20.0, 0.85, mirror_efficiency=1.0, month=6
+    )
+    assert len(downlinks) == len(network.stations) * len(network.satellites)
+    assert len(sight_lines) == len(set(sight_lines)) == 3 * 2
+    assert len(inst.nu) == 2 * 3 * 2
+
+
 def test_reflection_weights_lossy_mirror_reduces_rate():
     snapshot, network, env = overhead_scene(n_sats=2)
     inst = build_reflection_weights(
         snapshot, network, PHYSICS, env, 20.0, 0.85, mirror_efficiency=0.5, month=6
     )
     assert inst.nu[(0, 1, 0)] < inst.omega[0][0]
+
+
+def test_budget_limited_solve_fails_its_slot(monkeypatch):
+    """An answer cut short by the node budget is an error, never a result."""
+
+    def stopped_at_budget(mip):
+        exact = solve_mip(mip)
+        return SolveResult(GAP_LIMIT, exact.objective_value, exact.assignment, gap=0.5)
+
+    monkeypatch.setattr(scheduler, "solve_mip", stopped_at_budget)
+    inst = make_instance([[0.0], [0.0]], [(0, 1)], 2, nu={(0, 1, 0): 7.0})
+    with pytest.raises(StructuralError, match=GAP_LIMIT):
+        solve_reflection_ratesum(inst)
+
+    # slot 0 solves exactly (one rate-sum solve per slot), slot 1 does not
+    answers = iter([solve_mip])
+    monkeypatch.setattr(
+        scheduler, "solve_mip", lambda mip: next(answers, stopped_at_budget)(mip)
+    )
+    config = replace(default_scenario(), num_slots=3, policy="reflection_ratesum")
+    with pytest.raises(SimulationError, match=GAP_LIMIT) as failure:
+        simharness.run(config)
+    assert failure.value.slot == 1
 
 
 # --- instance validation and serialization -----------------------------------
