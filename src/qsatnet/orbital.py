@@ -10,6 +10,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import ConfigurationError, UnknownIdError
 
 Vec3 = tuple[float, float, float]
@@ -18,6 +20,10 @@ EARTH_RADIUS = 6371e3
 EARTH_ROTATION_PERIOD = 86400.0
 GRAVITATIONAL_PARAMETER = 3.986e14
 ISL_CLEARANCE = 100e3
+# slack, in elevation sine, by which the numpy screen in visible_links
+# widens the mask; far above the few-ulp gap between numpy's arithmetic
+# and link_geometry's, so no cell link_geometry would keep is screened out
+SCREEN_MARGIN = 1e-9
 
 
 @dataclass(frozen=True)
@@ -220,6 +226,47 @@ def link_geometry(snapshot: ConstellationSnapshot, sat: str, gs: str) -> LinkGeo
     sin_e = max(-1.0, min(1.0, dot_gd / (station_radius * slant)))
     elevation = math.degrees(math.asin(sin_e))
     return LinkGeometry(elevation=elevation, slant_range=slant)
+
+
+def visible_links(
+    snapshot: ConstellationSnapshot,
+    sat_ids: list[str],
+    station_ids: list[str],
+    min_elevation: float,
+) -> dict[str, dict[str, LinkGeometry]]:
+    """Per station, the satellites at or above ``min_elevation``, with geometry.
+
+    One numpy pass over every (station, satellite) cell keeps the cells
+    whose elevation sine lies within SCREEN_MARGIN of the mask or above
+    it; only those reach the scalar ``link_geometry``, which decides each
+    of them and supplies every returned value.  The result therefore
+    equals gating ``link_geometry`` on every cell, in ``sat_ids`` order.
+    A cell the screen cannot evaluate (NaN, as for an unknown id) is
+    passed on, so ``link_geometry`` raises there as it would unscreened.
+    """
+    unknown = (math.nan,) * 3
+    sats = np.array(
+        [snapshot.sat_positions.get(s, unknown) for s in sat_ids], dtype=float
+    ).reshape(-1, 3)
+    stations = np.array(
+        [snapshot.gs_positions.get(g, unknown) for g in station_ids], dtype=float
+    ).reshape(-1, 3)
+    d = sats[None, :, :] - stations[:, None, :]
+    slant = np.sqrt((d * d).sum(axis=2))
+    radius = np.sqrt((stations * stations).sum(axis=1))[:, None]
+    dot = (d * stations[:, None, :]).sum(axis=2)
+    sin_mask = math.sin(math.radians(max(-90.0, min(90.0, min_elevation))))
+    candidates = ~(dot < (sin_mask - SCREEN_MARGIN) * radius * slant)
+
+    links: dict[str, dict[str, LinkGeometry]] = {}
+    for gs_id, row in zip(station_ids, candidates):
+        per_sat = {}
+        for s in np.flatnonzero(row).tolist():
+            geom = link_geometry(snapshot, sat_ids[s], gs_id)
+            if geom.elevation >= min_elevation:
+                per_sat[sat_ids[s]] = geom
+        links[gs_id] = per_sat
+    return links
 
 
 def _segment_min_radius(p: Vec3, q: Vec3) -> float:

@@ -40,7 +40,7 @@ from .linkphys import (
     free_space_transmissivity,
     reflection_arms,
 )
-from .orbital import ConstellationSnapshot, GroundStation
+from .orbital import ConstellationSnapshot, GroundStation, visible_links
 
 SATURATION_REL_TOL = 1e-6
 LAMBDA_SLACK = 1e-9
@@ -237,16 +237,12 @@ def _slot_links(snapshot, network, physics, env, min_elevation, month, hour_utc)
     elevation there.  A station's weather is read on its first arm, so a
     station no satellite serves needs no weather record.
     """
-    from .orbital import link_geometry
-
-    links = {}
-    for station in network.stations:
-        per_sat = {}
-        for spec in network.satellites:
-            geom = link_geometry(snapshot, spec.id, station.id)
-            if geom.elevation >= min_elevation:
-                per_sat[spec.id] = geom
-        links[station.id] = per_sat
+    links = visible_links(
+        snapshot,
+        [spec.id for spec in network.satellites],
+        [station.id for station in network.stations],
+        min_elevation,
+    )
     records = {}
     arms: dict[tuple[str, str], ArmChannel] = {}
 
@@ -422,6 +418,7 @@ def _support(instance, x_weights, y_weights, pairs=None):
     x_vars = [
         (i, j)
         for i in range(instance.num_sats)
+        if any(x_weights[i])
         for j in pairs
         if x_weights[i][j] > 0 and _variable_upper(instance, i, j) > 0
     ]
@@ -883,6 +880,8 @@ def allocation_violations(instance: SlotInstance, allocation: Allocation) -> lis
 def pair_edr(instance: SlotInstance, allocation: Allocation) -> dict[str, float]:
     totals = {pid: 0.0 for pid in instance.pair_ids}
     for i in range(instance.num_sats):
+        if not any(allocation.x[i]):
+            continue
         for j in range(instance.num_pairs):
             if allocation.x[i][j]:
                 totals[instance.pair_ids[j]] += (

@@ -184,6 +184,8 @@ def serving_sets(instance, allocation) -> dict[str, frozenset]:
     """
     servers: dict[str, set] = {pid: set() for pid in instance.pair_ids}
     for i in range(instance.num_sats):
+        if not any(allocation.x[i]):
+            continue
         for j in range(instance.num_pairs):
             if allocation.x[i][j] > 0:
                 servers[instance.pair_ids[j]].add(instance.sat_ids[i])
@@ -214,10 +216,9 @@ def count_handovers(previous: dict[str, frozenset], current: dict[str, frozenset
 
 def connectivity_count(instance) -> int:
     """Pairs with at least one positive direct rate this slot."""
+    rows = [row for row in instance.omega if any(row)]
     return sum(
-        1
-        for j in range(instance.num_pairs)
-        if any(instance.omega[i][j] > 0 for i in range(instance.num_sats))
+        1 for j in range(instance.num_pairs) if any(row[j] > 0 for row in rows)
     )
 
 

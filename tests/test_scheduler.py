@@ -1,10 +1,13 @@
 """Assignment policy tests with exhaustive-enumeration cross-checks."""
 
 import itertools
+import math
 import random
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qsatnet import orbital, scheduler, simharness
 from qsatnet.config import default_scenario
@@ -15,8 +18,9 @@ from qsatnet.errors import (
     ModeError,
     SimulationError,
     StructuralError,
+    UnknownIdError,
 )
-from qsatnet.ilpcore import GAP_LIMIT, SolveResult, solve_mip
+from qsatnet.ilpcore import GAP_LIMIT, SolveResult, brute_force_mip, solve_mip
 from qsatnet.linkphys import OpticsParams, SourceParams, end_to_end_outcome
 from qsatnet.orbital import ConstellationSnapshot, GroundStation, SatelliteSpec
 from qsatnet.scheduler import (
@@ -758,3 +762,290 @@ def test_allocation_json_reflection_tensor():
     payload = allocation_to_json(inst, alloc, "reflection_ratesum")
     assert payload["y"][0][1][0] == 1
     assert payload["per_pair_edr"]["p0"] == pytest.approx(7.0)
+
+
+# --- visibility screen --------------------------------------------------------
+
+
+def _brute_links(snapshot, sat_ids, station_ids, min_elevation):
+    """The gated table from scalar geometry on every cell."""
+    table = {}
+    for gs in station_ids:
+        table[gs] = {}
+        for sat in sat_ids:
+            geom = orbital.link_geometry(snapshot, sat, gs)
+            if geom.elevation >= min_elevation:
+                table[gs][sat] = geom
+    return table
+
+
+def _assert_same_table(screened, brute):
+    assert screened == brute
+    assert list(screened) == list(brute)
+    assert [list(row) for row in screened.values()] == [
+        list(row) for row in brute.values()
+    ]
+
+
+def test_screen_calls_link_geometry_only_near_visible_cells(monkeypatch):
+    config = default_scenario()
+    network = simharness.build_network(config)
+    snapshot = orbital.propagate(
+        config.constellation, config.stations, 0, config.slot_duration
+    )
+    sat_ids = [s.id for s in network.satellites]
+    station_ids = [g.id for g in network.stations]
+    brute = _brute_links(snapshot, sat_ids, station_ids, config.min_elevation)
+
+    downlinks = _count_calls(monkeypatch, orbital, "link_geometry")
+    build_weights(
+        snapshot,
+        network,
+        config.physics,
+        simharness.resolve_weather(config),
+        config.min_elevation,
+        config.fidelity_threshold,
+        month=config.month,
+    )
+    visible = sum(len(row) for row in brute.values())
+    assert 0 < visible <= len(downlinks) < len(station_ids) * len(sat_ids)
+    _assert_same_table(
+        orbital.visible_links(snapshot, sat_ids, station_ids, config.min_elevation),
+        brute,
+    )
+
+
+def _position_at_elevation(gs_pos, elevation, azimuth, slant):
+    """The point ``slant`` meters from a station at the given elevation."""
+    norm = math.sqrt(sum(c * c for c in gs_pos))
+    up = tuple(c / norm for c in gs_pos)
+    helper = (0.0, 0.0, 1.0) if abs(up[2]) < 0.9 else (1.0, 0.0, 0.0)
+    east = (
+        helper[1] * up[2] - helper[2] * up[1],
+        helper[2] * up[0] - helper[0] * up[2],
+        helper[0] * up[1] - helper[1] * up[0],
+    )
+    east_norm = math.sqrt(sum(c * c for c in east))
+    east = tuple(c / east_norm for c in east)
+    north = (
+        up[1] * east[2] - up[2] * east[1],
+        up[2] * east[0] - up[0] * east[2],
+        up[0] * east[1] - up[1] * east[0],
+    )
+    e, a = math.radians(elevation), math.radians(azimuth)
+    return tuple(
+        g + slant * (math.cos(e) * (math.cos(a) * x + math.sin(a) * y) + math.sin(e) * z)
+        for g, x, y, z in zip(gs_pos, east, north, up)
+    )
+
+
+_latitudes = st.floats(-90.0, 90.0)
+_longitudes = st.floats(-180.0, 180.0, exclude_max=True)
+
+
+@st.composite
+def _skies(draw):
+    """A snapshot, its ids and a mask, with some cells within 1e-9 deg of it."""
+    mask = draw(st.floats(0.0, 90.0, exclude_max=True))
+    gs_positions = {}
+    for n in range(draw(st.integers(1, 3))):
+        unit = orbital.latlon_to_unit(draw(_latitudes), draw(_longitudes))
+        gs_positions[f"g{n}"] = tuple(EARTH_RADIUS * c for c in unit)
+    sat_positions = {}
+    for n in range(draw(st.integers(0, 6))):
+        unit = orbital.latlon_to_unit(draw(_latitudes), draw(_longitudes))
+        radius = EARTH_RADIUS + draw(st.floats(300e3, 2000e3))
+        sat_positions[f"s{n}"] = tuple(radius * c for c in unit)
+    for n in range(draw(st.integers(0, 4))):
+        gs = draw(st.sampled_from(sorted(gs_positions)))
+        sat_positions[f"m{n}"] = _position_at_elevation(
+            gs_positions[gs],
+            mask + draw(st.floats(-1e-9, 1e-9)),
+            draw(st.floats(0.0, 360.0)),
+            draw(st.floats(100e3, 3000e3)),
+        )
+    snapshot = ConstellationSnapshot(
+        time=0,
+        sat_positions=sat_positions,
+        gs_positions=gs_positions,
+        earth_radius=EARTH_RADIUS,
+        altitude=1000e3,
+    )
+    sat_ids = draw(st.permutations(sorted(sat_positions)))
+    return snapshot, sat_ids, sorted(gs_positions), mask
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(_skies())
+def test_screen_equals_brute_force_table(sky):
+    snapshot, sat_ids, station_ids, mask = sky
+    _assert_same_table(
+        orbital.visible_links(snapshot, sat_ids, station_ids, mask),
+        _brute_links(snapshot, sat_ids, station_ids, mask),
+    )
+
+
+def test_build_weights_unknown_ids_and_coincident_link():
+    snapshot, network, env = overhead_scene(n_sats=2)
+    no_sat = replace(snapshot, sat_positions={"s0": snapshot.sat_positions["s0"]})
+    with pytest.raises(UnknownIdError, match="unknown satellite id 's1'"):
+        build_weights(no_sat, network, PHYSICS, env, 20.0, 0.85, month=6)
+    no_station = replace(snapshot, gs_positions={"ga": snapshot.gs_positions["ga"]})
+    with pytest.raises(UnknownIdError, match="unknown ground station id 'gb'"):
+        build_weights(no_station, network, PHYSICS, env, 20.0, 0.85, month=6)
+    coincident = replace(
+        snapshot, sat_positions={"s0": (EARTH_RADIUS, 0.0, 0.0), "s1": (0.0, 0.0, 0.0)}
+    )
+    with pytest.raises(ConfigurationError, match="coincide"):
+        build_weights(coincident, network, PHYSICS, env, 20.0, 0.85, month=6)
+
+
+# --- row-skipping scans against their dense references ----------------------
+
+
+def _dense_support(instance, x_weights, y_weights, pairs=None):
+    if pairs is None:
+        pairs = range(instance.num_pairs)
+    x_vars = [
+        (i, j)
+        for i in range(instance.num_sats)
+        for j in pairs
+        if x_weights[i][j] > 0 and scheduler._variable_upper(instance, i, j) > 0
+    ]
+    y_vars = [
+        key
+        for key in sorted(y_weights)
+        if y_weights[key] > 0
+        and scheduler._variable_upper(instance, key[0], key[2], key[1]) > 0
+    ]
+    return x_vars, y_vars
+
+
+def _dense_pair_edr(instance, allocation):
+    totals = {pid: 0.0 for pid in instance.pair_ids}
+    for i in range(instance.num_sats):
+        for j in range(instance.num_pairs):
+            if allocation.x[i][j]:
+                totals[instance.pair_ids[j]] += instance.omega[i][j] * allocation.x[i][j]
+    for (i, k, j, count) in allocation.y:
+        totals[instance.pair_ids[j]] += (instance.nu or {})[(i, k, j)] * count
+    return totals
+
+
+def _dense_serving_sets(instance, allocation):
+    servers = {pid: set() for pid in instance.pair_ids}
+    for i in range(instance.num_sats):
+        for j in range(instance.num_pairs):
+            if allocation.x[i][j] > 0:
+                servers[instance.pair_ids[j]].add(instance.sat_ids[i])
+    for (i, k, j, count) in allocation.y:
+        if count > 0:
+            servers[instance.pair_ids[j]].add((instance.sat_ids[i], instance.sat_ids[k]))
+    return {pid: frozenset(s) for pid, s in servers.items()}
+
+
+def _dense_connectivity_count(instance):
+    return sum(
+        1
+        for j in range(instance.num_pairs)
+        if any(instance.omega[i][j] > 0 for i in range(instance.num_sats))
+    )
+
+
+def _sparse_rows(rng, n_rows, n_cols, value):
+    """Rows of ``value()`` draws, signed zeros, and whole zero rows."""
+    rows = []
+    for _ in range(n_rows):
+        if rng.random() < 0.4:
+            rows.append(tuple(rng.choice((0.0, -0.0)) for _ in range(n_cols)))
+        else:
+            rows.append(
+                tuple(
+                    value() if rng.random() < 0.4 else rng.choice((0.0, -0.0))
+                    for _ in range(n_cols)
+                )
+            )
+    return rows
+
+
+def test_row_skipping_scans_match_dense_references():
+    rng = random.Random(60606)
+    for _ in range(300):
+        base = random_instance(rng, max_sats=6, max_pairs=4, reflection=True)
+        n_sat, n_pair = base.num_sats, base.num_pairs
+        inst = replace(
+            base,
+            omega=tuple(
+                _sparse_rows(rng, n_sat, n_pair, lambda: rng.uniform(0.1, 10.0))
+            ),
+        )
+        counts = _sparse_rows(rng, n_sat, n_pair, lambda: rng.randint(1, 2))
+        x = tuple(tuple(int(c) for c in row) for row in counts)
+        y = tuple(
+            (i, k, j, rng.randint(0, 2))
+            for (i, k, j) in sorted(inst.nu)
+            if rng.random() < 0.5
+        )
+        allocation = Allocation(x=x, y=y, objective=0.0)
+        weights = _sparse_rows(
+            rng, n_sat, n_pair, lambda: rng.choice((rng.uniform(0.1, 5.0), math.nan))
+        )
+        pairs = sorted(rng.sample(range(n_pair), rng.randint(1, n_pair)))
+
+        for x_weights in (inst.omega, weights):
+            for restrict in (None, pairs):
+                assert scheduler._support(
+                    inst, x_weights, inst.nu, restrict
+                ) == _dense_support(inst, x_weights, inst.nu, restrict)
+        got, want = pair_edr(inst, allocation), _dense_pair_edr(inst, allocation)
+        assert list(got) == list(want)
+        assert all(got[pid] == want[pid] for pid in want)
+        assert simharness.serving_sets(inst, allocation) == _dense_serving_sets(
+            inst, allocation
+        )
+        for instance in (inst, replace(inst, omega=tuple(weights))):
+            assert simharness.connectivity_count(
+                instance
+            ) == _dense_connectivity_count(instance)
+
+
+# --- policy properties --------------------------------------------------------
+
+
+POLICIES = (
+    solve_primary_ratesum,
+    solve_reflection_ratesum,
+    solve_primary_ratefair,
+    solve_reflection_ratefair,
+)
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(st.randoms(use_true_random=False))
+def test_policy_properties(rng):
+    inst = random_instance(rng, max_sats=4, max_pairs=3, max_cap=2, reflection=True)
+    problems = []
+
+    def recorded(mip):
+        problems.append(mip)
+        return solve_mip(mip)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(scheduler, "solve_mip", recorded)
+        primary_sum = solve_primary_ratesum(inst)
+    allocations = [primary_sum] + [policy(inst) for policy in POLICIES[1:]]
+    for allocation in allocations:
+        assert allocation_violations(inst, allocation) == []
+    _, reflection_sum, primary_fair, reflection_fair = allocations
+
+    def at_least(big, small):
+        return big.objective >= small.objective - 1e-9 * abs(small.objective)
+
+    assert at_least(reflection_sum, primary_sum)
+    assert at_least(primary_sum, primary_fair)
+    assert at_least(reflection_sum, reflection_fair)
+
+    # rate-sum solves one MIP, or none when no variable has room
+    assert len(problems) <= 1
+    expected = brute_force_mip(problems[0]).objective_value if problems else 0.0
+    assert primary_sum.objective == pytest.approx(expected, rel=1e-9, abs=1e-12)
