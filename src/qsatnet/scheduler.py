@@ -2,10 +2,12 @@
 
 A slot instance carries the entanglement rate each satellite could deliver
 to each ground-station pair (and, in reflection mode, each source/relay
-satellite combination), plus the capacity caps.  Policies turn an instance
-into an integral allocation: rate-sum maximizes aggregate rate, rate-fair
-runs iterative max-min on contention-normalized rates, and the two
-special-case solvers exploit unit-capacity structure.
+satellite combination), plus the capacity caps.  Policies see every
+candidate connection as one route (i, k, j): satellite i serves pair j,
+relayed by satellite k, or directly when k is None.  They turn an
+instance into integral route counts: rate-sum maximizes aggregate rate,
+rate-fair runs iterative max-min on contention-normalized rates, and the
+two special-case solvers exploit unit-capacity structure.
 """
 
 from __future__ import annotations
@@ -393,10 +395,43 @@ def build_reflection_weights(
 
 
 # ---------------------------------------------------------------------------
-# generic MIP assembly
+# routes and generic MIP assembly
+#
+# Route maps list direct routes (i, None, j) in row-major order, then
+# relayed routes (i, k, j) in key order: this is the solver's variable
+# order and the order in which per-route terms are summed.
 
 
-def _variable_upper(instance, i, j, k=None):
+def _routes(x_weights, y_weights) -> dict:
+    """Positive-weight routes mapped to their weights: cells of the dense
+    ``x_weights`` table, then keys of ``y_weights``."""
+    routes = {
+        (i, None, j): w
+        for i, row in enumerate(x_weights)
+        if any(row)
+        for j, w in enumerate(row)
+        if w > 0
+    }
+    for key in sorted(y_weights):
+        if y_weights[key] > 0:
+            routes[key] = y_weights[key]
+    return routes
+
+
+def served_routes(allocation: Allocation):
+    """The allocation's nonzero counts as (route, count), in route order."""
+    for i, row in enumerate(allocation.x):
+        if any(row):
+            for j, count in enumerate(row):
+                if count:
+                    yield (i, None, j), count
+    for i, k, j, count in allocation.y:
+        if count:
+            yield (i, k, j), count
+
+
+def _variable_upper(instance, route):
+    i, k, j = route
     a, b = instance.pair_stations[j]
     cap = min(
         instance.sat_caps[i],
@@ -409,63 +444,40 @@ def _variable_upper(instance, i, j, k=None):
     return max(0, cap)
 
 
-def _support(instance, x_weights, y_weights, pairs=None):
-    """The solver's integer variables: positive-weight cells (restricted to
-    ``pairs`` when given), then positive-weight triples in key order, each
-    with room under every cap it touches."""
-    if pairs is None:
-        pairs = range(instance.num_pairs)
-    x_vars = [
-        (i, j)
-        for i in range(instance.num_sats)
-        if any(x_weights[i])
-        for j in pairs
-        if x_weights[i][j] > 0 and _variable_upper(instance, i, j) > 0
-    ]
-    y_vars = [
-        key
-        for key in sorted(y_weights)
-        if y_weights[key] > 0 and _variable_upper(instance, key[0], key[2], key[1]) > 0
-    ]
-    return x_vars, y_vars
-
-
-def _coefficients(x_vars, y_vars, x_weights, y_weights) -> list[float]:
-    return [x_weights[i][j] for i, j in x_vars] + [y_weights[key] for key in y_vars]
+def _support(instance, routes) -> list:
+    """The solver's integer variables: the routes with room under every
+    cap they touch."""
+    return [route for route in routes if _variable_upper(instance, route) > 0]
 
 
 def _solve_assignment(
     instance: SlotInstance,
-    x_vars,
-    y_vars,
+    support,
     objective,
     extra_constraints=(),
     extra_bounds=(),
 ):
-    """Shared MIP scaffold over support variables.
+    """Shared MIP scaffold over support routes.
 
-    ``objective`` has one entry per x variable, then per y variable, then
-    per continuous extra, whose bounds ``extra_bounds`` gives.  The cap
-    rows come from one pass over the variables: transmitter, receiver,
-    pair, then reflector caps, each in index order and only where some
-    variable takes part.  Returns None on an empty support; a solve that
-    does not prove optimality raises.
+    ``objective`` has one entry per route, then per continuous extra,
+    whose bounds ``extra_bounds`` gives.  The cap rows come from one pass
+    over the routes: transmitter, receiver, pair, then reflector caps,
+    each in index order and only where some route takes part.  Returns
+    None on an empty support; a solve that does not prove optimality
+    raises.
     """
-    nx = len(x_vars)
-    if nx + len(y_vars) == 0:
+    if not support:
         return None
     # the columns each transmitter, station, pair and reflector cap covers
     by_sat = [[] for _ in range(instance.num_sats)]
     by_station = [[] for _ in instance.station_ids]
     by_pair = [[] for _ in range(instance.num_pairs)]
     by_reflector = [[] for _ in range(instance.num_sats)]
-    for idx, (i, j) in enumerate(x_vars):
+    for idx, (i, k, j) in enumerate(support):
         by_sat[i].append(idx)
         by_pair[j].append(idx)
-    for idx, (i, k, j) in enumerate(y_vars, nx):
-        by_sat[i].append(idx)
-        by_pair[j].append(idx)
-        by_reflector[k].append(idx)
+        if k is not None:
+            by_reflector[k].append(idx)
     for j, members in enumerate(by_pair):
         for g in instance.pair_stations[j]:
             by_station[g].extend(members)
@@ -486,8 +498,7 @@ def _solve_assignment(
                 constraints.append((tuple(row), "<=", float(cap)))
     constraints.extend(extra_constraints)
 
-    bounds = [(0.0, float(_variable_upper(instance, i, j))) for i, j in x_vars]
-    bounds += [(0.0, float(_variable_upper(instance, i, j, k))) for i, k, j in y_vars]
+    bounds = [(0.0, float(_variable_upper(instance, route))) for route in support]
     bounds.extend(extra_bounds)
 
     mip = MipProblem(
@@ -496,7 +507,7 @@ def _solve_assignment(
             constraints=tuple(constraints),
             variable_bounds=tuple(bounds),
         ),
-        integer_vars=tuple(range(nx + len(y_vars))),
+        integer_vars=tuple(range(len(support))),
     )
     result = solve_mip(mip)
     if result.status != OPTIMAL:
@@ -504,47 +515,58 @@ def _solve_assignment(
     return result
 
 
-def _priced(instance, x_counts, y_counts) -> Allocation:
-    """Allocation holding the given nonzero direct (i, j, count) and relayed
-    (i, k, j, count) counts, priced at the instance's rates."""
+def _counts(support, result) -> dict:
+    """The nonzero route counts of a solve over ``support``; a None result
+    (an empty support) counts nothing."""
+    if result is None:
+        return {}
+    counts = (int(round(v)) for v in result.assignment)
+    return {route: c for route, c in zip(support, counts) if c}
+
+
+def _priced(instance, counts) -> Allocation:
+    """Allocation holding the given nonzero route counts, priced at the
+    instance's rates."""
+    direct = sorted((i, j, c) for (i, k, j), c in counts.items() if k is None)
+    y = sorted((i, k, j, c) for (i, k, j), c in counts.items() if k is not None)
     x = [[0] * instance.num_pairs for _ in range(instance.num_sats)]
-    for i, j, count in x_counts:
-        x[i][j] = count
+    for i, j, c in direct:
+        x[i][j] = c
     # the served cells in row-major order sum to the same float as the
     # whole table, whose other terms are exact zeros
-    objective = float(sum(instance.omega[i][j] * c for i, j, c in sorted(x_counts)))
-    y = sorted(y_counts)
+    objective = float(sum(instance.omega[i][j] * c for i, j, c in direct))
     if y:
         objective += sum(instance.nu[(i, k, j)] * c for i, k, j, c in y)
     return Allocation(x=tuple(tuple(row) for row in x), y=tuple(y), objective=objective)
 
 
-def _allocation_from(instance, result, x_vars, y_vars) -> Allocation:
-    counts = [] if result is None else [int(round(v)) for v in result.assignment]
-    x = [(i, j, c) for (i, j), c in zip(x_vars, counts) if c]
-    y = [(i, k, j, c) for (i, k, j), c in zip(y_vars, counts[len(x_vars):]) if c]
-    return _priced(instance, x, y)
+def _pair_totals(allocation, weights, pairs) -> dict[int, float]:
+    """Each given pair's weighted rate under the allocation; every served
+    route must have a weight and one of the given pairs."""
+    totals = dict.fromkeys(pairs, 0.0)
+    for route, count in served_routes(allocation):
+        totals[route[2]] += weights[route] * count
+    return totals
 
 
 # ---------------------------------------------------------------------------
 # policies
 
 
-def _ratesum(instance, nu, pairs=None) -> Allocation:
-    x_vars, y_vars = _support(instance, instance.omega, nu, pairs)
-    objective = _coefficients(x_vars, y_vars, instance.omega, nu)
-    result = _solve_assignment(instance, x_vars, y_vars, objective)
-    return _allocation_from(instance, result, x_vars, y_vars)
+def _ratesum(instance, routes) -> Allocation:
+    support = _support(instance, routes)
+    result = _solve_assignment(instance, support, [routes[r] for r in support])
+    return _priced(instance, _counts(support, result))
 
 
 def solve_primary_ratesum(instance: SlotInstance) -> Allocation:
     """Maximize aggregate direct rate under the capacity caps."""
-    return _ratesum(instance, {})
+    return _ratesum(instance, _routes(instance.omega, {}))
 
 
 def solve_reflection_ratesum(instance: SlotInstance) -> Allocation:
     """Maximize aggregate rate over direct and relayed connections."""
-    return _ratesum(instance, instance.nu or {})
+    return _ratesum(instance, _routes(instance.omega, instance.nu or {}))
 
 
 def solve_one_shot_maxmin(
@@ -560,32 +582,26 @@ def solve_one_shot_maxmin(
     highest-total solution among the max-min optima, which keeps results
     deterministic and avoids gratuitously idle resources.
     """
-    fy = f_reflection or {}
-    active = {
-        j
-        for i in range(instance.num_sats)
-        for j in range(instance.num_pairs)
-        if f[i][j] > 0
-    }
-    active.update(j for (_, _, j), value in fy.items() if value > 0)
-    if not active:
+    routes = _routes(f, f_reflection or {})
+    if not routes:
         return zero_allocation(instance), 0.0
 
-    x_vars, y_vars = _support(instance, f, fy)
-    weights = _coefficients(x_vars, y_vars, f, fy)
-    lam_index = len(weights)
-    # one floor row per active pair: its weighted rate minus the floor;
-    # every support variable's pair is active, and is its last index
-    floors = {j: [0.0] * (lam_index + 1) for j in sorted(active)}
-    for idx, var in enumerate(x_vars + y_vars):
-        floors[var[-1]][idx] = weights[idx]
+    support = _support(instance, routes)
+    weights = [routes[route] for route in support]
+    lam_index = len(support)
+    # one floor row per active pair (one with a positive weight): its
+    # weighted rate minus the floor
+    active = sorted({j for _, _, j in routes})
+    floors = {j: [0.0] * (lam_index + 1) for j in active}
+    for idx, (_, _, j) in enumerate(support):
+        floors[j][idx] = weights[idx]
     rows = []
     for row in floors.values():
         row[lam_index] = -1.0
         rows.append((tuple(row), ">=", 0.0))
 
     stage1 = _solve_assignment(
-        instance, x_vars, y_vars, [0.0] * lam_index + [1.0], rows, ((0.0, None),)
+        instance, support, [0.0] * lam_index + [1.0], rows, ((0.0, None),)
     )
     if stage1 is None:
         return zero_allocation(instance), 0.0
@@ -593,27 +609,13 @@ def solve_one_shot_maxmin(
 
     stage2 = _solve_assignment(
         instance,
-        x_vars,
-        y_vars,
+        support,
         weights + [0.0],
         rows,
         ((max(0.0, lam_star - LAMBDA_SLACK), None),),
     )
-    allocation = _allocation_from(instance, stage2, x_vars, y_vars)
-    achieved = min(
-        _pair_weighted_rate(instance, allocation, f, fy, j) for j in sorted(active)
-    )
-    return allocation, achieved
-
-
-def _pair_weighted_rate(instance, allocation, f, fy, j) -> float:
-    total = sum(
-        f[i][j] * allocation.x[i][j] for i in range(instance.num_sats)
-    )
-    for (vi, vk, vj, count) in allocation.y:
-        if vj == j:
-            total += fy[(vi, vk, vj)] * count
-    return total
+    allocation = _priced(instance, _counts(support, stage2))
+    return allocation, min(_pair_totals(allocation, routes, active).values())
 
 
 def uncontended_max_edr(
@@ -621,15 +623,22 @@ def uncontended_max_edr(
 ) -> float:
     """Best rate a single pair could get with the whole network to itself."""
     if isinstance(pair, str):
+        if pair not in instance.pair_ids:
+            raise ConfigurationError(f"unknown pair id {pair!r}")
         pair = instance.pair_ids.index(pair)
     if not 0 <= pair < instance.num_pairs:
         raise ConfigurationError(f"pair index {pair} out of range")
     if include_reflection is None:
         include_reflection = instance.nu is not None
-    nu = {}
+    routes = {
+        (i, None, pair): row[pair]
+        for i, row in enumerate(instance.omega)
+        if row[pair] > 0
+    }
     if include_reflection and instance.nu:
-        nu = {key: v for key, v in instance.nu.items() if key[2] == pair}
-    return _ratesum(instance, nu, pairs=(pair,)).objective
+        relayed = {key: v for key, v in instance.nu.items() if key[2] == pair}
+        routes.update(_routes((), relayed))
+    return _ratesum(instance, routes).objective
 
 
 def fractional_weights(omega, a_values):
@@ -661,8 +670,7 @@ def _ratefair(instance: SlotInstance, use_reflection: bool) -> Allocation:
     caps_t = list(instance.sat_caps)
     caps_r = list(instance.gs_caps)
     caps_u = list(instance.reflector_caps)
-    frozen_x: dict[tuple[int, int], int] = {}
-    frozen_y: dict[tuple[int, int, int], int] = {}
+    frozen: dict[tuple, int] = {}
 
     while remaining:
         # clamping pair caps to the shrunken receiver pools keeps the
@@ -684,36 +692,22 @@ def _ratefair(instance: SlotInstance, use_reflection: bool) -> Allocation:
         )
         fy_live = {key: v for key, v in fy_all.items() if key[2] in remaining}
         allocation, _ = solve_one_shot_maxmin(residual, fx_live, fy_live)
-        achieved = {
-            j: _pair_weighted_rate(residual, allocation, fx_live, fy_live, j)
-            for j in remaining
-        }
+        achieved = _pair_totals(allocation, _routes(fx_live, fy_live), remaining)
         floor = min(achieved.values())
         tol = floor * SATURATION_REL_TOL + 1e-12
-        saturated = sorted(j for j in remaining if achieved[j] <= floor + tol)
-        for j in saturated:
-            a, b = instance.pair_stations[j]
-            for i in range(instance.num_sats):
-                count = allocation.x[i][j]
-                if count:
-                    frozen_x[(i, j)] = count
-                    caps_t[i] -= count
-                    caps_r[a] -= count
-                    caps_r[b] -= count
-            for (vi, vk, vj, count) in allocation.y:
-                if vj == j:
-                    frozen_y[(vi, vk, vj)] = count
-                    caps_t[vi] -= count
-                    caps_u[vk] -= count
-                    caps_r[a] -= count
-                    caps_r[b] -= count
-            remaining.discard(j)
+        saturated = {j for j in remaining if achieved[j] <= floor + tol}
+        for route, count in served_routes(allocation):
+            i, k, j = route
+            if j in saturated:
+                frozen[route] = count
+                caps_t[i] -= count
+                if k is not None:
+                    caps_u[k] -= count
+                for g in instance.pair_stations[j]:
+                    caps_r[g] -= count
+        remaining -= saturated
 
-    return _priced(
-        instance,
-        [(*key, c) for key, c in frozen_x.items()],
-        [(*key, c) for key, c in frozen_y.items()],
-    )
+    return _priced(instance, frozen)
 
 
 def solve_primary_ratefair(instance: SlotInstance) -> Allocation:
@@ -738,40 +732,28 @@ def solve_stsr(instance: SlotInstance) -> Allocation:
     """Single-transmitter, single-receiver case via independent sets.
 
     With every cap at one, feasible allocations are exactly independent
-    sets of the conflict graph whose vertices are positive-rate cells and
-    whose edges join cells sharing a satellite or a station.
+    sets of the conflict graph whose vertices are positive-rate direct
+    routes and whose edges join routes sharing a satellite or a station.
     """
     if any(c != 1 for c in instance.sat_caps) or any(
         c != 1 for c in instance.gs_caps
     ) or any(c != 1 for c in instance.pair_caps):
         raise ModeError("unit caps required for the independent-set reduction")
-    vertices = [
-        (i, j)
-        for i in range(instance.num_sats)
-        for j in range(instance.num_pairs)
-        if instance.omega[i][j] > 0
-    ]
-    weights = [instance.omega[i][j] for i, j in vertices]
+    routes = _routes(instance.omega, {})
+    vertices = list(routes)
     edges = []
     for u in range(len(vertices)):
-        iu, ju = vertices[u]
+        iu, _, ju = vertices[u]
         su = set(instance.pair_stations[ju])
         for v in range(u + 1, len(vertices)):
-            iv, jv = vertices[v]
+            iv, _, jv = vertices[v]
             if iu == iv or su & set(instance.pair_stations[jv]):
                 edges.append((u, v))
     try:
-        selected, _ = mwis_exact(weights, edges)
+        selected, _ = mwis_exact(list(routes.values()), edges)
     except SizeLimitError:
         return solve_primary_ratesum(instance)
-    x = [[0] * instance.num_pairs for _ in range(instance.num_sats)]
-    for v in selected:
-        i, j = vertices[v]
-        x[i][j] = 1
-    objective = float(
-        sum(instance.omega[i][j] for i, j in (vertices[v] for v in selected))
-    )
-    return Allocation(x=tuple(tuple(r) for r in x), y=(), objective=objective)
+    return _priced(instance, {vertices[v]: 1 for v in selected})
 
 
 def solve_stmr(instance: SlotInstance) -> Allocation:
@@ -804,11 +786,12 @@ def solve_stmr(instance: SlotInstance) -> Allocation:
         ]
         for i in rows
     ]
-    matching, objective = hungarian(weights)
-    x = [[0] * instance.num_pairs for _ in range(instance.num_sats)]
+    matching, _ = hungarian(weights)
+    counts: dict[tuple, int] = {}
     for r, c in matching.items():
-        x[rows[r]][cols[c]] += 1
-    return Allocation(x=tuple(tuple(r) for r in x), y=(), objective=objective)
+        route = (rows[r], None, cols[c])
+        counts[route] = counts.get(route, 0) + 1
+    return _priced(instance, counts)
 
 
 # ---------------------------------------------------------------------------
@@ -879,16 +862,10 @@ def allocation_violations(instance: SlotInstance, allocation: Allocation) -> lis
 
 def pair_edr(instance: SlotInstance, allocation: Allocation) -> dict[str, float]:
     totals = {pid: 0.0 for pid in instance.pair_ids}
-    for i in range(instance.num_sats):
-        if not any(allocation.x[i]):
-            continue
-        for j in range(instance.num_pairs):
-            if allocation.x[i][j]:
-                totals[instance.pair_ids[j]] += (
-                    instance.omega[i][j] * allocation.x[i][j]
-                )
-    for (i, k, j, count) in allocation.y:
-        totals[instance.pair_ids[j]] += (instance.nu or {})[(i, k, j)] * count
+    for route, count in served_routes(allocation):
+        i, k, j = route
+        rate = instance.omega[i][j] if k is None else instance.nu[route]
+        totals[instance.pair_ids[j]] += rate * count
     return totals
 
 

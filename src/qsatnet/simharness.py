@@ -45,6 +45,7 @@ from .scheduler import (
     build_weights,
     default_physics,
     pair_edr,
+    served_routes,
     solve_primary_ratefair,
     solve_primary_ratesum,
     solve_reflection_ratefair,
@@ -183,17 +184,12 @@ def serving_sets(instance, allocation) -> dict[str, frozenset]:
     hardware just like swapping a direct satellite does.
     """
     servers: dict[str, set] = {pid: set() for pid in instance.pair_ids}
-    for i in range(instance.num_sats):
-        if not any(allocation.x[i]):
-            continue
-        for j in range(instance.num_pairs):
-            if allocation.x[i][j] > 0:
-                servers[instance.pair_ids[j]].add(instance.sat_ids[i])
-    for (i, k, j, count) in allocation.y:
+    for (i, k, j), count in served_routes(allocation):
         if count > 0:
-            servers[instance.pair_ids[j]].add(
-                (instance.sat_ids[i], instance.sat_ids[k])
-            )
+            server = instance.sat_ids[i]
+            if k is not None:
+                server = (server, instance.sat_ids[k])
+            servers[instance.pair_ids[j]].add(server)
     return {pid: frozenset(s) for pid, s in servers.items()}
 
 

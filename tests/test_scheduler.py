@@ -1,5 +1,6 @@
 """Assignment policy tests with exhaustive-enumeration cross-checks."""
 
+import hashlib
 import itertools
 import math
 import random
@@ -10,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qsatnet import orbital, scheduler, simharness
-from qsatnet.config import default_scenario
+from qsatnet.config import apply_overrides, default_scenario
 from qsatnet.environment import EnvironmentTable, WeatherRecord
 from qsatnet.errors import (
     ConfigurationError,
@@ -333,6 +334,14 @@ def test_uncontended_reflection_toggle():
     )
     assert uncontended_max_edr(inst, 0, include_reflection=True) == pytest.approx(7.0)
     assert uncontended_max_edr(inst, 0, include_reflection=False) == 0.0
+
+
+def test_uncontended_rejects_unknown_pair_id():
+    inst = make_instance([[4.0]], [(0, 1)], 2)
+    with pytest.raises(ConfigurationError, match="no-such-pair"):
+        uncontended_max_edr(inst, "no-such-pair")
+    with pytest.raises(ConfigurationError, match="out of range"):
+        uncontended_max_edr(inst, 1)
 
 
 def test_fractional_weights_normalization():
@@ -718,6 +727,46 @@ def test_budget_limited_solve_fails_its_slot(monkeypatch):
     assert failure.value.slot == 1
 
 
+# SHA-256 over repr((objective, constraints, variable_bounds, integer_vars))
+# of every MIP the policies hand to the solver, in call order
+PINNED_MIP_COUNT = 2523
+PINNED_MIP_DIGEST = "2fdb4a3700b2822c271872ceb0b98823c3a6fd87be428329c234154302d43eb7"
+
+
+def test_mip_sequence_matches_pinned_digest(monkeypatch):
+    """Refactors of the assembly must hand the solver the very same MIPs."""
+    digest = hashlib.sha256()
+    count = 0
+
+    def recorded(mip):
+        nonlocal count
+        count += 1
+        lp = mip.base
+        key = (lp.objective, lp.constraints, lp.variable_bounds, mip.integer_vars)
+        digest.update(repr(key).encode())
+        return solve_mip(mip)
+
+    monkeypatch.setattr(scheduler, "solve_mip", recorded)
+    reduced = apply_overrides(
+        default_scenario(),
+        {
+            "constellation.rings": "4",
+            "constellation.sats_per_ring": "10",
+            "slot_duration": "60",
+            "weather_seed": "23",
+            "num_slots": "240",
+        },
+    )
+    for policy in (
+        "reflection_ratefair",
+        "primary_ratefair",
+        "reflection_ratesum",
+        "primary_ratesum",
+    ):
+        simharness.run(replace(reduced, policy=policy))
+    assert (count, digest.hexdigest()) == (PINNED_MIP_COUNT, PINNED_MIP_DIGEST)
+
+
 # --- instance validation and serialization -----------------------------------
 
 
@@ -903,22 +952,19 @@ def test_build_weights_unknown_ids_and_coincident_link():
 # --- row-skipping scans against their dense references ----------------------
 
 
-def _dense_support(instance, x_weights, y_weights, pairs=None):
-    if pairs is None:
-        pairs = range(instance.num_pairs)
-    x_vars = [
-        (i, j)
+def _dense_support(instance, x_weights, y_weights):
+    direct = [
+        (i, None, j)
         for i in range(instance.num_sats)
-        for j in pairs
-        if x_weights[i][j] > 0 and scheduler._variable_upper(instance, i, j) > 0
+        for j in range(instance.num_pairs)
+        if x_weights[i][j] > 0 and scheduler._variable_upper(instance, (i, None, j)) > 0
     ]
-    y_vars = [
+    relayed = [
         key
         for key in sorted(y_weights)
-        if y_weights[key] > 0
-        and scheduler._variable_upper(instance, key[0], key[2], key[1]) > 0
+        if y_weights[key] > 0 and scheduler._variable_upper(instance, key) > 0
     ]
-    return x_vars, y_vars
+    return direct + relayed
 
 
 def _dense_pair_edr(instance, allocation):
@@ -990,13 +1036,11 @@ def test_row_skipping_scans_match_dense_references():
         weights = _sparse_rows(
             rng, n_sat, n_pair, lambda: rng.choice((rng.uniform(0.1, 5.0), math.nan))
         )
-        pairs = sorted(rng.sample(range(n_pair), rng.randint(1, n_pair)))
 
         for x_weights in (inst.omega, weights):
-            for restrict in (None, pairs):
-                assert scheduler._support(
-                    inst, x_weights, inst.nu, restrict
-                ) == _dense_support(inst, x_weights, inst.nu, restrict)
+            assert scheduler._support(
+                inst, scheduler._routes(x_weights, inst.nu)
+            ) == _dense_support(inst, x_weights, inst.nu)
         got, want = pair_edr(inst, allocation), _dense_pair_edr(inst, allocation)
         assert list(got) == list(want)
         assert all(got[pid] == want[pid] for pid in want)
