@@ -1,11 +1,11 @@
 """Self-contained optimization engine for per-slot assignment problems.
 
-Dense two-phase simplex, branch-and-bound integer programming, Hungarian
-assignment, exact maximum-weight independent set, and a brute-force
-enumeration oracle.  Instances here are desk-scale (hundreds of variables),
-so everything favors clarity and determinism over solver heroics.  The
-entry points take and return plain value types, which leaves a seam for
-swapping in an external solver later.
+Bounded-variable dense simplex, branch-and-bound integer programming,
+Hungarian assignment, exact maximum-weight independent set, and a
+brute-force enumeration oracle.  Instances here are desk-scale (hundreds
+of variables), so everything favors clarity and determinism over solver
+heroics.  The entry points take and return plain value types, which
+leaves a seam for swapping in an external solver later.
 """
 
 from .types import (

@@ -1,9 +1,21 @@
-"""Dense two-phase simplex.
+"""Dense bounded-variable two-phase simplex.
 
-Variables are shifted by their lower bounds so the working problem has
-x >= 0 throughout; finite upper bounds become explicit rows.  Pivoting is
-Dantzig's rule with lowest-index tie-breaks, switching to Bland's rule
-after a fixed iteration budget so degenerate instances cannot cycle.
+Variables are shifted by their lower bounds, so the working problem has
+0 <= x <= u, and the tableau holds the constraint rows only: upper bounds
+stay implicit (Dantzig's upper-bounding technique).  A nonbasic variable
+rests at 0 or at its bound u.  One resting at u is held through its
+complement u - x, whose column is the negated column of x, so every
+nonbasic column stands at zero.  The ratio test also stops where a basic
+variable reaches its bound.  When the entering variable reaches its own
+bound first it flips: it swaps to that bound, and no pivot happens.
+
+Pivoting is Dantzig's rule with lowest-index tie-breaks, switching to
+Bland's rule after a fixed iteration budget so degenerate instances
+cannot cycle.  Under Dantzig's rule a tie in the ratio test goes to the
+lowest row where a basic variable falls to zero, then to the lowest
+index among variables reaching their bound, as if each bound were a row
+below the constraints.  Under Bland's rule it goes to the lowest index
+among all blocking variables, the entering one's own flip included.
 """
 
 from __future__ import annotations
@@ -22,19 +34,28 @@ MAX_ITERATIONS = 200_000
 
 
 def _pivot(tableau: np.ndarray, basis: list[int], row: int, col: int) -> None:
-    tableau[row] /= tableau[row, col]
-    pivot_row = tableau[row].copy()
-    factors = tableau[:, col].copy()
-    factors[row] = 0.0
-    tableau -= np.outer(factors, pivot_row)
+    pivot_row = tableau[row] / tableau[row, col]
+    tableau -= tableau[:, col, None] * pivot_row
     tableau[row] = pivot_row
     tableau[:, col] = 0.0
     tableau[row, col] = 1.0
     basis[row] = col
 
 
+def _flip(tableau: np.ndarray, col: int, upper: float, flipped: list[bool]) -> None:
+    """Move nonbasic ``col`` to its other bound: x = u - x'."""
+    tableau[:, -1] -= tableau[:, col] * upper
+    tableau[:, col] = 0.0 - tableau[:, col]
+    flipped[col] = not flipped[col]
+
+
 def _iterate(
-    tableau: np.ndarray, basis: list[int], active_cols: int, iteration: list[int]
+    tableau: np.ndarray,
+    basis: list[int],
+    upper: list[float],
+    flipped: list[bool],
+    active_cols: int,
+    iteration: list[int],
 ) -> str:
     """Run simplex to optimality on the maximization tableau in place.
 
@@ -59,44 +80,72 @@ def _iterate(
             col = int(np.argmin(objective))
             if objective[col] >= -PIVOT_TOL:
                 return OPTIMAL
-        column = tableau[:m, col]
-        positive = column > PIVOT_TOL
-        if not positive.any():
+
+        # a basic variable with a > 0 falls to zero after rhs / a; one
+        # with a < 0 rises to its bound u after (u - rhs) / -a, computed
+        # as (rhs - u) / a
+        column = tableau[:m, col].tolist()
+        ratios = []
+        best = upper[col]
+        for row, (a, b) in enumerate(zip(column, tableau[:m, -1].tolist())):
+            if a > PIVOT_TOL:
+                ratio = b / a
+            elif a < -PIVOT_TOL:
+                ratio = (b - upper[basis[row]]) / a
+            else:
+                continue
+            ratios.append((row, ratio))
+            if ratio < best:
+                best = ratio
+        if best == math.inf:
             return UNBOUNDED
-        ratios = np.full(m, np.inf)
-        ratios[positive] = tableau[:m, -1][positive] / column[positive]
-        best = ratios.min()
-        candidates = np.flatnonzero(ratios <= best + 1e-12)
-        if bland:
-            row = int(min(candidates, key=lambda i: basis[i]))
+        tie = best + 1e-12
+        # candidates are rows, or None for the entering column's own flip
+        candidates = [row for row, ratio in ratios if ratio <= tie]
+        if upper[col] <= tie:
+            candidates.append(None)
+        if len(candidates) > 1:
+
+            def rank(row):
+                var = col if row is None else basis[row]
+                if bland:
+                    return var
+                if row is None or column[row] < 0.0:
+                    return (1, var)
+                return (0, row)
+
+            choice = min(candidates, key=rank)
         else:
-            row = int(candidates[0])
-        _pivot(tableau, basis, row, col)
+            choice = candidates[0]
+
+        if choice is None:
+            _flip(tableau, col, upper[col], flipped)
+        elif column[choice] > 0.0:
+            _pivot(tableau, basis, choice, col)
+        else:
+            # rewrite the row over the complement of its basic variable,
+            # which then leaves at zero, that is at its bound
+            leaving = basis[choice]
+            complement = 0.0 - tableau[choice]
+            complement[leaving] = 1.0
+            complement[-1] = upper[leaving] - tableau[choice, -1]
+            tableau[choice] = complement
+            flipped[leaving] = not flipped[leaving]
+            _pivot(tableau, basis, choice, col)
 
 
 def solve_lp(lp: LinearProgram) -> SolveResult:
     n = lp.num_vars
+    m = len(lp.constraints)
     lower = np.array([b[0] for b in lp.variable_bounds], dtype=float)
-    objective = np.asarray(lp.objective, dtype=float)
+    objective = np.array(lp.objective, dtype=float)
     const_term = float(objective @ lower) if n else 0.0
 
-    rows: list[np.ndarray] = []
-    relations: list[str] = []
-    rhs: list[float] = []
-    for coeffs, relation, b in lp.constraints:
-        a = np.asarray(coeffs, dtype=float)
-        rows.append(a)
-        relations.append(relation)
-        rhs.append(b - (float(a @ lower) if n else 0.0))
-    for j, (lo, hi) in enumerate(lp.variable_bounds):
-        if hi is not None:
-            unit = np.zeros(n)
-            unit[j] = 1.0
-            rows.append(unit)
-            relations.append("<=")
-            rhs.append(hi - lo)
-
-    m = len(rows)
+    rows = np.array([c for c, _, _ in lp.constraints], dtype=float).reshape(m, n)
+    relations = [r for _, r, _ in lp.constraints]
+    rhs = [b for _, _, b in lp.constraints]
+    if lower.any():
+        rhs = [b - float(a @ lower) for a, b in zip(rows, rhs)]
     for i in range(m):
         if rhs[i] < 0:
             rows[i] = -rows[i]
@@ -113,12 +162,12 @@ def solve_lp(lp: LinearProgram) -> SolveResult:
     total = n + num_slack + num_artificial
 
     tableau = np.zeros((m + 1, total + 1))
+    tableau[:m, :n] = rows
+    tableau[:m, -1] = rhs
     basis = [0] * m
     slack_idx = slack_start
     art_idx = art_start
     for i in range(m):
-        tableau[i, :n] = rows[i]
-        tableau[i, -1] = rhs[i]
         if relations[i] == "<=":
             tableau[i, slack_idx] = 1.0
             basis[i] = slack_idx
@@ -134,6 +183,12 @@ def solve_lp(lp: LinearProgram) -> SolveResult:
             basis[i] = art_idx
             art_idx += 1
 
+    # each column's room above zero, and whether it holds a complement
+    upper = [math.inf] * total
+    for j, (lo, hi) in enumerate(lp.variable_bounds):
+        if hi is not None:
+            upper[j] = hi - lo
+    flipped = [False] * total
     iteration = [0]
 
     if num_artificial:
@@ -143,7 +198,7 @@ def solve_lp(lp: LinearProgram) -> SolveResult:
         for i in range(m):
             if basis[i] >= art_start:
                 tableau[m] -= tableau[i]
-        status = _iterate(tableau, basis, total, iteration)
+        status = _iterate(tableau, basis, upper, flipped, total, iteration)
         if status != OPTIMAL or tableau[m, -1] < -FEAS_TOL:
             return SolveResult(INFEASIBLE, math.nan, None)
         for i in range(m):
@@ -154,20 +209,28 @@ def solve_lp(lp: LinearProgram) -> SolveResult:
                 else:
                     tableau[i, :] = 0.0
 
-    # phase 2 over structural and slack columns only
+    # phase 2 over structural and slack columns only: the objective row
+    # is written over the complements, then priced out of the basis
     tableau[m, :] = 0.0
     tableau[m, :n] = -objective
+    for j in range(n):
+        if flipped[j]:
+            tableau[m, -1] -= tableau[m, j] * upper[j]
+            tableau[m, j] = 0.0 - tableau[m, j]
     for i in range(m):
         coeff = tableau[m, basis[i]]
         if coeff != 0.0:
             tableau[m] -= coeff * tableau[i]
-    status = _iterate(tableau, basis, art_start, iteration)
+    status = _iterate(tableau, basis, upper, flipped, art_start, iteration)
     if status == UNBOUNDED:
         return SolveResult(UNBOUNDED, math.inf, None)
 
     shifted = np.zeros(total)
     for i, col in enumerate(basis):
         shifted[col] = tableau[i, -1]
+    for j in range(n):
+        if flipped[j]:
+            shifted[j] = upper[j] - shifted[j]
     solution = shifted[:n] + lower
     value = float(tableau[m, -1]) + const_term
     return SolveResult(OPTIMAL, value, tuple(float(x) for x in solution))

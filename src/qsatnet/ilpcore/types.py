@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass
 
@@ -47,18 +48,10 @@ class LinearProgram:
             raise StructuralError(
                 f"{len(self.variable_bounds)} bounds for {n} variables"
             )
-        bounds = []
-        for j, (lower, upper) in enumerate(self.variable_bounds):
-            lower = float(lower)
-            if not math.isfinite(lower):
-                raise StructuralError(f"variable {j}: lower bound must be finite")
-            if upper is not None:
-                upper = float(upper)
-                if math.isinf(upper):
-                    upper = None
-            if upper is not None and upper < lower:
-                raise StructuralError(f"variable {j}: bounds [{lower}, {upper}] empty")
-            bounds.append((lower, upper))
+        bounds = [
+            _checked_bounds(j, lower, upper)
+            for j, (lower, upper) in enumerate(self.variable_bounds)
+        ]
         object.__setattr__(self, "objective", objective)
         object.__setattr__(self, "constraints", tuple(constraints))
         object.__setattr__(self, "variable_bounds", tuple(bounds))
@@ -68,9 +61,27 @@ class LinearProgram:
         return len(self.objective)
 
     def with_bounds(self, var: int, lower: float, upper: float | None) -> "LinearProgram":
+        """Copy with variable ``var``'s bounds replaced.  Only the new pair
+        is checked: everything else was checked when ``self`` was built."""
         bounds = list(self.variable_bounds)
-        bounds[var] = (lower, upper)
-        return LinearProgram(self.objective, self.constraints, tuple(bounds))
+        bounds[var] = _checked_bounds(var, lower, upper)
+        child = copy.copy(self)
+        object.__setattr__(child, "variable_bounds", tuple(bounds))
+        return child
+
+
+def _checked_bounds(j: int, lower, upper) -> tuple[float, float | None]:
+    """Variable ``j``'s (lower, upper) as floats, an infinite upper as None."""
+    lower = float(lower)
+    if not math.isfinite(lower):
+        raise StructuralError(f"variable {j}: lower bound must be finite")
+    if upper is not None:
+        upper = float(upper)
+        if math.isinf(upper):
+            upper = None
+    if upper is not None and upper < lower:
+        raise StructuralError(f"variable {j}: bounds [{lower}, {upper}] empty")
+    return lower, upper
 
 
 @dataclass(frozen=True)

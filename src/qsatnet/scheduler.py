@@ -529,15 +529,21 @@ def _priced(instance, counts) -> Allocation:
     instance's rates."""
     direct = sorted((i, j, c) for (i, k, j), c in counts.items() if k is None)
     y = sorted((i, k, j, c) for (i, k, j), c in counts.items() if k is not None)
-    x = [[0] * instance.num_pairs for _ in range(instance.num_sats)]
+    # only served rows get a row of their own; the rest share one
+    num_pairs = instance.num_pairs
+    served: dict[int, list[int]] = {}
     for i, j, c in direct:
-        x[i][j] = c
+        served.setdefault(i, [0] * num_pairs)[j] = c
+    unserved = (0,) * num_pairs
+    x = tuple(
+        tuple(served[i]) if i in served else unserved for i in range(instance.num_sats)
+    )
     # the served cells in row-major order sum to the same float as the
     # whole table, whose other terms are exact zeros
     objective = float(sum(instance.omega[i][j] * c for i, j, c in direct))
     if y:
         objective += sum(instance.nu[(i, k, j)] * c for i, k, j, c in y)
-    return Allocation(x=tuple(tuple(row) for row in x), y=tuple(y), objective=objective)
+    return Allocation(x=x, y=tuple(y), objective=objective)
 
 
 def _pair_totals(allocation, weights, pairs) -> dict[int, float]:

@@ -7,7 +7,10 @@ import random
 import numpy as np
 import pytest
 
+from qsatnet import scheduler, simharness
+from qsatnet.config import apply_overrides, default_scenario
 from qsatnet.errors import ParameterError, SizeLimitError, StructuralError
+from qsatnet.ilpcore import lp as lp_module
 from qsatnet.ilpcore import (
     GAP_LIMIT,
     INFEASIBLE,
@@ -113,29 +116,191 @@ def test_lp_equality_and_shifted_bounds():
     assert res.objective_value == pytest.approx(5.0, abs=1e-9)
 
 
-def test_lp_matches_vertex_oracle():
-    rng = random.Random(101)
-    for trial in range(20):
-        n = rng.randint(2, 4)
-        m = rng.randint(1, 4)
-        target = [rng.uniform(0.0, 2.0) for _ in range(n)]
-        constraints = []
-        for _ in range(m):
-            coeffs = tuple(rng.uniform(-1.0, 2.0) for _ in range(n))
-            slack = rng.uniform(0.1, 2.0)
-            rhs = sum(c * x for c, x in zip(coeffs, target)) + slack
-            constraints.append((coeffs, "<=", rhs))
-        lp = LinearProgram(
-            objective=tuple(rng.uniform(-1.0, 3.0) for _ in range(n)),
-            constraints=tuple(constraints),
-            variable_bounds=tuple((0.0, rng.uniform(2.5, 6.0)) for _ in range(n)),
+def random_mixed_lp(rng, max_vars, max_rows, unbounded_share=0.15, feasible_share=0.8):
+    """A random LP mixing all three relations, zero, negative and positive
+    lower bounds, fixed variables and variables unbounded above.
+
+    With probability ``feasible_share`` every row holds at a point drawn
+    inside the box, so the LP is feasible; other rows get random sides.
+    """
+    n = rng.randint(1, max_vars)
+    m = rng.randint(0, max_rows)
+    bounds = []
+    point = []
+    for _ in range(n):
+        lower = rng.choice((0.0, round(rng.uniform(-3.0, 2.0), 3)))
+        draw = rng.random()
+        if draw < 0.15:
+            upper = lower
+        elif draw < 0.15 + unbounded_share:
+            upper = None
+        else:
+            upper = lower + round(rng.uniform(0.5, 5.0), 3)
+        bounds.append((lower, upper))
+        point.append(rng.uniform(lower, lower + 1.0 if upper is None else upper))
+    around_point = rng.random() < feasible_share
+    constraints = []
+    for _ in range(m):
+        coeffs = tuple(
+            0.0 if rng.random() < 0.3 else round(rng.uniform(-2.0, 3.0), 3)
+            for _ in range(n)
         )
+        relation = rng.choice(("<=", "<=", ">=", "="))
+        if around_point:
+            at_point = sum(c * x for c, x in zip(coeffs, point))
+            slack = rng.uniform(0.1, 2.0)
+            rhs = {"<=": at_point + slack, ">=": at_point - slack, "=": at_point}[relation]
+        else:
+            rhs = round(rng.uniform(-3.0, 8.0), 3)
+        constraints.append((coeffs, relation, rhs))
+    objective = tuple(round(rng.uniform(-2.0, 3.0), 3) for _ in range(n))
+    return LinearProgram(objective, tuple(constraints), tuple(bounds))
+
+
+def oracle_lps(seed, count):
+    rng = random.Random(seed)
+    return [
+        random_mixed_lp(rng, 4, 4, unbounded_share=0.0, feasible_share=1.0)
+        for _ in range(count)
+    ]
+
+
+def check_against_vertex_oracle(lps):
+    """Compare bounded feasible LPs with the oracle; returns how many
+    optima leave some variable at its upper bound."""
+    at_upper = 0
+    for trial, lp in enumerate(lps):
         res = solve_lp(lp)
         assert res.status == OPTIMAL, f"trial {trial}"
         oracle = lp_vertex_oracle(lp)
         assert oracle is not None
-        assert res.objective_value == pytest.approx(oracle, abs=1e-6)
+        assert res.objective_value == pytest.approx(oracle, abs=1e-6), f"trial {trial}"
         assert feasible_point(lp, res.assignment)
+        at_upper += any(
+            lo < hi and x == pytest.approx(hi, abs=1e-9)
+            for (lo, hi), x in zip(lp.variable_bounds, res.assignment)
+        )
+    return at_upper
+
+
+def test_lp_matches_vertex_oracle():
+    lps = oracle_lps(101, 60)
+    # the draws cover every relation, fixed variables, and lower bounds
+    # below and above zero
+    relations = {rel for lp in lps for _, rel, _ in lp.constraints}
+    bounds = [b for lp in lps for b in lp.variable_bounds]
+    assert relations == {"<=", ">=", "="}
+    assert any(lo == hi for lo, hi in bounds)
+    assert any(lo < 0 for lo, _ in bounds) and any(lo > 0 for lo, _ in bounds)
+    assert check_against_vertex_oracle(lps) >= 10
+
+
+def test_lp_bland_rule_matches_vertex_oracle(monkeypatch):
+    """Bland's rule from the first iteration, bound flips included."""
+    flips = 0
+    original_flip = lp_module._flip
+
+    def counted(*args):
+        nonlocal flips
+        flips += 1
+        original_flip(*args)
+
+    monkeypatch.setattr(lp_module, "BLAND_AFTER", 0)
+    monkeypatch.setattr(lp_module, "_flip", counted)
+    assert check_against_vertex_oracle(oracle_lps(202, 30)) > 0
+    assert flips > 0
+
+
+def test_lp_box_only():
+    """No constraint rows: each variable goes to the bound its objective
+    coefficient favours, or the problem is unbounded."""
+    lp = LinearProgram(
+        objective=(2.0, -1.0, 0.5, 0.0),
+        constraints=(),
+        variable_bounds=((-1.0, 3.0), (-2.0, 4.0), (1.5, 1.5), (0.0, None)),
+    )
+    res = solve_lp(lp)
+    assert res.status == OPTIMAL
+    assert res.assignment == pytest.approx((3.0, -2.0, 1.5, 0.0), abs=1e-12)
+    assert res.objective_value == pytest.approx(8.75, abs=1e-12)
+    unbounded = LinearProgram(
+        objective=(1.0, 1.0), constraints=(), variable_bounds=((0.0, 2.0), (-1.0, None))
+    )
+    assert solve_lp(unbounded).status == UNBOUNDED
+
+
+def highs_reference(lp):
+    """Status and optimum of ``lp`` from scipy's HiGHS.
+
+    Feasibility is settled by a second solve with a zero objective: HiGHS
+    may call an unbounded problem infeasible from presolve.
+    """
+    from scipy.optimize import linprog
+
+    n = lp.num_vars
+    upper = [(c, b) for c, rel, b in lp.constraints if rel == "<="]
+    upper += [(tuple(-v for v in c), -b) for c, rel, b in lp.constraints if rel == ">="]
+    equal = [(c, b) for c, rel, b in lp.constraints if rel == "="]
+
+    def solve(objective):
+        return linprog(
+            c=objective,
+            A_ub=np.array([c for c, _ in upper]).reshape(len(upper), n) if upper else None,
+            b_ub=[b for _, b in upper] if upper else None,
+            A_eq=np.array([c for c, _ in equal]).reshape(len(equal), n) if equal else None,
+            b_eq=[b for _, b in equal] if equal else None,
+            bounds=lp.variable_bounds,
+            method="highs",
+        )
+
+    res = solve([-v for v in lp.objective])
+    if res.status == 0:
+        return OPTIMAL, -res.fun
+    if solve([0.0] * n).status == 2:
+        return INFEASIBLE, None
+    return UNBOUNDED, None
+
+
+def test_lp_matches_highs_on_random_mixed_lps():
+    pytest.importorskip("scipy")
+    rng = random.Random(303)
+    seen = set()
+    for trial in range(2000):
+        lp = random_mixed_lp(rng, 8, 6)
+        status, value = highs_reference(lp)
+        res = solve_lp(lp)
+        seen.add(status)
+        assert res.status == status, f"trial {trial}"
+        if status == OPTIMAL:
+            assert math.isclose(
+                res.objective_value, value, rel_tol=1e-6, abs_tol=1e-9
+            ), f"trial {trial}"
+            assert feasible_point(lp, res.assignment, tol=1e-6), f"trial {trial}"
+    assert seen == {OPTIMAL, INFEASIBLE, UNBOUNDED}
+
+
+def test_default_reflection_lps_match_highs(monkeypatch):
+    """The default constellation's rate-sum LPs, hundreds of variables
+    with as many upper bounds, against HiGHS."""
+    pytest.importorskip("scipy")
+    captured = []
+
+    def recorded(mip):
+        captured.append(mip.base)
+        return solve_mip(mip)
+
+    monkeypatch.setattr(scheduler, "solve_mip", recorded)
+    config = apply_overrides(
+        default_scenario(), {"policy": "reflection_ratesum", "num_slots": "3"}
+    )
+    simharness.run(config)
+    assert len(captured) == 3
+    assert min(lp.num_vars for lp in captured) > 100
+    for lp in captured:
+        res = solve_lp(lp)
+        status, value = highs_reference(lp)
+        assert res.status == status == OPTIMAL
+        assert math.isclose(res.objective_value, value, rel_tol=1e-9)
 
 
 def test_lp_determinism():
@@ -292,6 +457,26 @@ def test_lp_validation():
             constraints=(),
             variable_bounds=((2.0, 1.0),),
         )
+
+
+def test_with_bounds_checks_only_the_new_bound():
+    lp = LinearProgram(
+        objective=(1.0, 2.0, 3.0),
+        constraints=(((1.0, 1.0, 1.0), "<=", 4.0),),
+        variable_bounds=((0.0, 1.0), (0.0, None), (-1.0, 2.0)),
+    )
+    for var, lower, upper in ((1, 2, math.inf), (0, 1, 1), (2, -0.5, None)):
+        bounds = list(lp.variable_bounds)
+        bounds[var] = (lower, upper)
+        copy = lp.with_bounds(var, lower, upper)
+        assert copy == LinearProgram(lp.objective, lp.constraints, tuple(bounds))
+        lower_f, upper_f = copy.variable_bounds[var]
+        assert type(lower_f) is float
+        assert upper_f is None or type(upper_f) is float
+    assert lp.with_bounds(1, 2, math.inf).variable_bounds[1] == (2.0, None)
+    for lower, upper in ((2.0, 1.0), (-math.inf, 1.0), (math.inf, None), (math.nan, None)):
+        with pytest.raises(StructuralError):
+            lp.with_bounds(0, lower, upper)
 
 
 def matching_oracle(weights):

@@ -990,6 +990,18 @@ def _dense_serving_sets(instance, allocation):
     return {pid: frozenset(s) for pid, s in servers.items()}
 
 
+def _dense_priced(instance, counts):
+    direct = sorted((i, j, c) for (i, k, j), c in counts.items() if k is None)
+    y = sorted((i, k, j, c) for (i, k, j), c in counts.items() if k is not None)
+    x = [[0] * instance.num_pairs for _ in range(instance.num_sats)]
+    for i, j, c in direct:
+        x[i][j] = c
+    objective = float(sum(instance.omega[i][j] * c for i, j, c in direct))
+    if y:
+        objective += sum(instance.nu[(i, k, j)] * c for i, k, j, c in y)
+    return Allocation(x=tuple(tuple(row) for row in x), y=tuple(y), objective=objective)
+
+
 def _dense_connectivity_count(instance):
     return sum(
         1
@@ -1047,6 +1059,10 @@ def test_row_skipping_scans_match_dense_references():
         assert simharness.serving_sets(inst, allocation) == _dense_serving_sets(
             inst, allocation
         )
+        counts = dict(scheduler.served_routes(allocation))
+        priced, dense = scheduler._priced(inst, counts), _dense_priced(inst, counts)
+        assert priced == dense
+        assert repr(priced.objective) == repr(dense.objective)
         for instance in (inst, replace(inst, omega=tuple(weights))):
             assert simharness.connectivity_count(
                 instance
