@@ -1,8 +1,9 @@
 """Self-contained optimization engine for per-slot assignment problems.
 
-Bounded-variable dense simplex, branch-and-bound integer programming,
-Hungarian assignment, exact maximum-weight independent set, and a
-brute-force enumeration oracle.  Instances here are desk-scale (hundreds
+Linear programs over sparse constraint rows, a bounded-variable dense
+simplex, branch-and-bound integer programming, Hungarian assignment,
+exact maximum-weight independent set, and a brute-force enumeration
+oracle.  Instances here are desk-scale (hundreds
 of variables), so everything favors clarity and determinism over solver
 heroics.  The entry points take and return plain value types, which
 leaves a seam for swapping in an external solver later.
@@ -16,6 +17,7 @@ from .types import (
     LinearProgram,
     MipProblem,
     SolveResult,
+    SparseRow,
     constraint_violations,
 )
 from .lp import solve_lp
@@ -31,6 +33,7 @@ __all__ = [
     "LinearProgram",
     "MipProblem",
     "SolveResult",
+    "SparseRow",
     "brute_force_mip",
     "constraint_violations",
     "hungarian",

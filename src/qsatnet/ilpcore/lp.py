@@ -21,6 +21,7 @@ among all blocking variables, the entering one's own flip included.
 from __future__ import annotations
 
 import math
+from itertools import chain
 
 import numpy as np
 
@@ -141,7 +142,14 @@ def solve_lp(lp: LinearProgram) -> SolveResult:
     objective = np.array(lp.objective, dtype=float)
     const_term = float(objective @ lower) if n else 0.0
 
-    rows = np.array([c for c, _, _ in lp.constraints], dtype=float).reshape(m, n)
+    columns = [row.columns for row, _, _ in lp.constraints]
+    rows = np.zeros((m, n))
+    rows[
+        np.repeat(np.arange(m), list(map(len, columns))),
+        np.fromiter(chain.from_iterable(columns), dtype=np.intp),
+    ] = np.fromiter(
+        chain.from_iterable(row.coefficients for row, _, _ in lp.constraints), dtype=float
+    )
     relations = [r for _, r, _ in lp.constraints]
     rhs = [b for _, _, b in lp.constraints]
     if lower.any():

@@ -5,6 +5,7 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
+import operator
 
 from ..errors import ParameterError, QsatError, SizeLimitError, StructuralError
 from .lp import solve_lp
@@ -138,8 +139,8 @@ def brute_force_mip(mip: MipProblem) -> SolveResult:
     best: tuple[float, ...] | None = None
     for values in itertools.product(*domains):
         feasible = True
-        for coeffs, relation, rhs in mip.base.constraints:
-            lhs = sum(c * x for c, x in zip(coeffs, values))
+        for (columns, coeffs), relation, rhs in mip.base.constraints:
+            lhs = sum(map(operator.mul, coeffs, map(values.__getitem__, columns)))
             if relation == "<=" and lhs > rhs + 1e-9:
                 feasible = False
             elif relation == ">=" and lhs < rhs - 1e-9:

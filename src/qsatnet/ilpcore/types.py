@@ -4,7 +4,10 @@ from __future__ import annotations
 
 import copy
 import math
+import operator
 from dataclasses import dataclass
+from itertools import compress
+from typing import NamedTuple
 
 from ..errors import StructuralError
 
@@ -16,34 +19,47 @@ GAP_LIMIT = "GapLimit"
 RELATIONS = ("<=", "=", ">=")
 
 
+class SparseRow(NamedTuple):
+    """A constraint row's nonzeros: strictly increasing column indices and
+    the coefficient at each."""
+
+    columns: tuple[int, ...]
+    coefficients: tuple[float, ...]
+
+
 @dataclass(frozen=True)
 class LinearProgram:
     """Maximize objective . x subject to linear constraints and box bounds.
 
-    ``variable_bounds`` holds one (lower, upper) pair per variable; upper
-    may be None for unbounded above.  Lower bounds must be finite.
+    Each constraint is ``(row, relation, rhs)``.  The row may be given as
+    a ``SparseRow`` or as a dense sequence with one coefficient per
+    variable; either way it is stored as a ``SparseRow``, a dense row
+    keeping only its nonzero entries.  ``variable_bounds`` holds one
+    (lower, upper) pair per variable; upper may be None (or infinite) for
+    unbounded above.  Lower bounds must be finite, and objective entries,
+    coefficients and right-hand sides too; a NaN upper bound is rejected.
     """
 
     objective: tuple[float, ...]
-    constraints: tuple[tuple[tuple[float, ...], str, float], ...]
+    constraints: tuple[tuple[SparseRow, str, float], ...]
     variable_bounds: tuple[tuple[float, float | None], ...]
 
     def __post_init__(self) -> None:
-        objective = tuple(float(v) for v in self.objective)
+        objective = tuple(map(float, self.objective))
+        if not all(map(math.isfinite, objective)):
+            raise StructuralError("objective entries must be finite")
         n = len(objective)
         constraints = []
         for k, item in enumerate(self.constraints):
             if len(item) != 3:
-                raise StructuralError(f"constraint {k}: expected (coeffs, relation, rhs)")
-            coeffs, relation, rhs = item
-            coeffs = tuple(float(v) for v in coeffs)
-            if len(coeffs) != n:
-                raise StructuralError(
-                    f"constraint {k}: {len(coeffs)} coefficients for {n} variables"
-                )
+                raise StructuralError(f"constraint {k}: expected (row, relation, rhs)")
+            row, relation, rhs = item
             if relation not in RELATIONS:
                 raise StructuralError(f"constraint {k}: unknown relation {relation!r}")
-            constraints.append((coeffs, relation, float(rhs)))
+            rhs = float(rhs)
+            if not math.isfinite(rhs):
+                raise StructuralError(f"constraint {k}: right-hand side must be finite")
+            constraints.append((_checked_row(k, row, n), relation, rhs))
         if len(self.variable_bounds) != n:
             raise StructuralError(
                 f"{len(self.variable_bounds)} bounds for {n} variables"
@@ -70,6 +86,37 @@ class LinearProgram:
         return child
 
 
+def _checked_row(k: int, row, n: int) -> SparseRow:
+    """Constraint ``k``'s row over ``n`` variables as a checked SparseRow."""
+    if isinstance(row, SparseRow):
+        columns = tuple(map(operator.index, row.columns))
+        coefficients = tuple(map(float, row.coefficients))
+        if len(columns) != len(coefficients):
+            raise StructuralError(
+                f"constraint {k}: {len(columns)} columns for "
+                f"{len(coefficients)} coefficients"
+            )
+        if columns and not (
+            0 <= columns[0]
+            and columns[-1] < n
+            and all(map(operator.lt, columns, columns[1:]))
+        ):
+            raise StructuralError(
+                f"constraint {k}: columns must increase strictly within [0, {n})"
+            )
+    else:
+        dense = tuple(map(float, row))
+        if len(dense) != n:
+            raise StructuralError(
+                f"constraint {k}: {len(dense)} coefficients for {n} variables"
+            )
+        columns = tuple(compress(range(n), dense))
+        coefficients = tuple(compress(dense, dense))
+    if not all(map(math.isfinite, coefficients)):
+        raise StructuralError(f"constraint {k}: coefficients must be finite")
+    return SparseRow(columns, coefficients)
+
+
 def _checked_bounds(j: int, lower, upper) -> tuple[float, float | None]:
     """Variable ``j``'s (lower, upper) as floats, an infinite upper as None."""
     lower = float(lower)
@@ -77,6 +124,8 @@ def _checked_bounds(j: int, lower, upper) -> tuple[float, float | None]:
         raise StructuralError(f"variable {j}: lower bound must be finite")
     if upper is not None:
         upper = float(upper)
+        if math.isnan(upper):
+            raise StructuralError(f"variable {j}: upper bound is NaN")
         if math.isinf(upper):
             upper = None
     if upper is not None and upper < lower:
@@ -120,8 +169,8 @@ def constraint_violations(
             messages.append(f"variable {j}: {x} below lower bound {lower}")
         if upper is not None and x > upper + tol:
             messages.append(f"variable {j}: {x} above upper bound {upper}")
-    for k, (coeffs, relation, rhs) in enumerate(lp.constraints):
-        lhs = sum(c * x for c, x in zip(coeffs, assignment))
+    for k, ((columns, coeffs), relation, rhs) in enumerate(lp.constraints):
+        lhs = sum(map(operator.mul, coeffs, map(assignment.__getitem__, columns)), 0.0)
         if relation == "<=" and lhs > rhs + tol:
             messages.append(f"constraint {k}: {lhs} > {rhs}")
         elif relation == ">=" and lhs < rhs - tol:

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -89,11 +90,7 @@ class ConstellationConfig:
         return 2.0 * math.pi * math.sqrt(semi_major**3 / self.gravitational_parameter)
 
     def satellite_ids(self) -> list[str]:
-        return [
-            satellite_id(r, s)
-            for r in range(self.rings)
-            for s in range(self.sats_per_ring)
-        ]
+        return list(constellation_ids(self.rings, self.sats_per_ring))
 
 
 @dataclass(frozen=True)
@@ -135,6 +132,14 @@ def satellite_id(ring: int, slot: int) -> str:
     return f"r{ring:02d}s{slot:02d}"
 
 
+@lru_cache(maxsize=8)
+def constellation_ids(rings: int, sats_per_ring: int) -> tuple[str, ...]:
+    """Every satellite id of a constellation, ring by ring."""
+    return tuple(
+        satellite_id(r, s) for r in range(rings) for s in range(sats_per_ring)
+    )
+
+
 def latlon_to_unit(latitude: float, longitude: float) -> Vec3:
     lat = math.radians(latitude)
     lon = math.radians(longitude)
@@ -166,7 +171,7 @@ def propagate(
     mean_motion = 2.0 * math.pi / config.orbital_period()
     sat_time = config.epoch + t * slot_duration
 
-    sat_positions: dict[str, Vec3] = {}
+    positions = []
     for r in range(config.rings):
         node = math.pi * r / config.rings
         cos_node, sin_node = math.cos(node), math.sin(node)
@@ -178,11 +183,16 @@ def propagate(
                 + 2.0 * math.pi * s / config.sats_per_ring
             )
             cos_u, sin_u = math.cos(u), math.sin(u)
-            sat_positions[satellite_id(r, s)] = (
-                orbit_radius * cos_u * cos_node,
-                orbit_radius * cos_u * sin_node,
-                orbit_radius * sin_u,
+            positions.append(
+                (
+                    orbit_radius * cos_u * cos_node,
+                    orbit_radius * cos_u * sin_node,
+                    orbit_radius * sin_u,
+                )
             )
+    sat_positions: dict[str, Vec3] = dict(
+        zip(constellation_ids(config.rings, config.sats_per_ring), positions)
+    )
 
     spin = 2.0 * math.pi * (t * slot_duration) / config.earth_rotation_period
     gs_positions: dict[str, Vec3] = {}

@@ -28,6 +28,7 @@ from .ilpcore import (
     OPTIMAL,
     LinearProgram,
     MipProblem,
+    SparseRow,
     hungarian,
     mwis_exact,
     solve_mip,
@@ -262,15 +263,13 @@ def _slot_links(snapshot, network, physics, env, min_elevation, month, hour_utc)
     return links, arm
 
 
-def _direct_instance(snapshot, network, physics, links, arm, fidelity_threshold):
-    """Slot instance with every direct cell filled and no relayed entries."""
-    sat_ids = tuple(s.id for s in network.satellites)
-    station_ids = tuple(g.id for g in network.stations)
-    gs_index = {sid: g for g, sid in enumerate(station_ids)}
-    sat_index = {sid: i for i, sid in enumerate(sat_ids)}
+def _direct_tables(network, physics, links, arm, fidelity_threshold):
+    """The slot's direct ``omega`` and ``fidelity`` tables, one row per
+    satellite and one column per pair."""
+    sat_index = {spec.id: i for i, spec in enumerate(network.satellites)}
     n_pair = len(network.pairs)
-    omega = [[0.0] * n_pair for _ in sat_ids]
-    fidelity = [[0.0] * n_pair for _ in sat_ids]
+    omega = [[0.0] * n_pair for _ in network.satellites]
+    fidelity = [[0.0] * n_pair for _ in network.satellites]
     for j, pair in enumerate(network.pairs):
         visible_b = links[pair.station_b]
         for sat_id in links[pair.station_a]:
@@ -283,9 +282,16 @@ def _direct_instance(snapshot, network, physics, links, arm, fidelity_threshold)
             fidelity[i][j] = outcome.fidelity
             if outcome.fidelity >= fidelity_threshold:
                 omega[i][j] = outcome.edr
+    return omega, fidelity
+
+
+def _slot_instance(snapshot, network, omega, fidelity, nu) -> SlotInstance:
+    """The slot instance over the given rate tables and relayed entries."""
+    station_ids = tuple(g.id for g in network.stations)
+    gs_index = {sid: g for g, sid in enumerate(station_ids)}
     return SlotInstance(
         time=snapshot.time,
-        sat_ids=sat_ids,
+        sat_ids=tuple(s.id for s in network.satellites),
         station_ids=station_ids,
         pair_ids=tuple(p.id for p in network.pairs),
         pair_stations=tuple(
@@ -293,7 +299,7 @@ def _direct_instance(snapshot, network, physics, links, arm, fidelity_threshold)
         ),
         omega=tuple(tuple(row) for row in omega),
         fidelity=tuple(tuple(row) for row in fidelity),
-        nu=None,
+        nu=nu,
         sat_caps=tuple(s.transmitter_cap for s in network.satellites),
         gs_caps=tuple(g.receiver_cap for g in network.stations),
         pair_caps=tuple(p.pair_cap for p in network.pairs),
@@ -321,7 +327,8 @@ def build_weights(
     links, arm = _slot_links(
         snapshot, network, physics, env, min_elevation, month, hour_utc
     )
-    return _direct_instance(snapshot, network, physics, links, arm, fidelity_threshold)
+    omega, fidelity = _direct_tables(network, physics, links, arm, fidelity_threshold)
+    return _slot_instance(snapshot, network, omega, fidelity, None)
 
 
 def build_reflection_weights(
@@ -351,8 +358,8 @@ def build_reflection_weights(
     links, arm = _slot_links(
         snapshot, network, physics, env, min_elevation, month, hour_utc
     )
-    base = _direct_instance(snapshot, network, physics, links, arm, fidelity_threshold)
-    sat_index = {sid: i for i, sid in enumerate(base.sat_ids)}
+    omega, fidelity = _direct_tables(network, physics, links, arm, fidelity_threshold)
+    sat_index = {spec.id: i for i, spec in enumerate(network.satellites)}
     hop_optics = OpticsParams(
         tx_radius=physics.optics.tx_radius,
         rx_radius=physics.mirror_radius,
@@ -391,7 +398,7 @@ def build_reflection_weights(
                 outcome = end_to_end_outcome(physics.source, arm1, arm2)
                 if outcome.fidelity >= fidelity_threshold and outcome.edr > 0:
                     nu[(i, k, j)] = outcome.edr
-    return replace(base, nu=nu)
+    return _slot_instance(snapshot, network, omega, fidelity, nu)
 
 
 # ---------------------------------------------------------------------------
@@ -444,10 +451,14 @@ def _variable_upper(instance, route):
     return max(0, cap)
 
 
-def _support(instance, routes) -> list:
+def _support(instance, routes) -> dict:
     """The solver's integer variables: the routes with room under every
-    cap they touch."""
-    return [route for route in routes if _variable_upper(instance, route) > 0]
+    cap they touch, each mapped to that room."""
+    return {
+        route: room
+        for route in routes
+        if (room := _variable_upper(instance, route)) > 0
+    }
 
 
 def _solve_assignment(
@@ -459,6 +470,7 @@ def _solve_assignment(
 ):
     """Shared MIP scaffold over support routes.
 
+    ``support`` maps each route to its room, the route's upper bound.
     ``objective`` has one entry per route, then per continuous extra,
     whose bounds ``extra_bounds`` gives.  The cap rows come from one pass
     over the routes: transmitter, receiver, pair, then reflector caps,
@@ -476,13 +488,11 @@ def _solve_assignment(
     for idx, (i, k, j) in enumerate(support):
         by_sat[i].append(idx)
         by_pair[j].append(idx)
+        for g in instance.pair_stations[j]:
+            by_station[g].append(idx)
         if k is not None:
             by_reflector[k].append(idx)
-    for j, members in enumerate(by_pair):
-        for g in instance.pair_stations[j]:
-            by_station[g].extend(members)
 
-    n = len(objective)
     constraints = []
     for incidence, caps in (
         (by_sat, instance.sat_caps),
@@ -492,13 +502,11 @@ def _solve_assignment(
     ):
         for members, cap in zip(incidence, caps):
             if members:
-                row = [0.0] * n
-                for idx in members:
-                    row[idx] = 1.0
-                constraints.append((tuple(row), "<=", float(cap)))
+                row = SparseRow(tuple(members), (1.0,) * len(members))
+                constraints.append((row, "<=", float(cap)))
     constraints.extend(extra_constraints)
 
-    bounds = [(0.0, float(_variable_upper(instance, route))) for route in support]
+    bounds = [(0.0, float(room)) for room in support.values()]
     bounds.extend(extra_bounds)
 
     mip = MipProblem(
@@ -598,13 +606,17 @@ def solve_one_shot_maxmin(
     # one floor row per active pair (one with a positive weight): its
     # weighted rate minus the floor
     active = sorted({j for _, _, j in routes})
-    floors = {j: [0.0] * (lam_index + 1) for j in active}
+    floors = {j: [] for j in active}
     for idx, (_, _, j) in enumerate(support):
-        floors[j][idx] = weights[idx]
-    rows = []
-    for row in floors.values():
-        row[lam_index] = -1.0
-        rows.append((tuple(row), ">=", 0.0))
+        floors[j].append(idx)
+    rows = [
+        (
+            SparseRow((*members, lam_index), (*(weights[idx] for idx in members), -1.0)),
+            ">=",
+            0.0,
+        )
+        for members in floors.values()
+    ]
 
     stage1 = _solve_assignment(
         instance, support, [0.0] * lam_index + [1.0], rows, ((0.0, None),)

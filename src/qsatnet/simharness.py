@@ -33,9 +33,9 @@ from .orbital import (
     ConstellationConfig,
     GroundStation,
     SatelliteSpec,
+    constellation_ids,
     overhead_visibility_arcs,
     propagate,
-    satellite_id,
 )
 from .scheduler import (
     NetworkSpec,
@@ -157,17 +157,18 @@ def resolve_weather(config: ScenarioConfig) -> EnvironmentTable:
 
 
 def build_network(config: ScenarioConfig) -> NetworkSpec:
+    rings = config.constellation.rings
+    sats_per_ring = config.constellation.sats_per_ring
     satellites = tuple(
         SatelliteSpec(
-            id=satellite_id(ring, slot),
-            ring_index=ring,
-            slot_index=slot,
+            id=sat_id,
+            ring_index=index // sats_per_ring,
+            slot_index=index % sats_per_ring,
             altitude=config.constellation.altitude,
             transmitter_cap=config.transmitter_cap,
             reflector_cap=config.reflector_cap,
         )
-        for ring in range(config.constellation.rings)
-        for slot in range(config.constellation.sats_per_ring)
+        for index, sat_id in enumerate(constellation_ids(rings, sats_per_ring))
     )
     return NetworkSpec(
         satellites=satellites,

@@ -18,6 +18,7 @@ from qsatnet.ilpcore import (
     UNBOUNDED,
     LinearProgram,
     MipProblem,
+    SparseRow,
     brute_force_mip,
     constraint_violations,
     hungarian,
@@ -25,6 +26,14 @@ from qsatnet.ilpcore import (
     solve_lp,
     solve_mip,
 )
+
+
+def dense_row(row, n):
+    """A stored sparse row written out with one coefficient per variable."""
+    dense = [0.0] * n
+    for j, c in zip(row.columns, row.coefficients):
+        dense[j] = c
+    return tuple(dense)
 
 
 def lp_vertex_oracle(lp):
@@ -36,8 +45,8 @@ def lp_vertex_oracle(lp):
     n = lp.num_vars
     rows = []
     rhs = []
-    for coeffs, relation, b in lp.constraints:
-        rows.append(list(coeffs))
+    for row, relation, b in lp.constraints:
+        rows.append(dense_row(row, n))
         rhs.append(b)
     for j, (lo, hi) in enumerate(lp.variable_bounds):
         unit = [0.0] * n
@@ -238,9 +247,10 @@ def highs_reference(lp):
     from scipy.optimize import linprog
 
     n = lp.num_vars
-    upper = [(c, b) for c, rel, b in lp.constraints if rel == "<="]
-    upper += [(tuple(-v for v in c), -b) for c, rel, b in lp.constraints if rel == ">="]
-    equal = [(c, b) for c, rel, b in lp.constraints if rel == "="]
+    dense = [(dense_row(row, n), rel, b) for row, rel, b in lp.constraints]
+    upper = [(c, b) for c, rel, b in dense if rel == "<="]
+    upper += [(tuple(-v for v in c), -b) for c, rel, b in dense if rel == ">="]
+    equal = [(c, b) for c, rel, b in dense if rel == "="]
 
     def solve(objective):
         return linprog(
@@ -477,6 +487,138 @@ def test_with_bounds_checks_only_the_new_bound():
     for lower, upper in ((2.0, 1.0), (-math.inf, 1.0), (math.inf, None), (math.nan, None)):
         with pytest.raises(StructuralError):
             lp.with_bounds(0, lower, upper)
+    assert lp.with_bounds(0, 0.5, 1.0).constraints is lp.constraints
+
+
+def test_dense_rows_are_stored_sparse():
+    lp = LinearProgram(
+        objective=(1, 2, 3),
+        constraints=(((0.0, 2, 0.0), "<=", 4), ((0.0, -0.0, 0.0), ">=", -1.0)),
+        variable_bounds=((0.0, None),) * 3,
+    )
+    assert lp.constraints == (
+        (SparseRow((1,), (2.0,)), "<=", 4.0),
+        (SparseRow((), ()), ">=", -1.0),
+    )
+    row = lp.constraints[0][0]
+    assert type(row) is SparseRow and type(row.coefficients[0]) is float
+    assert LinearProgram(lp.objective, lp.constraints, lp.variable_bounds) == lp
+
+
+@pytest.mark.parametrize(
+    "row",
+    [
+        SparseRow((0, 3), (1.0, 1.0)),
+        SparseRow((-1, 1), (1.0, 1.0)),
+        SparseRow((1, 1), (1.0, 1.0)),
+        SparseRow((2, 0), (1.0, 1.0)),
+        SparseRow((0, 1), (1.0,)),
+        SparseRow((0,), (1.0, 2.0)),
+        (1.0, 1.0),
+        (1.0, 1.0, 1.0, 1.0),
+    ],
+    ids=[
+        "column-past-end",
+        "negative-column",
+        "repeated-columns",
+        "unsorted-columns",
+        "fewer-coefficients",
+        "fewer-columns",
+        "dense-too-short",
+        "dense-too-long",
+    ],
+)
+def test_malformed_rows_are_rejected(row):
+    with pytest.raises(StructuralError):
+        LinearProgram(
+            objective=(1.0, 1.0, 1.0),
+            constraints=((row, "<=", 1.0),),
+            variable_bounds=((0.0, 1.0),) * 3,
+        )
+
+
+# each case is valid but for one non-finite entry; unchecked, a NaN upper
+# bound crashes the ratio test and a NaN coefficient, right-hand side or
+# objective entry gives a wrong Optimal
+NON_FINITE = {
+    "nan-upper-bound": ((1.0,), ((1.0,), "<=", 5.0), (0.0, math.nan)),
+    "nan-dense-coefficient": ((1.0,), ((math.nan,), "<=", 5.0), (0.0, 3.0)),
+    "inf-sparse-coefficient": (
+        (1.0,), (SparseRow((0,), (math.inf,)), "<=", 5.0), (0.0, 3.0)
+    ),
+    "nan-rhs": ((1.0,), ((1.0,), "<=", math.nan), (0.0, 3.0)),
+    "inf-rhs": ((1.0,), ((1.0,), "<=", -math.inf), (0.0, 3.0)),
+    "nan-objective": ((math.nan,), ((1.0,), "<=", 5.0), (0.0, 3.0)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(NON_FINITE))
+def test_non_finite_data_is_rejected(case):
+    objective, constraint, bounds = NON_FINITE[case]
+    with pytest.raises(StructuralError):
+        LinearProgram(objective, (constraint,), (bounds,))
+
+
+def test_infinite_upper_bound_means_unbounded_above():
+    lp = LinearProgram((1.0,), (((1.0,), "<=", 5.0),), ((0.0, math.inf),))
+    assert lp.variable_bounds == ((0.0, None),)
+    assert solve_lp(lp).assignment == (5.0,)
+
+
+def sparse_form(dense_rows):
+    """The same constraints with each dense row handed over as the
+    SparseRow of its nonzero entries."""
+    return tuple(
+        (
+            SparseRow(
+                tuple(j for j, c in enumerate(coeffs) if c != 0),
+                tuple(c for c in coeffs if c != 0),
+            ),
+            relation,
+            rhs,
+        )
+        for coeffs, relation, rhs in dense_rows
+    )
+
+
+def test_dense_and_sparse_rows_give_identical_results():
+    rng = random.Random(404)
+    for trial in range(300):
+        n = rng.randint(1, 8)
+        dense = []
+        for _ in range(rng.randint(0, 6)):
+            coeffs = tuple(
+                0.0 if rng.random() < 0.4 else round(rng.uniform(-2.0, 3.0), 3)
+                for _ in range(n)
+            )
+            dense.append((coeffs, rng.choice(("<=", ">=", "=")), rng.uniform(-3, 8)))
+        objective = tuple(round(rng.uniform(-2.0, 3.0), 3) for _ in range(n))
+        bounds = tuple(
+            (lo, None if rng.random() < 0.2 else lo + rng.uniform(0.0, 4.0))
+            for lo in (rng.choice((0.0, rng.uniform(-2.0, 1.0))) for _ in range(n))
+        )
+        from_dense = LinearProgram(objective, tuple(dense), bounds)
+        from_sparse = LinearProgram(objective, sparse_form(dense), bounds)
+        assert from_dense == from_sparse, f"trial {trial}"
+        assert repr(solve_lp(from_dense)) == repr(solve_lp(from_sparse)), f"trial {trial}"
+        point = tuple(
+            lo + rng.uniform(-0.5, 3.0 if hi is None else hi - lo + 0.5)
+            for lo, hi in bounds
+        )
+        assert constraint_violations(from_dense, point) == constraint_violations(
+            from_sparse, point
+        ), f"trial {trial}"
+
+    rng = random.Random(405)
+    for trial in range(100):
+        mip = random_mip(rng, max_vars=5)
+        lp = mip.base
+        dense = [(dense_row(row, lp.num_vars), rel, b) for row, rel, b in lp.constraints]
+        again = MipProblem(
+            LinearProgram(lp.objective, sparse_form(dense), lp.variable_bounds),
+            mip.integer_vars,
+        )
+        assert repr(brute_force_mip(again)) == repr(brute_force_mip(mip)), f"trial {trial}"
 
 
 def matching_oracle(weights):

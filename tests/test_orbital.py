@@ -49,6 +49,24 @@ def test_satellite_periodicity():
         assert math.dist(before.sat_positions[sid], after.sat_positions[sid]) < 1e-6
 
 
+def test_propagate_keys_satellites_by_cached_ids(monkeypatch):
+    """Positions are keyed ring by ring, and the ids are formatted once per
+    constellation shape, not once per slot."""
+    from qsatnet import orbital
+
+    cfg = ConstellationConfig(rings=3, sats_per_ring=4, altitude=1000e3)
+    first = propagate(cfg, [], 0, 10.0)
+    expected = [satellite_id(r, s) for r in range(3) for s in range(4)]
+    assert list(first.sat_positions) == expected == cfg.satellite_ids()
+
+    def formatted(ring, slot):
+        raise AssertionError("satellite ids formatted again")
+
+    monkeypatch.setattr(orbital, "satellite_id", formatted)
+    second = propagate(cfg, [], 1, 10.0)
+    assert all(a is b for a, b in zip(first.sat_positions, second.sat_positions))
+
+
 def test_station_periodicity_over_one_rotation():
     cfg = single_sat_config()
     gs = [GroundStation("g", 40.7, -74.0, 10)]

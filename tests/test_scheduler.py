@@ -688,12 +688,22 @@ def test_reflection_weights_reuse_the_direct_link_table(monkeypatch):
     )
     downlinks = _count_calls(monkeypatch, orbital, "link_geometry")
     sight_lines = _count_calls(monkeypatch, orbital, "inter_satellite_visible")
+    validated = []
+    real_check = scheduler.SlotInstance.__post_init__
+
+    def counted_check(instance):
+        validated.append(instance.nu)
+        real_check(instance)
+
+    monkeypatch.setattr(scheduler.SlotInstance, "__post_init__", counted_check)
     inst = build_reflection_weights(
         snapshot, network, PHYSICS, env, 20.0, 0.85, mirror_efficiency=1.0, month=6
     )
     assert len(downlinks) == len(network.stations) * len(network.satellites)
     assert len(sight_lines) == len(set(sight_lines)) == 3 * 2
     assert len(inst.nu) == 2 * 3 * 2
+    # the instance is built, and its tables checked, once
+    assert validated == [inst.nu]
 
 
 def test_reflection_weights_lossy_mirror_reduces_rate():
@@ -728,7 +738,8 @@ def test_budget_limited_solve_fails_its_slot(monkeypatch):
 
 
 # SHA-256 over repr((objective, constraints, variable_bounds, integer_vars))
-# of every MIP the policies hand to the solver, in call order
+# of every MIP the policies hand to the solver, in call order, with each
+# constraint row written out densely
 PINNED_MIP_COUNT = 2523
 PINNED_MIP_DIGEST = "2fdb4a3700b2822c271872ceb0b98823c3a6fd87be428329c234154302d43eb7"
 
@@ -742,7 +753,13 @@ def test_mip_sequence_matches_pinned_digest(monkeypatch):
         nonlocal count
         count += 1
         lp = mip.base
-        key = (lp.objective, lp.constraints, lp.variable_bounds, mip.integer_vars)
+        constraints = []
+        for row, relation, rhs in lp.constraints:
+            dense = [0.0] * lp.num_vars
+            for j, c in zip(row.columns, row.coefficients):
+                dense[j] = c
+            constraints.append((tuple(dense), relation, rhs))
+        key = (lp.objective, tuple(constraints), lp.variable_bounds, mip.integer_vars)
         digest.update(repr(key).encode())
         return solve_mip(mip)
 
@@ -1050,9 +1067,12 @@ def test_row_skipping_scans_match_dense_references():
         )
 
         for x_weights in (inst.omega, weights):
-            assert scheduler._support(
-                inst, scheduler._routes(x_weights, inst.nu)
-            ) == _dense_support(inst, x_weights, inst.nu)
+            support = scheduler._support(inst, scheduler._routes(x_weights, inst.nu))
+            assert list(support) == _dense_support(inst, x_weights, inst.nu)
+            assert all(
+                room == scheduler._variable_upper(inst, route)
+                for route, room in support.items()
+            )
         got, want = pair_edr(inst, allocation), _dense_pair_edr(inst, allocation)
         assert list(got) == list(want)
         assert all(got[pid] == want[pid] for pid in want)

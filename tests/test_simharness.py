@@ -9,11 +9,12 @@ import pytest
 
 from qsatnet.environment import EnvironmentTable
 from qsatnet.errors import ConfigurationError, SimulationError, StructuralError
-from qsatnet.orbital import ConstellationConfig, GroundStation
+from qsatnet.orbital import ConstellationConfig, GroundStation, propagate
 from qsatnet.scheduler import PairSpec
 from qsatnet.simharness import (
     RunReport,
     ScenarioConfig,
+    build_network,
     case_study,
     count_handovers,
     run,
@@ -194,3 +195,16 @@ def test_run_report_type_shape():
     assert isinstance(report, RunReport)
     assert set(report.per_pair_daily) == {"alpha-bravo", "alpha-carol", "bravo-carol"}
     assert report.series[0].handovers_since_prev == 0
+
+
+def test_network_shares_the_propagated_satellite_ids():
+    config = polar_scenario()
+    network = build_network(config)
+    snapshot = propagate(config.constellation, config.stations, 0, config.slot_duration)
+    assert [(s.ring_index, s.slot_index) for s in network.satellites] == [
+        (r, k) for r in range(4) for k in range(10)
+    ]
+    assert len(network.satellites) == len(snapshot.sat_positions)
+    assert all(
+        spec.id is sat_id for spec, sat_id in zip(network.satellites, snapshot.sat_positions)
+    )
