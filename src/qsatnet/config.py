@@ -10,11 +10,12 @@ capacity caps at 10).
 from __future__ import annotations
 
 import json
+from dataclasses import fields
 
 from .errors import ConfigurationError, IngestionError
 from .linkphys import OpticsParams, SourceParams
 from .orbital import ConstellationConfig, GroundStation
-from .scheduler import PairSpec, PhysicsParams
+from .scheduler import PairSpec, PhysicsParams, default_physics
 from .simharness import ScenarioConfig
 
 DEFAULT_STATIONS = (
@@ -31,19 +32,6 @@ _CONSTELLATION_KEYS = {
     "sats_per_ring": int,
     "altitude": float,
     "epoch": float,
-}
-_PHYSICS_KEYS = {
-    "mean_photon_number": float,
-    "repetition_rate": float,
-    "tx_radius": float,
-    "rx_radius": float,
-    "wavelength": float,
-    "tx_efficiency": float,
-    "rx_efficiency": float,
-    "detector_gate": float,
-    "filter_bandwidth_nm": float,
-    "field_of_view": float,
-    "mirror_radius": float,
 }
 _SCALAR_KEYS = {
     "slot_duration": float,
@@ -94,40 +82,31 @@ def _constellation_from(data: dict) -> ConstellationConfig:
     return ConstellationConfig(**values)
 
 
+def _fields_of(obj) -> dict:
+    return {f.name: getattr(obj, f.name) for f in fields(obj)}
+
+
+def _physics_to_dict(physics: PhysicsParams) -> dict:
+    """The physics fields under their scenario-file names: source, then
+    optics, then the detector and mirror fields."""
+    data = _fields_of(physics)
+    return {**_fields_of(data.pop("source")), **_fields_of(data.pop("optics")), **data}
+
+
+_PHYSICS_DEFAULTS = _physics_to_dict(default_physics())
+_PHYSICS_KEYS = dict.fromkeys(_PHYSICS_DEFAULTS, float)
+
+
 def _physics_from(data: dict) -> PhysicsParams:
     _check_keys(data, _PHYSICS_KEYS, "physics")
-    values = {
-        "mean_photon_number": 0.0078,
-        "repetition_rate": 1e9,
-        "tx_radius": 0.1,
-        "rx_radius": 1.0,
-        "wavelength": 737e-9,
-        "tx_efficiency": 0.7,
-        "rx_efficiency": 0.7,
-        "detector_gate": 1e-9,
-        "filter_bandwidth_nm": 1.0,
-        "field_of_view": 1e-10,
-        "mirror_radius": 1.6,
-    }
+    values = dict(_PHYSICS_DEFAULTS)
     for key, kind in _PHYSICS_KEYS.items():
         if key in data:
             values[key] = _coerce(f"physics.{key}", data[key], kind)
+    source = {f.name: values.pop(f.name) for f in fields(SourceParams)}
+    optics = {f.name: values.pop(f.name) for f in fields(OpticsParams)}
     return PhysicsParams(
-        source=SourceParams(
-            mean_photon_number=values["mean_photon_number"],
-            repetition_rate=values["repetition_rate"],
-        ),
-        optics=OpticsParams(
-            tx_radius=values["tx_radius"],
-            rx_radius=values["rx_radius"],
-            wavelength=values["wavelength"],
-            tx_efficiency=values["tx_efficiency"],
-            rx_efficiency=values["rx_efficiency"],
-        ),
-        detector_gate=values["detector_gate"],
-        filter_bandwidth_nm=values["filter_bandwidth_nm"],
-        field_of_view=values["field_of_view"],
-        mirror_radius=values["mirror_radius"],
+        source=SourceParams(**source), optics=OpticsParams(**optics), **values
     )
 
 
@@ -229,19 +208,7 @@ def scenario_to_dict(config: ScenarioConfig) -> dict:
         "reflector_cap": config.reflector_cap,
         "pair_cap": config.pair_cap,
         "weather_seed": config.weather_seed,
-        "physics": {
-            "mean_photon_number": config.physics.source.mean_photon_number,
-            "repetition_rate": config.physics.source.repetition_rate,
-            "tx_radius": config.physics.optics.tx_radius,
-            "rx_radius": config.physics.optics.rx_radius,
-            "wavelength": config.physics.optics.wavelength,
-            "tx_efficiency": config.physics.optics.tx_efficiency,
-            "rx_efficiency": config.physics.optics.rx_efficiency,
-            "detector_gate": config.physics.detector_gate,
-            "filter_bandwidth_nm": config.physics.filter_bandwidth_nm,
-            "field_of_view": config.physics.field_of_view,
-            "mirror_radius": config.physics.mirror_radius,
-        },
+        "physics": _physics_to_dict(config.physics),
     }
     if config.pairs:
         data["pairs"] = [

@@ -99,7 +99,6 @@ class ConstellationSnapshot:
     sat_positions: dict[str, Vec3]
     gs_positions: dict[str, Vec3]
     earth_radius: float
-    altitude: float
 
 
 @dataclass(frozen=True)
@@ -212,7 +211,6 @@ def propagate(
         sat_positions=sat_positions,
         gs_positions=gs_positions,
         earth_radius=config.earth_radius,
-        altitude=config.altitude,
     )
 
 

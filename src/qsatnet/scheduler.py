@@ -6,8 +6,9 @@ satellite combination), plus the capacity caps.  Policies see every
 candidate connection as one route (i, k, j): satellite i serves pair j,
 relayed by satellite k, or directly when k is None.  They turn an
 instance into integral route counts: rate-sum maximizes aggregate rate,
-rate-fair runs iterative max-min on contention-normalized rates, and the
-two special-case solvers exploit unit-capacity structure.
+rate-fair divides each route's rate once by its pair's uncontended best
+and runs iterative max-min rounds on that route map, and the two
+special-case solvers exploit unit-capacity structure.
 """
 
 from __future__ import annotations
@@ -99,6 +100,20 @@ def default_physics() -> PhysicsParams:
     )
 
 
+def mirror_hop(physics: PhysicsParams):
+    """Free-space transmissivity of a source-to-relay hop as a function of
+    its length: pure diffraction from the transmit aperture into the relay
+    mirror through lossless optics.  A zero-length hop loses nothing."""
+    optics = OpticsParams(
+        tx_radius=physics.optics.tx_radius,
+        rx_radius=physics.mirror_radius,
+        wavelength=physics.optics.wavelength,
+        tx_efficiency=1.0,
+        rx_efficiency=1.0,
+    )
+    return lambda hop: free_space_transmissivity(optics, hop) if hop > 0 else 1.0
+
+
 @dataclass(frozen=True, eq=True)
 class SlotInstance:
     time: int
@@ -107,7 +122,6 @@ class SlotInstance:
     pair_ids: tuple[str, ...]
     pair_stations: tuple[tuple[int, int], ...]
     omega: tuple[tuple[float, ...], ...]
-    fidelity: tuple[tuple[float, ...], ...]
     nu: dict[tuple[int, int, int], float] | None
     sat_caps: tuple[int, ...]
     gs_caps: tuple[int, ...]
@@ -124,8 +138,8 @@ class SlotInstance:
             raise StructuralError("satellite cap arrays must align with sat_ids")
         if len(self.gs_caps) != n_gs:
             raise StructuralError("station cap array must align with station_ids")
-        if len(self.omega) != n_sat or len(self.fidelity) != n_sat:
-            raise StructuralError("omega/fidelity must have one row per satellite")
+        if len(self.omega) != n_sat:
+            raise StructuralError("omega must have one row per satellite")
         for row in self.omega:
             if len(row) != n_pair:
                 raise StructuralError("omega row length must equal pair count")
@@ -263,30 +277,26 @@ def _slot_links(snapshot, network, physics, env, min_elevation, month, hour_utc)
     return links, arm
 
 
-def _direct_tables(network, physics, links, arm, fidelity_threshold):
-    """The slot's direct ``omega`` and ``fidelity`` tables, one row per
-    satellite and one column per pair."""
+def _direct_omega(network, physics, links, arm, fidelity_threshold):
+    """The slot's direct ``omega`` table, one row per satellite and one
+    column per pair."""
     sat_index = {spec.id: i for i, spec in enumerate(network.satellites)}
-    n_pair = len(network.pairs)
-    omega = [[0.0] * n_pair for _ in network.satellites]
-    fidelity = [[0.0] * n_pair for _ in network.satellites]
+    omega = [[0.0] * len(network.pairs) for _ in network.satellites]
     for j, pair in enumerate(network.pairs):
         visible_b = links[pair.station_b]
         for sat_id in links[pair.station_a]:
             if sat_id not in visible_b:
                 continue
-            i = sat_index[sat_id]
             outcome = end_to_end_outcome(
                 physics.source, arm(sat_id, pair.station_a), arm(sat_id, pair.station_b)
             )
-            fidelity[i][j] = outcome.fidelity
             if outcome.fidelity >= fidelity_threshold:
-                omega[i][j] = outcome.edr
-    return omega, fidelity
+                omega[sat_index[sat_id]][j] = outcome.edr
+    return omega
 
 
-def _slot_instance(snapshot, network, omega, fidelity, nu) -> SlotInstance:
-    """The slot instance over the given rate tables and relayed entries."""
+def _slot_instance(snapshot, network, omega, nu) -> SlotInstance:
+    """The slot instance over the given rate table and relayed entries."""
     station_ids = tuple(g.id for g in network.stations)
     gs_index = {sid: g for g, sid in enumerate(station_ids)}
     return SlotInstance(
@@ -298,7 +308,6 @@ def _slot_instance(snapshot, network, omega, fidelity, nu) -> SlotInstance:
             (gs_index[p.station_a], gs_index[p.station_b]) for p in network.pairs
         ),
         omega=tuple(tuple(row) for row in omega),
-        fidelity=tuple(tuple(row) for row in fidelity),
         nu=nu,
         sat_caps=tuple(s.transmitter_cap for s in network.satellites),
         gs_caps=tuple(g.receiver_cap for g in network.stations),
@@ -321,14 +330,13 @@ def build_weights(
 
     A cell earns a nonzero rate only when the satellite clears the minimum
     elevation at both stations and the delivered fidelity clears the
-    threshold; the computed fidelity is recorded either way for gated
-    cells, with zeros where geometry already rules the link out.
+    threshold.
     """
     links, arm = _slot_links(
         snapshot, network, physics, env, min_elevation, month, hour_utc
     )
-    omega, fidelity = _direct_tables(network, physics, links, arm, fidelity_threshold)
-    return _slot_instance(snapshot, network, omega, fidelity, None)
+    omega = _direct_omega(network, physics, links, arm, fidelity_threshold)
+    return _slot_instance(snapshot, network, omega, None)
 
 
 def build_reflection_weights(
@@ -358,22 +366,15 @@ def build_reflection_weights(
     links, arm = _slot_links(
         snapshot, network, physics, env, min_elevation, month, hour_utc
     )
-    omega, fidelity = _direct_tables(network, physics, links, arm, fidelity_threshold)
+    omega = _direct_omega(network, physics, links, arm, fidelity_threshold)
     sat_index = {spec.id: i for i, spec in enumerate(network.satellites)}
-    hop_optics = OpticsParams(
-        tx_radius=physics.optics.tx_radius,
-        rx_radius=physics.mirror_radius,
-        wavelength=physics.optics.wavelength,
-        tx_efficiency=1.0,
-        rx_efficiency=1.0,
-    )
+    hop_free_space = mirror_hop(physics)
 
     def hop_transmissivity(src_id, relay_id):
         """Free-space factor into the relay mirror; None without a sight line."""
         if not inter_satellite_visible(snapshot, src_id, relay_id):
             return None
-        hop = inter_satellite_distance(snapshot, src_id, relay_id)
-        return free_space_transmissivity(hop_optics, hop) if hop > 0 else 1.0
+        return hop_free_space(inter_satellite_distance(snapshot, src_id, relay_id))
 
     # keyed by the ordered (source, relay) pair: the sight-line test is not
     # guaranteed to give the same bits in both directions
@@ -398,7 +399,7 @@ def build_reflection_weights(
                 outcome = end_to_end_outcome(physics.source, arm1, arm2)
                 if outcome.fidelity >= fidelity_threshold and outcome.edr > 0:
                     nu[(i, k, j)] = outcome.edr
-    return _slot_instance(snapshot, network, omega, fidelity, nu)
+    return _slot_instance(snapshot, network, omega, nu)
 
 
 # ---------------------------------------------------------------------------
@@ -584,19 +585,17 @@ def solve_reflection_ratesum(instance: SlotInstance) -> Allocation:
 
 
 def solve_one_shot_maxmin(
-    instance: SlotInstance,
-    f,
-    f_reflection: dict[tuple[int, int, int], float] | None = None,
+    instance: SlotInstance, routes: dict
 ) -> tuple[Allocation, float]:
     """Maximize the worst pair's weighted rate in a single solve.
 
-    Adds one continuous variable for the floor; pairs whose weights are
-    all zero are left out of the floor constraints, since they could only
-    pin it at zero.  A second solve with the floor fixed picks the
-    highest-total solution among the max-min optima, which keeps results
-    deterministic and avoids gratuitously idle resources.
+    ``routes`` maps each route to its positive weight, in route order.
+    Adds one continuous variable for the floor; pairs without a route are
+    left out of the floor constraints, since they could only pin it at
+    zero.  A second solve with the floor fixed picks the highest-total
+    solution among the max-min optima, which keeps results deterministic
+    and avoids gratuitously idle resources.
     """
-    routes = _routes(f, f_reflection or {})
     if not routes:
         return zero_allocation(instance), 0.0
 
@@ -659,30 +658,19 @@ def uncontended_max_edr(
     return _ratesum(instance, routes).objective
 
 
-def fractional_weights(omega, a_values):
-    """Normalize each pair's rates by its uncontended best, zeros when dead."""
-    rows = []
-    for row in omega:
-        rows.append(
-            tuple(
-                (value / a_values[j]) if a_values[j] > 0 else 0.0
-                for j, value in enumerate(row)
-            )
-        )
-    return tuple(rows)
-
-
 def _ratefair(instance: SlotInstance, use_reflection: bool) -> Allocation:
     a_values = [
         uncontended_max_edr(instance, j, include_reflection=use_reflection)
         for j in range(instance.num_pairs)
     ]
-    fx = fractional_weights(instance.omega, a_values)
-    fy_all: dict[tuple[int, int, int], float] = {}
-    if use_reflection and instance.nu:
-        for (i, k, j), value in instance.nu.items():
-            if a_values[j] > 0:
-                fy_all[(i, k, j)] = value / a_values[j]
+    # each route's rate as a share of its pair's uncontended best
+    nu = instance.nu if use_reflection and instance.nu else {}
+    normalized = {}
+    for route, rate in _routes(instance.omega, nu).items():
+        best = a_values[route[2]]
+        share = rate / best if best > 0 else 0.0
+        if share > 0:
+            normalized[route] = share
 
     remaining = {j for j in range(instance.num_pairs) if a_values[j] > 0}
     caps_t = list(instance.sat_caps)
@@ -704,13 +692,9 @@ def _ratefair(instance: SlotInstance, use_reflection: bool) -> Allocation:
             pair_caps=residual_pair_caps,
             reflector_caps=tuple(caps_u),
         )
-        fx_live = tuple(
-            tuple(v if j in remaining else 0.0 for j, v in enumerate(row))
-            for row in fx
-        )
-        fy_live = {key: v for key, v in fy_all.items() if key[2] in remaining}
-        allocation, _ = solve_one_shot_maxmin(residual, fx_live, fy_live)
-        achieved = _pair_totals(allocation, _routes(fx_live, fy_live), remaining)
+        live = {route: w for route, w in normalized.items() if route[2] in remaining}
+        allocation, _ = solve_one_shot_maxmin(residual, live)
+        achieved = _pair_totals(allocation, live, remaining)
         floor = min(achieved.values())
         tol = floor * SATURATION_REL_TOL + 1e-12
         saturated = {j for j in remaining if achieved[j] <= floor + tol}

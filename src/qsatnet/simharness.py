@@ -44,6 +44,7 @@ from .scheduler import (
     build_reflection_weights,
     build_weights,
     default_physics,
+    mirror_hop,
     pair_edr,
     served_routes,
     solve_primary_ratefair,
@@ -373,14 +374,7 @@ def _integrate_reflection(
     if duration <= 0:
         return 0.0
     hop = 2.0 * orbit_radius * abs(math.sin(wrapped / 2.0))
-    hop_optics = OpticsParams(
-        tx_radius=physics.optics.tx_radius,
-        rx_radius=physics.mirror_radius,
-        wavelength=physics.optics.wavelength,
-        tx_efficiency=1.0,
-        rx_efficiency=1.0,
-    )
-    hop_fs = free_space_transmissivity(hop_optics, hop) if hop > 0 else 1.0
+    hop_fs = mirror_hop(physics)(hop)
     steps = max(1, math.ceil(duration))
     dt = duration / steps
     total = 0.0

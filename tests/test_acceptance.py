@@ -246,7 +246,6 @@ def make_instance(omega, pair_stations, n_stations, **kwargs):
         pair_ids=tuple(f"p{j}" for j in range(n_pair)),
         pair_stations=tuple(pair_stations),
         omega=tuple(tuple(float(v) for v in row) for row in omega),
-        fidelity=tuple(tuple(1.0 for _ in row) for row in omega),
         **values,
     )
 

@@ -16,7 +16,7 @@ from qsatnet.config import (
     scenario_to_dict,
 )
 from qsatnet.errors import ConfigurationError, IngestionError
-from qsatnet.scheduler import PairSpec
+from qsatnet.scheduler import PairSpec, default_physics
 
 
 def small_scenario_dict():
@@ -64,6 +64,7 @@ class TestScenarioDict:
 
     def test_default_scenario_matches_empty_dict(self):
         assert default_scenario() == scenario_from_dict({})
+        assert default_scenario().physics == default_physics()
 
     def test_fidelity_threshold_out_of_range(self):
         with pytest.raises(ConfigurationError, match="fidelity threshold"):
@@ -117,6 +118,29 @@ class TestScenarioDict:
 
     def test_to_dict_then_from_dict(self):
         config = scenario_from_dict(small_scenario_dict())
+        assert scenario_from_dict(scenario_to_dict(config)) == config
+
+    def test_every_physics_field_round_trips_under_its_name(self):
+        # distinct non-default values, so a field written or read under
+        # another field's name shows
+        physics = {
+            "mean_photon_number": 0.01,
+            "repetition_rate": 2e9,
+            "tx_radius": 0.2,
+            "rx_radius": 0.9,
+            "wavelength": 8e-7,
+            "tx_efficiency": 0.6,
+            "rx_efficiency": 0.5,
+            "detector_gate": 2e-9,
+            "filter_bandwidth_nm": 0.5,
+            "field_of_view": 3e-10,
+            "mirror_radius": 1.2,
+        }
+        config = scenario_from_dict({**small_scenario_dict(), "physics": physics})
+        assert config.physics.source.repetition_rate == 2e9
+        assert config.physics.optics.rx_efficiency == 0.5
+        assert config.physics.mirror_radius == 1.2
+        assert scenario_to_dict(config)["physics"] == physics
         assert scenario_from_dict(scenario_to_dict(config)) == config
 
     def test_load_missing_file(self, tmp_path):

@@ -148,7 +148,6 @@ def test_inter_satellite_identical_positions():
         sat_positions={"a": pos, "b": pos},
         gs_positions={},
         earth_radius=R_E,
-        altitude=1000e3,
     )
     assert inter_satellite_visible(snap, "a", "b", 0.0)
 

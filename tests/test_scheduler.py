@@ -34,7 +34,6 @@ from qsatnet.scheduler import (
     allocation_violations,
     build_reflection_weights,
     build_weights,
-    fractional_weights,
     pair_edr,
     solve_one_shot_maxmin,
     solve_primary_ratefair,
@@ -79,7 +78,6 @@ def make_instance(
         pair_ids=tuple(f"p{j}" for j in range(n_pair)),
         pair_stations=tuple(pair_stations),
         omega=tuple(tuple(float(v) for v in row) for row in omega),
-        fidelity=tuple(tuple(1.0 for _ in row) for row in omega),
         nu=nu,
         sat_caps=tuple(sat_caps),
         gs_caps=tuple(gs_caps),
@@ -260,6 +258,10 @@ def test_ratesum_deterministic():
 # --- max-min -----------------------------------------------------------------
 
 
+def direct_routes(inst):
+    return scheduler._routes(inst.omega, {})
+
+
 def test_maxmin_independent_pairs_floor():
     inst = make_instance(
         [[5.0, 0.0], [0.0, 3.0]],
@@ -267,7 +269,7 @@ def test_maxmin_independent_pairs_floor():
         4,
         sat_caps=(1, 1),
     )
-    alloc, floor = solve_one_shot_maxmin(inst, inst.omega)
+    alloc, floor = solve_one_shot_maxmin(inst, direct_routes(inst))
     assert floor == pytest.approx(3.0)
     assert alloc.x == ((1, 0), (0, 1))
 
@@ -276,7 +278,7 @@ def test_maxmin_single_pair_equals_ratesum():
     rng = random.Random(5150)
     for _ in range(10):
         inst = random_instance(rng, max_pairs=1)
-        _, floor = solve_one_shot_maxmin(inst, inst.omega)
+        _, floor = solve_one_shot_maxmin(inst, direct_routes(inst))
         assert floor == pytest.approx(
             solve_primary_ratesum(inst).objective, abs=1e-9
         )
@@ -284,7 +286,7 @@ def test_maxmin_single_pair_equals_ratesum():
 
 def test_maxmin_zero_weights_gives_zero_allocation():
     inst = make_instance([[0.0]], [(0, 1)], 2)
-    alloc, floor = solve_one_shot_maxmin(inst, inst.omega)
+    alloc, floor = solve_one_shot_maxmin(inst, direct_routes(inst))
     assert floor == 0.0
     assert alloc == zero_allocation(inst)
 
@@ -293,12 +295,21 @@ def test_maxmin_matches_enumeration():
     rng = random.Random(9011)
     for _ in range(40):
         inst = random_instance(rng, max_sats=3, max_pairs=2)
-        _, floor = solve_one_shot_maxmin(inst, inst.omega)
+        _, floor = solve_one_shot_maxmin(inst, direct_routes(inst))
         expected = brute_best_maxmin(inst, inst.omega, {})
         assert floor == pytest.approx(expected, abs=1e-9)
+    relayed = 0
+    for _ in range(60):
+        inst = random_instance(rng, max_sats=3, max_pairs=2, reflection=True)
+        routes = scheduler._routes(inst.omega, inst.nu)
+        relayed += any(k is not None for _, k, _ in routes)
+        _, floor = solve_one_shot_maxmin(inst, routes)
+        expected = brute_best_maxmin(inst, inst.omega, inst.nu)
+        assert floor == pytest.approx(expected, abs=1e-9)
+    assert relayed >= 20
 
 
-# --- uncontended rate and fractional weights --------------------------------
+# --- uncontended rate and normalized routes --------------------------------
 
 
 def test_uncontended_uses_all_transmitters():
@@ -344,10 +355,22 @@ def test_uncontended_rejects_unknown_pair_id():
         uncontended_max_edr(inst, 1)
 
 
-def test_fractional_weights_normalization():
-    omega = ((4.0, 6.0), (2.0, 0.0))
-    f = fractional_weights(omega, (4.0, 0.0))
-    assert f == ((1.0, 0.0), (0.5, 0.0))
+def test_ratefair_normalizes_routes_by_uncontended_best(monkeypatch):
+    # pair 1 has no room, so its uncontended best is zero and its route
+    # never reaches a max-min round; pair 0's routes are divided by 4
+    inst = make_instance(
+        [[4.0, 6.0], [2.0, 0.0]], [(0, 1), (2, 3)], 4, sat_caps=(1, 1), pair_caps=(1, 0)
+    )
+    seen = []
+    real = scheduler.solve_one_shot_maxmin
+
+    def recorded(instance, routes):
+        seen.append(dict(routes))
+        return real(instance, routes)
+
+    monkeypatch.setattr(scheduler, "solve_one_shot_maxmin", recorded)
+    solve_primary_ratefair(inst)
+    assert seen == [{(0, None, 0): 1.0, (1, None, 0): 0.5}]
 
 
 # --- rate-fair ---------------------------------------------------------------
@@ -371,7 +394,6 @@ def test_ratefair_lifts_worst_pair():
     assert fair.objective == pytest.approx(11.0)
 
     a_values = [uncontended_max_edr(inst, j, include_reflection=False) for j in (0, 1)]
-    f = fractional_weights(inst.omega, a_values)
 
     def min_fraction(alloc):
         rates = pair_edr(inst, alloc)
@@ -585,7 +607,6 @@ def overhead_scene(altitude=1000e3, n_sats=1, eta=0.9, irradiance=0.0):
         sat_positions={f"s{i}": top for i in range(n_sats)},
         gs_positions={"ga": (EARTH_RADIUS, 0.0, 0.0), "gb": (EARTH_RADIUS, 0.0, 0.0)},
         earth_radius=EARTH_RADIUS,
-        altitude=altitude,
     )
     network = NetworkSpec(
         satellites=tuple(
@@ -615,16 +636,22 @@ def test_build_weights_overhead_link():
     snapshot, network, env = overhead_scene()
     inst = build_weights(snapshot, network, PHYSICS, env, 20.0, 0.85, month=6)
     assert inst.omega[0][0] > 0
-    assert inst.fidelity[0][0] > 0.9
     assert inst.sat_ids == ("s0",)
     assert inst.pair_ids == ("ab",)
 
 
 def test_build_weights_fidelity_gate_records_chi():
+    # the overhead link's fidelity lies between the two thresholds: the
+    # lower one admits the link at its rate, the higher one gates it out
     snapshot, network, env = overhead_scene()
-    inst = build_weights(snapshot, network, PHYSICS, env, 20.0, 0.9999, month=6)
-    assert inst.omega[0][0] == 0.0
-    assert 0.9 < inst.fidelity[0][0] < 0.9999
+    admitted = build_weights(snapshot, network, PHYSICS, env, 20.0, 0.85, month=6)
+    gated = build_weights(snapshot, network, PHYSICS, env, 20.0, 0.9999, month=6)
+    assert admitted.omega[0][0] > 0
+    assert gated.omega[0][0] == 0.0
+    _, arm = scheduler._slot_links(snapshot, network, PHYSICS, env, 20.0, 6, 0.0)
+    outcome = end_to_end_outcome(PHYSICS.source, arm("s0", "ga"), arm("s0", "gb"))
+    assert 0.85 < outcome.fidelity < 0.9999
+    assert outcome.edr == admitted.omega[0][0]
 
 
 def test_build_weights_elevation_gate():
@@ -634,11 +661,9 @@ def test_build_weights_elevation_gate():
         sat_positions={"s0": (-(EARTH_RADIUS + 1000e3), 0.0, 0.0)},
         gs_positions=snapshot.gs_positions,
         earth_radius=EARTH_RADIUS,
-        altitude=1000e3,
     )
     inst = build_weights(blocked, network, PHYSICS, env, 20.0, 0.85, month=6)
     assert inst.omega[0][0] == 0.0
-    assert inst.fidelity[0][0] == 0.0
 
 
 def test_build_weights_missing_weather_only_matters_when_visible():
@@ -651,7 +676,6 @@ def test_build_weights_missing_weather_only_matters_when_visible():
         sat_positions={"s0": (-(EARTH_RADIUS + 1000e3), 0.0, 0.0)},
         gs_positions=snapshot.gs_positions,
         earth_radius=EARTH_RADIUS,
-        altitude=1000e3,
     )
     inst = build_weights(blocked, network, PHYSICS, empty, 20.0, 0.85, month=6)
     assert all(v == 0.0 for row in inst.omega for v in row)
@@ -935,7 +959,6 @@ def _skies(draw):
         sat_positions=sat_positions,
         gs_positions=gs_positions,
         earth_radius=EARTH_RADIUS,
-        altitude=1000e3,
     )
     sat_ids = draw(st.permutations(sorted(sat_positions)))
     return snapshot, sat_ids, sorted(gs_positions), mask
