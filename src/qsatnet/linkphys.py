@@ -4,30 +4,50 @@ The source emits polarization-entangled photon pairs with thermal pair-number
 statistics.  Each emission round sends one rail pair toward each of two
 receivers through independent lossy arms; every receiver gates two threshold
 detectors, and a round is accepted when each receiver sees exactly one click.
-All functions here are pure; ``acceptance_and_bell_weights`` and
-``_one_click_prob`` also broadcast over numpy arrays.
+All functions here are pure.
+
+``acceptance_and_bell_weights`` is one formula for scalars and for numpy
+arrays: ``end_to_end_outcome`` prices a single link through it, and the
+relay weight builder prices every relayed candidate of a slot in one
+broadcast call.  The two give bit-identical results because every step is
+a basic IEEE operation in the same order, except the squares: a Python
+``float ** 2`` calls the C library's ``pow``, while numpy's ``a ** 2`` is
+``a * a``, and the two can differ in the last ulp.  Arrays are therefore
+squared element by element with ``math.pow``, the same C ``pow``
+(``_square``).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import repeat
+
+import numpy as np
 
 from .errors import ConfigurationError
 
 PLANCK = 6.62607015e-34  # J s
 LIGHT_SPEED = 2.99792458e8  # m/s
 
-# Photon placement per emitted-pair count, as (side-1 rails; side-2 rails).
-# One pair feeds anti-correlated rails; two pairs populate the three
-# symmetric placements.  Weights divide the n-pair probability evenly.
+# Photon counts (m1, m2) on a side's two rails; _one_click_probs prices
+# each of these once per side.
+_RAIL_COUNTS = ((0, 0), (0, 1), (0, 2), (1, 1))
+
+# Photon placement per emitted-pair count, as (side-1 rails, side-2 rails),
+# each an index into _RAIL_COUNTS.  One pair feeds anti-correlated rails,
+# (1, 0; 0, 1) or (0, 1; 1, 0); two pairs populate the three symmetric
+# placements (2, 0; 0, 2), (1, 1; 1, 1) and (0, 2; 2, 0).  The one-click
+# probability is symmetric in a side's two rails bit for bit (IEEE sums
+# commute), so (1, 0) prices as (0, 1).  Weights divide the n-pair
+# probability evenly.
 _PATTERNS = (
-    (0, (0, 0, 0, 0), 1),
-    (1, (1, 0, 0, 1), 2),
-    (1, (0, 1, 1, 0), 2),
-    (2, (2, 0, 0, 2), 3),
-    (2, (1, 1, 1, 1), 3),
-    (2, (0, 2, 2, 0), 3),
+    (0, 0, 0, 1),
+    (1, 1, 1, 2),
+    (1, 1, 1, 2),
+    (2, 2, 2, 3),
+    (2, 3, 3, 3),
+    (2, 2, 2, 3),
 )
 
 
@@ -147,12 +167,23 @@ def dark_click_prob(
     return min(1.0, flux)
 
 
-def _one_click_prob(m1, m2, eta, dark):
-    # Exactly one of the side's two gated detectors fires, with m1 and m2
-    # photons incident on the rails.  Broadcasts over eta/dark arrays.
-    silent1 = (1.0 - eta) ** m1 * (1.0 - dark)
-    silent2 = (1.0 - eta) ** m2 * (1.0 - dark)
-    return (1.0 - silent1) * silent2 + (1.0 - silent2) * silent1
+def _square(q):
+    # the C library's pow, element by element, as a Python float ** 2 is
+    if isinstance(q, np.ndarray):
+        flat = map(math.pow, q.ravel().tolist(), repeat(2.0))
+        return np.fromiter(flat, float, q.size).reshape(q.shape)
+    return q**2
+
+
+def _one_click_probs(eta, survive_dark):
+    # Per entry (m1, m2) of _RAIL_COUNTS, the probability that exactly one
+    # of the side's two gated detectors fires.  A rail with m photons stays
+    # silent with (1 - eta) ** m * (1 - dark); the powers 0 and 1 are exact
+    # without pow.  survive_dark is 1 - dark.
+    q = 1.0 - eta
+    silent = (survive_dark, q * survive_dark, _square(q) * survive_dark)
+    fired = [1.0 - s for s in silent]
+    return [fired[m1] * silent[m2] + fired[m2] * silent[m1] for m1, m2 in _RAIL_COUNTS]
 
 
 def acceptance_and_bell_weights(mean_photon_number, eta1, eta2, dark1, dark2):
@@ -164,25 +195,26 @@ def acceptance_and_bell_weights(mean_photon_number, eta1, eta2, dark1, dark2):
     adds an independent dark click.  Acceptance means exactly one click per
     side.  The Bell weight is the part of the accepted mass in which a
     single emitted pair survived intact with no dark click on any gate;
-    anything else delivers a spurious state.  Broadcasts over array inputs
-    for the channel parameters.
+    anything else delivers a spurious state.
+
+    The channel parameters may be floats or numpy arrays of one shape, and
+    an array result equals the scalar results element by element, bit for
+    bit: the squares go through the C library's ``pow`` on both paths, as
+    numpy's own square may differ in the last ulp (see the module
+    docstring).
     """
     probs = [emission_prob(mean_photon_number, n) for n in (0, 1, 2)]
     norm = probs[0] + probs[1] + probs[2]
+    survive1 = 1.0 - dark1
+    survive2 = 1.0 - dark2
+    side1 = _one_click_probs(eta1, survive1)
+    side2 = _one_click_probs(eta2, survive2)
     success = 0.0
-    for n, (a1, a2, b1, b2), split in _PATTERNS:
+    for n, rails1, rails2, split in _PATTERNS:
         weight = probs[n] / split
-        success = success + weight * _one_click_prob(a1, a2, eta1, dark1) * _one_click_prob(
-            b1, b2, eta2, dark2
-        )
+        success = success + weight * side1[rails1] * side2[rails2]
     success = success / norm
-    bell = (
-        probs[1]
-        / norm
-        * eta1
-        * eta2
-        * ((1.0 - dark1) * (1.0 - dark2)) ** 2
-    )
+    bell = probs[1] / norm * eta1 * eta2 * _square(survive1 * survive2)
     return success, bell
 
 

@@ -16,6 +16,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 
+import numpy as np
+
 from .environment import EnvironmentTable, effective_transmissivity
 from .errors import (
     ConfigurationError,
@@ -38,11 +40,11 @@ from .linkphys import (
     ArmChannel,
     OpticsParams,
     SourceParams,
+    acceptance_and_bell_weights,
     arm_transmissivity,
     dark_click_prob,
     end_to_end_outcome,
     free_space_transmissivity,
-    reflection_arms,
 )
 from .orbital import ConstellationSnapshot, GroundStation, visible_links
 
@@ -140,12 +142,16 @@ class SlotInstance:
             raise StructuralError("station cap array must align with station_ids")
         if len(self.omega) != n_sat:
             raise StructuralError("omega must have one row per satellite")
-        for row in self.omega:
+        for i, row in enumerate(self.omega):
             if len(row) != n_pair:
                 raise StructuralError("omega row length must equal pair count")
             for value in row:
-                if value < 0:
-                    raise StructuralError("omega entries must be nonnegative")
+                if not 0.0 <= value < math.inf:
+                    j = next(j for j, v in enumerate(row) if not 0.0 <= v < math.inf)
+                    raise StructuralError(
+                        f"omega[{i}][{j}] = {value!r}: rates must be finite "
+                        "and nonnegative"
+                    )
         for j, (a, b) in enumerate(self.pair_stations):
             if not (0 <= a < n_gs and 0 <= b < n_gs) or a == b:
                 raise StructuralError(f"pair {j}: bad station indices ({a}, {b})")
@@ -163,8 +169,11 @@ class SlotInstance:
                     raise StructuralError(f"reflection key ({i}, {k}, {j}) out of range")
                 if i == k:
                     raise StructuralError("self-relay entries are forbidden")
-                if value < 0:
-                    raise StructuralError("reflection rates must be nonnegative")
+                if not 0.0 <= value < math.inf:
+                    raise StructuralError(
+                        f"nu[{(i, k, j)}] = {value!r}: reflection rates must be "
+                        "finite and nonnegative"
+                    )
 
     @property
     def num_sats(self) -> int:
@@ -357,7 +366,9 @@ def build_reflection_weights(
     satellites; the source-to-relay hop is pure diffraction into the
     mirror aperture, scaled by the mirror efficiency, and the relay
     downlink reuses the standard optics so a co-located lossless relay
-    reproduces the direct link exactly.
+    reproduces the direct link exactly.  Every relayed candidate with a
+    sight line is priced in one broadcast ``acceptance_and_bell_weights``
+    call, to the same bits as ``end_to_end_outcome`` on each.
     """
     from .orbital import inter_satellite_distance, inter_satellite_visible
 
@@ -379,7 +390,9 @@ def build_reflection_weights(
     # keyed by the ordered (source, relay) pair: the sight-line test is not
     # guaranteed to give the same bits in both directions
     hops: dict[tuple[str, str], float | None] = {}
-    nu: dict[tuple[int, int, int], float] = {}
+    # the relayed candidates in key order, priced together below: each
+    # key's hop factor, source arm and relay-to-station arm
+    keys, channels = [], []
     for j, pair in enumerate(network.pairs):
         for src_id in links[pair.station_a]:
             i = sat_index[src_id]
@@ -393,12 +406,41 @@ def build_reflection_weights(
                     hops[key] = hop_transmissivity(src_id, relay_id)
                 if hops[key] is None:
                     continue
-                arm1, arm2 = reflection_arms(
-                    arm_a, hops[key], mirror_efficiency, arm(relay_id, pair.station_b)
+                arm_b = arm(relay_id, pair.station_b)
+                keys.append((i, k, j))
+                channels.append(
+                    (
+                        hops[key],
+                        arm_a.transmissivity,
+                        arm_a.dark_click_prob,
+                        arm_b.transmissivity,
+                        arm_b.dark_click_prob,
+                    )
                 )
-                outcome = end_to_end_outcome(physics.source, arm1, arm2)
-                if outcome.fidelity >= fidelity_threshold and outcome.edr > 0:
-                    nu[(i, k, j)] = outcome.edr
+    nu: dict[tuple[int, int, int], float] = {}
+    if keys:
+        hop, eta1, dark1, eta_relay, dark2 = np.array(channels).T
+        # min and max are NaN when any entry is, which fails both tests
+        if not (hop.min() >= 0.0 and hop.max() <= 1.0):
+            raise ConfigurationError("source-to-relay hop factor must lie in [0, 1]")
+        # multiplied in the order of reflection_arms, so each rate matches
+        # the scalar end_to_end_outcome bit for bit
+        eta2 = hop * mirror_efficiency * eta_relay
+        if not (eta2.min() >= 0.0 and eta2.max() <= 1.0):
+            raise ConfigurationError("relayed arm transmissivity must lie in [0, 1]")
+        success, bell = acceptance_and_bell_weights(
+            physics.source.mean_photon_number, eta1, eta2, dark1, dark2
+        )
+        fidelity = np.divide(
+            bell, success, out=np.zeros_like(success), where=success > 0.0
+        )
+        edr = physics.source.repetition_rate * success
+        kept = (fidelity >= fidelity_threshold) & (edr > 0)
+        nu = {
+            key: rate
+            for key, rate, keep in zip(keys, edr.tolist(), kept.tolist())
+            if keep
+        }
     return _slot_instance(snapshot, network, omega, nu)
 
 
@@ -533,11 +575,28 @@ def _counts(support, result) -> dict:
     return {route: c for route, c in zip(support, counts) if c}
 
 
+def _sorted_counts(counts):
+    """The nonzero route counts as sorted (i, j, count) direct and
+    (i, k, j, count) relayed entries."""
+    direct = sorted((i, j, c) for (i, k, j), c in counts.items() if k is None)
+    y = sorted((i, k, j, c) for (i, k, j), c in counts.items() if k is not None)
+    return direct, y
+
+
+def _objective(instance, direct, y) -> float:
+    """Total rate of sorted direct and relayed counts."""
+    # the served cells in row-major order sum to the same float as the
+    # whole table, whose other terms are exact zeros
+    objective = float(sum(instance.omega[i][j] * c for i, j, c in direct))
+    if y:
+        objective += sum(instance.nu[(i, k, j)] * c for i, k, j, c in y)
+    return objective
+
+
 def _priced(instance, counts) -> Allocation:
     """Allocation holding the given nonzero route counts, priced at the
     instance's rates."""
-    direct = sorted((i, j, c) for (i, k, j), c in counts.items() if k is None)
-    y = sorted((i, k, j, c) for (i, k, j), c in counts.items() if k is not None)
+    direct, y = _sorted_counts(counts)
     # only served rows get a row of their own; the rest share one
     num_pairs = instance.num_pairs
     served: dict[int, list[int]] = {}
@@ -547,12 +606,7 @@ def _priced(instance, counts) -> Allocation:
     x = tuple(
         tuple(served[i]) if i in served else unserved for i in range(instance.num_sats)
     )
-    # the served cells in row-major order sum to the same float as the
-    # whole table, whose other terms are exact zeros
-    objective = float(sum(instance.omega[i][j] * c for i, j, c in direct))
-    if y:
-        objective += sum(instance.nu[(i, k, j)] * c for i, k, j, c in y)
-    return Allocation(x=x, y=tuple(y), objective=objective)
+    return Allocation(x=x, y=tuple(y), objective=_objective(instance, direct, y))
 
 
 def _pair_totals(allocation, weights, pairs) -> dict[int, float]:
@@ -568,10 +622,14 @@ def _pair_totals(allocation, weights, pairs) -> dict[int, float]:
 # policies
 
 
-def _ratesum(instance, routes) -> Allocation:
+def _ratesum_counts(instance, routes) -> dict:
     support = _support(instance, routes)
     result = _solve_assignment(instance, support, [routes[r] for r in support])
-    return _priced(instance, _counts(support, result))
+    return _counts(support, result)
+
+
+def _ratesum(instance, routes) -> Allocation:
+    return _priced(instance, _ratesum_counts(instance, routes))
 
 
 def solve_primary_ratesum(instance: SlotInstance) -> Allocation:
@@ -655,7 +713,7 @@ def uncontended_max_edr(
     if include_reflection and instance.nu:
         relayed = {key: v for key, v in instance.nu.items() if key[2] == pair}
         routes.update(_routes((), relayed))
-    return _ratesum(instance, routes).objective
+    return _objective(instance, *_sorted_counts(_ratesum_counts(instance, routes)))
 
 
 def _ratefair(instance: SlotInstance, use_reflection: bool) -> Allocation:

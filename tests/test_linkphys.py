@@ -5,6 +5,7 @@ import random
 from itertools import product
 from math import comb
 
+import numpy as np
 import pytest
 
 from qsatnet.errors import ConfigurationError
@@ -12,6 +13,7 @@ from qsatnet.linkphys import (
     ArmChannel,
     OpticsParams,
     SourceParams,
+    acceptance_and_bell_weights,
     arm_transmissivity,
     dark_click_prob,
     emission_prob,
@@ -209,6 +211,28 @@ def test_fidelity_monotone_in_dark_clicks():
         for d1 in grid:
             fid = [outcome(0.0078, eta, eta, d1, d2).fidelity for d2 in grid]
             assert all(b <= a + 1e-12 for a, b in zip(fid, fid[1:]))
+
+
+def test_broadcast_weights_equal_scalar_outcomes_bit_for_bit():
+    # random draws, where float pow and a*a disagree on some squares, plus
+    # every combination of the edge values eta in {0, 1} and dark in {0, 1}
+    rng = random.Random(20261018)
+    draws = [
+        (rng.random(), rng.random(), rng.uniform(0, 0.3), rng.uniform(0, 0.3))
+        for _ in range(2000)
+    ]
+    draws += list(product((0.0, 1.0), (0.0, 1.0), (0.0, 1.0), (0.0, 1.0)))
+    draws += [(e, rng.random(), d, rng.random()) for e, d in product((0.0, 1.0), repeat=2)]
+    eta1, eta2, dark1, dark2 = (np.array(column) for column in zip(*draws))
+    for ns in (0.0, 0.0078, 0.6):
+        source = SourceParams(mean_photon_number=ns, repetition_rate=1e9)
+        success, bell = acceptance_and_bell_weights(ns, eta1, eta2, dark1, dark2)
+        assert success.shape == bell.shape == (len(draws),)
+        for (e1, e2, d1, d2), s, b in zip(draws, success.tolist(), bell.tolist()):
+            out = end_to_end_outcome(source, ArmChannel(e1, d1), ArmChannel(e2, d2))
+            assert s == out.success_prob
+            assert (b / s if s > 0.0 else 0.0) == out.fidelity
+            assert 1e9 * s == out.edr
 
 
 def test_edr_equals_rate_times_success():

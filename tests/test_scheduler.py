@@ -22,7 +22,12 @@ from qsatnet.errors import (
     UnknownIdError,
 )
 from qsatnet.ilpcore import GAP_LIMIT, SolveResult, brute_force_mip, solve_mip
-from qsatnet.linkphys import OpticsParams, SourceParams, end_to_end_outcome
+from qsatnet.linkphys import (
+    OpticsParams,
+    SourceParams,
+    end_to_end_outcome,
+    reflection_arms,
+)
 from qsatnet.orbital import ConstellationSnapshot, GroundStation, SatelliteSpec
 from qsatnet.scheduler import (
     Allocation,
@@ -738,6 +743,76 @@ def test_reflection_weights_lossy_mirror_reduces_rate():
     assert inst.nu[(0, 1, 0)] < inst.omega[0][0]
 
 
+def _scalar_relay_rates(snapshot, network, config, env, hour_utc):
+    """The relayed rates priced one candidate at a time, through
+    reflection_arms and the scalar end_to_end_outcome."""
+    physics = config.physics
+    links, arm = scheduler._slot_links(
+        snapshot, network, physics, env, config.min_elevation, config.month, hour_utc
+    )
+    sat_index = {spec.id: i for i, spec in enumerate(network.satellites)}
+    hop_free_space = scheduler.mirror_hop(physics)
+    nu = {}
+    for j, pair in enumerate(network.pairs):
+        for src_id in links[pair.station_a]:
+            for relay_id in links[pair.station_b]:
+                if src_id == relay_id or not orbital.inter_satellite_visible(
+                    snapshot, src_id, relay_id
+                ):
+                    continue
+                hop = hop_free_space(
+                    orbital.inter_satellite_distance(snapshot, src_id, relay_id)
+                )
+                arm1, arm2 = reflection_arms(
+                    arm(src_id, pair.station_a),
+                    hop,
+                    config.mirror_efficiency,
+                    arm(relay_id, pair.station_b),
+                )
+                out = end_to_end_outcome(physics.source, arm1, arm2)
+                if out.fidelity >= config.fidelity_threshold and out.edr > 0:
+                    nu[(sat_index[src_id], sat_index[relay_id], j)] = out.edr
+    return nu
+
+
+@pytest.mark.parametrize("weather_seed", [1, 2])
+def test_broadcast_relay_rates_equal_the_scalar_loop(weather_seed):
+    config = replace(default_scenario(), weather_seed=weather_seed)
+    env = simharness.resolve_weather(config)
+    network = simharness.build_network(config)
+    relayed = 0
+    for t in range(0, 8640, 613):  # default 10 s slots sampled across the day
+        snapshot = orbital.propagate(
+            config.constellation, config.stations, t, config.slot_duration
+        )
+        hour_utc = (t * config.slot_duration / 3600.0) % 24.0
+        inst = build_reflection_weights(
+            snapshot,
+            network,
+            config.physics,
+            env,
+            config.min_elevation,
+            config.fidelity_threshold,
+            config.mirror_efficiency,
+            month=config.month,
+            hour_utc=hour_utc,
+        )
+        expected = _scalar_relay_rates(snapshot, network, config, env, hour_utc)
+        # the same rates, to the bit, inserted in the same order
+        assert repr(list(inst.nu.items())) == repr(list(expected.items()))
+        relayed += len(inst.nu)
+    assert relayed > 1000
+
+
+def test_out_of_range_hop_factor_is_rejected(monkeypatch):
+    snapshot, network, env = overhead_scene(n_sats=2)
+    monkeypatch.setattr(scheduler, "mirror_hop", lambda physics: lambda hop: 1.5)
+    with pytest.raises(ConfigurationError, match="hop factor"):
+        build_reflection_weights(
+            snapshot, network, PHYSICS, env, 20.0, 0.85, mirror_efficiency=1.0, month=6
+        )
+
+
 def test_budget_limited_solve_fails_its_slot(monkeypatch):
     """An answer cut short by the node budget is an error, never a result."""
 
@@ -814,6 +889,18 @@ def test_mip_sequence_matches_pinned_digest(monkeypatch):
 def test_instance_rejects_receiver_below_pair_cap():
     with pytest.raises(ConfigurationError, match="receiver cap"):
         make_instance([[1.0]], [(0, 1)], 2, gs_caps=(1, 1), pair_caps=(2,))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_instance_rejects_non_finite_direct_rate(bad):
+    with pytest.raises(StructuralError, match=r"omega\[1\]\[0\] = (nan|inf)"):
+        make_instance([[1.0], [bad]], [(0, 1)], 2)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_instance_rejects_non_finite_relay_rate(bad):
+    with pytest.raises(StructuralError, match=r"nu\[\(0, 1, 0\)\] = (nan|inf)"):
+        make_instance([[1.0], [0.0]], [(0, 1)], 2, nu={(0, 1, 0): bad})
 
 
 def test_instance_rejects_self_relay():
@@ -1106,10 +1193,15 @@ def test_row_skipping_scans_match_dense_references():
         priced, dense = scheduler._priced(inst, counts), _dense_priced(inst, counts)
         assert priced == dense
         assert repr(priced.objective) == repr(dense.objective)
-        for instance in (inst, replace(inst, omega=tuple(weights))):
+        # an instance cannot hold the NaN cells, so its table zeroes them
+        finite = tuple(tuple(0.0 if math.isnan(w) else w for w in row) for row in weights)
+        for instance in (inst, replace(inst, omega=finite)):
             assert simharness.connectivity_count(
                 instance
             ) == _dense_connectivity_count(instance)
+        if finite != tuple(weights):
+            with pytest.raises(StructuralError, match="rates must be finite"):
+                replace(inst, omega=tuple(weights))
 
 
 # --- policy properties --------------------------------------------------------
