@@ -21,6 +21,7 @@ from .environment import load_weather, save_weather, synth_weather
 from .errors import ConfigurationError, QsatError
 from .linkphys import ArmChannel, rate_fidelity_curve
 from .simharness import (
+    build_network,
     case_study,
     resolve_weather,
     run,
@@ -142,6 +143,8 @@ def _cmd_weather_synth(args) -> int:
 
 def _cmd_validate(args) -> int:
     config, _ = _load_with_overrides(args.config, None)
+    # the network checks that simulate runs before its first slot
+    build_network(config)
     checked = f"scenario ok ({len(config.stations)} stations, policy {config.policy})"
     if args.weather:
         table = load_weather(args.weather)

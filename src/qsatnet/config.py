@@ -10,6 +10,7 @@ capacity caps at 10).
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import fields
 
 from .errors import ConfigurationError, IngestionError
@@ -54,6 +55,9 @@ def _coerce(name, value, kind):
         if not isinstance(value, str):
             raise ConfigurationError(f"field {name}: expected a string")
         return value
+    # json reads NaN, Infinity and -Infinity as floats
+    if isinstance(value, float) and not math.isfinite(value):
+        raise ConfigurationError(f"field {name}: expected a finite number")
     if kind is int:
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise ConfigurationError(f"field {name}: expected an integer")

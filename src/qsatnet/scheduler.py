@@ -1,11 +1,10 @@
 """Per-slot weight construction and the four assignment policies.
 
-A slot instance carries the entanglement rate each satellite could deliver
-to each ground-station pair (and, in reflection mode, each source/relay
-satellite combination), plus the capacity caps.  Policies see every
-candidate connection as one route (i, k, j): satellite i serves pair j,
-relayed by satellite k, or directly when k is None.  They turn an
-instance into integral route counts: rate-sum maximizes aggregate rate,
+Every candidate connection is one route (i, k, j): satellite i serves
+pair j, relayed by satellite k, or directly when k is None.  A slot
+instance holds the entanglement rate of every route that has one, as one
+route map, plus the capacity caps.  Policies turn an instance into
+integral route counts: rate-sum maximizes aggregate rate,
 rate-fair divides each route's rate once by its pair's uncontended best
 and runs iterative max-min rounds on that route map, and the two
 special-case solvers exploit unit-capacity structure.
@@ -15,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -118,13 +118,21 @@ def mirror_hop(physics: PhysicsParams):
 
 @dataclass(frozen=True, eq=True)
 class SlotInstance:
+    """One slot's rates and caps.
+
+    ``routes`` maps each route (i, k, j) with a positive finite rate to
+    that rate; every other route carries none.  It is stored in route
+    order: direct routes (k None) in row-major order, then relayed routes
+    in key order.  This is the solver's variable order and the order in
+    which per-route terms are summed.
+    """
+
     time: int
     sat_ids: tuple[str, ...]
     station_ids: tuple[str, ...]
     pair_ids: tuple[str, ...]
     pair_stations: tuple[tuple[int, int], ...]
-    omega: tuple[tuple[float, ...], ...]
-    nu: dict[tuple[int, int, int], float] | None
+    routes: dict[tuple[int, int | None, int], float]
     sat_caps: tuple[int, ...]
     gs_caps: tuple[int, ...]
     pair_caps: tuple[int, ...]
@@ -140,18 +148,6 @@ class SlotInstance:
             raise StructuralError("satellite cap arrays must align with sat_ids")
         if len(self.gs_caps) != n_gs:
             raise StructuralError("station cap array must align with station_ids")
-        if len(self.omega) != n_sat:
-            raise StructuralError("omega must have one row per satellite")
-        for i, row in enumerate(self.omega):
-            if len(row) != n_pair:
-                raise StructuralError("omega row length must equal pair count")
-            for value in row:
-                if not 0.0 <= value < math.inf:
-                    j = next(j for j, v in enumerate(row) if not 0.0 <= v < math.inf)
-                    raise StructuralError(
-                        f"omega[{i}][{j}] = {value!r}: rates must be finite "
-                        "and nonnegative"
-                    )
         for j, (a, b) in enumerate(self.pair_stations):
             if not (0 <= a < n_gs and 0 <= b < n_gs) or a == b:
                 raise StructuralError(f"pair {j}: bad station indices ({a}, {b})")
@@ -163,17 +159,21 @@ class SlotInstance:
                         f"{self.gs_caps[g]} below pair cap {self.pair_caps[j]} "
                         f"of pair {self.pair_ids[j]}"
                     )
-        if self.nu is not None:
-            for (i, k, j), value in self.nu.items():
-                if not (0 <= i < n_sat and 0 <= k < n_sat and 0 <= j < n_pair):
-                    raise StructuralError(f"reflection key ({i}, {k}, {j}) out of range")
-                if i == k:
-                    raise StructuralError("self-relay entries are forbidden")
-                if not 0.0 <= value < math.inf:
-                    raise StructuralError(
-                        f"nu[{(i, k, j)}] = {value!r}: reflection rates must be "
-                        "finite and nonnegative"
-                    )
+        direct, relayed = [], []
+        for route, rate in self.routes.items():
+            i, k, j = route
+            if not (0 <= i < n_sat and 0 <= j < n_pair and (k is None or 0 <= k < n_sat)):
+                raise StructuralError(f"route {route}: index out of range")
+            if k == i:
+                raise StructuralError(f"route {route}: self relay")
+            if not 0.0 < rate < math.inf:
+                raise StructuralError(
+                    f"route {route}: rate {rate!r} must be positive and finite"
+                )
+            (direct if k is None else relayed).append(route)
+        routes = self.routes
+        ordered = {route: routes[route] for route in sorted(direct) + sorted(relayed)}
+        object.__setattr__(self, "routes", ordered)
 
     @property
     def num_sats(self) -> int:
@@ -182,6 +182,23 @@ class SlotInstance:
     @property
     def num_pairs(self) -> int:
         return len(self.pair_ids)
+
+    @cached_property
+    def omega(self) -> tuple[tuple[float, ...], ...]:
+        """Dense direct rates, one row per satellite and one column per
+        pair; a cell without a direct route holds 0.0."""
+        rows = [[0.0] * self.num_pairs for _ in self.sat_ids]
+        for (i, k, j), rate in self.routes.items():
+            if k is None:
+                rows[i][j] = rate
+        return tuple(tuple(row) for row in rows)
+
+    @cached_property
+    def nu(self) -> dict[tuple[int, int, int], float] | None:
+        """Relayed rates keyed (i, k, j) in key order; None when no route
+        is relayed."""
+        relayed = {r: rate for r, rate in self.routes.items() if r[1] is not None}
+        return relayed or None
 
     def pairs_at_station(self, g: int) -> list[int]:
         return [j for j, (a, b) in enumerate(self.pair_stations) if g in (a, b)]
@@ -286,11 +303,11 @@ def _slot_links(snapshot, network, physics, env, min_elevation, month, hour_utc)
     return links, arm
 
 
-def _direct_omega(network, physics, links, arm, fidelity_threshold):
-    """The slot's direct ``omega`` table, one row per satellite and one
-    column per pair."""
+def _direct_routes(network, physics, links, arm, fidelity_threshold):
+    """The slot's direct routes (i, None, j) that clear the fidelity
+    threshold, mapped to their rates."""
     sat_index = {spec.id: i for i, spec in enumerate(network.satellites)}
-    omega = [[0.0] * len(network.pairs) for _ in network.satellites]
+    routes = {}
     for j, pair in enumerate(network.pairs):
         visible_b = links[pair.station_b]
         for sat_id in links[pair.station_a]:
@@ -299,13 +316,13 @@ def _direct_omega(network, physics, links, arm, fidelity_threshold):
             outcome = end_to_end_outcome(
                 physics.source, arm(sat_id, pair.station_a), arm(sat_id, pair.station_b)
             )
-            if outcome.fidelity >= fidelity_threshold:
-                omega[sat_index[sat_id]][j] = outcome.edr
-    return omega
+            if outcome.fidelity >= fidelity_threshold and outcome.edr > 0:
+                routes[(sat_index[sat_id], None, j)] = outcome.edr
+    return routes
 
 
-def _slot_instance(snapshot, network, omega, nu) -> SlotInstance:
-    """The slot instance over the given rate table and relayed entries."""
+def _slot_instance(snapshot, network, routes) -> SlotInstance:
+    """The slot instance over the given route map."""
     station_ids = tuple(g.id for g in network.stations)
     gs_index = {sid: g for g, sid in enumerate(station_ids)}
     return SlotInstance(
@@ -316,8 +333,7 @@ def _slot_instance(snapshot, network, omega, nu) -> SlotInstance:
         pair_stations=tuple(
             (gs_index[p.station_a], gs_index[p.station_b]) for p in network.pairs
         ),
-        omega=tuple(tuple(row) for row in omega),
-        nu=nu,
+        routes=routes,
         sat_caps=tuple(s.transmitter_cap for s in network.satellites),
         gs_caps=tuple(g.receiver_cap for g in network.stations),
         pair_caps=tuple(p.pair_cap for p in network.pairs),
@@ -337,15 +353,15 @@ def build_weights(
 ) -> SlotInstance:
     """Direct-downlink rates for every satellite and station pair.
 
-    A cell earns a nonzero rate only when the satellite clears the minimum
-    elevation at both stations and the delivered fidelity clears the
-    threshold.
+    A satellite gets a direct route to a pair only when it clears the
+    minimum elevation at both stations and the delivered fidelity clears
+    the threshold.
     """
     links, arm = _slot_links(
         snapshot, network, physics, env, min_elevation, month, hour_utc
     )
-    omega = _direct_omega(network, physics, links, arm, fidelity_threshold)
-    return _slot_instance(snapshot, network, omega, None)
+    routes = _direct_routes(network, physics, links, arm, fidelity_threshold)
+    return _slot_instance(snapshot, network, routes)
 
 
 def build_reflection_weights(
@@ -377,7 +393,7 @@ def build_reflection_weights(
     links, arm = _slot_links(
         snapshot, network, physics, env, min_elevation, month, hour_utc
     )
-    omega = _direct_omega(network, physics, links, arm, fidelity_threshold)
+    routes = _direct_routes(network, physics, links, arm, fidelity_threshold)
     sat_index = {spec.id: i for i, spec in enumerate(network.satellites)}
     hop_free_space = mirror_hop(physics)
 
@@ -390,8 +406,8 @@ def build_reflection_weights(
     # keyed by the ordered (source, relay) pair: the sight-line test is not
     # guaranteed to give the same bits in both directions
     hops: dict[tuple[str, str], float | None] = {}
-    # the relayed candidates in key order, priced together below: each
-    # key's hop factor, source arm and relay-to-station arm
+    # the relayed candidates, priced together below: each route's hop
+    # factor, source arm and relay-to-station arm
     keys, channels = [], []
     for j, pair in enumerate(network.pairs):
         for src_id in links[pair.station_a]:
@@ -417,7 +433,6 @@ def build_reflection_weights(
                         arm_b.dark_click_prob,
                     )
                 )
-    nu: dict[tuple[int, int, int], float] = {}
     if keys:
         hop, eta1, dark1, eta_relay, dark2 = np.array(channels).T
         # min and max are NaN when any entry is, which fails both tests
@@ -436,36 +451,25 @@ def build_reflection_weights(
         )
         edr = physics.source.repetition_rate * success
         kept = (fidelity >= fidelity_threshold) & (edr > 0)
-        nu = {
-            key: rate
+        routes.update(
+            (key, rate)
             for key, rate, keep in zip(keys, edr.tolist(), kept.tolist())
             if keep
-        }
-    return _slot_instance(snapshot, network, omega, nu)
+        )
+    return _slot_instance(snapshot, network, routes)
 
 
 # ---------------------------------------------------------------------------
 # routes and generic MIP assembly
 #
-# Route maps list direct routes (i, None, j) in row-major order, then
-# relayed routes (i, k, j) in key order: this is the solver's variable
-# order and the order in which per-route terms are summed.
+# Route maps keep the instance's route order (SlotInstance): it is the
+# solver's variable order and the order in which per-route terms are
+# summed.
 
 
-def _routes(x_weights, y_weights) -> dict:
-    """Positive-weight routes mapped to their weights: cells of the dense
-    ``x_weights`` table, then keys of ``y_weights``."""
-    routes = {
-        (i, None, j): w
-        for i, row in enumerate(x_weights)
-        if any(row)
-        for j, w in enumerate(row)
-        if w > 0
-    }
-    for key in sorted(y_weights):
-        if y_weights[key] > 0:
-            routes[key] = y_weights[key]
-    return routes
+def _direct(instance) -> dict:
+    """The instance's direct routes and their rates, in route order."""
+    return {route: rate for route, rate in instance.routes.items() if route[1] is None}
 
 
 def served_routes(allocation: Allocation):
@@ -480,28 +484,24 @@ def served_routes(allocation: Allocation):
             yield (i, k, j), count
 
 
-def _variable_upper(instance, route):
-    i, k, j = route
-    a, b = instance.pair_stations[j]
-    cap = min(
-        instance.sat_caps[i],
-        instance.pair_caps[j],
-        instance.gs_caps[a],
-        instance.gs_caps[b],
-    )
-    if k is not None:
-        cap = min(cap, instance.reflector_caps[k])
-    return max(0, cap)
-
-
 def _support(instance, routes) -> dict:
     """The solver's integer variables: the routes with room under every
     cap they touch, each mapped to that room."""
-    return {
-        route: room
-        for route in routes
-        if (room := _variable_upper(instance, route)) > 0
-    }
+    support = {}
+    for route in routes:
+        i, k, j = route
+        a, b = instance.pair_stations[j]
+        room = min(
+            instance.sat_caps[i],
+            instance.pair_caps[j],
+            instance.gs_caps[a],
+            instance.gs_caps[b],
+        )
+        if k is not None:
+            room = min(room, instance.reflector_caps[k])
+        if room > 0:
+            support[route] = room
+    return support
 
 
 def _solve_assignment(
@@ -585,11 +585,11 @@ def _sorted_counts(counts):
 
 def _objective(instance, direct, y) -> float:
     """Total rate of sorted direct and relayed counts."""
-    # the served cells in row-major order sum to the same float as the
-    # whole table, whose other terms are exact zeros
-    objective = float(sum(instance.omega[i][j] * c for i, j, c in direct))
+    # a count on a route without a rate delivers nothing
+    rate = instance.routes.get
+    objective = float(sum(rate((i, None, j), 0.0) * c for i, j, c in direct))
     if y:
-        objective += sum(instance.nu[(i, k, j)] * c for i, k, j, c in y)
+        objective += sum(rate((i, k, j), 0.0) * c for i, k, j, c in y)
     return objective
 
 
@@ -634,12 +634,12 @@ def _ratesum(instance, routes) -> Allocation:
 
 def solve_primary_ratesum(instance: SlotInstance) -> Allocation:
     """Maximize aggregate direct rate under the capacity caps."""
-    return _ratesum(instance, _routes(instance.omega, {}))
+    return _ratesum(instance, _direct(instance))
 
 
 def solve_reflection_ratesum(instance: SlotInstance) -> Allocation:
     """Maximize aggregate rate over direct and relayed connections."""
-    return _ratesum(instance, _routes(instance.omega, instance.nu or {}))
+    return _ratesum(instance, instance.routes)
 
 
 def solve_one_shot_maxmin(
@@ -694,25 +694,22 @@ def solve_one_shot_maxmin(
 
 
 def uncontended_max_edr(
-    instance: SlotInstance, pair, include_reflection: bool | None = None
+    instance: SlotInstance, pair, include_reflection: bool = True
 ) -> float:
-    """Best rate a single pair could get with the whole network to itself."""
+    """Best rate a single pair could get with the whole network to itself,
+    over its direct routes and, with ``include_reflection``, its relayed
+    ones."""
     if isinstance(pair, str):
         if pair not in instance.pair_ids:
             raise ConfigurationError(f"unknown pair id {pair!r}")
         pair = instance.pair_ids.index(pair)
     if not 0 <= pair < instance.num_pairs:
         raise ConfigurationError(f"pair index {pair} out of range")
-    if include_reflection is None:
-        include_reflection = instance.nu is not None
     routes = {
-        (i, None, pair): row[pair]
-        for i, row in enumerate(instance.omega)
-        if row[pair] > 0
+        route: rate
+        for route, rate in instance.routes.items()
+        if route[2] == pair and (include_reflection or route[1] is None)
     }
-    if include_reflection and instance.nu:
-        relayed = {key: v for key, v in instance.nu.items() if key[2] == pair}
-        routes.update(_routes((), relayed))
     return _objective(instance, *_sorted_counts(_ratesum_counts(instance, routes)))
 
 
@@ -722,9 +719,9 @@ def _ratefair(instance: SlotInstance, use_reflection: bool) -> Allocation:
         for j in range(instance.num_pairs)
     ]
     # each route's rate as a share of its pair's uncontended best
-    nu = instance.nu if use_reflection and instance.nu else {}
+    routes = instance.routes if use_reflection else _direct(instance)
     normalized = {}
-    for route, rate in _routes(instance.omega, nu).items():
+    for route, rate in routes.items():
         best = a_values[route[2]]
         share = rate / best if best > 0 else 0.0
         if share > 0:
@@ -799,7 +796,7 @@ def solve_stsr(instance: SlotInstance) -> Allocation:
         c != 1 for c in instance.gs_caps
     ) or any(c != 1 for c in instance.pair_caps):
         raise ModeError("unit caps required for the independent-set reduction")
-    routes = _routes(instance.omega, {})
+    routes = _direct(instance)
     vertices = list(routes)
     edges = []
     for u in range(len(vertices)):
@@ -831,21 +828,12 @@ def solve_stmr(instance: SlotInstance) -> Allocation:
                 f"station {instance.station_ids[g]}: receiver cap may bind; "
                 "the matching reduction needs non-binding receivers"
             )
-    rows = []
-    for i in range(instance.num_sats):
-        if any(instance.omega[i][j] > 0 for j in range(instance.num_pairs)):
-            rows.extend((i,) * instance.sat_caps[i])
-    cols = []
-    for j in range(instance.num_pairs):
-        if any(instance.omega[i][j] > 0 for i in range(instance.num_sats)):
-            cols.extend((j,) * instance.pair_caps[j])
-    weights = [
-        [
-            instance.omega[i][j] if instance.omega[i][j] > 0 else -math.inf
-            for j in cols
-        ]
-        for i in rows
-    ]
+    direct = _direct(instance)
+    sats = sorted({i for i, _, _ in direct})
+    pairs = sorted({j for _, _, j in direct})
+    rows = [i for i in sats for _ in range(instance.sat_caps[i])]
+    cols = [j for j in pairs for _ in range(instance.pair_caps[j])]
+    weights = [[direct.get((i, None, j), -math.inf) for j in cols] for i in rows]
     matching, _ = hungarian(weights)
     counts: dict[tuple, int] = {}
     for r, c in matching.items():
@@ -923,9 +911,8 @@ def allocation_violations(instance: SlotInstance, allocation: Allocation) -> lis
 def pair_edr(instance: SlotInstance, allocation: Allocation) -> dict[str, float]:
     totals = {pid: 0.0 for pid in instance.pair_ids}
     for route, count in served_routes(allocation):
-        i, k, j = route
-        rate = instance.omega[i][j] if k is None else instance.nu[route]
-        totals[instance.pair_ids[j]] += rate * count
+        # a count on a route without a rate delivers nothing
+        totals[instance.pair_ids[route[2]]] += instance.routes.get(route, 0.0) * count
     return totals
 
 

@@ -109,9 +109,11 @@ class ScenarioConfig:
         receiver_caps = {gs.id: gs.receiver_cap for gs in self.stations}
         for pair in self.resolved_pairs():
             for sid in (pair.station_a, pair.station_b):
-                if receiver_caps.get(sid, 0) < pair.pair_cap:
+                if sid not in receiver_caps:
+                    raise ConfigurationError(f"pair {pair.id}: unknown station {sid!r}")
+                if receiver_caps[sid] < pair.pair_cap:
                     raise ConfigurationError(
-                        f"station {sid}: receiver cap {receiver_caps.get(sid, 0)} "
+                        f"station {sid}: receiver cap {receiver_caps[sid]} "
                         f"below pair cap {pair.pair_cap} of pair {pair.id}"
                     )
 
@@ -213,11 +215,8 @@ def count_handovers(previous: dict[str, frozenset], current: dict[str, frozenset
 
 
 def connectivity_count(instance) -> int:
-    """Pairs with at least one positive direct rate this slot."""
-    rows = [row for row in instance.omega if any(row)]
-    return sum(
-        1 for j in range(instance.num_pairs) if any(row[j] > 0 for row in rows)
-    )
+    """Pairs with at least one direct route this slot."""
+    return len({j for _, k, j in instance.routes if k is None})
 
 
 def run(config: ScenarioConfig, env: EnvironmentTable | None = None) -> RunReport:

@@ -226,26 +226,33 @@ def test_criterion_4_solver_oracles():
 # --- 5, 6: policy dominance and special cases --------------------------------
 
 
-def make_instance(omega, pair_stations, n_stations, **kwargs):
+def make_instance(omega, pair_stations, n_stations, nu=None, **kwargs):
+    """An instance over a dense direct table and a relay dict."""
     n_sat = len(omega)
     n_pair = len(pair_stations)
     values = {
         "sat_caps": (1,) * n_sat,
         "pair_caps": (1,) * n_pair,
         "reflector_caps": (1,) * n_sat,
-        "nu": None,
     }
     values.update(kwargs)
     if "gs_caps" not in values:
         base = max([1, *values["pair_caps"]])
         values["gs_caps"] = (base,) * n_stations
+    routes = {
+        (i, None, j): float(v)
+        for i, row in enumerate(omega)
+        for j, v in enumerate(row)
+        if v != 0
+    }
+    routes.update(nu or {})
     return SlotInstance(
         time=0,
         sat_ids=tuple(f"s{i}" for i in range(n_sat)),
         station_ids=tuple(f"g{i}" for i in range(n_stations)),
         pair_ids=tuple(f"p{j}" for j in range(n_pair)),
         pair_stations=tuple(pair_stations),
-        omega=tuple(tuple(float(v) for v in row) for row in omega),
+        routes=routes,
         **values,
     )
 

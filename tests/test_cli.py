@@ -233,6 +233,57 @@ class TestCliExitCodes:
         assert main(["validate"]) == 0
         assert "scenario ok" in capsys.readouterr().out
 
+    @pytest.mark.parametrize(
+        "text, field",
+        [
+            ('{"num_slots": Infinity}', "num_slots"),
+            ('{"num_slots": NaN}', "num_slots"),
+            ('{"slot_duration": NaN}', "slot_duration"),
+            ('{"constellation": {"altitude": NaN}}', "constellation.altitude"),
+            ('{"physics": {"wavelength": -Infinity}}', "physics.wavelength"),
+        ],
+    )
+    def test_validate_rejects_non_finite_numbers(self, tmp_path, capsys, text, field):
+        path = tmp_path / "scenario.json"
+        path.write_text(text)
+        assert main(["validate", "--config", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert f"field {field}: expected a finite number" in captured.err
+        assert "scenario ok" not in captured.out
+
+    def test_non_finite_override_rejected(self, tmp_path, capsys):
+        out = str(tmp_path / "out")
+        assert main(["simulate", "--out", out, "--set", "slot_duration=nan"]) == 1
+        assert "field slot_duration: expected a finite number" in capsys.readouterr().err
+        assert not os.path.exists(out)
+
+    def _validate_pairs(self, tmp_path, pairs):
+        data = small_scenario_dict()
+        data["pairs"] = pairs
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(data))
+        return main(["validate", "--config", str(path)])
+
+    def test_validate_rejects_duplicate_pair_ids(self, tmp_path, capsys):
+        pairs = [
+            {"id": "ab", "station_a": "alpha", "station_b": "bravo", "pair_cap": 2},
+            {"id": "ab", "station_a": "alpha", "station_b": "carol", "pair_cap": 2},
+        ]
+        assert self._validate_pairs(tmp_path, pairs) == 1
+        captured = capsys.readouterr()
+        assert "duplicate pair id ab" in captured.err
+        assert "scenario ok" not in captured.out
+
+    @pytest.mark.parametrize("pair_cap", [0, 2])
+    def test_validate_names_an_unknown_station(self, tmp_path, capsys, pair_cap):
+        pairs = [
+            {"id": "ax", "station_a": "alpha", "station_b": "xray", "pair_cap": pair_cap}
+        ]
+        assert self._validate_pairs(tmp_path, pairs) == 1
+        err = capsys.readouterr().err
+        assert "pair ax: unknown station 'xray'" in err
+        assert "receiver cap" not in err
+
 
 REDUCED_OVERRIDES = (
     "constellation.rings=4",

@@ -4,6 +4,7 @@ import hashlib
 import itertools
 import math
 import random
+import re
 from dataclasses import replace
 
 import pytest
@@ -54,6 +55,19 @@ from qsatnet.scheduler import (
 EARTH_RADIUS = 6371e3
 
 
+def dense_routes(omega, nu=None):
+    """The route map of a dense direct table and a relay dict: every
+    nonzero cell, then every relay entry."""
+    routes = {
+        (i, None, j): float(v)
+        for i, row in enumerate(omega)
+        for j, v in enumerate(row)
+        if v != 0
+    }
+    routes.update(nu or {})
+    return routes
+
+
 def make_instance(
     omega,
     pair_stations,
@@ -82,8 +96,7 @@ def make_instance(
         station_ids=tuple(f"g{i}" for i in range(n_stations)),
         pair_ids=tuple(f"p{j}" for j in range(n_pair)),
         pair_stations=tuple(pair_stations),
-        omega=tuple(tuple(float(v) for v in row) for row in omega),
-        nu=nu,
+        routes=dense_routes(omega, nu),
         sat_caps=tuple(sat_caps),
         gs_caps=tuple(gs_caps),
         pair_caps=tuple(pair_caps),
@@ -264,7 +277,7 @@ def test_ratesum_deterministic():
 
 
 def direct_routes(inst):
-    return scheduler._routes(inst.omega, {})
+    return {route: rate for route, rate in inst.routes.items() if route[1] is None}
 
 
 def test_maxmin_independent_pairs_floor():
@@ -306,10 +319,9 @@ def test_maxmin_matches_enumeration():
     relayed = 0
     for _ in range(60):
         inst = random_instance(rng, max_sats=3, max_pairs=2, reflection=True)
-        routes = scheduler._routes(inst.omega, inst.nu)
-        relayed += any(k is not None for _, k, _ in routes)
-        _, floor = solve_one_shot_maxmin(inst, routes)
-        expected = brute_best_maxmin(inst, inst.omega, inst.nu)
+        relayed += inst.nu is not None
+        _, floor = solve_one_shot_maxmin(inst, inst.routes)
+        expected = brute_best_maxmin(inst, inst.omega, inst.nu or {})
         assert floor == pytest.approx(expected, abs=1e-9)
     assert relayed >= 20
 
@@ -721,7 +733,7 @@ def test_reflection_weights_reuse_the_direct_link_table(monkeypatch):
     real_check = scheduler.SlotInstance.__post_init__
 
     def counted_check(instance):
-        validated.append(instance.nu)
+        validated.append(dict(instance.routes))
         real_check(instance)
 
     monkeypatch.setattr(scheduler.SlotInstance, "__post_init__", counted_check)
@@ -731,8 +743,8 @@ def test_reflection_weights_reuse_the_direct_link_table(monkeypatch):
     assert len(downlinks) == len(network.stations) * len(network.satellites)
     assert len(sight_lines) == len(set(sight_lines)) == 3 * 2
     assert len(inst.nu) == 2 * 3 * 2
-    # the instance is built, and its tables checked, once
-    assert validated == [inst.nu]
+    # the instance is built, and its route map checked, once
+    assert validated == [inst.routes]
 
 
 def test_reflection_weights_lossy_mirror_reduces_rate():
@@ -741,6 +753,61 @@ def test_reflection_weights_lossy_mirror_reduces_rate():
         snapshot, network, PHYSICS, env, 20.0, 0.85, mirror_efficiency=0.5, month=6
     )
     assert inst.nu[(0, 1, 0)] < inst.omega[0][0]
+
+
+def _scalar_direct_omega(snapshot, network, config, env, hour_utc):
+    """The dense direct table over every satellite and pair: the scalar
+    elevation gate at both stations, end_to_end_outcome, then the fidelity
+    threshold."""
+    physics = config.physics
+    arms = {}
+    for station_id in (g.id for g in network.stations):
+        record = env.lookup(station_id, config.month, hour_utc)
+        for spec in network.satellites:
+            geom = orbital.link_geometry(snapshot, spec.id, station_id)
+            if geom.elevation >= config.min_elevation:
+                arms[(spec.id, station_id)] = scheduler._arm_for(
+                    geom, record, physics, record.solar_irradiance
+                )
+    omega = [[0.0] * len(network.pairs) for _ in network.satellites]
+    for i, spec in enumerate(network.satellites):
+        for j, pair in enumerate(network.pairs):
+            arm_a = arms.get((spec.id, pair.station_a))
+            arm_b = arms.get((spec.id, pair.station_b))
+            if arm_a is None or arm_b is None:
+                continue
+            out = end_to_end_outcome(physics.source, arm_a, arm_b)
+            if out.fidelity >= config.fidelity_threshold:
+                omega[i][j] = out.edr
+    return tuple(tuple(row) for row in omega)
+
+
+@pytest.mark.parametrize("weather_seed", [1, 2])
+def test_direct_table_equals_the_dense_scalar_reference(weather_seed):
+    config = replace(default_scenario(), weather_seed=weather_seed)
+    env = simharness.resolve_weather(config)
+    network = simharness.build_network(config)
+    served = 0
+    for t in range(0, 8640, 613):  # default 10 s slots sampled across the day
+        snapshot = orbital.propagate(
+            config.constellation, config.stations, t, config.slot_duration
+        )
+        hour_utc = (t * config.slot_duration / 3600.0) % 24.0
+        inst = build_weights(
+            snapshot,
+            network,
+            config.physics,
+            env,
+            config.min_elevation,
+            config.fidelity_threshold,
+            month=config.month,
+            hour_utc=hour_utc,
+        )
+        expected = _scalar_direct_omega(snapshot, network, config, env, hour_utc)
+        assert repr(inst.omega) == repr(expected)
+        assert inst.nu is None
+        served += len(inst.routes)
+    assert served > 100
 
 
 def _scalar_relay_rates(snapshot, network, config, env, hour_utc):
@@ -798,9 +865,9 @@ def test_broadcast_relay_rates_equal_the_scalar_loop(weather_seed):
             hour_utc=hour_utc,
         )
         expected = _scalar_relay_rates(snapshot, network, config, env, hour_utc)
-        # the same rates, to the bit, inserted in the same order
-        assert repr(list(inst.nu.items())) == repr(list(expected.items()))
-        relayed += len(inst.nu)
+        # the same rates, to the bit, in route order
+        assert repr(list((inst.nu or {}).items())) == repr(sorted(expected.items()))
+        relayed += len(inst.nu or {})
     assert relayed > 1000
 
 
@@ -893,19 +960,82 @@ def test_instance_rejects_receiver_below_pair_cap():
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
 def test_instance_rejects_non_finite_direct_rate(bad):
-    with pytest.raises(StructuralError, match=r"omega\[1\]\[0\] = (nan|inf)"):
+    with pytest.raises(StructuralError, match=r"route \(1, None, 0\): rate (nan|inf)"):
         make_instance([[1.0], [bad]], [(0, 1)], 2)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
 def test_instance_rejects_non_finite_relay_rate(bad):
-    with pytest.raises(StructuralError, match=r"nu\[\(0, 1, 0\)\] = (nan|inf)"):
+    with pytest.raises(StructuralError, match=r"route \(0, 1, 0\): rate (nan|inf)"):
         make_instance([[1.0], [0.0]], [(0, 1)], 2, nu={(0, 1, 0): bad})
 
 
 def test_instance_rejects_self_relay():
-    with pytest.raises(StructuralError):
+    with pytest.raises(StructuralError, match=r"route \(0, 0, 0\): self relay"):
         make_instance([[1.0]], [(0, 1)], 2, nu={(0, 0, 0): 1.0})
+
+
+def _two_pair_instance(routes):
+    """Two satellites serving pairs (g0, g1) and (g0, g2) over ``routes``."""
+    base = make_instance([[0.0, 0.0], [0.0, 0.0]], [(0, 1), (0, 2)], 3)
+    return replace(base, routes=routes)
+
+
+@pytest.mark.parametrize(
+    "route, rate, problem",
+    [
+        ((2, None, 0), 1.0, "index out of range"),
+        ((-1, None, 0), 1.0, "index out of range"),
+        ((0, None, 2), 1.0, "index out of range"),
+        ((0, 2, 0), 1.0, "index out of range"),
+        ((0, None, 1), 0.0, "rate 0.0 must be positive and finite"),
+        ((0, 1, 1), -2.5, "rate -2.5 must be positive and finite"),
+    ],
+)
+def test_route_map_rejects_a_bad_route_by_name(route, rate, problem):
+    routes = {(0, None, 0): 1.0, route: rate}
+    with pytest.raises(StructuralError, match=re.escape(f"route {route}: {problem}")):
+        _two_pair_instance(routes)
+
+
+def test_route_map_is_stored_in_route_order():
+    routes = {
+        (1, 0, 1): 1.0,
+        (0, None, 1): 2.0,
+        (1, 0, 0): 3.0,
+        (1, None, 0): 4.0,
+        (0, 1, 0): 5.0,
+        (0, None, 0): 6.0,
+    }
+    inst = _two_pair_instance(routes)
+    assert list(inst.routes.items()) == [
+        ((0, None, 0), 6.0),
+        ((0, None, 1), 2.0),
+        ((1, None, 0), 4.0),
+        ((0, 1, 0), 5.0),
+        ((1, 0, 0), 3.0),
+        ((1, 0, 1), 1.0),
+    ]
+    assert inst.omega == ((6.0, 2.0), (4.0, 0.0))
+    assert list(inst.nu.items()) == [((0, 1, 0), 5.0), ((1, 0, 0), 3.0), ((1, 0, 1), 1.0)]
+    direct_only = _two_pair_instance({(1, None, 1): 7.0})
+    assert direct_only.omega == ((0.0, 0.0), (0.0, 7.0))
+    assert direct_only.nu is None
+
+
+def test_timed_pipeline_never_builds_the_dense_views(monkeypatch):
+    """The policies, the metrics and the handovers read the route map
+    alone; the dense omega and nu views are for checks and oracles."""
+
+    def refuse(instance):
+        raise AssertionError("dense view read in the slot pipeline")
+
+    monkeypatch.setattr(SlotInstance, "omega", property(refuse))
+    monkeypatch.setattr(SlotInstance, "nu", property(refuse))
+    config = replace(default_scenario(), num_slots=5)
+    for policy in simharness.POLICIES:
+        report = simharness.run(replace(config, policy=policy))
+        assert len(report.series) == 5
 
 
 def test_allocation_checker_flags_overload():
@@ -1079,19 +1209,31 @@ def test_build_weights_unknown_ids_and_coincident_link():
 # --- row-skipping scans against their dense references ----------------------
 
 
+def _room(instance, route):
+    """The least cap among those the route touches."""
+    i, k, j = route
+    caps = [instance.sat_caps[i], instance.pair_caps[j]]
+    caps += [instance.gs_caps[g] for g in instance.pair_stations[j]]
+    if k is not None:
+        caps.append(instance.reflector_caps[k])
+    return min(caps)
+
+
 def _dense_support(instance, x_weights, y_weights):
+    """Support routes and their room, from every cell of a dense direct
+    weight table and every relay key."""
     direct = [
         (i, None, j)
         for i in range(instance.num_sats)
         for j in range(instance.num_pairs)
-        if x_weights[i][j] > 0 and scheduler._variable_upper(instance, (i, None, j)) > 0
+        if x_weights[i][j] > 0
     ]
-    relayed = [
-        key
-        for key in sorted(y_weights)
-        if y_weights[key] > 0 and scheduler._variable_upper(instance, key) > 0
+    relayed = [key for key in sorted(y_weights) if y_weights[key] > 0]
+    return [
+        (route, room)
+        for route in direct + relayed
+        if (room := _room(instance, route)) > 0
     ]
-    return direct + relayed
 
 
 def _dense_pair_edr(instance, allocation):
@@ -1158,17 +1300,14 @@ def test_row_skipping_scans_match_dense_references():
     for _ in range(300):
         base = random_instance(rng, max_sats=6, max_pairs=4, reflection=True)
         n_sat, n_pair = base.num_sats, base.num_pairs
-        inst = replace(
-            base,
-            omega=tuple(
-                _sparse_rows(rng, n_sat, n_pair, lambda: rng.uniform(0.1, 10.0))
-            ),
-        )
+        nu = base.nu or {}
+        omega = _sparse_rows(rng, n_sat, n_pair, lambda: rng.uniform(0.1, 10.0))
+        inst = replace(base, routes=dense_routes(omega, nu))
         counts = _sparse_rows(rng, n_sat, n_pair, lambda: rng.randint(1, 2))
         x = tuple(tuple(int(c) for c in row) for row in counts)
         y = tuple(
             (i, k, j, rng.randint(0, 2))
-            for (i, k, j) in sorted(inst.nu)
+            for (i, k, j) in sorted(nu)
             if rng.random() < 0.5
         )
         allocation = Allocation(x=x, y=y, objective=0.0)
@@ -1176,13 +1315,17 @@ def test_row_skipping_scans_match_dense_references():
             rng, n_sat, n_pair, lambda: rng.choice((rng.uniform(0.1, 5.0), math.nan))
         )
 
-        for x_weights in (inst.omega, weights):
-            support = scheduler._support(inst, scheduler._routes(x_weights, inst.nu))
-            assert list(support) == _dense_support(inst, x_weights, inst.nu)
-            assert all(
-                room == scheduler._variable_upper(inst, route)
-                for route, room in support.items()
-            )
+        # the instance's rates, and a weight map that skips the NaN cells
+        weighted = {
+            (i, None, j): w
+            for i, row in enumerate(weights)
+            for j, w in enumerate(row)
+            if w > 0
+        }
+        weighted.update(nu)
+        for routes, x_weights in ((inst.routes, omega), (weighted, weights)):
+            support = scheduler._support(inst, routes)
+            assert list(support.items()) == _dense_support(inst, x_weights, nu)
         got, want = pair_edr(inst, allocation), _dense_pair_edr(inst, allocation)
         assert list(got) == list(want)
         assert all(got[pid] == want[pid] for pid in want)
@@ -1195,13 +1338,13 @@ def test_row_skipping_scans_match_dense_references():
         assert repr(priced.objective) == repr(dense.objective)
         # an instance cannot hold the NaN cells, so its table zeroes them
         finite = tuple(tuple(0.0 if math.isnan(w) else w for w in row) for row in weights)
-        for instance in (inst, replace(inst, omega=finite)):
+        for instance in (inst, replace(inst, routes=dense_routes(finite, nu))):
             assert simharness.connectivity_count(
                 instance
             ) == _dense_connectivity_count(instance)
         if finite != tuple(weights):
-            with pytest.raises(StructuralError, match="rates must be finite"):
-                replace(inst, omega=tuple(weights))
+            with pytest.raises(StructuralError, match="must be positive and finite"):
+                replace(inst, routes=dense_routes(weights, nu))
 
 
 # --- policy properties --------------------------------------------------------
