@@ -1,8 +1,9 @@
 """Command line front end.
 
-Exit codes: 0 on success, 1 on configuration or ingestion failures,
-2 on usage errors (unknown subcommand or flag).  All outputs are
-deterministic: identical invocations produce byte-identical files.
+Exit codes: 0 on success, 1 on configuration or ingestion failures and
+on outputs that cannot be written, 2 on usage errors (unknown subcommand
+or flag).  All outputs are deterministic: identical invocations produce
+byte-identical files.
 """
 
 from __future__ import annotations
@@ -229,7 +230,9 @@ def main(argv=None) -> int:
         return int(exc.code) if exc.code is not None else 0
     try:
         return args.func(args)
-    except QsatError as exc:
+    # input files are read through IngestionError, so an OSError here comes
+    # from writing an output
+    except (QsatError, OSError) as exc:
         print(f"qsatnet {args.command}: error: {exc}", file=sys.stderr)
         return 1
 

@@ -231,10 +231,12 @@ def scenario_to_dict(config: ScenarioConfig) -> dict:
 
 def load_scenario(path: str) -> ScenarioConfig:
     try:
-        with open(path) as handle:
+        with open(path, encoding="utf-8") as handle:
             data = json.load(handle)
     except OSError as exc:
         raise IngestionError(f"cannot read scenario file {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise IngestionError(f"scenario file {path} is not UTF-8 text: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise IngestionError(f"scenario file {path} is not valid JSON: {exc}") from exc
     return scenario_from_dict(data)

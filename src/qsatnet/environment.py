@@ -96,39 +96,47 @@ def local_hour(hour_utc: float, longitude: float) -> float:
 
 
 def load_weather(path: str) -> EnvironmentTable:
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            return _read_weather(csv.reader(fh), path)
+    except OSError as exc:
+        raise IngestionError(f"cannot read weather file {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise IngestionError(f"weather file {path} is not UTF-8 text: {exc}") from exc
+
+
+def _read_weather(reader, path: str) -> EnvironmentTable:
     records: dict[tuple[str, int, int], WeatherRecord] = {}
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise IngestionError(f"{path}: empty file, expected header") from None
-        if header != CSV_HEADER:
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise IngestionError(f"{path}: empty file, expected header") from None
+    if header != CSV_HEADER:
+        raise IngestionError(
+            f"{path}: bad header {header!r}, expected {','.join(CSV_HEADER)}"
+        )
+    for row_num, row in enumerate(reader, start=2):
+        if not row:
+            continue
+        if len(row) != len(CSV_HEADER):
             raise IngestionError(
-                f"{path}: bad header {header!r}, expected {','.join(CSV_HEADER)}"
+                f"{path} row {row_num}: expected {len(CSV_HEADER)} fields, got {len(row)}"
             )
-        for row_num, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != len(CSV_HEADER):
-                raise IngestionError(
-                    f"{path} row {row_num}: expected {len(CSV_HEADER)} fields, got {len(row)}"
-                )
-            try:
-                record = WeatherRecord(
-                    station_id=row[0],
-                    month=int(row[1]),
-                    hour_utc=int(row[2]),
-                    zenith_transmissivity=float(row[3]),
-                    cloud_cover=float(row[4]),
-                    solar_irradiance=float(row[5]),
-                )
-            except (ValueError, ConfigurationError) as exc:
-                raise IngestionError(f"{path} row {row_num}: {exc}") from None
-            key = (record.station_id, record.month, record.hour_utc)
-            if key in records:
-                raise IngestionError(f"{path} row {row_num}: duplicate key {key}")
-            records[key] = record
+        try:
+            record = WeatherRecord(
+                station_id=row[0],
+                month=int(row[1]),
+                hour_utc=int(row[2]),
+                zenith_transmissivity=float(row[3]),
+                cloud_cover=float(row[4]),
+                solar_irradiance=float(row[5]),
+            )
+        except (ValueError, ConfigurationError) as exc:
+            raise IngestionError(f"{path} row {row_num}: {exc}") from None
+        key = (record.station_id, record.month, record.hour_utc)
+        if key in records:
+            raise IngestionError(f"{path} row {row_num}: duplicate key {key}")
+        records[key] = record
     return EnvironmentTable(records=records)
 
 

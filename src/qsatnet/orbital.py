@@ -8,6 +8,7 @@ same relative geometry with less bookkeeping.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -47,24 +48,6 @@ class GroundStation:
             )
         if self.receiver_cap < 0:
             raise ConfigurationError(f"station {self.id}: negative receiver cap")
-
-
-@dataclass(frozen=True)
-class SatelliteSpec:
-    id: str
-    ring_index: int
-    slot_index: int
-    altitude: float
-    transmitter_cap: int = 1
-    reflector_cap: int = 1
-
-    def __post_init__(self) -> None:
-        if self.altitude <= 0:
-            raise ConfigurationError(f"satellite {self.id}: altitude must be positive")
-        if self.ring_index < 0 or self.slot_index < 0:
-            raise ConfigurationError(f"satellite {self.id}: negative orbit index")
-        if self.transmitter_cap < 0 or self.reflector_cap < 0:
-            raise ConfigurationError(f"satellite {self.id}: negative capability cap")
 
 
 @dataclass(frozen=True)
@@ -238,8 +221,8 @@ def link_geometry(snapshot: ConstellationSnapshot, sat: str, gs: str) -> LinkGeo
 
 def visible_links(
     snapshot: ConstellationSnapshot,
-    sat_ids: list[str],
-    station_ids: list[str],
+    sat_ids: Sequence[str],
+    station_ids: Sequence[str],
     min_elevation: float,
 ) -> dict[str, dict[str, LinkGeometry]]:
     """Per station, the satellites at or above ``min_elevation``, with geometry.

@@ -46,7 +46,7 @@ from .linkphys import (
     end_to_end_outcome,
     free_space_transmissivity,
 )
-from .orbital import ConstellationSnapshot, GroundStation, visible_links
+from .orbital import ConstellationSnapshot, visible_links
 
 SATURATION_REL_TOL = 1e-6
 LAMBDA_SLACK = 1e-9
@@ -125,6 +125,10 @@ class SlotInstance:
     order: direct routes (k None) in row-major order, then relayed routes
     in key order.  This is the solver's variable order and the order in
     which per-route terms are summed.
+
+    A run's network is one instance with no routes; each slot's instance
+    is that network with the slot's time and routes, and shares its ids
+    and caps.
     """
 
     time: int
@@ -200,6 +204,11 @@ class SlotInstance:
         relayed = {r: rate for r, rate in self.routes.items() if r[1] is not None}
         return relayed or None
 
+    @cached_property
+    def sat_index(self) -> dict[str, int]:
+        """Each satellite id mapped to its index."""
+        return {sat_id: i for i, sat_id in enumerate(self.sat_ids)}
+
     def pairs_at_station(self, g: int) -> list[int]:
         return [j for j, (a, b) in enumerate(self.pair_stations) if g in (a, b)]
 
@@ -220,31 +229,6 @@ def zero_allocation(instance: SlotInstance) -> Allocation:
 
 # ---------------------------------------------------------------------------
 # weight construction
-
-
-@dataclass(frozen=True)
-class NetworkSpec:
-    satellites: tuple
-    stations: tuple[GroundStation, ...]
-    pairs: tuple[PairSpec, ...]
-
-    def __post_init__(self) -> None:
-        station_ids = {gs.id for gs in self.stations}
-        if len(station_ids) != len(self.stations):
-            raise ConfigurationError("duplicate station ids")
-        sat_ids = {s.id for s in self.satellites}
-        if len(sat_ids) != len(self.satellites):
-            raise ConfigurationError("duplicate satellite ids")
-        seen = set()
-        for pair in self.pairs:
-            if pair.id in seen:
-                raise ConfigurationError(f"duplicate pair id {pair.id}")
-            seen.add(pair.id)
-            for sid in (pair.station_a, pair.station_b):
-                if sid not in station_ids:
-                    raise ConfigurationError(
-                        f"pair {pair.id}: unknown station {sid!r}"
-                    )
 
 
 def _weather_record(env, station_id, month, hour_utc):
@@ -281,10 +265,7 @@ def _slot_links(snapshot, network, physics, env, min_elevation, month, hour_utc)
     station no satellite serves needs no weather record.
     """
     links = visible_links(
-        snapshot,
-        [spec.id for spec in network.satellites],
-        [station.id for station in network.stations],
-        min_elevation,
+        snapshot, network.sat_ids, network.station_ids, min_elevation
     )
     records = {}
     arms: dict[tuple[str, str], ArmChannel] = {}
@@ -306,44 +287,26 @@ def _slot_links(snapshot, network, physics, env, min_elevation, month, hour_utc)
 def _direct_routes(network, physics, links, arm, fidelity_threshold):
     """The slot's direct routes (i, None, j) that clear the fidelity
     threshold, mapped to their rates."""
-    sat_index = {spec.id: i for i, spec in enumerate(network.satellites)}
+    sat_index = network.sat_index
+    station_ids = network.station_ids
     routes = {}
-    for j, pair in enumerate(network.pairs):
-        visible_b = links[pair.station_b]
-        for sat_id in links[pair.station_a]:
+    for j, (a, b) in enumerate(network.pair_stations):
+        station_a, station_b = station_ids[a], station_ids[b]
+        visible_b = links[station_b]
+        for sat_id in links[station_a]:
             if sat_id not in visible_b:
                 continue
             outcome = end_to_end_outcome(
-                physics.source, arm(sat_id, pair.station_a), arm(sat_id, pair.station_b)
+                physics.source, arm(sat_id, station_a), arm(sat_id, station_b)
             )
             if outcome.fidelity >= fidelity_threshold and outcome.edr > 0:
                 routes[(sat_index[sat_id], None, j)] = outcome.edr
     return routes
 
 
-def _slot_instance(snapshot, network, routes) -> SlotInstance:
-    """The slot instance over the given route map."""
-    station_ids = tuple(g.id for g in network.stations)
-    gs_index = {sid: g for g, sid in enumerate(station_ids)}
-    return SlotInstance(
-        time=snapshot.time,
-        sat_ids=tuple(s.id for s in network.satellites),
-        station_ids=station_ids,
-        pair_ids=tuple(p.id for p in network.pairs),
-        pair_stations=tuple(
-            (gs_index[p.station_a], gs_index[p.station_b]) for p in network.pairs
-        ),
-        routes=routes,
-        sat_caps=tuple(s.transmitter_cap for s in network.satellites),
-        gs_caps=tuple(g.receiver_cap for g in network.stations),
-        pair_caps=tuple(p.pair_cap for p in network.pairs),
-        reflector_caps=tuple(s.reflector_cap for s in network.satellites),
-    )
-
-
 def build_weights(
     snapshot: ConstellationSnapshot,
-    network: NetworkSpec,
+    network: SlotInstance,
     physics: PhysicsParams,
     env: EnvironmentTable,
     min_elevation: float,
@@ -361,12 +324,12 @@ def build_weights(
         snapshot, network, physics, env, min_elevation, month, hour_utc
     )
     routes = _direct_routes(network, physics, links, arm, fidelity_threshold)
-    return _slot_instance(snapshot, network, routes)
+    return replace(network, time=snapshot.time, routes=routes)
 
 
 def build_reflection_weights(
     snapshot: ConstellationSnapshot,
-    network: NetworkSpec,
+    network: SlotInstance,
     physics: PhysicsParams,
     env: EnvironmentTable,
     min_elevation: float,
@@ -394,7 +357,8 @@ def build_reflection_weights(
         snapshot, network, physics, env, min_elevation, month, hour_utc
     )
     routes = _direct_routes(network, physics, links, arm, fidelity_threshold)
-    sat_index = {spec.id: i for i, spec in enumerate(network.satellites)}
+    sat_index = network.sat_index
+    station_ids = network.station_ids
     hop_free_space = mirror_hop(physics)
 
     def hop_transmissivity(src_id, relay_id):
@@ -409,11 +373,12 @@ def build_reflection_weights(
     # the relayed candidates, priced together below: each route's hop
     # factor, source arm and relay-to-station arm
     keys, channels = [], []
-    for j, pair in enumerate(network.pairs):
-        for src_id in links[pair.station_a]:
+    for j, (a, b) in enumerate(network.pair_stations):
+        station_a, station_b = station_ids[a], station_ids[b]
+        for src_id in links[station_a]:
             i = sat_index[src_id]
-            arm_a = arm(src_id, pair.station_a)
-            for relay_id in links[pair.station_b]:
+            arm_a = arm(src_id, station_a)
+            for relay_id in links[station_b]:
                 k = sat_index[relay_id]
                 if i == k:
                     continue
@@ -422,7 +387,7 @@ def build_reflection_weights(
                     hops[key] = hop_transmissivity(src_id, relay_id)
                 if hops[key] is None:
                     continue
-                arm_b = arm(relay_id, pair.station_b)
+                arm_b = arm(relay_id, station_b)
                 keys.append((i, k, j))
                 channels.append(
                     (
@@ -456,7 +421,7 @@ def build_reflection_weights(
             for key, rate, keep in zip(keys, edr.tolist(), kept.tolist())
             if keep
         )
-    return _slot_instance(snapshot, network, routes)
+    return replace(network, time=snapshot.time, routes=routes)
 
 
 # ---------------------------------------------------------------------------
@@ -523,18 +488,16 @@ def _solve_assignment(
     """
     if not support:
         return None
-    # the columns each transmitter, station, pair and reflector cap covers
-    by_sat = [[] for _ in range(instance.num_sats)]
-    by_station = [[] for _ in instance.station_ids]
-    by_pair = [[] for _ in range(instance.num_pairs)]
-    by_reflector = [[] for _ in range(instance.num_sats)]
+    # the columns each transmitter, station, pair and reflector cap covers,
+    # keyed by the indices some route touches
+    by_sat, by_station, by_pair, by_reflector = {}, {}, {}, {}
     for idx, (i, k, j) in enumerate(support):
-        by_sat[i].append(idx)
-        by_pair[j].append(idx)
+        by_sat.setdefault(i, []).append(idx)
+        by_pair.setdefault(j, []).append(idx)
         for g in instance.pair_stations[j]:
-            by_station[g].append(idx)
+            by_station.setdefault(g, []).append(idx)
         if k is not None:
-            by_reflector[k].append(idx)
+            by_reflector.setdefault(k, []).append(idx)
 
     constraints = []
     for incidence, caps in (
@@ -543,10 +506,10 @@ def _solve_assignment(
         (by_pair, instance.pair_caps),
         (by_reflector, instance.reflector_caps),
     ):
-        for members, cap in zip(incidence, caps):
-            if members:
-                row = SparseRow(tuple(members), (1.0,) * len(members))
-                constraints.append((row, "<=", float(cap)))
+        for index in sorted(incidence):
+            members = incidence[index]
+            row = SparseRow(tuple(members), (1.0,) * len(members))
+            constraints.append((row, "<=", float(caps[index])))
     constraints.extend(extra_constraints)
 
     bounds = [(0.0, float(room)) for room in support.values()]
@@ -919,20 +882,12 @@ def pair_edr(instance: SlotInstance, allocation: Allocation) -> dict[str, float]
 def allocation_to_json(
     instance: SlotInstance, allocation: Allocation, policy: str
 ) -> dict:
-    """JSON-ready form; the relay tensor is emitted dense only when used."""
-    y_tensor: list = []
-    if allocation.y:
-        y_tensor = [
-            [[0] * instance.num_pairs for _ in range(instance.num_sats)]
-            for _ in range(instance.num_sats)
-        ]
-        for (i, k, j, count) in allocation.y:
-            y_tensor[i][k][j] = count
+    """JSON-ready form: the served routes as [i, k, j, count] in route
+    order, k null for a direct route."""
     return {
         "t": instance.time,
         "policy": policy,
-        "x": [list(row) for row in allocation.x],
-        "y": y_tensor,
+        "counts": [[*route, count] for route, count in served_routes(allocation)],
         "objective": allocation.objective,
         "per_pair_edr": pair_edr(instance, allocation),
     }

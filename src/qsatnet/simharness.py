@@ -32,15 +32,14 @@ from .orbital import (
     ISL_CLEARANCE,
     ConstellationConfig,
     GroundStation,
-    SatelliteSpec,
     constellation_ids,
     overhead_visibility_arcs,
     propagate,
 )
 from .scheduler import (
-    NetworkSpec,
     PairSpec,
     PhysicsParams,
+    SlotInstance,
     build_reflection_weights,
     build_weights,
     default_physics,
@@ -106,8 +105,16 @@ class ScenarioConfig:
             raise ConfigurationError("capacity caps must be nonnegative")
         if len(self.stations) < 2:
             raise ConfigurationError("at least two ground stations are required")
-        receiver_caps = {gs.id: gs.receiver_cap for gs in self.stations}
+        receiver_caps = {}
+        for gs in self.stations:
+            if gs.id in receiver_caps:
+                raise ConfigurationError(f"duplicate station id {gs.id!r}")
+            receiver_caps[gs.id] = gs.receiver_cap
+        pair_ids = set()
         for pair in self.resolved_pairs():
+            if pair.id in pair_ids:
+                raise ConfigurationError(f"duplicate pair id {pair.id}")
+            pair_ids.add(pair.id)
             for sid in (pair.station_a, pair.station_b):
                 if sid not in receiver_caps:
                     raise ConfigurationError(f"pair {pair.id}: unknown station {sid!r}")
@@ -159,24 +166,29 @@ def resolve_weather(config: ScenarioConfig) -> EnvironmentTable:
     return synth_weather(config.weather_seed, config.stations, {config.month})
 
 
-def build_network(config: ScenarioConfig) -> NetworkSpec:
-    rings = config.constellation.rings
-    sats_per_ring = config.constellation.sats_per_ring
-    satellites = tuple(
-        SatelliteSpec(
-            id=sat_id,
-            ring_index=index // sats_per_ring,
-            slot_index=index % sats_per_ring,
-            altitude=config.constellation.altitude,
-            transmitter_cap=config.transmitter_cap,
-            reflector_cap=config.reflector_cap,
-        )
-        for index, sat_id in enumerate(constellation_ids(rings, sats_per_ring))
+def build_network(config: ScenarioConfig) -> SlotInstance:
+    """The run's network: every satellite, station and pair with its cap,
+    at time 0 and with no routes.  Each slot's weight builder returns it
+    with that slot's time and routes, sharing its ids and caps."""
+    sat_ids = constellation_ids(
+        config.constellation.rings, config.constellation.sats_per_ring
     )
-    return NetworkSpec(
-        satellites=satellites,
-        stations=config.stations,
-        pairs=config.resolved_pairs(),
+    station_ids = tuple(gs.id for gs in config.stations)
+    station_index = {sid: g for g, sid in enumerate(station_ids)}
+    pairs = config.resolved_pairs()
+    return SlotInstance(
+        time=0,
+        sat_ids=sat_ids,
+        station_ids=station_ids,
+        pair_ids=tuple(p.id for p in pairs),
+        pair_stations=tuple(
+            (station_index[p.station_a], station_index[p.station_b]) for p in pairs
+        ),
+        routes={},
+        sat_caps=(config.transmitter_cap,) * len(sat_ids),
+        gs_caps=tuple(gs.receiver_cap for gs in config.stations),
+        pair_caps=tuple(p.pair_cap for p in pairs),
+        reflector_caps=(config.reflector_cap,) * len(sat_ids),
     )
 
 
@@ -227,7 +239,7 @@ def run(config: ScenarioConfig, env: EnvironmentTable | None = None) -> RunRepor
     use_reflection, solver = POLICIES[config.policy]
 
     series: list[SlotMetrics] = []
-    pair_ids = [p.id for p in network.pairs]
+    pair_ids = network.pair_ids
     daily = {pid: 0.0 for pid in pair_ids}
     previous_serving: dict[str, frozenset] | None = None
     total_handovers = 0

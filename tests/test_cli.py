@@ -284,6 +284,67 @@ class TestCliExitCodes:
         assert "pair ax: unknown station 'xray'" in err
         assert "receiver cap" not in err
 
+    def test_validate_names_a_duplicate_station(self, tmp_path, capsys):
+        # implicit pairs over a repeated station id would pair it with itself
+        data = small_scenario_dict()
+        data["stations"][1]["id"] = "alpha"
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(data))
+        assert main(["validate", "--config", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert "duplicate station id 'alpha'" in err
+        assert "stations must differ" not in err
+        with pytest.raises(ConfigurationError, match="duplicate station id 'alpha'"):
+            scenario_from_dict(data)
+
+
+class TestCliFileErrors:
+    """An unreadable input or unwritable output ends in one error line
+    naming the file, with exit code 1."""
+
+    def assert_one_line_error(self, capsys, command, path):
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        (line,) = err.splitlines()
+        assert line.startswith(f"qsatnet {command}: error:")
+        assert str(path) in line
+
+    def test_validate_missing_weather_file(self, tmp_path, capsys):
+        missing = tmp_path / "missing.csv"
+        assert main(["validate", "--weather", str(missing)]) == 1
+        self.assert_one_line_error(capsys, "validate", missing)
+
+    def test_simulate_missing_weather_csv(self, tmp_path, capsys):
+        missing = tmp_path / "missing.csv"
+        data = small_scenario_dict()
+        data["weather_csv"] = str(missing)
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(data))
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", str(path), "--out", str(out)]) == 1
+        self.assert_one_line_error(capsys, "simulate", missing)
+        assert not out.exists()
+
+    def test_non_utf8_config(self, tmp_path, capsys):
+        path = tmp_path / "scenario.json"
+        path.write_bytes(b'{"policy": "\xff"}')
+        assert main(["validate", "--config", str(path)]) == 1
+        self.assert_one_line_error(capsys, "validate", path)
+
+    def test_non_utf8_weather_file(self, tmp_path, capsys):
+        path = tmp_path / "weather.csv"
+        path.write_bytes(b"station_id,month\n\xff,6\n")
+        assert main(["validate", "--weather", str(path)]) == 1
+        self.assert_one_line_error(capsys, "validate", path)
+
+    def test_simulate_output_under_a_file(self, tmp_path, capsys):
+        blocker = tmp_path / "some_file"
+        blocker.write_text("")
+        out = blocker / "sub"
+        config = write_small_config(tmp_path)
+        assert main(["simulate", "--config", config, "--out", str(out)]) == 1
+        self.assert_one_line_error(capsys, "simulate", out)
+
 
 REDUCED_OVERRIDES = (
     "constellation.rings=4",

@@ -2,6 +2,7 @@
 
 import hashlib
 import itertools
+import json
 import math
 import random
 import re
@@ -29,11 +30,9 @@ from qsatnet.linkphys import (
     end_to_end_outcome,
     reflection_arms,
 )
-from qsatnet.orbital import ConstellationSnapshot, GroundStation, SatelliteSpec
+from qsatnet.orbital import ConstellationSnapshot
 from qsatnet.scheduler import (
     Allocation,
-    NetworkSpec,
-    PairSpec,
     PhysicsParams,
     SlotInstance,
     allocation_to_json,
@@ -625,16 +624,18 @@ def overhead_scene(altitude=1000e3, n_sats=1, eta=0.9, irradiance=0.0):
         gs_positions={"ga": (EARTH_RADIUS, 0.0, 0.0), "gb": (EARTH_RADIUS, 0.0, 0.0)},
         earth_radius=EARTH_RADIUS,
     )
-    network = NetworkSpec(
-        satellites=tuple(
-            SatelliteSpec(id=f"s{i}", ring_index=0, slot_index=i, altitude=altitude)
-            for i in range(n_sats)
-        ),
-        stations=(
-            GroundStation(id="ga", latitude=0.0, longitude=0.0),
-            GroundStation(id="gb", latitude=0.0, longitude=0.5),
-        ),
-        pairs=(PairSpec(id="ab", station_a="ga", station_b="gb"),),
+    # every cap at one
+    network = SlotInstance(
+        time=0,
+        sat_ids=tuple(snapshot.sat_positions),
+        station_ids=("ga", "gb"),
+        pair_ids=("ab",),
+        pair_stations=((0, 1),),
+        routes={},
+        sat_caps=(1,) * n_sats,
+        gs_caps=(1, 1),
+        pair_caps=(1,),
+        reflector_caps=(1,) * n_sats,
     )
     records = {}
     for sid in ("ga", "gb"):
@@ -725,7 +726,9 @@ def test_reflection_weights_reuse_the_direct_link_table(monkeypatch):
     # the reversed pair needs every (source, relay) sight line a second time
     network = replace(
         network,
-        pairs=network.pairs + (PairSpec(id="ba", station_a="gb", station_b="ga"),),
+        pair_ids=("ab", "ba"),
+        pair_stations=((0, 1), (1, 0)),
+        pair_caps=(1, 1),
     )
     downlinks = _count_calls(monkeypatch, orbital, "link_geometry")
     sight_lines = _count_calls(monkeypatch, orbital, "inter_satellite_visible")
@@ -740,7 +743,7 @@ def test_reflection_weights_reuse_the_direct_link_table(monkeypatch):
     inst = build_reflection_weights(
         snapshot, network, PHYSICS, env, 20.0, 0.85, mirror_efficiency=1.0, month=6
     )
-    assert len(downlinks) == len(network.stations) * len(network.satellites)
+    assert len(downlinks) == len(network.station_ids) * len(network.sat_ids)
     assert len(sight_lines) == len(set(sight_lines)) == 3 * 2
     assert len(inst.nu) == 2 * 3 * 2
     # the instance is built, and its route map checked, once
@@ -761,19 +764,19 @@ def _scalar_direct_omega(snapshot, network, config, env, hour_utc):
     threshold."""
     physics = config.physics
     arms = {}
-    for station_id in (g.id for g in network.stations):
+    for station_id in network.station_ids:
         record = env.lookup(station_id, config.month, hour_utc)
-        for spec in network.satellites:
-            geom = orbital.link_geometry(snapshot, spec.id, station_id)
+        for sat_id in network.sat_ids:
+            geom = orbital.link_geometry(snapshot, sat_id, station_id)
             if geom.elevation >= config.min_elevation:
-                arms[(spec.id, station_id)] = scheduler._arm_for(
+                arms[(sat_id, station_id)] = scheduler._arm_for(
                     geom, record, physics, record.solar_irradiance
                 )
-    omega = [[0.0] * len(network.pairs) for _ in network.satellites]
-    for i, spec in enumerate(network.satellites):
-        for j, pair in enumerate(network.pairs):
-            arm_a = arms.get((spec.id, pair.station_a))
-            arm_b = arms.get((spec.id, pair.station_b))
+    omega = [[0.0] * len(network.pair_ids) for _ in network.sat_ids]
+    for i, sat_id in enumerate(network.sat_ids):
+        for j, (a, b) in enumerate(network.pair_stations):
+            arm_a = arms.get((sat_id, network.station_ids[a]))
+            arm_b = arms.get((sat_id, network.station_ids[b]))
             if arm_a is None or arm_b is None:
                 continue
             out = end_to_end_outcome(physics.source, arm_a, arm_b)
@@ -817,12 +820,13 @@ def _scalar_relay_rates(snapshot, network, config, env, hour_utc):
     links, arm = scheduler._slot_links(
         snapshot, network, physics, env, config.min_elevation, config.month, hour_utc
     )
-    sat_index = {spec.id: i for i, spec in enumerate(network.satellites)}
+    sat_index = {sat_id: i for i, sat_id in enumerate(network.sat_ids)}
     hop_free_space = scheduler.mirror_hop(physics)
     nu = {}
-    for j, pair in enumerate(network.pairs):
-        for src_id in links[pair.station_a]:
-            for relay_id in links[pair.station_b]:
+    for j, (a, b) in enumerate(network.pair_stations):
+        station_a, station_b = network.station_ids[a], network.station_ids[b]
+        for src_id in links[station_a]:
+            for relay_id in links[station_b]:
                 if src_id == relay_id or not orbital.inter_satellite_visible(
                     snapshot, src_id, relay_id
                 ):
@@ -831,10 +835,10 @@ def _scalar_relay_rates(snapshot, network, config, env, hour_utc):
                     orbital.inter_satellite_distance(snapshot, src_id, relay_id)
                 )
                 arm1, arm2 = reflection_arms(
-                    arm(src_id, pair.station_a),
+                    arm(src_id, station_a),
                     hop,
                     config.mirror_efficiency,
-                    arm(relay_id, pair.station_b),
+                    arm(relay_id, station_b),
                 )
                 out = end_to_end_outcome(physics.source, arm1, arm2)
                 if out.fidelity >= config.fidelity_threshold and out.edr > 0:
@@ -1051,13 +1055,14 @@ def test_allocation_json_shape():
     payload = allocation_to_json(inst, alloc, "primary_ratesum")
     assert payload["t"] == 0
     assert payload["policy"] == "primary_ratesum"
-    assert payload["x"] == [[1, 0]]
-    assert payload["y"] == []
+    assert payload["counts"] == [[0, None, 0, 1]]
+    # a direct route's relay is written null
+    assert json.loads(json.dumps(payload))["counts"] == [[0, None, 0, 1]]
     assert payload["objective"] == pytest.approx(5.0)
     assert payload["per_pair_edr"] == {"p0": 5.0, "p1": 0.0}
 
 
-def test_allocation_json_reflection_tensor():
+def test_allocation_json_relayed_counts():
     inst = make_instance(
         [[0.0], [0.0]],
         [(0, 1)],
@@ -1067,7 +1072,7 @@ def test_allocation_json_reflection_tensor():
     )
     alloc = solve_reflection_ratesum(inst)
     payload = allocation_to_json(inst, alloc, "reflection_ratesum")
-    assert payload["y"][0][1][0] == 1
+    assert payload["counts"] == [[0, 1, 0, 1]]
     assert payload["per_pair_edr"]["p0"] == pytest.approx(7.0)
 
 
@@ -1100,8 +1105,8 @@ def test_screen_calls_link_geometry_only_near_visible_cells(monkeypatch):
     snapshot = orbital.propagate(
         config.constellation, config.stations, 0, config.slot_duration
     )
-    sat_ids = [s.id for s in network.satellites]
-    station_ids = [g.id for g in network.stations]
+    sat_ids = list(network.sat_ids)
+    station_ids = list(network.station_ids)
     brute = _brute_links(snapshot, sat_ids, station_ids, config.min_elevation)
 
     downlinks = _count_calls(monkeypatch, orbital, "link_geometry")

@@ -4,14 +4,23 @@ import csv
 import json
 import math
 import os
+from dataclasses import replace
 
 import pytest
 
+from qsatnet import simharness
+from qsatnet.config import default_scenario
 from qsatnet.environment import EnvironmentTable
 from qsatnet.errors import ConfigurationError, SimulationError, StructuralError
-from qsatnet.orbital import ConstellationConfig, GroundStation, propagate
+from qsatnet.orbital import (
+    ConstellationConfig,
+    GroundStation,
+    propagate,
+    satellite_id,
+)
 from qsatnet.scheduler import PairSpec
 from qsatnet.simharness import (
+    POLICIES,
     RunReport,
     ScenarioConfig,
     build_network,
@@ -201,10 +210,45 @@ def test_network_shares_the_propagated_satellite_ids():
     config = polar_scenario()
     network = build_network(config)
     snapshot = propagate(config.constellation, config.stations, 0, config.slot_duration)
-    assert [(s.ring_index, s.slot_index) for s in network.satellites] == [
-        (r, k) for r in range(4) for k in range(10)
-    ]
-    assert len(network.satellites) == len(snapshot.sat_positions)
-    assert all(
-        spec.id is sat_id for spec, sat_id in zip(network.satellites, snapshot.sat_positions)
+    # ring by ring, every id the same object as the propagated one
+    assert network.sat_ids == tuple(snapshot.sat_positions)
+    assert network.sat_ids == tuple(
+        satellite_id(r, k) for r in range(4) for k in range(10)
     )
+    assert all(a is b for a, b in zip(network.sat_ids, snapshot.sat_positions))
+    assert network.time == 0 and network.routes == {}
+    assert network.sat_caps == network.reflector_caps == (2,) * 40
+    assert network.station_ids == ("alpha", "bravo", "carol")
+    assert network.gs_caps == (4, 4, 4)
+    assert network.pair_ids == ("alpha-bravo", "alpha-carol", "bravo-carol")
+    assert network.pair_stations == ((0, 1), (0, 2), (1, 2))
+    assert network.pair_caps == (2, 2, 2)
+
+
+@pytest.mark.parametrize("policy", sorted(POLICIES))
+def test_every_slot_shares_the_run_network(monkeypatch, policy):
+    """Each slot's instance is the run's network with that slot's routes:
+    the id and cap tuples are the network's own objects, not copies."""
+    networks, instances = [], []
+
+    def recorded_network(config):
+        networks.append(build_network(config))
+        return networks[-1]
+
+    flag, solver = POLICIES[policy]
+
+    def recorded_solver(instance):
+        instances.append(instance)
+        return solver(instance)
+
+    monkeypatch.setattr(simharness, "build_network", recorded_network)
+    monkeypatch.setitem(POLICIES, policy, (flag, recorded_solver))
+    run(replace(default_scenario(), policy=policy, num_slots=4))
+    (network,) = networks
+    assert [instance.time for instance in instances] == [0, 1, 2, 3]
+    assert any(instance.routes for instance in instances)
+    for instance in instances:
+        for name in ("sat_ids", "sat_caps", "reflector_caps", "pair_stations"):
+            assert getattr(instance, name) is getattr(network, name)
+    assert network.routes == {}
+    assert len(network.sat_ids) == 400
