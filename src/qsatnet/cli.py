@@ -51,6 +51,11 @@ def _load_with_overrides(config_path, set_items):
     return config, overrides
 
 
+def _require_finite(flag: str, value: float) -> None:
+    if not math.isfinite(value):
+        raise ConfigurationError(f"{flag} {value}: expected a finite number")
+
+
 def _parse_baseline_grid(text: str) -> list[float]:
     parts = text.split(":")
     if len(parts) != 3:
@@ -63,6 +68,10 @@ def _parse_baseline_grid(text: str) -> list[float]:
         raise ConfigurationError(
             f"baselines {text!r}: expected numeric START:STOP:STEP"
         ) from None
+    if not all(math.isfinite(v) for v in (start, stop, step)):
+        raise ConfigurationError(
+            f"baselines {text!r}: START, STOP and STEP must be finite"
+        )
     if step <= 0:
         raise ConfigurationError(f"baselines {text!r}: step must be positive")
     if stop < start:
@@ -90,6 +99,7 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_casestudy(args) -> int:
     grid = _parse_baseline_grid(args.baselines)
+    _require_finite("--altitude", args.altitude)
     if args.altitude <= 0:
         raise ConfigurationError(f"altitude {args.altitude} must be positive km")
     rows = case_study(
@@ -105,6 +115,12 @@ def _cmd_casestudy(args) -> int:
 
 
 def _cmd_linkbudget(args) -> int:
+    for flag, value in (
+        ("--ns-min", args.ns_min),
+        ("--ns-max", args.ns_max),
+        ("--rep-rate", args.rep_rate),
+    ):
+        _require_finite(flag, value)
     if args.points < 1:
         raise ConfigurationError(f"points {args.points} must be at least 1")
     if args.ns_min <= 0 or args.ns_max <= 0:

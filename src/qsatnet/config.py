@@ -49,6 +49,14 @@ _SCALAR_KEYS = {
     "weather_seed": int,
 }
 
+# the fields that hold an object or an array of objects
+_NESTED_KEYS = {
+    "constellation": (dict, "an object"),
+    "physics": (dict, "an object"),
+    "stations": (list, "an array"),
+    "pairs": (list, "an array"),
+}
+
 
 def _coerce(name, value, kind):
     if kind is str:
@@ -164,8 +172,11 @@ def _pairs_from(items) -> tuple[PairSpec, ...]:
 def scenario_from_dict(data: dict) -> ScenarioConfig:
     if not isinstance(data, dict):
         raise ConfigurationError("scenario config must be a JSON object")
-    allowed = set(_SCALAR_KEYS) | {"constellation", "physics", "stations", "pairs"}
+    allowed = set(_SCALAR_KEYS) | set(_NESTED_KEYS)
     _check_keys(data, allowed, "scenario")
+    for key, (kind, expected) in _NESTED_KEYS.items():
+        if key in data and not isinstance(data[key], kind):
+            raise ConfigurationError(f"field {key}: expected {expected}")
 
     kwargs = {
         "constellation": _constellation_from(data.get("constellation", {})),

@@ -48,8 +48,10 @@ class WeatherRecord:
             )
         if not 0.0 <= self.cloud_cover <= 1.0:
             raise ConfigurationError(f"cloud cover {self.cloud_cover} outside [0, 1]")
-        if self.solar_irradiance < 0.0:
-            raise ConfigurationError("solar irradiance must be nonnegative")
+        if not 0.0 <= self.solar_irradiance < math.inf:
+            raise ConfigurationError(
+                f"solar irradiance {self.solar_irradiance} must be nonnegative and finite"
+            )
 
 
 @dataclass(frozen=True)

@@ -222,11 +222,6 @@ class Allocation:
     objective: float
 
 
-def zero_allocation(instance: SlotInstance) -> Allocation:
-    x = tuple((0,) * instance.num_pairs for _ in range(instance.num_sats))
-    return Allocation(x=x, y=(), objective=0.0)
-
-
 # ---------------------------------------------------------------------------
 # weight construction
 
@@ -572,15 +567,6 @@ def _priced(instance, counts) -> Allocation:
     return Allocation(x=x, y=tuple(y), objective=_objective(instance, direct, y))
 
 
-def _pair_totals(allocation, weights, pairs) -> dict[int, float]:
-    """Each given pair's weighted rate under the allocation; every served
-    route must have a weight and one of the given pairs."""
-    totals = dict.fromkeys(pairs, 0.0)
-    for route, count in served_routes(allocation):
-        totals[route[2]] += weights[route] * count
-    return totals
-
-
 # ---------------------------------------------------------------------------
 # policies
 
@@ -607,7 +593,7 @@ def solve_reflection_ratesum(instance: SlotInstance) -> Allocation:
 
 def solve_one_shot_maxmin(
     instance: SlotInstance, routes: dict
-) -> tuple[Allocation, float]:
+) -> tuple[dict, dict[int, float]]:
     """Maximize the worst pair's weighted rate in a single solve.
 
     ``routes`` maps each route to its positive weight, in route order.
@@ -616,16 +602,20 @@ def solve_one_shot_maxmin(
     zero.  A second solve with the floor fixed picks the highest-total
     solution among the max-min optima, which keeps results deterministic
     and avoids gratuitously idle resources.
-    """
-    if not routes:
-        return zero_allocation(instance), 0.0
 
-    support = _support(instance, routes)
-    weights = [routes[route] for route in support]
-    lam_index = len(support)
+    Returns the second solve's nonzero route counts in route order, and
+    each routed pair's weighted rate under them, summed in route order;
+    the floor is the least of those rates.
+    """
     # one floor row per active pair (one with a positive weight): its
     # weighted rate minus the floor
     active = sorted({j for _, _, j in routes})
+    totals = dict.fromkeys(active, 0.0)
+    support = _support(instance, routes)
+    if not support:
+        return {}, totals
+    weights = [routes[route] for route in support]
+    lam_index = len(support)
     floors = {j: [] for j in active}
     for idx, (_, _, j) in enumerate(support):
         floors[j].append(idx)
@@ -641,8 +631,6 @@ def solve_one_shot_maxmin(
     stage1 = _solve_assignment(
         instance, support, [0.0] * lam_index + [1.0], rows, ((0.0, None),)
     )
-    if stage1 is None:
-        return zero_allocation(instance), 0.0
     lam_star = stage1.assignment[lam_index]
 
     stage2 = _solve_assignment(
@@ -652,45 +640,35 @@ def solve_one_shot_maxmin(
         rows,
         ((max(0.0, lam_star - LAMBDA_SLACK), None),),
     )
-    allocation = _priced(instance, _counts(support, stage2))
-    return allocation, min(_pair_totals(allocation, routes, active).values())
+    counts = _counts(support, stage2)
+    for route, count in counts.items():
+        totals[route[2]] += routes[route] * count
+    return counts, totals
 
 
-def uncontended_max_edr(
-    instance: SlotInstance, pair, include_reflection: bool = True
-) -> float:
-    """Best rate a single pair could get with the whole network to itself,
-    over its direct routes and, with ``include_reflection``, its relayed
-    ones."""
-    if isinstance(pair, str):
-        if pair not in instance.pair_ids:
-            raise ConfigurationError(f"unknown pair id {pair!r}")
-        pair = instance.pair_ids.index(pair)
-    if not 0 <= pair < instance.num_pairs:
-        raise ConfigurationError(f"pair index {pair} out of range")
-    routes = {
-        route: rate
-        for route, rate in instance.routes.items()
-        if route[2] == pair and (include_reflection or route[1] is None)
-    }
+def uncontended_max_edr(instance: SlotInstance, routes: dict) -> float:
+    """Rate-sum optimum of one pair's routes: the best rate that pair
+    could get with the whole network to itself.  ``routes`` maps each of
+    the pair's routes to its rate, in route order."""
     return _objective(instance, *_sorted_counts(_ratesum_counts(instance, routes)))
 
 
-def _ratefair(instance: SlotInstance, use_reflection: bool) -> Allocation:
-    a_values = [
-        uncontended_max_edr(instance, j, include_reflection=use_reflection)
-        for j in range(instance.num_pairs)
-    ]
-    # each route's rate as a share of its pair's uncontended best
-    routes = instance.routes if use_reflection else _direct(instance)
+def _ratefair(instance: SlotInstance, routes: dict) -> Allocation:
+    # each routed pair's routes in route order, and its uncontended best
+    by_pair: dict[int, dict] = {}
+    for route, rate in routes.items():
+        by_pair.setdefault(route[2], {})[route] = rate
+    best = {j: uncontended_max_edr(instance, by_pair[j]) for j in sorted(by_pair)}
+    # each route's rate as a share of its pair's uncontended best; a pair
+    # whose best is 0 never enters a round
     normalized = {}
     for route, rate in routes.items():
-        best = a_values[route[2]]
-        share = rate / best if best > 0 else 0.0
+        pair_best = best[route[2]]
+        share = rate / pair_best if pair_best > 0 else 0.0
         if share > 0:
             normalized[route] = share
 
-    remaining = {j for j in range(instance.num_pairs) if a_values[j] > 0}
+    remaining = {j for j, value in best.items() if value > 0}
     caps_t = list(instance.sat_caps)
     caps_r = list(instance.gs_caps)
     caps_u = list(instance.reflector_caps)
@@ -711,12 +689,11 @@ def _ratefair(instance: SlotInstance, use_reflection: bool) -> Allocation:
             reflector_caps=tuple(caps_u),
         )
         live = {route: w for route, w in normalized.items() if route[2] in remaining}
-        allocation, _ = solve_one_shot_maxmin(residual, live)
-        achieved = _pair_totals(allocation, live, remaining)
-        floor = min(achieved.values())
+        counts, totals = solve_one_shot_maxmin(residual, live)
+        floor = min(totals.values())
         tol = floor * SATURATION_REL_TOL + 1e-12
-        saturated = {j for j in remaining if achieved[j] <= floor + tol}
-        for route, count in served_routes(allocation):
+        saturated = {j for j, total in totals.items() if total <= floor + tol}
+        for route, count in counts.items():
             i, k, j = route
             if j in saturated:
                 frozen[route] = count
@@ -737,11 +714,13 @@ def solve_primary_ratefair(instance: SlotInstance) -> Allocation:
     that sit at that floor, charges their consumption against the caps,
     and repeats on the rest.
     """
-    return _ratefair(instance, use_reflection=False)
+    return _ratefair(instance, _direct(instance))
 
 
 def solve_reflection_ratefair(instance: SlotInstance) -> Allocation:
-    return _ratefair(instance, use_reflection=True)
+    """Iterative max-min over contention-normalized direct and relayed
+    rates."""
+    return _ratefair(instance, instance.routes)
 
 
 # ---------------------------------------------------------------------------

@@ -236,7 +236,7 @@ def run(config: ScenarioConfig, env: EnvironmentTable | None = None) -> RunRepor
     if env is None:
         env = resolve_weather(config)
     network = build_network(config)
-    use_reflection, solver = POLICIES[config.policy]
+    relayed, solver = POLICIES[config.policy]
 
     series: list[SlotMetrics] = []
     pair_ids = network.pair_ids
@@ -250,7 +250,7 @@ def run(config: ScenarioConfig, env: EnvironmentTable | None = None) -> RunRepor
                 config.constellation, config.stations, t, config.slot_duration
             )
             hour_utc = (t * config.slot_duration / 3600.0) % 24.0
-            if use_reflection:
+            if relayed:
                 instance = build_reflection_weights(
                     snapshot,
                     network,

@@ -303,7 +303,8 @@ def min_fraction(instance, allocation):
     achieved = pair_edr(instance, allocation)
     fractions = []
     for j, pid in enumerate(instance.pair_ids):
-        best = uncontended_max_edr(instance, j, include_reflection=False)
+        direct = {r: rate for r, rate in instance.routes.items() if r[1] is None and r[2] == j}
+        best = uncontended_max_edr(instance, direct)
         if best > 0:
             fractions.append(achieved[pid] / best)
     return min(fractions) if fractions else None

@@ -298,6 +298,74 @@ class TestCliExitCodes:
             scenario_from_dict(data)
 
 
+def one_error_line(capsys, command):
+    """The single stderr line of a failed command."""
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    (line,) = err.splitlines()
+    assert line.startswith(f"qsatnet {command}: error:")
+    return line
+
+
+class TestCliBadValues:
+    """A value of the wrong JSON type or a non-finite number ends in one
+    error line naming the field, flag or row, with exit code 1."""
+
+    @pytest.mark.parametrize(
+        "data, message",
+        [
+            ({"stations": 5}, "field stations: expected an array"),
+            ({"pairs": 5}, "field pairs: expected an array"),
+            ({"constellation": 5}, "field constellation: expected an object"),
+            ({"physics": 5}, "field physics: expected an object"),
+            ({"constellation": "ab"}, "field constellation: expected an object"),
+        ],
+    )
+    def test_validate_names_a_field_of_the_wrong_type(self, tmp_path, capsys, data, message):
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(data))
+        assert main(["validate", "--config", str(path)]) == 1
+        assert one_error_line(capsys, "validate").endswith(message)
+
+    @pytest.mark.parametrize("irradiance", ["nan", "inf"])
+    def test_validate_rejects_non_finite_irradiance(self, tmp_path, capsys, irradiance):
+        path = tmp_path / "weather.csv"
+        path.write_text(
+            "station_id,month,hour_utc,zenith_transmissivity,cloud_cover,"
+            "solar_irradiance_uW_cm2_sr_nm\n"
+            "new_york,6,0,0.9,0.1,1.5\n"
+            f"new_york,6,1,0.9,0.1,{irradiance}\n"
+        )
+        assert main(["validate", "--weather", str(path)]) == 1
+        line = one_error_line(capsys, "validate")
+        assert f"{path} row 3: solar irradiance {irradiance}" in line
+
+    @pytest.mark.parametrize(
+        "flags, named",
+        [
+            (["--altitude", "nan"], "--altitude nan"),
+            (["--baselines", "0:nan:250"], "baselines '0:nan:250'"),
+            (["--baselines", "0:inf:250"], "baselines '0:inf:250'"),
+        ],
+    )
+    def test_casestudy_rejects_non_finite_flags(self, tmp_path, capsys, flags, named):
+        out = tmp_path / "cs"
+        assert main(["casestudy", *flags, "--out", str(out)]) == 1
+        assert named in one_error_line(capsys, "casestudy")
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "flag, value",
+        [("--ns-min", "nan"), ("--ns-max", "inf"), ("--rep-rate", "inf"), ("--rep-rate", "nan")],
+    )
+    def test_linkbudget_rejects_non_finite_flags(self, tmp_path, capsys, flag, value):
+        out = tmp_path / "lb.csv"
+        assert main(["linkbudget", flag, value, "--out", str(out)]) == 1
+        line = one_error_line(capsys, "linkbudget")
+        assert f"{flag} {value}: expected a finite number" in line
+        assert not out.exists()
+
+
 class TestCliFileErrors:
     """An unreadable input or unwritable output ends in one error line
     naming the file, with exit code 1."""

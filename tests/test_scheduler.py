@@ -48,7 +48,6 @@ from qsatnet.scheduler import (
     solve_stmr,
     solve_stsr,
     uncontended_max_edr,
-    zero_allocation,
 )
 
 EARTH_RADIUS = 6371e3
@@ -136,14 +135,14 @@ def _feasible(instance, x_counts, y_counts):
     return True
 
 
-def _enumerate_allocations(instance, include_reflection):
+def _enumerate_allocations(instance, relayed):
     x_keys = [
         (i, j)
         for i in range(instance.num_sats)
         for j in range(instance.num_pairs)
         if instance.omega[i][j] > 0
     ]
-    y_keys = sorted(instance.nu) if (include_reflection and instance.nu) else []
+    y_keys = sorted(instance.nu) if (relayed and instance.nu) else []
     cap = max([1, *instance.sat_caps, *instance.pair_caps])
     ranges = [range(cap + 1)] * (len(x_keys) + len(y_keys))
     for values in itertools.product(*ranges):
@@ -155,9 +154,9 @@ def _enumerate_allocations(instance, include_reflection):
             yield x_counts, y_counts
 
 
-def brute_best_ratesum(instance, include_reflection):
+def brute_best_ratesum(instance, relayed):
     best = 0.0
-    for x_counts, y_counts in _enumerate_allocations(instance, include_reflection):
+    for x_counts, y_counts in _enumerate_allocations(instance, relayed):
         total = sum(instance.omega[i][j] * c for (i, j), c in x_counts.items())
         total += sum((instance.nu or {})[k] * c for k, c in y_counts.items())
         best = max(best, total)
@@ -260,7 +259,7 @@ def test_ratesum_matches_enumeration():
         inst = random_instance(rng)
         alloc = solve_primary_ratesum(inst)
         assert allocation_violations(inst, alloc) == []
-        expected = brute_best_ratesum(inst, include_reflection=False)
+        expected = brute_best_ratesum(inst, relayed=False)
         assert alloc.objective == pytest.approx(expected, abs=1e-9)
         solved += 1
     assert solved == 60
@@ -279,6 +278,15 @@ def direct_routes(inst):
     return {route: rate for route, rate in inst.routes.items() if route[1] is None}
 
 
+def pair_routes(routes, j):
+    """Pair j's routes of a route map, in route order."""
+    return {route: rate for route, rate in routes.items() if route[2] == j}
+
+
+def served_counts(allocation):
+    return dict(scheduler.served_routes(allocation))
+
+
 def test_maxmin_independent_pairs_floor():
     inst = make_instance(
         [[5.0, 0.0], [0.0, 3.0]],
@@ -286,42 +294,56 @@ def test_maxmin_independent_pairs_floor():
         4,
         sat_caps=(1, 1),
     )
-    alloc, floor = solve_one_shot_maxmin(inst, direct_routes(inst))
-    assert floor == pytest.approx(3.0)
-    assert alloc.x == ((1, 0), (0, 1))
+    counts, totals = solve_one_shot_maxmin(inst, direct_routes(inst))
+    assert min(totals.values()) == pytest.approx(3.0)
+    assert totals == {0: 5.0, 1: 3.0}
+    assert counts == {(0, None, 0): 1, (1, None, 1): 1}
 
 
 def test_maxmin_single_pair_equals_ratesum():
     rng = random.Random(5150)
     for _ in range(10):
         inst = random_instance(rng, max_pairs=1)
-        _, floor = solve_one_shot_maxmin(inst, direct_routes(inst))
-        assert floor == pytest.approx(
-            solve_primary_ratesum(inst).objective, abs=1e-9
-        )
+        _, totals = solve_one_shot_maxmin(inst, direct_routes(inst))
+        expected = solve_primary_ratesum(inst).objective
+        assert min(totals.values(), default=0.0) == pytest.approx(expected, abs=1e-9)
 
 
 def test_maxmin_zero_weights_gives_zero_allocation():
+    # no route carries a weight: nothing is counted and no pair has a total
     inst = make_instance([[0.0]], [(0, 1)], 2)
-    alloc, floor = solve_one_shot_maxmin(inst, direct_routes(inst))
-    assert floor == 0.0
-    assert alloc == zero_allocation(inst)
+    assert solve_one_shot_maxmin(inst, direct_routes(inst)) == ({}, {})
+    # routes without room count nothing, and each routed pair totals zero
+    inst = make_instance([[4.0, 2.0]], [(0, 1), (2, 3)], 4, sat_caps=(0,))
+    assert solve_one_shot_maxmin(inst, direct_routes(inst)) == ({}, {0: 0.0, 1: 0.0})
 
 
 def test_maxmin_matches_enumeration():
     rng = random.Random(9011)
     for _ in range(40):
         inst = random_instance(rng, max_sats=3, max_pairs=2)
-        _, floor = solve_one_shot_maxmin(inst, direct_routes(inst))
+        routes = direct_routes(inst)
+        counts, totals = solve_one_shot_maxmin(inst, routes)
         expected = brute_best_maxmin(inst, inst.omega, {})
-        assert floor == pytest.approx(expected, abs=1e-9)
+        assert min(totals.values(), default=0.0) == pytest.approx(expected, abs=1e-9)
+        assert set(totals) == {j for _, _, j in routes}
+        assert list(counts) == [route for route in routes if route in counts]
     relayed = 0
     for _ in range(60):
         inst = random_instance(rng, max_sats=3, max_pairs=2, reflection=True)
         relayed += inst.nu is not None
-        _, floor = solve_one_shot_maxmin(inst, inst.routes)
+        counts, totals = solve_one_shot_maxmin(inst, inst.routes)
         expected = brute_best_maxmin(inst, inst.omega, inst.nu or {})
-        assert floor == pytest.approx(expected, abs=1e-9)
+        assert min(totals.values(), default=0.0) == pytest.approx(expected, abs=1e-9)
+        # the counts fit the caps, and each total is its pair's weighted rate
+        allocation = scheduler._priced(inst, counts)
+        assert allocation_violations(inst, allocation) == []
+        assert totals == pytest.approx(
+            {
+                j: sum(inst.routes[r] * c for r, c in counts.items() if r[2] == j)
+                for j in totals
+            }
+        )
     assert relayed >= 20
 
 
@@ -337,21 +359,25 @@ def test_uncontended_uses_all_transmitters():
         gs_caps=(2, 2),
         pair_caps=(2,),
     )
-    assert uncontended_max_edr(inst, 0) == pytest.approx(8.0)
-    assert uncontended_max_edr(inst, "p0") == pytest.approx(8.0)
+    assert uncontended_max_edr(inst, pair_routes(inst.routes, 0)) == pytest.approx(8.0)
 
 
 def test_uncontended_ignores_other_pairs():
+    # the other pair's better route shares the only transmitter, but the
+    # pair is solved alone
     inst = make_instance(
         [[4.0, 9.0]],
         [(0, 1), (2, 3)],
         4,
         sat_caps=(1,),
     )
-    assert uncontended_max_edr(inst, 0) == pytest.approx(4.0)
+    assert uncontended_max_edr(inst, pair_routes(inst.routes, 0)) == pytest.approx(4.0)
+    assert uncontended_max_edr(inst, pair_routes(inst.routes, 1)) == pytest.approx(9.0)
 
 
-def test_uncontended_reflection_toggle():
+def test_ratefair_relay_only_pair_needs_the_reflection_policy():
+    # the pair's only route is relayed: primary rate-fair leaves it
+    # unserved, reflection rate-fair serves it
     inst = make_instance(
         [[0.0], [0.0]],
         [(0, 1)],
@@ -359,16 +385,11 @@ def test_uncontended_reflection_toggle():
         sat_caps=(1, 1),
         nu={(0, 1, 0): 7.0},
     )
-    assert uncontended_max_edr(inst, 0, include_reflection=True) == pytest.approx(7.0)
-    assert uncontended_max_edr(inst, 0, include_reflection=False) == 0.0
-
-
-def test_uncontended_rejects_unknown_pair_id():
-    inst = make_instance([[4.0]], [(0, 1)], 2)
-    with pytest.raises(ConfigurationError, match="no-such-pair"):
-        uncontended_max_edr(inst, "no-such-pair")
-    with pytest.raises(ConfigurationError, match="out of range"):
-        uncontended_max_edr(inst, 1)
+    primary = solve_primary_ratefair(inst)
+    assert (served_counts(primary), primary.objective) == ({}, 0.0)
+    reflection = solve_reflection_ratefair(inst)
+    assert served_counts(reflection) == {(0, 1, 0): 1}
+    assert reflection.objective == pytest.approx(7.0)
 
 
 def test_ratefair_normalizes_routes_by_uncontended_best(monkeypatch):
@@ -387,6 +408,84 @@ def test_ratefair_normalizes_routes_by_uncontended_best(monkeypatch):
     monkeypatch.setattr(scheduler, "solve_one_shot_maxmin", recorded)
     solve_primary_ratefair(inst)
     assert seen == [{(0, None, 0): 1.0, (1, None, 0): 0.5}]
+
+
+def _reduced_slots(policy, times):
+    """The reduced 4x10 scenario's instances for the given slots."""
+    config = apply_overrides(
+        default_scenario(),
+        {
+            "constellation.rings": "4",
+            "constellation.sats_per_ring": "10",
+            "slot_duration": "60",
+            "weather_seed": "23",
+            "num_slots": str(max(times) + 1),
+            "policy": policy,
+        },
+    )
+    env = simharness.resolve_weather(config)
+    network = simharness.build_network(config)
+    instances = []
+    for t in times:
+        snapshot = orbital.propagate(
+            config.constellation, config.stations, t, config.slot_duration
+        )
+        hour_utc = (t * config.slot_duration / 3600.0) % 24.0
+        weights = (build_reflection_weights, build_weights)[policy.startswith("primary")]
+        extra = () if policy.startswith("primary") else (config.mirror_efficiency,)
+        instances.append(
+            weights(
+                snapshot,
+                network,
+                config.physics,
+                env,
+                config.min_elevation,
+                config.fidelity_threshold,
+                *extra,
+                month=config.month,
+                hour_utc=hour_utc,
+            )
+        )
+    return instances
+
+
+@pytest.mark.parametrize(
+    "policy, solver, route_map",
+    [
+        ("primary_ratefair", solve_primary_ratefair, direct_routes),
+        ("reflection_ratefair", solve_reflection_ratefair, lambda inst: inst.routes),
+    ],
+    ids=["primary", "reflection"],
+)
+def test_uncontended_solves_run_only_for_routed_pairs(monkeypatch, policy, solver, route_map):
+    """Each routed pair's uncontended best is solved once, in ascending
+    pair order, over that pair's routes in route order."""
+    calls = []
+    real = scheduler.uncontended_max_edr
+
+    def recorded(instance, routes):
+        calls.append(list(routes.items()))
+        return real(instance, routes)
+
+    monkeypatch.setattr(scheduler, "uncontended_max_edr", recorded)
+    # the reduced slots give each routed pair one route; the random
+    # instances give pairs several, direct and relayed
+    rng = random.Random(1212)
+    instances = _reduced_slots(policy, range(0, 1440, 16)) + [
+        random_instance(rng, max_sats=4, max_pairs=4, reflection=True) for _ in range(20)
+    ]
+    relay_routes = routeless_pairs = multi_route_calls = 0
+    for inst in instances:
+        calls.clear()
+        solver(inst)
+        routes = route_map(inst)
+        routed = sorted({j for _, _, j in routes})
+        assert calls == [list(pair_routes(routes, j).items()) for j in routed]
+        relay_routes += sum(1 for _, k, _ in routes if k is not None)
+        routeless_pairs += inst.num_pairs - len(routed)
+        multi_route_calls += sum(1 for call in calls if len(call) > 1)
+    assert routeless_pairs > 0 and multi_route_calls > 0
+    assert (relay_routes > 0) == (policy == "reflection_ratefair")
 
 
 # --- rate-fair ---------------------------------------------------------------
@@ -409,7 +508,8 @@ def test_ratefair_lifts_worst_pair():
     assert fair.x == ((1, 1),)
     assert fair.objective == pytest.approx(11.0)
 
-    a_values = [uncontended_max_edr(inst, j, include_reflection=False) for j in (0, 1)]
+    direct = direct_routes(inst)
+    a_values = [uncontended_max_edr(inst, pair_routes(direct, j)) for j in (0, 1)]
 
     def min_fraction(alloc):
         rates = pair_edr(inst, alloc)
@@ -429,8 +529,9 @@ def test_ratefair_dominance_invariants():
         fair = solve_primary_ratefair(inst)
         assert allocation_violations(inst, fair) == []
         assert greedy.objective >= fair.objective - 1e-9
+        direct = direct_routes(inst)
         a_values = [
-            uncontended_max_edr(inst, j, include_reflection=False)
+            uncontended_max_edr(inst, pair_routes(direct, j))
             for j in range(inst.num_pairs)
         ]
         active = [j for j in range(inst.num_pairs) if a_values[j] > 0]
@@ -492,7 +593,7 @@ def test_reflection_ratesum_matches_enumeration():
         inst = random_instance(rng, max_sats=3, max_pairs=2, reflection=True)
         alloc = solve_reflection_ratesum(inst)
         assert allocation_violations(inst, alloc) == []
-        expected = brute_best_ratesum(inst, include_reflection=True)
+        expected = brute_best_ratesum(inst, relayed=True)
         assert alloc.objective == pytest.approx(expected, abs=1e-9)
 
 
