@@ -11,7 +11,8 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import fields
+from dataclasses import MISSING, fields
+from typing import Callable, NamedTuple
 
 from .errors import ConfigurationError, IngestionError
 from .linkphys import OpticsParams, SourceParams
@@ -28,37 +29,102 @@ DEFAULT_STATIONS = (
     GroundStation(id="sao_paulo", latitude=-23.5, longitude=-46.6, receiver_cap=10),
 )
 
-_CONSTELLATION_KEYS = {
-    "rings": int,
-    "sats_per_ring": int,
-    "altitude": float,
-    "epoch": float,
-}
-_SCALAR_KEYS = {
-    "slot_duration": float,
-    "num_slots": int,
-    "month": int,
-    "policy": str,
-    "min_elevation": float,
-    "fidelity_threshold": float,
-    "mirror_efficiency": float,
-    "transmitter_cap": int,
-    "reflector_cap": int,
-    "pair_cap": int,
-    "weather_csv": str,
-    "weather_seed": int,
-}
 
-# the fields that hold an object or an array of objects
-_NESTED_KEYS = {
-    "constellation": (dict, "an object"),
-    "physics": (dict, "an object"),
-    "stations": (list, "an array"),
-    "pairs": (list, "an array"),
-}
+def _fields_of(obj) -> dict:
+    return {f.name: getattr(obj, f.name) for f in fields(obj)}
+
+
+class _Table(NamedTuple):
+    """One scenario object: the kind of each field under its file name,
+    the defaults of its optional fields (a field without one is
+    required), the constructor that takes the fields, and the reverse."""
+
+    kinds: dict
+    defaults: dict
+    build: Callable
+    fields_of: Callable = _fields_of
+
+
+def _physics_to_dict(physics: PhysicsParams) -> dict:
+    """The physics fields under their scenario-file names: source, then
+    optics, then the detector and mirror fields."""
+    data = _fields_of(physics)
+    return {**_fields_of(data.pop("source")), **_fields_of(data.pop("optics")), **data}
+
+
+def _physics_from(**values) -> PhysicsParams:
+    source = {f.name: values.pop(f.name) for f in fields(SourceParams)}
+    optics = {f.name: values.pop(f.name) for f in fields(OpticsParams)}
+    return PhysicsParams(
+        source=SourceParams(**source), optics=OpticsParams(**optics), **values
+    )
+
+
+_CONSTELLATION = _Table(
+    {"rings": int, "sats_per_ring": int, "altitude": float, "epoch": float},
+    {"rings": 20, "sats_per_ring": 20, "altitude": 1000e3, "epoch": 0.0},
+    ConstellationConfig,
+)
+_STATION = _Table(
+    {"id": str, "latitude": float, "longitude": float, "receiver_cap": int},
+    {"receiver_cap": 10},
+    GroundStation,
+)
+_PAIR = _Table(
+    {"id": str, "station_a": str, "station_b": str, "pair_cap": int},
+    {"pair_cap": 10},
+    PairSpec,
+)
+_PHYSICS_DEFAULTS = _physics_to_dict(default_physics())
+_PHYSICS = _Table(
+    dict.fromkeys(_PHYSICS_DEFAULTS, float),
+    _PHYSICS_DEFAULTS,
+    _physics_from,
+    _physics_to_dict,
+)
+# a nested object's kind is its table, an array's a one-table list
+_SCENARIO = _Table(
+    {
+        "constellation": _CONSTELLATION,
+        "physics": _PHYSICS,
+        "stations": [_STATION],
+        "pairs": [_PAIR],
+        "slot_duration": float,
+        "num_slots": int,
+        "month": int,
+        "policy": str,
+        "min_elevation": float,
+        "fidelity_threshold": float,
+        "mirror_efficiency": float,
+        "transmitter_cap": int,
+        "reflector_cap": int,
+        "pair_cap": int,
+        "weather_csv": str,
+        "weather_seed": int,
+    },
+    {
+        "constellation": ConstellationConfig(**_CONSTELLATION.defaults),
+        "physics": default_physics(),
+        "stations": DEFAULT_STATIONS,
+        **{f.name: f.default for f in fields(ScenarioConfig) if f.default is not MISSING},
+    },
+    ScenarioConfig,
+)
+
+
+def _check_shape(name, value, kind):
+    if isinstance(kind, _Table) and not isinstance(value, dict):
+        raise ConfigurationError(f"field {name}: expected an object")
+    if isinstance(kind, list) and not isinstance(value, list):
+        raise ConfigurationError(f"field {name}: expected an array")
 
 
 def _coerce(name, value, kind):
+    _check_shape(name, value, kind)
+    if isinstance(kind, _Table):
+        return kind.build(**_fields_from(value, name, kind.kinds, kind.defaults))
+    if isinstance(kind, list):
+        return tuple(_coerce(f"{name}[{n}]", item, kind[0]) for n, item in enumerate(value))
     if kind is str:
         if not isinstance(value, str):
             raise ConfigurationError(f"field {name}: expected a string")
@@ -79,165 +145,55 @@ def _coerce(name, value, kind):
     return float(value)
 
 
-def _check_keys(data, allowed, context):
+def _fields_from(data: dict, context: str, kinds: dict, defaults: dict) -> dict:
+    """The fields of one object read through its table, named in errors
+    under context (the top level has none)."""
+    prefix = f"{context}." if context else ""
     for key in data:
-        if key not in allowed:
-            raise ConfigurationError(f"field {context}.{key}: unknown field")
-
-
-def _constellation_from(data: dict) -> ConstellationConfig:
-    _check_keys(data, _CONSTELLATION_KEYS, "constellation")
-    values = {"rings": 20, "sats_per_ring": 20, "altitude": 1000e3, "epoch": 0.0}
-    for key, kind in _CONSTELLATION_KEYS.items():
+        if key not in kinds:
+            raise ConfigurationError(f"field {prefix or 'scenario.'}{key}: unknown field")
+    for key in kinds:
+        if key not in data and key not in defaults:
+            raise ConfigurationError(f"field {prefix}{key}: required")
+    # every nested object and array has its shape checked before any is read
+    for key, kind in kinds.items():
         if key in data:
-            values[key] = _coerce(f"constellation.{key}", data[key], kind)
-    return ConstellationConfig(**values)
+            _check_shape(prefix + key, data[key], kind)
+    values = dict(defaults)
+    for key, kind in kinds.items():
+        if key not in data:
+            continue
+        # null stands for an absent field whose default is null
+        if data[key] is None and key in defaults and defaults[key] is None:
+            continue
+        values[key] = _coerce(prefix + key, data[key], kind)
+    return values
 
 
-def _fields_of(obj) -> dict:
-    return {f.name: getattr(obj, f.name) for f in fields(obj)}
-
-
-def _physics_to_dict(physics: PhysicsParams) -> dict:
-    """The physics fields under their scenario-file names: source, then
-    optics, then the detector and mirror fields."""
-    data = _fields_of(physics)
-    return {**_fields_of(data.pop("source")), **_fields_of(data.pop("optics")), **data}
-
-
-_PHYSICS_DEFAULTS = _physics_to_dict(default_physics())
-_PHYSICS_KEYS = dict.fromkeys(_PHYSICS_DEFAULTS, float)
-
-
-def _physics_from(data: dict) -> PhysicsParams:
-    _check_keys(data, _PHYSICS_KEYS, "physics")
-    values = dict(_PHYSICS_DEFAULTS)
-    for key, kind in _PHYSICS_KEYS.items():
-        if key in data:
-            values[key] = _coerce(f"physics.{key}", data[key], kind)
-    source = {f.name: values.pop(f.name) for f in fields(SourceParams)}
-    optics = {f.name: values.pop(f.name) for f in fields(OpticsParams)}
-    return PhysicsParams(
-        source=SourceParams(**source), optics=OpticsParams(**optics), **values
-    )
-
-
-def _stations_from(items) -> tuple[GroundStation, ...]:
-    stations = []
-    for idx, item in enumerate(items):
-        if not isinstance(item, dict):
-            raise ConfigurationError(f"field stations[{idx}]: expected an object")
-        allowed = {"id": str, "latitude": float, "longitude": float, "receiver_cap": int}
-        _check_keys(item, allowed, f"stations[{idx}]")
-        if "id" not in item or "latitude" not in item or "longitude" not in item:
-            raise ConfigurationError(
-                f"field stations[{idx}]: id, latitude, and longitude are required"
-            )
-        stations.append(
-            GroundStation(
-                id=_coerce(f"stations[{idx}].id", item["id"], str),
-                latitude=_coerce(f"stations[{idx}].latitude", item["latitude"], float),
-                longitude=_coerce(
-                    f"stations[{idx}].longitude", item["longitude"], float
-                ),
-                receiver_cap=_coerce(
-                    f"stations[{idx}].receiver_cap", item.get("receiver_cap", 10), int
-                ),
-            )
-        )
-    return tuple(stations)
-
-
-def _pairs_from(items) -> tuple[PairSpec, ...]:
-    pairs = []
-    for idx, item in enumerate(items):
-        if not isinstance(item, dict):
-            raise ConfigurationError(f"field pairs[{idx}]: expected an object")
-        allowed = {"id": str, "station_a": str, "station_b": str, "pair_cap": int}
-        _check_keys(item, allowed, f"pairs[{idx}]")
-        for required in ("id", "station_a", "station_b"):
-            if required not in item:
-                raise ConfigurationError(f"field pairs[{idx}].{required}: required")
-        pairs.append(
-            PairSpec(
-                id=_coerce(f"pairs[{idx}].id", item["id"], str),
-                station_a=_coerce(f"pairs[{idx}].station_a", item["station_a"], str),
-                station_b=_coerce(f"pairs[{idx}].station_b", item["station_b"], str),
-                pair_cap=_coerce(f"pairs[{idx}].pair_cap", item.get("pair_cap", 10), int),
-            )
-        )
-    return tuple(pairs)
+def _to_data(value, kind):
+    """The file form of a field: an object as a dict of its table's
+    fields, an array as a list of those."""
+    if isinstance(kind, list):
+        return [_to_data(item, kind[0]) for item in value]
+    if not isinstance(kind, _Table):
+        return value
+    values = kind.fields_of(value)
+    # a null or empty field reads back from its absence
+    return {
+        key: _to_data(values[key], sub)
+        for key, sub in kind.kinds.items()
+        if values[key] not in (None, ())
+    }
 
 
 def scenario_from_dict(data: dict) -> ScenarioConfig:
     if not isinstance(data, dict):
         raise ConfigurationError("scenario config must be a JSON object")
-    allowed = set(_SCALAR_KEYS) | set(_NESTED_KEYS)
-    _check_keys(data, allowed, "scenario")
-    for key, (kind, expected) in _NESTED_KEYS.items():
-        if key in data and not isinstance(data[key], kind):
-            raise ConfigurationError(f"field {key}: expected {expected}")
-
-    kwargs = {
-        "constellation": _constellation_from(data.get("constellation", {})),
-        "physics": _physics_from(data.get("physics", {})),
-        "stations": (
-            _stations_from(data["stations"]) if "stations" in data else DEFAULT_STATIONS
-        ),
-    }
-    if "pairs" in data:
-        kwargs["pairs"] = _pairs_from(data["pairs"])
-    for key, kind in _SCALAR_KEYS.items():
-        if key in data:
-            if key == "weather_csv" and data[key] is None:
-                continue
-            kwargs[key] = _coerce(key, data[key], kind)
-    return ScenarioConfig(**kwargs)
+    return ScenarioConfig(**_fields_from(data, "", _SCENARIO.kinds, _SCENARIO.defaults))
 
 
 def scenario_to_dict(config: ScenarioConfig) -> dict:
-    data = {
-        "constellation": {
-            "rings": config.constellation.rings,
-            "sats_per_ring": config.constellation.sats_per_ring,
-            "altitude": config.constellation.altitude,
-            "epoch": config.constellation.epoch,
-        },
-        "stations": [
-            {
-                "id": gs.id,
-                "latitude": gs.latitude,
-                "longitude": gs.longitude,
-                "receiver_cap": gs.receiver_cap,
-            }
-            for gs in config.stations
-        ],
-        "slot_duration": config.slot_duration,
-        "num_slots": config.num_slots,
-        "month": config.month,
-        "policy": config.policy,
-        "min_elevation": config.min_elevation,
-        "fidelity_threshold": config.fidelity_threshold,
-        "mirror_efficiency": config.mirror_efficiency,
-        "transmitter_cap": config.transmitter_cap,
-        "reflector_cap": config.reflector_cap,
-        "pair_cap": config.pair_cap,
-        "weather_seed": config.weather_seed,
-        "physics": _physics_to_dict(config.physics),
-    }
-    if config.pairs:
-        data["pairs"] = [
-            {
-                "id": p.id,
-                "station_a": p.station_a,
-                "station_b": p.station_b,
-                "pair_cap": p.pair_cap,
-            }
-            for p in config.pairs
-        ]
-    if config.weather_csv is not None:
-        data["weather_csv"] = config.weather_csv
-    return data
+    return _to_data(config, _SCENARIO)
 
 
 def load_scenario(path: str) -> ScenarioConfig:
@@ -271,24 +227,15 @@ def apply_overrides(config: ScenarioConfig, overrides: dict[str, str]) -> Scenar
     """
     data = scenario_to_dict(config)
     for key, raw in overrides.items():
-        if key in _SCALAR_KEYS:
-            kind = _SCALAR_KEYS[key]
-            target, field = data, key
-        elif key.startswith("constellation.") and key[14:] in _CONSTELLATION_KEYS:
-            kind = _CONSTELLATION_KEYS[key[14:]]
-            target, field = data["constellation"], key[14:]
-        elif key.startswith("physics.") and key[8:] in _PHYSICS_KEYS:
-            kind = _PHYSICS_KEYS[key[8:]]
-            target, field = data["physics"], key[8:]
-        else:
+        head, dot, name = key.rpartition(".")
+        table = _SCENARIO.kinds.get(head) if dot else _SCENARIO
+        kind = table.kinds.get(name) if isinstance(table, _Table) else None
+        if kind not in (str, int, float):
             raise ConfigurationError(f"field {key}: unknown override")
-        if kind is str:
-            target[field] = raw
-        else:
-            try:
-                target[field] = float(raw) if kind is float else int(raw)
-            except ValueError as exc:
-                raise ConfigurationError(
-                    f"field {key}: cannot parse {raw!r} as {kind.__name__}"
-                ) from exc
+        try:
+            (data[head] if dot else data)[name] = raw if kind is str else kind(raw)
+        except ValueError as exc:
+            raise ConfigurationError(
+                f"field {key}: cannot parse {raw!r} as {kind.__name__}"
+            ) from exc
     return scenario_from_dict(data)

@@ -59,6 +59,9 @@ class SourceParams:
     repetition_rate: float
 
     def __post_init__(self):
+        for name in ("mean_photon_number", "repetition_rate"):
+            if not math.isfinite(getattr(self, name)):
+                raise ConfigurationError(f"{name} {getattr(self, name)} must be finite")
         if self.mean_photon_number < 0:
             raise ConfigurationError("mean_photon_number must be >= 0")
         if self.repetition_rate <= 0:
@@ -113,7 +116,12 @@ def emission_prob(mean_photon_number: float, n: int) -> float:
     if n < 0:
         raise ConfigurationError("pair count must be >= 0")
     ns = mean_photon_number
-    return (n + 1) * ns**n / (ns + 1.0) ** (n + 2)
+    try:
+        return (n + 1) * ns**n / (ns + 1.0) ** (n + 2)
+    except OverflowError:
+        raise ConfigurationError(
+            f"mean_photon_number {ns}: emission probabilities overflow"
+        ) from None
 
 
 def emission_tail(mean_photon_number: float, max_pairs: int) -> float:

@@ -23,7 +23,6 @@ from .errors import (
     ConfigurationError,
     IngestionError,
     ModeError,
-    SizeLimitError,
     StructuralError,
     UnknownIdError,
 )
@@ -733,6 +732,8 @@ def solve_stsr(instance: SlotInstance) -> Allocation:
     With every cap at one, feasible allocations are exactly independent
     sets of the conflict graph whose vertices are positive-rate direct
     routes and whose edges join routes sharing a satellite or a station.
+    Above the exact search's vertex limit it raises SizeLimitError: it
+    checks the rate-sum MIP, so it must not fall back to it.
     """
     if any(c != 1 for c in instance.sat_caps) or any(
         c != 1 for c in instance.gs_caps
@@ -748,10 +749,7 @@ def solve_stsr(instance: SlotInstance) -> Allocation:
             iv, _, jv = vertices[v]
             if iu == iv or su & set(instance.pair_stations[jv]):
                 edges.append((u, v))
-    try:
-        selected, _ = mwis_exact(list(routes.values()), edges)
-    except SizeLimitError:
-        return solve_primary_ratesum(instance)
+    selected, _ = mwis_exact(list(routes.values()), edges)
     return _priced(instance, {vertices[v]: 1 for v in selected})
 
 
@@ -790,29 +788,32 @@ def solve_stmr(instance: SlotInstance) -> Allocation:
 
 def allocation_violations(instance: SlotInstance, allocation: Allocation) -> list[str]:
     """Independent integer-arithmetic feasibility check."""
-    messages = []
-    if len(allocation.x) != instance.num_sats or any(
-        len(row) != instance.num_pairs for row in allocation.x
-    ):
+    n_sat, n_pair = instance.num_sats, instance.num_pairs
+    if len(allocation.x) != n_sat or any(len(row) != n_pair for row in allocation.x):
         return ["allocation shape does not match the instance"]
-    for row in allocation.x:
-        for value in row:
+    messages = []
+    counts = []
+    for i, row in enumerate(allocation.x):
+        for j, value in enumerate(row):
             if value < 0 or value != int(value):
                 messages.append(f"direct count {value} is not a nonnegative integer")
-    source_load = [0] * instance.num_sats
-    relay_load = [0] * instance.num_sats
-    pair_load = [0] * instance.num_pairs
-    for i in range(instance.num_sats):
-        for j in range(instance.num_pairs):
-            source_load[i] += allocation.x[i][j]
-            pair_load[j] += allocation.x[i][j]
-    for (i, k, j, count) in allocation.y:
+            counts.append(((i, None, j), value))
+    for i, k, j, count in allocation.y:
         if count < 0 or count != int(count):
             messages.append(f"relay count {count} is not a nonnegative integer")
         if i == k:
             messages.append(f"self-relay allocation on satellite {i}")
+        if i in range(n_sat) and k in range(n_sat) and j in range(n_pair):
+            counts.append(((i, k, j), count))
+        else:
+            messages.append(f"relay entry {(i, k, j)} is out of range")
+    source_load = [0] * n_sat
+    relay_load = [0] * n_sat
+    pair_load = [0] * n_pair
+    for (i, k, j), count in counts:
         source_load[i] += count
-        relay_load[k] += count
+        if k is not None:
+            relay_load[k] += count
         pair_load[j] += count
     for i in range(instance.num_sats):
         if source_load[i] > instance.sat_caps[i]:
@@ -838,11 +839,7 @@ def allocation_violations(instance: SlotInstance, allocation: Allocation) -> lis
                 f"pair {instance.pair_ids[j]}: {pair_load[j]} connections exceed "
                 f"cap {instance.pair_caps[j]}"
             )
-    expected = sum(
-        instance.omega[i][j] * allocation.x[i][j]
-        for i in range(instance.num_sats)
-        for j in range(instance.num_pairs)
-    ) + sum((instance.nu or {}).get((i, k, j), 0.0) * c for i, k, j, c in allocation.y)
+    expected = sum(instance.routes.get(route, 0.0) * count for route, count in counts)
     if abs(expected - allocation.objective) > 1e-6 * max(1.0, abs(expected)):
         messages.append(
             f"objective {allocation.objective} differs from recomputed {expected}"

@@ -2,6 +2,7 @@ import csv
 import hashlib
 import json
 import os
+import re
 
 import pytest
 
@@ -143,6 +144,95 @@ class TestScenarioDict:
         assert scenario_to_dict(config)["physics"] == physics
         assert scenario_from_dict(scenario_to_dict(config)) == config
 
+    def test_every_other_field_round_trips_under_its_name(self):
+        # each constellation, station, pair and top-level field at a
+        # distinct non-default value, so a field written or read under
+        # another field's name shows
+        data = {
+            "constellation": {
+                "rings": 3,
+                "sats_per_ring": 7,
+                "altitude": 1.2e6,
+                "epoch": 45.0,
+            },
+            "stations": [
+                {"id": "a", "latitude": 12.5, "longitude": -33.0, "receiver_cap": 8},
+                {"id": "b", "latitude": -4.0, "longitude": 71.0, "receiver_cap": 9},
+            ],
+            "pairs": [{"id": "ab", "station_a": "a", "station_b": "b", "pair_cap": 2}],
+            "slot_duration": 30.0,
+            "num_slots": 12,
+            "month": 4,
+            "policy": "reflection_ratefair",
+            "min_elevation": 15.0,
+            "fidelity_threshold": 0.8,
+            "mirror_efficiency": 0.9,
+            "transmitter_cap": 5,
+            "reflector_cap": 6,
+            "pair_cap": 1,
+            "weather_csv": "weather.csv",
+            "weather_seed": 11,
+        }
+        config = scenario_from_dict(data)
+        for name, value in data["constellation"].items():
+            assert getattr(config.constellation, name) == value
+        for name, value in data["stations"][1].items():
+            assert getattr(config.stations[1], name) == value
+        for name, value in data["pairs"][0].items():
+            assert getattr(config.pairs[0], name) == value
+        scalars = {k: v for k, v in data.items() if not isinstance(v, (dict, list))}
+        for name, value in scalars.items():
+            assert getattr(config, name) == value
+        written = scenario_to_dict(config)
+        assert written.pop("physics") == scenario_to_dict(default_scenario())["physics"]
+        assert written == data
+        assert scenario_from_dict(written) == config
+
+    def test_omitted_caps_take_their_defaults(self):
+        config = scenario_from_dict(
+            {
+                "stations": [
+                    {"id": "a", "latitude": 0.0, "longitude": 0.0},
+                    {"id": "b", "latitude": 1.0, "longitude": 1.0},
+                ],
+                "pairs": [{"id": "ab", "station_a": "a", "station_b": "b"}],
+            }
+        )
+        assert [gs.receiver_cap for gs in config.stations] == [10, 10]
+        assert config.pairs[0].pair_cap == 10
+
+    @pytest.mark.parametrize(
+        "stations, pairs, message",
+        [
+            (
+                [{"id": "a", "latitude": 0.0}],
+                None,
+                "field stations[0].longitude: required",
+            ),
+            (
+                [{"id": "a", "latitude": 0.0, "longitude": 0.0}, {"latitude": 1.0}],
+                None,
+                "field stations[1].id: required",
+            ),
+            (
+                [{"id": "a", "latitude": 0.0, "longitude": 0.0, "height": 3.0}],
+                None,
+                "field stations[0].height: unknown field",
+            ),
+            (None, [{"id": "ab", "station_a": "a"}], "field pairs[0].station_b: required"),
+            (
+                None,
+                [{"id": "ab", "station_a": "a", "station_b": "b", "rate": 2}],
+                "field pairs[0].rate: unknown field",
+            ),
+        ],
+    )
+    def test_station_and_pair_field_errors(self, stations, pairs, message):
+        data = {"stations": stations} if stations else {"pairs": pairs}
+        with pytest.raises(ConfigurationError) as excinfo:
+            scenario_from_dict(data)
+        assert str(excinfo.value) == message
+
     def test_load_missing_file(self, tmp_path):
         with pytest.raises(IngestionError, match="cannot read"):
             load_scenario(str(tmp_path / "absent.json"))
@@ -174,6 +264,15 @@ class TestOverrides:
     def test_unknown_override_named(self):
         with pytest.raises(ConfigurationError, match="warp_factor"):
             apply_overrides(default_scenario(), {"warp_factor": "9"})
+
+    @pytest.mark.parametrize(
+        "key",
+        ["stations", "constellation", "physics.source", "constellation.earth_radius",
+         ".num_slots", "scenario.num_slots", "constellation.rings.x"],
+    )
+    def test_override_names_only_table_fields(self, key):
+        with pytest.raises(ConfigurationError, match=rf"field {re.escape(key)}: unknown override"):
+            apply_overrides(default_scenario(), {key: "3"})
 
     def test_unparseable_override_value(self):
         with pytest.raises(ConfigurationError, match="num_slots"):
@@ -352,6 +451,32 @@ class TestCliBadValues:
         out = tmp_path / "cs"
         assert main(["casestudy", *flags, "--out", str(out)]) == 1
         assert named in one_error_line(capsys, "casestudy")
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            # the grid's ratio 1e600 overflows, so the upper points are inf
+            (
+                ["--points", "3", "--ns-min", "1e-300", "--ns-max", "1e300"],
+                "mean_photon_number inf must be finite",
+            ),
+            (
+                ["--points", "2", "--ns-min", "1", "--ns-max", "1e150"],
+                "mean_photon_number 1e+150: emission probabilities overflow",
+            ),
+            (
+                ["--points", "1", "--ns-min", "1e100", "--ns-max", "1e100"],
+                "mean_photon_number 1e+100: emission probabilities overflow",
+            ),
+        ],
+    )
+    def test_linkbudget_rejects_unrepresentable_photon_numbers(
+        self, tmp_path, capsys, flags, message
+    ):
+        out = tmp_path / "lb.csv"
+        assert main(["linkbudget", *flags, "--out", str(out)]) == 1
+        assert one_error_line(capsys, "linkbudget").endswith(message)
         assert not out.exists()
 
     @pytest.mark.parametrize(

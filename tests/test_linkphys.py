@@ -297,3 +297,18 @@ def test_parameter_validation():
         emission_prob(0.1, -1)
     with pytest.raises(ConfigurationError):
         free_space_transmissivity(TABLE_OPTICS, 0.0)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_source_rejects_non_finite_values(value):
+    with pytest.raises(ConfigurationError, match="mean_photon_number .* must be finite"):
+        SourceParams(value, 1e9)
+    with pytest.raises(ConfigurationError, match="repetition_rate .* must be finite"):
+        SourceParams(0.1, value)
+
+
+@pytest.mark.parametrize("ns", [1e78, 1e150, 1e300])
+def test_overflowing_emission_is_a_configuration_error(ns):
+    # (ns + 1) ** 4 leaves the float range a little above ns = 1.3e77
+    with pytest.raises(ConfigurationError, match="emission probabilities overflow"):
+        end_to_end_outcome(SourceParams(ns, 1e9), ArmChannel(1.0, 0.0), ArmChannel(1.0, 0.0))

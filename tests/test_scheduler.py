@@ -20,6 +20,7 @@ from qsatnet.errors import (
     IngestionError,
     ModeError,
     SimulationError,
+    SizeLimitError,
     StructuralError,
     UnknownIdError,
 )
@@ -657,6 +658,17 @@ def test_stsr_matches_ratesum():
         )
 
 
+def test_stsr_refuses_instances_above_the_vertex_limit():
+    # 33 satellites each with a direct route to the one pair: one vertex
+    # over the exact search's limit, and the rate-sum MIP it checks would
+    # answer at once
+    inst = make_instance([[1.0]] * 33, [(0, 1)], 2, gs_caps=(1, 1))
+    assert len(inst.routes) == 33
+    assert solve_primary_ratesum(inst).objective == pytest.approx(1.0)
+    with pytest.raises(SizeLimitError, match="33 vertices"):
+        solve_stsr(inst)
+
+
 def test_stmr_matching_example():
     inst = make_instance(
         [[3.0, 1.0], [2.0, 4.0]],
@@ -1148,6 +1160,26 @@ def test_allocation_checker_flags_overload():
     bad = Allocation(x=((1, 1),), y=(), objective=2.0)
     messages = allocation_violations(inst, bad)
     assert any("exceed" in m for m in messages)
+
+
+def test_allocation_checker_reads_the_route_map_and_names_bad_relays(monkeypatch):
+    inst = make_instance(
+        [[1.0], [2.0]], [(0, 1)], 2, pair_caps=(2,), nu={(0, 1, 0): 4.0}
+    )
+
+    def refuse(instance):
+        raise AssertionError("dense view read by the allocation checker")
+
+    monkeypatch.setattr(SlotInstance, "omega", property(refuse))
+    monkeypatch.setattr(SlotInstance, "nu", property(refuse))
+    good = Allocation(x=((0,), (1,)), y=((0, 1, 0, 1),), objective=6.0)
+    assert allocation_violations(inst, good) == []
+    # -1 would index the last satellite and 5 past the end
+    for entry in ((0, -1, 0, 1), (0, 5, 0, 1)):
+        bad = Allocation(x=((0,), (0,)), y=(entry,), objective=0.0)
+        assert allocation_violations(inst, bad) == [
+            f"relay entry {entry[:3]} is out of range"
+        ]
 
 
 def test_allocation_json_shape():
