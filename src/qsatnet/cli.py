@@ -20,7 +20,8 @@ from .config import (
 )
 from .environment import load_weather, save_weather, synth_weather
 from .errors import ConfigurationError, QsatError
-from .linkphys import ArmChannel, rate_fidelity_curve
+from .linkphys import ArmChannel, end_to_end_outcome, rate_fidelity_curve
+from .orbital import EARTH_RADIUS
 from .simharness import (
     build_network,
     case_study,
@@ -56,28 +57,40 @@ def _require_finite(flag: str, value: float) -> None:
         raise ConfigurationError(f"{flag} {value}: expected a finite number")
 
 
+# the case study's baselines in km: two stations can lie at most half a
+# circumference apart, and each baseline costs a phase sweep
+MAX_BASELINE_KM = math.pi * EARTH_RADIUS / 1e3
+MAX_BASELINE_POINTS = 10_000
+
+
 def _parse_baseline_grid(text: str) -> list[float]:
+    """The START:STOP:STEP grid, bounded before any point is built."""
+
+    def bad(reason):
+        return ConfigurationError(f"--baselines {text!r}: {reason}")
+
     parts = text.split(":")
     if len(parts) != 3:
-        raise ConfigurationError(
-            f"baselines {text!r}: expected START:STOP:STEP in km"
-        )
+        raise bad("expected START:STOP:STEP in km")
     try:
         start, stop, step = (float(p) for p in parts)
     except ValueError:
-        raise ConfigurationError(
-            f"baselines {text!r}: expected numeric START:STOP:STEP"
-        ) from None
+        raise bad("expected numeric START:STOP:STEP") from None
     if not all(math.isfinite(v) for v in (start, stop, step)):
-        raise ConfigurationError(
-            f"baselines {text!r}: START, STOP and STEP must be finite"
-        )
+        raise bad("START, STOP and STEP must be finite")
     if step <= 0:
-        raise ConfigurationError(f"baselines {text!r}: step must be positive")
+        raise bad("step must be positive")
     if stop < start:
-        raise ConfigurationError(f"baselines {text!r}: stop below start")
-    count = int(math.floor((stop - start) / step + 1e-9)) + 1
-    return [start + i * step for i in range(count)]
+        raise bad("stop below start")
+    if start < 0:
+        raise bad("START must be nonnegative")
+    if stop >= MAX_BASELINE_KM:
+        raise bad(f"STOP must lie below pi * R_E = {MAX_BASELINE_KM:.3f} km")
+    # the point count is floor(span) + 1; span may overflow to inf
+    span = (stop - start) / step + 1e-9
+    if span >= MAX_BASELINE_POINTS:
+        raise bad(f"more than {MAX_BASELINE_POINTS} points")
+    return [start + i * step for i in range(math.floor(span) + 1)]
 
 
 def _cmd_simulate(args) -> int:
@@ -160,8 +173,12 @@ def _cmd_weather_synth(args) -> int:
 
 def _cmd_validate(args) -> int:
     config, _ = _load_with_overrides(args.config, None)
-    # the network checks that simulate runs before its first slot
+    # the network checks that simulate runs before its first slot, and
+    # the source priced on a lossless, noise-free link as every slot
+    # prices it
     build_network(config)
+    lossless = ArmChannel(transmissivity=1.0, dark_click_prob=0.0)
+    end_to_end_outcome(config.physics.source, lossless, lossless)
     checked = f"scenario ok ({len(config.stations)} stations, policy {config.policy})"
     if args.weather:
         table = load_weather(args.weather)

@@ -8,9 +8,10 @@ same relative geometry with less bookkeeping.
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
+from types import MappingProxyType
 
 import numpy as np
 
@@ -76,12 +77,65 @@ class ConstellationConfig:
         return list(constellation_ids(self.rings, self.sats_per_ring))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ConstellationSnapshot:
+    """Every position of one slot, one read-only ``(n, 3)`` array per kind.
+
+    Row n of ``sat_xyz`` is satellite ``sat_ids[n]`` and row n of ``gs_xyz``
+    is station ``station_ids[n]``.  ``sat_positions`` and ``gs_positions``
+    are id-keyed views of the same values for checks and oracles; the slot
+    pipeline reads the arrays.
+    """
+
     time: int
-    sat_positions: dict[str, Vec3]
-    gs_positions: dict[str, Vec3]
+    sat_ids: tuple[str, ...]
+    sat_xyz: np.ndarray
+    station_ids: tuple[str, ...]
+    gs_xyz: np.ndarray
     earth_radius: float
+
+    @classmethod
+    def from_positions(
+        cls,
+        time: int,
+        sat_positions: Mapping[str, Vec3],
+        gs_positions: Mapping[str, Vec3],
+        earth_radius: float,
+    ) -> ConstellationSnapshot:
+        """A snapshot of hand-placed positions, keyed by id in row order."""
+        return cls(
+            time=time,
+            sat_ids=tuple(sat_positions),
+            sat_xyz=_frozen_rows(list(sat_positions.values())),
+            station_ids=tuple(gs_positions),
+            gs_xyz=_frozen_rows(list(gs_positions.values())),
+            earth_radius=earth_radius,
+        )
+
+    @cached_property
+    def sat_row(self) -> dict[str, int]:
+        """Each satellite id mapped to its row; shared by every snapshot of
+        the same ids."""
+        return _row_index(self.sat_ids)
+
+    @cached_property
+    def station_row(self) -> dict[str, int]:
+        """Each station id mapped to its row."""
+        return _row_index(self.station_ids)
+
+    @cached_property
+    def sat_positions(self) -> Mapping[str, Vec3]:
+        """Read-only view: each satellite id mapped to its position."""
+        return MappingProxyType(
+            dict(zip(self.sat_ids, map(tuple, self.sat_xyz.tolist())))
+        )
+
+    @cached_property
+    def gs_positions(self) -> Mapping[str, Vec3]:
+        """Read-only view: each station id mapped to its position."""
+        return MappingProxyType(
+            dict(zip(self.station_ids, map(tuple, self.gs_xyz.tolist())))
+        )
 
 
 @dataclass(frozen=True)
@@ -132,6 +186,41 @@ def latlon_to_unit(latitude: float, longitude: float) -> Vec3:
     )
 
 
+def _frozen_rows(rows) -> np.ndarray:
+    """Positions as a read-only ``(n, 3)`` float array."""
+    xyz = np.array(rows, dtype=float).reshape(-1, 3)
+    xyz.flags.writeable = False
+    return xyz
+
+
+@lru_cache(maxsize=8)
+def _row_index(ids: tuple[str, ...]) -> dict[str, int]:
+    return {id_: n for n, id_ in enumerate(ids)}
+
+
+@lru_cache(maxsize=8)
+def _rings(rings: int, sats_per_ring: int) -> tuple[np.ndarray, ...]:
+    """The slot-independent terms of every satellite's position, one entry
+    per satellite in ``constellation_ids`` order: its ring's phase, its
+    phase within the ring, and the cosine and sine of its ring's node.
+
+    Ascending nodes split a half-circle evenly; ring ``r`` is phase-shifted
+    by r/(rings*sats) of a revolution so rings do not collide at the poles,
+    and its satellites are spaced evenly along it.
+    """
+    terms = []
+    for r in range(rings):
+        node = math.pi * r / rings
+        ring_phase = 2.0 * math.pi * r / (rings * sats_per_ring)
+        for s in range(sats_per_ring):
+            slot_phase = 2.0 * math.pi * s / sats_per_ring
+            terms.append((ring_phase, slot_phase, math.cos(node), math.sin(node)))
+    columns = tuple(np.array(column) for column in zip(*terms))
+    for column in columns:
+        column.flags.writeable = False
+    return columns
+
+
 def propagate(
     config: ConstellationConfig,
     stations: list[GroundStation],
@@ -140,10 +229,12 @@ def propagate(
 ) -> ConstellationSnapshot:
     """Positions of every satellite and station at slot ``t``.
 
-    Satellites ride circular polar orbits whose ascending nodes split a
-    half-circle evenly; ring ``r`` is phase-shifted by r/(rings*sats) of a
-    revolution so rings do not collide at the poles.  Stations spin about
-    the z axis; the constellation's own zero point is set by ``epoch``.
+    Satellites ride circular polar orbits (``_rings``); stations spin
+    about the z axis; the constellation's own zero point is set by
+    ``epoch``.  The satellites are placed in one numpy pass that keeps the
+    per-element operation order of the scalar formula, with the cosine and
+    sine of each argument taken from ``math``, so every coordinate has the
+    same bits as the scalar formula gives it.
     """
     if t < 0:
         raise ConfigurationError("slot index must be nonnegative")
@@ -153,46 +244,40 @@ def propagate(
     mean_motion = 2.0 * math.pi / config.orbital_period()
     sat_time = config.epoch + t * slot_duration
 
-    positions = []
-    for r in range(config.rings):
-        node = math.pi * r / config.rings
-        cos_node, sin_node = math.cos(node), math.sin(node)
-        ring_phase = 2.0 * math.pi * r / (config.rings * config.sats_per_ring)
-        for s in range(config.sats_per_ring):
-            u = (
-                mean_motion * sat_time
-                + ring_phase
-                + 2.0 * math.pi * s / config.sats_per_ring
-            )
-            cos_u, sin_u = math.cos(u), math.sin(u)
-            positions.append(
-                (
-                    orbit_radius * cos_u * cos_node,
-                    orbit_radius * cos_u * sin_node,
-                    orbit_radius * sin_u,
-                )
-            )
-    sat_positions: dict[str, Vec3] = dict(
-        zip(constellation_ids(config.rings, config.sats_per_ring), positions)
+    ring_phase, slot_phase, cos_node, sin_node = _rings(
+        config.rings, config.sats_per_ring
     )
+    u = (mean_motion * sat_time + ring_phase + slot_phase).tolist()
+    radial = orbit_radius * np.array(list(map(math.cos, u)))
+    sat_xyz = np.empty((len(u), 3))
+    sat_xyz[:, 0] = radial * cos_node
+    sat_xyz[:, 1] = radial * sin_node
+    sat_xyz[:, 2] = orbit_radius * np.array(list(map(math.sin, u)))
+    sat_xyz.flags.writeable = False
 
     spin = 2.0 * math.pi * (t * slot_duration) / config.earth_rotation_period
-    gs_positions: dict[str, Vec3] = {}
+    station_ids: dict[str, None] = {}
+    gs_rows = []
     for gs in stations:
-        if gs.id in gs_positions:
+        if gs.id in station_ids:
             raise ConfigurationError(f"duplicate ground station id {gs.id!r}")
+        station_ids[gs.id] = None
         lat = math.radians(gs.latitude)
         lon = math.radians(gs.longitude) + spin
-        gs_positions[gs.id] = (
-            config.earth_radius * math.cos(lat) * math.cos(lon),
-            config.earth_radius * math.cos(lat) * math.sin(lon),
-            config.earth_radius * math.sin(lat),
+        gs_rows.append(
+            (
+                config.earth_radius * math.cos(lat) * math.cos(lon),
+                config.earth_radius * math.cos(lat) * math.sin(lon),
+                config.earth_radius * math.sin(lat),
+            )
         )
 
     return ConstellationSnapshot(
         time=t,
-        sat_positions=sat_positions,
-        gs_positions=gs_positions,
+        sat_ids=constellation_ids(config.rings, config.sats_per_ring),
+        sat_xyz=sat_xyz,
+        station_ids=tuple(station_ids),
+        gs_xyz=_frozen_rows(gs_rows),
         earth_radius=config.earth_radius,
     )
 
@@ -200,11 +285,11 @@ def propagate(
 def link_geometry(snapshot: ConstellationSnapshot, sat: str, gs: str) -> LinkGeometry:
     """Elevation and slant range for one downlink."""
     try:
-        sat_pos = snapshot.sat_positions[sat]
+        sat_pos = snapshot.sat_xyz[snapshot.sat_row[sat]].tolist()
     except KeyError:
         raise UnknownIdError(f"unknown satellite id {sat!r}") from None
     try:
-        gs_pos = snapshot.gs_positions[gs]
+        gs_pos = snapshot.gs_xyz[snapshot.station_row[gs]].tolist()
     except KeyError:
         raise UnknownIdError(f"unknown ground station id {gs!r}") from None
 
@@ -217,6 +302,17 @@ def link_geometry(snapshot: ConstellationSnapshot, sat: str, gs: str) -> LinkGeo
     sin_e = max(-1.0, min(1.0, dot_gd / (station_radius * slant)))
     elevation = math.degrees(math.asin(sin_e))
     return LinkGeometry(elevation=elevation, slant_range=slant)
+
+
+def _rows_of(
+    xyz: np.ndarray, ids: tuple[str, ...], wanted: Sequence[str]
+) -> np.ndarray:
+    """The rows of ``wanted`` in that order, NaN for an id not in ``ids``."""
+    if tuple(wanted) == ids:
+        return xyz
+    row = _row_index(ids)
+    padded = np.vstack([xyz, np.full((1, 3), math.nan)])
+    return padded[[row.get(id_, len(ids)) for id_ in wanted]]
 
 
 def visible_links(
@@ -234,18 +330,17 @@ def visible_links(
     equals gating ``link_geometry`` on every cell, in ``sat_ids`` order.
     A cell the screen cannot evaluate (NaN, as for an unknown id) is
     passed on, so ``link_geometry`` raises there as it would unscreened.
+    The screen works one coordinate at a time, so each sum is added in
+    x, y, z order as in ``link_geometry``.
     """
-    unknown = (math.nan,) * 3
-    sats = np.array(
-        [snapshot.sat_positions.get(s, unknown) for s in sat_ids], dtype=float
-    ).reshape(-1, 3)
-    stations = np.array(
-        [snapshot.gs_positions.get(g, unknown) for g in station_ids], dtype=float
-    ).reshape(-1, 3)
-    d = sats[None, :, :] - stations[:, None, :]
-    slant = np.sqrt((d * d).sum(axis=2))
-    radius = np.sqrt((stations * stations).sum(axis=1))[:, None]
-    dot = (d * stations[:, None, :]).sum(axis=2)
+    sx, sy, sz = _rows_of(snapshot.sat_xyz, snapshot.sat_ids, sat_ids).T
+    gx, gy, gz = _rows_of(snapshot.gs_xyz, snapshot.station_ids, station_ids).T[
+        :, :, None
+    ]
+    dx, dy, dz = sx - gx, sy - gy, sz - gz
+    slant = np.sqrt(dx * dx + dy * dy + dz * dz)
+    radius = np.sqrt(gx * gx + gy * gy + gz * gz)
+    dot = dx * gx + dy * gy + dz * gz
     sin_mask = math.sin(math.radians(max(-90.0, min(90.0, min_elevation))))
     candidates = ~(dot < (sin_mask - SCREEN_MARGIN) * radius * slant)
 
@@ -271,6 +366,16 @@ def _segment_min_radius(p: Vec3, q: Vec3) -> float:
     return math.sqrt(cx * cx + cy * cy + cz * cz)
 
 
+def _sat_pair(
+    snapshot: ConstellationSnapshot, sat_a: str, sat_b: str
+) -> tuple[list[float], list[float]]:
+    row, xyz = snapshot.sat_row, snapshot.sat_xyz
+    try:
+        return xyz[row[sat_a]].tolist(), xyz[row[sat_b]].tolist()
+    except KeyError as exc:
+        raise UnknownIdError(f"unknown satellite id {exc.args[0]!r}") from None
+
+
 def inter_satellite_visible(
     snapshot: ConstellationSnapshot,
     sat_a: str,
@@ -278,23 +383,14 @@ def inter_satellite_visible(
     clearance: float = ISL_CLEARANCE,
 ) -> bool:
     """True when the sight line between two satellites clears the Earth."""
-    try:
-        p = snapshot.sat_positions[sat_a]
-        q = snapshot.sat_positions[sat_b]
-    except KeyError as exc:
-        raise UnknownIdError(f"unknown satellite id {exc.args[0]!r}") from None
+    p, q = _sat_pair(snapshot, sat_a, sat_b)
     return _segment_min_radius(p, q) >= snapshot.earth_radius + clearance
 
 
 def inter_satellite_distance(
     snapshot: ConstellationSnapshot, sat_a: str, sat_b: str
 ) -> float:
-    try:
-        p = snapshot.sat_positions[sat_a]
-        q = snapshot.sat_positions[sat_b]
-    except KeyError as exc:
-        raise UnknownIdError(f"unknown satellite id {exc.args[0]!r}") from None
-    return math.dist(p, q)
+    return math.dist(*_sat_pair(snapshot, sat_a, sat_b))
 
 
 def geodesic_distance(

@@ -6,6 +6,7 @@ import re
 
 import pytest
 
+from qsatnet import cli
 from qsatnet.cli import _parse_baseline_grid, main
 from qsatnet.config import (
     DEFAULT_STATIONS,
@@ -452,6 +453,54 @@ class TestCliBadValues:
         assert main(["casestudy", *flags, "--out", str(out)]) == 1
         assert named in one_error_line(capsys, "casestudy")
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "baselines, message",
+        [
+            # 10^9 points, all beyond the half circumference
+            ("0:1e9:1", "STOP must lie below pi * R_E = 20015.087 km"),
+            ("0:20015.09:250", "STOP must lie below pi * R_E = 20015.087 km"),
+            ("-1:3000:250", "START must be nonnegative"),
+            # 10^11 points, all in range
+            ("0:100:1e-9", "more than 10000 points"),
+            # the point count overflows to inf
+            ("0:100:1e-320", "more than 10000 points"),
+            ("0:10000:1", "more than 10000 points"),
+        ],
+    )
+    def test_casestudy_bounds_the_grid_before_building_it(
+        self, tmp_path, capsys, monkeypatch, baselines, message
+    ):
+        def refuse(*args, **kwargs):
+            raise AssertionError("case study run on an out-of-bounds grid")
+
+        monkeypatch.setattr(cli, "case_study", refuse)
+        out = tmp_path / "cs"
+        assert main(["casestudy", f"--baselines={baselines}", "--out", str(out)]) == 1
+        line = one_error_line(capsys, "casestudy")
+        assert line.endswith(f"--baselines {baselines!r}: {message}")
+        assert not out.exists()
+
+    def test_casestudy_takes_the_largest_grid_in_bounds(self, monkeypatch):
+        grids = []
+        monkeypatch.setattr(cli, "case_study", lambda grid, **kw: grids.append(grid) or [])
+        monkeypatch.setattr(cli, "write_case_study", lambda rows, path: None)
+        assert main(["casestudy", "--baselines", "0:9999:1", "--out", "unused"]) == 0
+        assert main(["casestudy", "--baselines", "20000:20015:5", "--out", "unused"]) == 0
+        assert grids[0] == [float(i) for i in range(10_000)]
+        assert grids[1] == [20000.0, 20005.0, 20010.0, 20015.0]
+
+    def test_validate_prices_the_scenario_source(self, tmp_path, capsys):
+        message = "mean_photon_number 1e+100: emission probabilities overflow"
+        path = tmp_path / "scenario.json"
+        path.write_text(
+            json.dumps({"physics": {"mean_photon_number": 1e100}, "num_slots": 2})
+        )
+        assert main(["validate", "--config", str(path)]) == 1
+        assert one_error_line(capsys, "validate").endswith(f"error: {message}")
+        out = tmp_path / "sim"
+        assert main(["simulate", "--config", str(path), "--out", str(out)]) == 1
+        assert one_error_line(capsys, "simulate").endswith(f"error: slot 0: {message}")
 
     @pytest.mark.parametrize(
         "flags, message",

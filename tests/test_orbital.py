@@ -41,6 +41,97 @@ def test_orbital_period_matches_kepler():
     assert cfg.orbital_period() == pytest.approx(6297.973631285823, abs=1e-6)
 
 
+def scalar_propagate(config, stations, t, slot_duration):
+    """Reference: each position from the closed form, one at a time."""
+    orbit_radius = config.earth_radius + config.altitude
+    mean_motion = 2.0 * math.pi / config.orbital_period()
+    sat_time = config.epoch + t * slot_duration
+    sats = []
+    for r in range(config.rings):
+        node = math.pi * r / config.rings
+        cos_node, sin_node = math.cos(node), math.sin(node)
+        ring_phase = 2.0 * math.pi * r / (config.rings * config.sats_per_ring)
+        for s in range(config.sats_per_ring):
+            u = (
+                mean_motion * sat_time
+                + ring_phase
+                + 2.0 * math.pi * s / config.sats_per_ring
+            )
+            cos_u, sin_u = math.cos(u), math.sin(u)
+            sats.append(
+                (
+                    orbit_radius * cos_u * cos_node,
+                    orbit_radius * cos_u * sin_node,
+                    orbit_radius * sin_u,
+                )
+            )
+    spin = 2.0 * math.pi * (t * slot_duration) / config.earth_rotation_period
+    stations_xyz = []
+    for gs in stations:
+        lat = math.radians(gs.latitude)
+        lon = math.radians(gs.longitude) + spin
+        stations_xyz.append(
+            (
+                config.earth_radius * math.cos(lat) * math.cos(lon),
+                config.earth_radius * math.cos(lat) * math.sin(lon),
+                config.earth_radius * math.sin(lat),
+            )
+        )
+    return sats, stations_xyz
+
+
+@pytest.mark.parametrize(
+    "config, slot_duration, slots",
+    [
+        # the default 20x20 constellation over a day of 10 s slots
+        (ConstellationConfig(20, 20, 1000e3), 10.0, range(0, 8640, 61)),
+        # the reduced 4x10 one over a day of 60 s slots, from an epoch
+        (ConstellationConfig(4, 10, 1000e3, epoch=1234.5), 60.0, range(0, 1440, 7)),
+        (single_sat_config(), 10.0, range(0, 8640, 97)),
+    ],
+    ids=["20x20", "4x10-epoch", "1x1"],
+)
+def test_propagate_matches_the_scalar_formula_bit_for_bit(config, slot_duration, slots):
+    stations = [
+        GroundStation("a", 40.7, -74.0, 1),
+        GroundStation("b", -33.9, 151.2, 1),
+        GroundStation("c", 90.0, -180.0, 1),
+    ]
+    for t in slots:
+        snap = propagate(config, stations, t, slot_duration)
+        sats, stations_xyz = scalar_propagate(config, stations, t, slot_duration)
+        assert snap.sat_ids == tuple(config.satellite_ids())
+        assert snap.station_ids == ("a", "b", "c")
+        # tolist gives back the stored doubles, so == compares bits
+        assert snap.sat_xyz.tolist() == [list(p) for p in sats]
+        assert snap.gs_xyz.tolist() == [list(p) for p in stations_xyz]
+        assert list(snap.sat_positions.values()) == sats
+
+
+def test_snapshot_arrays_and_views_are_read_only():
+    cfg = ConstellationConfig(rings=3, sats_per_ring=4, altitude=1000e3)
+    snap = propagate(cfg, [GroundStation("g", 10.0, 20.0, 1)], 3, 10.0)
+    assert snap.sat_xyz.shape == (12, 3) and snap.gs_xyz.shape == (1, 3)
+    for xyz in (snap.sat_xyz, snap.gs_xyz):
+        with pytest.raises(ValueError):
+            xyz[0, 0] = 0.0
+    with pytest.raises(TypeError):
+        snap.sat_positions["r00s00"] = (0.0, 0.0, 0.0)
+    with pytest.raises(TypeError):
+        snap.gs_positions["g"] = (0.0, 0.0, 0.0)
+    # the views hold the array rows, keyed in row order
+    assert list(snap.sat_positions) == list(snap.sat_ids)
+    assert list(snap.sat_positions.values()) == [tuple(p) for p in snap.sat_xyz.tolist()]
+    assert snap.gs_positions == {"g": tuple(snap.gs_xyz[0].tolist())}
+    # a hand-placed snapshot keeps its ids in the order given
+    placed = ConstellationSnapshot.from_positions(
+        0, {"b": (1.0, 2.0, 3.0), "a": (4.0, 5.0, 6.0)}, {}, R_E
+    )
+    assert placed.sat_ids == ("b", "a") and placed.station_ids == ()
+    assert placed.sat_xyz.tolist() == [[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]]
+    assert placed.gs_xyz.shape == (0, 3)
+
+
 def test_satellite_periodicity():
     cfg = ConstellationConfig(rings=3, sats_per_ring=4, altitude=1000e3)
     before = propagate(cfg, [], 0, 10.0)
@@ -143,7 +234,7 @@ def test_link_geometry_unknown_ids():
 
 def test_inter_satellite_identical_positions():
     pos = (R_E + 1000e3, 0.0, 0.0)
-    snap = ConstellationSnapshot(
+    snap = ConstellationSnapshot.from_positions(
         time=0,
         sat_positions={"a": pos, "b": pos},
         gs_positions={},

@@ -731,7 +731,7 @@ PHYSICS = PhysicsParams(
 
 def overhead_scene(altitude=1000e3, n_sats=1, eta=0.9, irradiance=0.0):
     top = (EARTH_RADIUS + altitude, 0.0, 0.0)
-    snapshot = ConstellationSnapshot(
+    snapshot = ConstellationSnapshot.from_positions(
         time=0,
         sat_positions={f"s{i}": top for i in range(n_sats)},
         gs_positions={"ga": (EARTH_RADIUS, 0.0, 0.0), "gb": (EARTH_RADIUS, 0.0, 0.0)},
@@ -787,7 +787,7 @@ def test_build_weights_fidelity_gate_records_chi():
 
 def test_build_weights_elevation_gate():
     snapshot, network, env = overhead_scene()
-    blocked = ConstellationSnapshot(
+    blocked = ConstellationSnapshot.from_positions(
         time=0,
         sat_positions={"s0": (-(EARTH_RADIUS + 1000e3), 0.0, 0.0)},
         gs_positions=snapshot.gs_positions,
@@ -802,7 +802,7 @@ def test_build_weights_missing_weather_only_matters_when_visible():
     empty = EnvironmentTable(records={})
     with pytest.raises(IngestionError, match="ga|gb"):
         build_weights(snapshot, network, PHYSICS, empty, 20.0, 0.85, month=6)
-    blocked = ConstellationSnapshot(
+    blocked = ConstellationSnapshot.from_positions(
         time=0,
         sat_positions={"s0": (-(EARTH_RADIUS + 1000e3), 0.0, 0.0)},
         gs_positions=snapshot.gs_positions,
@@ -1142,13 +1142,16 @@ def test_route_map_is_stored_in_route_order():
 
 def test_timed_pipeline_never_builds_the_dense_views(monkeypatch):
     """The policies, the metrics and the handovers read the route map
-    alone; the dense omega and nu views are for checks and oracles."""
+    alone, and the orbit layer its position arrays; the dense omega and nu
+    views and the id-keyed position views are for checks and oracles."""
 
     def refuse(instance):
         raise AssertionError("dense view read in the slot pipeline")
 
     monkeypatch.setattr(SlotInstance, "omega", property(refuse))
     monkeypatch.setattr(SlotInstance, "nu", property(refuse))
+    monkeypatch.setattr(ConstellationSnapshot, "sat_positions", property(refuse))
+    monkeypatch.setattr(ConstellationSnapshot, "gs_positions", property(refuse))
     config = replace(default_scenario(), num_slots=5)
     for policy in simharness.POLICIES:
         report = simharness.run(replace(config, policy=policy))
@@ -1309,7 +1312,7 @@ def _skies(draw):
             draw(st.floats(0.0, 360.0)),
             draw(st.floats(100e3, 3000e3)),
         )
-    snapshot = ConstellationSnapshot(
+    snapshot = ConstellationSnapshot.from_positions(
         time=0,
         sat_positions=sat_positions,
         gs_positions=gs_positions,
@@ -1331,14 +1334,21 @@ def test_screen_equals_brute_force_table(sky):
 
 def test_build_weights_unknown_ids_and_coincident_link():
     snapshot, network, env = overhead_scene(n_sats=2)
-    no_sat = replace(snapshot, sat_positions={"s0": snapshot.sat_positions["s0"]})
+    no_sat = ConstellationSnapshot.from_positions(
+        0, {"s0": snapshot.sat_positions["s0"]}, snapshot.gs_positions, EARTH_RADIUS
+    )
     with pytest.raises(UnknownIdError, match="unknown satellite id 's1'"):
         build_weights(no_sat, network, PHYSICS, env, 20.0, 0.85, month=6)
-    no_station = replace(snapshot, gs_positions={"ga": snapshot.gs_positions["ga"]})
+    no_station = ConstellationSnapshot.from_positions(
+        0, snapshot.sat_positions, {"ga": snapshot.gs_positions["ga"]}, EARTH_RADIUS
+    )
     with pytest.raises(UnknownIdError, match="unknown ground station id 'gb'"):
         build_weights(no_station, network, PHYSICS, env, 20.0, 0.85, month=6)
-    coincident = replace(
-        snapshot, sat_positions={"s0": (EARTH_RADIUS, 0.0, 0.0), "s1": (0.0, 0.0, 0.0)}
+    coincident = ConstellationSnapshot.from_positions(
+        0,
+        {"s0": (EARTH_RADIUS, 0.0, 0.0), "s1": (0.0, 0.0, 0.0)},
+        snapshot.gs_positions,
+        EARTH_RADIUS,
     )
     with pytest.raises(ConfigurationError, match="coincide"):
         build_weights(coincident, network, PHYSICS, env, 20.0, 0.85, month=6)
