@@ -58,9 +58,11 @@ def _require_finite(flag: str, value: float) -> None:
 
 
 # the case study's baselines in km: two stations can lie at most half a
-# circumference apart, and each baseline costs a phase sweep
+# circumference apart
 MAX_BASELINE_KM = math.pi * EARTH_RADIUS / 1e3
-MAX_BASELINE_POINTS = 10_000
+# points in a --baselines or --points grid; each is built as a list, and
+# each baseline costs a phase sweep
+MAX_GRID_POINTS = 10_000
 
 
 def _parse_baseline_grid(text: str) -> list[float]:
@@ -88,8 +90,8 @@ def _parse_baseline_grid(text: str) -> list[float]:
         raise bad(f"STOP must lie below pi * R_E = {MAX_BASELINE_KM:.3f} km")
     # the point count is floor(span) + 1; span may overflow to inf
     span = (stop - start) / step + 1e-9
-    if span >= MAX_BASELINE_POINTS:
-        raise bad(f"more than {MAX_BASELINE_POINTS} points")
+    if span >= MAX_GRID_POINTS:
+        raise bad(f"more than {MAX_GRID_POINTS} points")
     return [start + i * step for i in range(math.floor(span) + 1)]
 
 
@@ -134,8 +136,10 @@ def _cmd_linkbudget(args) -> int:
         ("--rep-rate", args.rep_rate),
     ):
         _require_finite(flag, value)
-    if args.points < 1:
-        raise ConfigurationError(f"points {args.points} must be at least 1")
+    if not 1 <= args.points <= MAX_GRID_POINTS:
+        raise ConfigurationError(
+            f"--points {args.points}: expected 1 to {MAX_GRID_POINTS} points"
+        )
     if args.ns_min <= 0 or args.ns_max <= 0:
         raise ConfigurationError("source power bounds must be positive")
     if args.ns_max < args.ns_min:

@@ -2,7 +2,9 @@
 
 Positions are Earth-centered Cartesian, in meters.  Earth rotation is
 applied to the ground stations rather than the satellites, which gives the
-same relative geometry with less bookkeeping.
+same relative geometry with less bookkeeping.  The Earth is one fixed
+sphere: its radius, rotation period and gravitational parameter are the
+module constants below.
 """
 
 from __future__ import annotations
@@ -12,6 +14,7 @@ from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from types import MappingProxyType
+from typing import ClassVar
 
 import numpy as np
 
@@ -57,24 +60,18 @@ class ConstellationConfig:
     sats_per_ring: int
     altitude: float
     epoch: float = 0.0
-    earth_radius: float = EARTH_RADIUS
-    earth_rotation_period: float = EARTH_ROTATION_PERIOD
-    gravitational_parameter: float = GRAVITATIONAL_PARAMETER
 
     def __post_init__(self) -> None:
         if self.rings < 1 or self.sats_per_ring < 1:
             raise ConfigurationError("constellation needs at least one ring and satellite")
-        if self.altitude <= 0 or self.earth_radius <= 0:
-            raise ConfigurationError("altitude and earth radius must be positive")
-        if self.earth_rotation_period <= 0 or self.gravitational_parameter <= 0:
-            raise ConfigurationError("rotation period and mu must be positive")
+        if self.altitude <= 0:
+            raise ConfigurationError("altitude must be positive")
 
-    def orbital_period(self) -> float:
-        semi_major = self.earth_radius + self.altitude
-        return 2.0 * math.pi * math.sqrt(semi_major**3 / self.gravitational_parameter)
 
-    def satellite_ids(self) -> list[str]:
-        return list(constellation_ids(self.rings, self.sats_per_ring))
+def orbital_period(altitude: float) -> float:
+    """Period of a circular orbit ``altitude`` above the surface."""
+    semi_major = EARTH_RADIUS + altitude
+    return 2.0 * math.pi * math.sqrt(semi_major**3 / GRAVITATIONAL_PARAMETER)
 
 
 @dataclass(frozen=True, eq=False)
@@ -92,7 +89,7 @@ class ConstellationSnapshot:
     sat_xyz: np.ndarray
     station_ids: tuple[str, ...]
     gs_xyz: np.ndarray
-    earth_radius: float
+    earth_radius: ClassVar[float] = EARTH_RADIUS
 
     @classmethod
     def from_positions(
@@ -100,7 +97,6 @@ class ConstellationSnapshot:
         time: int,
         sat_positions: Mapping[str, Vec3],
         gs_positions: Mapping[str, Vec3],
-        earth_radius: float,
     ) -> ConstellationSnapshot:
         """A snapshot of hand-placed positions, keyed by id in row order."""
         return cls(
@@ -109,7 +105,6 @@ class ConstellationSnapshot:
             sat_xyz=_frozen_rows(list(sat_positions.values())),
             station_ids=tuple(gs_positions),
             gs_xyz=_frozen_rows(list(gs_positions.values())),
-            earth_radius=earth_radius,
         )
 
     @cached_property
@@ -240,8 +235,8 @@ def propagate(
         raise ConfigurationError("slot index must be nonnegative")
     if slot_duration < 0:
         raise ConfigurationError("slot duration must be nonnegative")
-    orbit_radius = config.earth_radius + config.altitude
-    mean_motion = 2.0 * math.pi / config.orbital_period()
+    orbit_radius = EARTH_RADIUS + config.altitude
+    mean_motion = 2.0 * math.pi / orbital_period(config.altitude)
     sat_time = config.epoch + t * slot_duration
 
     ring_phase, slot_phase, cos_node, sin_node = _rings(
@@ -255,7 +250,7 @@ def propagate(
     sat_xyz[:, 2] = orbit_radius * np.array(list(map(math.sin, u)))
     sat_xyz.flags.writeable = False
 
-    spin = 2.0 * math.pi * (t * slot_duration) / config.earth_rotation_period
+    spin = 2.0 * math.pi * (t * slot_duration) / EARTH_ROTATION_PERIOD
     station_ids: dict[str, None] = {}
     gs_rows = []
     for gs in stations:
@@ -266,9 +261,9 @@ def propagate(
         lon = math.radians(gs.longitude) + spin
         gs_rows.append(
             (
-                config.earth_radius * math.cos(lat) * math.cos(lon),
-                config.earth_radius * math.cos(lat) * math.sin(lon),
-                config.earth_radius * math.sin(lat),
+                EARTH_RADIUS * math.cos(lat) * math.cos(lon),
+                EARTH_RADIUS * math.cos(lat) * math.sin(lon),
+                EARTH_RADIUS * math.sin(lat),
             )
         )
 
@@ -278,7 +273,6 @@ def propagate(
         sat_xyz=sat_xyz,
         station_ids=tuple(station_ids),
         gs_xyz=_frozen_rows(gs_rows),
-        earth_radius=config.earth_radius,
     )
 
 
@@ -384,7 +378,7 @@ def inter_satellite_visible(
 ) -> bool:
     """True when the sight line between two satellites clears the Earth."""
     p, q = _sat_pair(snapshot, sat_a, sat_b)
-    return _segment_min_radius(p, q) >= snapshot.earth_radius + clearance
+    return _segment_min_radius(p, q) >= EARTH_RADIUS + clearance
 
 
 def inter_satellite_distance(
@@ -393,9 +387,7 @@ def inter_satellite_distance(
     return math.dist(*_sat_pair(snapshot, sat_a, sat_b))
 
 
-def geodesic_distance(
-    gs_a: GroundStation, gs_b: GroundStation, earth_radius: float = EARTH_RADIUS
-) -> float:
+def geodesic_distance(gs_a: GroundStation, gs_b: GroundStation) -> float:
     """Great-circle distance between two stations on the sphere."""
     lat1, lon1 = math.radians(gs_a.latitude), math.radians(gs_a.longitude)
     lat2, lon2 = math.radians(gs_b.latitude), math.radians(gs_b.longitude)
@@ -408,12 +400,10 @@ def geodesic_distance(
     x = math.sin(lat1) * math.sin(lat2) + math.cos(lat1) * math.cos(lat2) * math.cos(
         dlon
     )
-    return earth_radius * math.atan2(y, x)
+    return EARTH_RADIUS * math.atan2(y, x)
 
 
-def visibility_half_width(
-    altitude: float, min_elevation: float, earth_radius: float = EARTH_RADIUS
-) -> float:
+def visibility_half_width(altitude: float, min_elevation: float) -> float:
     """Central angle (radians) within which a satellite clears ``min_elevation``.
 
     Closed form from the Earth-center / station / satellite triangle: the
@@ -425,25 +415,22 @@ def visibility_half_width(
     if not 0.0 <= min_elevation < 90.0:
         raise ConfigurationError("min elevation must lie in [0, 90)")
     e = math.radians(min_elevation)
-    rho = earth_radius / (earth_radius + altitude)
+    rho = EARTH_RADIUS / (EARTH_RADIUS + altitude)
     return math.pi / 2.0 - e - math.asin(rho * math.cos(e))
 
 
 def overhead_visibility_arcs(
-    baseline: float,
-    altitude: float,
-    min_elevation: float,
-    earth_radius: float = EARTH_RADIUS,
+    baseline: float, altitude: float, min_elevation: float
 ) -> OverheadArcs:
     """Visibility windows along one orbit passing over both stations.
 
     Station 2 sits at orbit angle 0 and station 1 at the baseline's central
     angle, so the windows are [-beta, beta] and [b - beta, b + beta].
     """
-    if baseline < 0 or baseline >= math.pi * earth_radius:
+    if baseline < 0 or baseline >= math.pi * EARTH_RADIUS:
         raise ConfigurationError("baseline must lie in [0, pi * earth_radius)")
-    beta = visibility_half_width(altitude, min_elevation, earth_radius)
-    b = baseline / earth_radius
+    beta = visibility_half_width(altitude, min_elevation)
+    b = baseline / EARTH_RADIUS
     g2L, g2R = -beta, beta
     g1L, g1R = b - beta, b + beta
     primary = (g1L, g2R) if g1L < g2R else None

@@ -234,14 +234,14 @@ def _weather_record(env, station_id, month, hour_utc):
         ) from exc
 
 
-def _arm_for(geom, record, physics, irradiance) -> ArmChannel:
+def _arm_for(geom, record, physics) -> ArmChannel:
     fs = free_space_transmissivity(physics.optics, geom.slant_range)
     atm = effective_transmissivity(record, geom.elevation)
     eta = arm_transmissivity(
         fs, atm, physics.optics.tx_efficiency, physics.optics.rx_efficiency
     )
     dark = dark_click_prob(
-        irradiance,
+        record.solar_irradiance,
         physics.detector_gate,
         physics.filter_bandwidth_nm,
         physics.field_of_view,
@@ -270,9 +270,7 @@ def _slot_links(snapshot, network, physics, env, min_elevation, month, hour_utc)
             if station_id not in records:
                 records[station_id] = _weather_record(env, station_id, month, hour_utc)
             record = records[station_id]
-            arms[key] = _arm_for(
-                links[station_id][sat_id], record, physics, record.solar_irradiance
-            )
+            arms[key] = _arm_for(links[station_id][sat_id], record, physics)
         return arms[key]
 
     return links, arm

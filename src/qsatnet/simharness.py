@@ -28,11 +28,11 @@ from .linkphys import (
 )
 from .orbital import (
     EARTH_RADIUS,
-    GRAVITATIONAL_PARAMETER,
     ISL_CLEARANCE,
     ConstellationConfig,
     GroundStation,
     constellation_ids,
+    orbital_period,
     overhead_visibility_arcs,
     propagate,
 )
@@ -281,8 +281,6 @@ def run(config: ScenarioConfig, env: EnvironmentTable | None = None) -> RunRepor
                 if previous_serving is not None
                 else 0
             )
-        except SimulationError:
-            raise
         except Exception as exc:
             raise SimulationError(t, str(exc)) from exc
         previous_serving = serving
@@ -321,14 +319,13 @@ class CaseStudyRow:
     ratio: float
 
 
-def _pass_geometry(central_angle, earth_radius, orbit_radius):
-    slant = math.sqrt(
-        earth_radius**2
+def _slant(central_angle, orbit_radius):
+    """Station-to-satellite distance at a central angle between them."""
+    return math.sqrt(
+        EARTH_RADIUS**2
         + orbit_radius**2
-        - 2.0 * earth_radius * orbit_radius * math.cos(central_angle)
+        - 2.0 * EARTH_RADIUS * orbit_radius * math.cos(central_angle)
     )
-    sin_elev = (orbit_radius * math.cos(central_angle) - earth_radius) / slant
-    return slant, sin_elev
 
 
 def _clean_arm(optics: OpticsParams, slant: float) -> ArmChannel:
@@ -337,32 +334,37 @@ def _clean_arm(optics: OpticsParams, slant: float) -> ArmChannel:
     return ArmChannel(transmissivity=eta, dark_click_prob=0.0)
 
 
-def _integrate_primary(arc, baseline_angle, physics, earth_radius, orbit_radius, rate):
-    if arc is None:
-        return 0.0
-    start, end = arc
-    duration = (end - start) / rate
+def _integrate_pass(lo, hi, rate, edr_at):
+    """Entangled bits delivered while the orbit angle sweeps [lo, hi] at
+    ``rate`` rad/s: the midpoint rule over steps of at most one second,
+    with ``edr_at(angle)`` the delivered rate at each midpoint."""
+    duration = (hi - lo) / rate
     if duration <= 0:
         return 0.0
     steps = max(1, math.ceil(duration))
     dt = duration / steps
     total = 0.0
     for m in range(steps):
-        theta = start + rate * dt * (m + 0.5)
-        slant_1, _ = _pass_geometry(theta - baseline_angle, earth_radius, orbit_radius)
-        slant_2, _ = _pass_geometry(theta, earth_radius, orbit_radius)
-        outcome = end_to_end_outcome(
-            physics.source,
-            _clean_arm(physics.optics, slant_1),
-            _clean_arm(physics.optics, slant_2),
-        )
-        total += outcome.edr * dt
+        total += edr_at(lo + rate * dt * (m + 0.5)) * dt
     return total
 
 
-def _integrate_reflection(
-    offset, baseline_angle, half_width, physics, mirror_efficiency,
-    earth_radius, orbit_radius, rate,
+def _primary_yield(arc, baseline_angle, physics, orbit_radius, rate):
+    """Pass yield of one satellite serving both stations over ``arc``."""
+    if arc is None:
+        return 0.0
+
+    def edr_at(theta):
+        arm1 = _clean_arm(physics.optics, _slant(theta - baseline_angle, orbit_radius))
+        arm2 = _clean_arm(physics.optics, _slant(theta, orbit_radius))
+        return end_to_end_outcome(physics.source, arm1, arm2).edr
+
+    return _integrate_pass(*arc, rate, edr_at)
+
+
+def _reflection_yield(
+    offset, baseline_angle, half_width, physics, hop_loss, mirror_efficiency,
+    orbit_radius, rate,
 ):
     """Pass yield for one source/relay phase offset.
 
@@ -377,28 +379,19 @@ def _integrate_reflection(
     if abs(relative) >= 2.0 * half_width:
         return 0.0
     # chord between the satellites must clear the planet
-    if orbit_radius * math.cos(wrapped / 2.0) < earth_radius + ISL_CLEARANCE:
+    if orbit_radius * math.cos(wrapped / 2.0) < EARTH_RADIUS + ISL_CLEARANCE:
         return 0.0
     lo = max(-half_width, -half_width - relative)
     hi = min(half_width, half_width - relative)
-    duration = (hi - lo) / rate
-    if duration <= 0:
-        return 0.0
-    hop = 2.0 * orbit_radius * abs(math.sin(wrapped / 2.0))
-    hop_fs = mirror_hop(physics)(hop)
-    steps = max(1, math.ceil(duration))
-    dt = duration / steps
-    total = 0.0
-    for m in range(steps):
-        gamma_src = lo + rate * dt * (m + 0.5)
-        slant_src, _ = _pass_geometry(gamma_src, earth_radius, orbit_radius)
-        slant_relay, _ = _pass_geometry(gamma_src + relative, earth_radius, orbit_radius)
-        arm_src = _clean_arm(physics.optics, slant_src)
-        arm_relay = _clean_arm(physics.optics, slant_relay)
+    hop_fs = hop_loss(2.0 * orbit_radius * abs(math.sin(wrapped / 2.0)))
+
+    def edr_at(gamma_src):
+        arm_src = _clean_arm(physics.optics, _slant(gamma_src, orbit_radius))
+        arm_relay = _clean_arm(physics.optics, _slant(gamma_src + relative, orbit_radius))
         arm1, arm2 = reflection_arms(arm_src, hop_fs, mirror_efficiency, arm_relay)
-        outcome = end_to_end_outcome(physics.source, arm1, arm2)
-        total += outcome.edr * dt
-    return total
+        return end_to_end_outcome(physics.source, arm1, arm2).edr
+
+    return _integrate_pass(lo, hi, rate, edr_at)
 
 
 def case_study(
@@ -407,7 +400,6 @@ def case_study(
     min_elevation: float = 20.0,
     physics: PhysicsParams | None = None,
     mirror_efficiency: float = 0.95,
-    earth_radius: float = EARTH_RADIUS,
 ) -> list[CaseStudyRow]:
     """Per-pass entangled-bit yield of one satellite versus a split pair.
 
@@ -419,31 +411,29 @@ def case_study(
     """
     if physics is None:
         physics = default_physics()
-    orbit_radius = earth_radius + altitude
-    period = 2.0 * math.pi * math.sqrt(orbit_radius**3 / GRAVITATIONAL_PARAMETER)
-    rate = 2.0 * math.pi / period
+    orbit_radius = EARTH_RADIUS + altitude
+    rate = 2.0 * math.pi / orbital_period(altitude)
+    hop_loss = mirror_hop(physics)
     rows = []
     for baseline_km in baselines_km:
         baseline = baseline_km * 1e3
-        arcs = overhead_visibility_arcs(
-            baseline, altitude, min_elevation, earth_radius
-        )
-        baseline_angle = baseline / earth_radius
-        primary = _integrate_primary(
-            arcs.primary_arc, baseline_angle, physics, earth_radius, orbit_radius, rate
+        arcs = overhead_visibility_arcs(baseline, altitude, min_elevation)
+        baseline_angle = baseline / EARTH_RADIUS
+        primary = _primary_yield(
+            arcs.primary_arc, baseline_angle, physics, orbit_radius, rate
         )
         reflection = 0.0
         for step in range(PHASE_SWEEP_POINTS):
             offset = 2.0 * math.pi * step / (PHASE_SWEEP_POINTS - 1)
             reflection = max(
                 reflection,
-                _integrate_reflection(
+                _reflection_yield(
                     offset,
                     baseline_angle,
                     arcs.half_width,
                     physics,
+                    hop_loss,
                     mirror_efficiency,
-                    earth_radius,
                     orbit_radius,
                     rate,
                 ),

@@ -3,10 +3,12 @@ import hashlib
 import json
 import os
 import re
+from dataclasses import fields, is_dataclass
 
 import pytest
 
 from qsatnet import cli
+from qsatnet import config as config_mod
 from qsatnet.cli import _parse_baseline_grid, main
 from qsatnet.config import (
     DEFAULT_STATIONS,
@@ -18,7 +20,9 @@ from qsatnet.config import (
     scenario_to_dict,
 )
 from qsatnet.errors import ConfigurationError, IngestionError
+from qsatnet.orbital import ConstellationConfig, GroundStation
 from qsatnet.scheduler import PairSpec, default_physics
+from qsatnet.simharness import ScenarioConfig
 
 
 def small_scenario_dict():
@@ -188,6 +192,28 @@ class TestScenarioDict:
         assert written.pop("physics") == scenario_to_dict(default_scenario())["physics"]
         assert written == data
         assert scenario_from_dict(written) == config
+
+    @pytest.mark.parametrize(
+        "cls, table",
+        [
+            (ConstellationConfig, config_mod._CONSTELLATION),
+            (GroundStation, config_mod._STATION),
+            (PairSpec, config_mod._PAIR),
+            (ScenarioConfig, config_mod._SCENARIO),
+        ],
+        ids=["constellation", "station", "pair", "scenario"],
+    )
+    def test_every_config_field_is_a_scenario_field(self, cls, table):
+        # a field no scenario file can reach is a knob nothing turns
+        assert {f.name for f in fields(cls)} == set(table.kinds)
+
+    def test_every_physics_field_is_a_scenario_field(self):
+        physics = default_physics()
+        flat = []
+        for f in fields(physics):
+            value = getattr(physics, f.name)
+            flat += [sub.name for sub in fields(value)] if is_dataclass(value) else [f.name]
+        assert sorted(flat) == sorted(config_mod._PHYSICS.kinds)
 
     def test_omitted_caps_take_their_defaults(self):
         config = scenario_from_dict(
@@ -631,6 +657,13 @@ PINNED_DIGESTS = {
 }
 
 
+# SHA-256 of case_study.csv for --baselines 0:500:250, under the same
+# libm caveat as PINNED_DIGESTS
+PINNED_CASE_STUDY_DIGEST = (
+    "92a3e93a6aead605186ddbd0c54f65c32c68456f56703f7cb46c3063a2efc0d0"
+)
+
+
 class TestCliSimulate:
     def test_simulate_writes_outputs(self, tmp_path, capsys):
         config = write_small_config(tmp_path)
@@ -773,6 +806,13 @@ class TestCliCaseStudy:
             assert float(row["primary_edr"]) > 0
             assert float(row["reflection_edr"]) > 0
 
+    def test_output_matches_pinned_digest(self, tmp_path, capsys):
+        out = str(tmp_path / "cs")
+        assert main(["casestudy", "--baselines", "0:500:250", "--out", out]) == 0
+        capsys.readouterr()
+        path = os.path.join(out, "case_study.csv")
+        assert hashlib.sha256(read_bytes(path)).hexdigest() == PINNED_CASE_STUDY_DIGEST
+
     def test_bad_grid_exits_one(self, tmp_path, capsys):
         out = str(tmp_path / "cs")
         assert main(["casestudy", "--baselines", "0:10", "--out", out]) == 1
@@ -812,6 +852,29 @@ class TestCliLinkBudget:
         out = str(tmp_path / "lb.csv")
         assert main(["linkbudget", "--points", "0", "--out", out]) == 1
         capsys.readouterr()
+
+    @pytest.mark.parametrize("points", ["0", "10001"])
+    def test_linkbudget_bounds_the_grid_before_building_it(
+        self, tmp_path, capsys, monkeypatch, points
+    ):
+        def refuse(*args, **kwargs):
+            raise AssertionError("link budget run on an out-of-bounds grid")
+
+        monkeypatch.setattr(cli, "rate_fidelity_curve", refuse)
+        out = tmp_path / "lb.csv"
+        assert main(["linkbudget", "--points", points, "--out", str(out)]) == 1
+        line = one_error_line(capsys, "linkbudget")
+        assert line.endswith(f"--points {points}: expected 1 to 10000 points")
+        assert not out.exists()
+
+    def test_linkbudget_takes_the_largest_grid_in_bounds(self, tmp_path, monkeypatch):
+        grids = []
+        monkeypatch.setattr(
+            cli, "rate_fidelity_curve", lambda grid, *a, **kw: grids.append(grid) or []
+        )
+        out = str(tmp_path / "lb.csv")
+        assert main(["linkbudget", "--points", "10000", "--out", out]) == 0
+        assert len(grids[0]) == 10_000
 
 
 @pytest.mark.parametrize(

@@ -5,14 +5,18 @@ import random
 
 import pytest
 
+from qsatnet import orbital
 from qsatnet.errors import ConfigurationError, UnknownIdError
 from qsatnet.orbital import (
+    EARTH_ROTATION_PERIOD,
     ConstellationConfig,
     ConstellationSnapshot,
     GroundStation,
+    constellation_ids,
     geodesic_distance,
     inter_satellite_visible,
     link_geometry,
+    orbital_period,
     overhead_visibility_arcs,
     propagate,
     satellite_id,
@@ -35,16 +39,15 @@ def elevation_from_central_angle(gamma, altitude, earth_radius=R_E):
 
 
 def test_orbital_period_matches_kepler():
-    cfg = single_sat_config()
     independent = 2 * math.pi * math.sqrt((R_E + 1000e3) ** 3 / 3.986e14)
-    assert cfg.orbital_period() == pytest.approx(independent, rel=1e-12)
-    assert cfg.orbital_period() == pytest.approx(6297.973631285823, abs=1e-6)
+    assert orbital_period(1000e3) == pytest.approx(independent, rel=1e-12)
+    assert orbital_period(1000e3) == pytest.approx(6297.973631285823, abs=1e-6)
 
 
 def scalar_propagate(config, stations, t, slot_duration):
     """Reference: each position from the closed form, one at a time."""
-    orbit_radius = config.earth_radius + config.altitude
-    mean_motion = 2.0 * math.pi / config.orbital_period()
+    orbit_radius = R_E + config.altitude
+    mean_motion = 2.0 * math.pi / orbital_period(config.altitude)
     sat_time = config.epoch + t * slot_duration
     sats = []
     for r in range(config.rings):
@@ -65,16 +68,16 @@ def scalar_propagate(config, stations, t, slot_duration):
                     orbit_radius * sin_u,
                 )
             )
-    spin = 2.0 * math.pi * (t * slot_duration) / config.earth_rotation_period
+    spin = 2.0 * math.pi * (t * slot_duration) / EARTH_ROTATION_PERIOD
     stations_xyz = []
     for gs in stations:
         lat = math.radians(gs.latitude)
         lon = math.radians(gs.longitude) + spin
         stations_xyz.append(
             (
-                config.earth_radius * math.cos(lat) * math.cos(lon),
-                config.earth_radius * math.cos(lat) * math.sin(lon),
-                config.earth_radius * math.sin(lat),
+                R_E * math.cos(lat) * math.cos(lon),
+                R_E * math.cos(lat) * math.sin(lon),
+                R_E * math.sin(lat),
             )
         )
     return sats, stations_xyz
@@ -100,7 +103,7 @@ def test_propagate_matches_the_scalar_formula_bit_for_bit(config, slot_duration,
     for t in slots:
         snap = propagate(config, stations, t, slot_duration)
         sats, stations_xyz = scalar_propagate(config, stations, t, slot_duration)
-        assert snap.sat_ids == tuple(config.satellite_ids())
+        assert snap.sat_ids == constellation_ids(config.rings, config.sats_per_ring)
         assert snap.station_ids == ("a", "b", "c")
         # tolist gives back the stored doubles, so == compares bits
         assert snap.sat_xyz.tolist() == [list(p) for p in sats]
@@ -125,7 +128,7 @@ def test_snapshot_arrays_and_views_are_read_only():
     assert snap.gs_positions == {"g": tuple(snap.gs_xyz[0].tolist())}
     # a hand-placed snapshot keeps its ids in the order given
     placed = ConstellationSnapshot.from_positions(
-        0, {"b": (1.0, 2.0, 3.0), "a": (4.0, 5.0, 6.0)}, {}, R_E
+        0, {"b": (1.0, 2.0, 3.0), "a": (4.0, 5.0, 6.0)}, {}
     )
     assert placed.sat_ids == ("b", "a") and placed.station_ids == ()
     assert placed.sat_xyz.tolist() == [[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]]
@@ -135,20 +138,18 @@ def test_snapshot_arrays_and_views_are_read_only():
 def test_satellite_periodicity():
     cfg = ConstellationConfig(rings=3, sats_per_ring=4, altitude=1000e3)
     before = propagate(cfg, [], 0, 10.0)
-    after = propagate(cfg, [], 1, cfg.orbital_period())
-    for sid in cfg.satellite_ids():
+    after = propagate(cfg, [], 1, orbital_period(cfg.altitude))
+    for sid in constellation_ids(3, 4):
         assert math.dist(before.sat_positions[sid], after.sat_positions[sid]) < 1e-6
 
 
 def test_propagate_keys_satellites_by_cached_ids(monkeypatch):
     """Positions are keyed ring by ring, and the ids are formatted once per
     constellation shape, not once per slot."""
-    from qsatnet import orbital
-
     cfg = ConstellationConfig(rings=3, sats_per_ring=4, altitude=1000e3)
     first = propagate(cfg, [], 0, 10.0)
     expected = [satellite_id(r, s) for r in range(3) for s in range(4)]
-    assert list(first.sat_positions) == expected == cfg.satellite_ids()
+    assert list(first.sat_positions) == expected == list(constellation_ids(3, 4))
 
     def formatted(ring, slot):
         raise AssertionError("satellite ids formatted again")
@@ -162,7 +163,7 @@ def test_station_periodicity_over_one_rotation():
     cfg = single_sat_config()
     gs = [GroundStation("g", 40.7, -74.0, 10)]
     before = propagate(cfg, gs, 0, 10.0)
-    after = propagate(cfg, gs, 1, cfg.earth_rotation_period)
+    after = propagate(cfg, gs, 1, EARTH_ROTATION_PERIOD)
     assert math.dist(before.gs_positions["g"], after.gs_positions["g"]) < 1e-6
 
 
@@ -208,12 +209,11 @@ def test_elevation_matches_planar_oracle():
         assert geom.elevation == pytest.approx(expected, abs=1e-9)
 
 
-def test_elevation_continuity_along_pass():
+def test_elevation_continuity_along_pass(monkeypatch):
     # Default operating point; station sits in the orbit plane so the pass
-    # crosses zenith, the steepest case.
-    cfg = ConstellationConfig(
-        rings=1, sats_per_ring=1, altitude=1000e3, earth_rotation_period=1e18
-    )
+    # crosses zenith, the steepest case.  The Earth is frozen in place.
+    monkeypatch.setattr(orbital, "EARTH_ROTATION_PERIOD", 1e18)
+    cfg = ConstellationConfig(rings=1, sats_per_ring=1, altitude=1000e3)
     gs = [GroundStation("g", 0.0, 0.0, 1)]
     elevations = []
     for t in range(0, 640):
@@ -238,7 +238,6 @@ def test_inter_satellite_identical_positions():
         time=0,
         sat_positions={"a": pos, "b": pos},
         gs_positions={},
-        earth_radius=R_E,
     )
     assert inter_satellite_visible(snap, "a", "b", 0.0)
 
@@ -264,7 +263,7 @@ def test_inter_satellite_adjacent_in_ring():
 def test_inter_satellite_symmetry():
     cfg = ConstellationConfig(rings=4, sats_per_ring=5, altitude=800e3)
     snap = propagate(cfg, [], 7, 10.0)
-    ids = cfg.satellite_ids()
+    ids = constellation_ids(4, 5)
     rng = random.Random(3)
     for _ in range(50):
         a, b = rng.choice(ids), rng.choice(ids)

@@ -735,7 +735,6 @@ def overhead_scene(altitude=1000e3, n_sats=1, eta=0.9, irradiance=0.0):
         time=0,
         sat_positions={f"s{i}": top for i in range(n_sats)},
         gs_positions={"ga": (EARTH_RADIUS, 0.0, 0.0), "gb": (EARTH_RADIUS, 0.0, 0.0)},
-        earth_radius=EARTH_RADIUS,
     )
     # every cap at one
     network = SlotInstance(
@@ -791,7 +790,6 @@ def test_build_weights_elevation_gate():
         time=0,
         sat_positions={"s0": (-(EARTH_RADIUS + 1000e3), 0.0, 0.0)},
         gs_positions=snapshot.gs_positions,
-        earth_radius=EARTH_RADIUS,
     )
     inst = build_weights(blocked, network, PHYSICS, env, 20.0, 0.85, month=6)
     assert inst.omega[0][0] == 0.0
@@ -806,7 +804,6 @@ def test_build_weights_missing_weather_only_matters_when_visible():
         time=0,
         sat_positions={"s0": (-(EARTH_RADIUS + 1000e3), 0.0, 0.0)},
         gs_positions=snapshot.gs_positions,
-        earth_radius=EARTH_RADIUS,
     )
     inst = build_weights(blocked, network, PHYSICS, empty, 20.0, 0.85, month=6)
     assert all(v == 0.0 for row in inst.omega for v in row)
@@ -882,9 +879,7 @@ def _scalar_direct_omega(snapshot, network, config, env, hour_utc):
         for sat_id in network.sat_ids:
             geom = orbital.link_geometry(snapshot, sat_id, station_id)
             if geom.elevation >= config.min_elevation:
-                arms[(sat_id, station_id)] = scheduler._arm_for(
-                    geom, record, physics, record.solar_irradiance
-                )
+                arms[(sat_id, station_id)] = scheduler._arm_for(geom, record, physics)
     omega = [[0.0] * len(network.pair_ids) for _ in network.sat_ids]
     for i, sat_id in enumerate(network.sat_ids):
         for j, (a, b) in enumerate(network.pair_stations):
@@ -1316,7 +1311,6 @@ def _skies(draw):
         time=0,
         sat_positions=sat_positions,
         gs_positions=gs_positions,
-        earth_radius=EARTH_RADIUS,
     )
     sat_ids = draw(st.permutations(sorted(sat_positions)))
     return snapshot, sat_ids, sorted(gs_positions), mask
@@ -1335,12 +1329,12 @@ def test_screen_equals_brute_force_table(sky):
 def test_build_weights_unknown_ids_and_coincident_link():
     snapshot, network, env = overhead_scene(n_sats=2)
     no_sat = ConstellationSnapshot.from_positions(
-        0, {"s0": snapshot.sat_positions["s0"]}, snapshot.gs_positions, EARTH_RADIUS
+        0, {"s0": snapshot.sat_positions["s0"]}, snapshot.gs_positions
     )
     with pytest.raises(UnknownIdError, match="unknown satellite id 's1'"):
         build_weights(no_sat, network, PHYSICS, env, 20.0, 0.85, month=6)
     no_station = ConstellationSnapshot.from_positions(
-        0, snapshot.sat_positions, {"ga": snapshot.gs_positions["ga"]}, EARTH_RADIUS
+        0, snapshot.sat_positions, {"ga": snapshot.gs_positions["ga"]}
     )
     with pytest.raises(UnknownIdError, match="unknown ground station id 'gb'"):
         build_weights(no_station, network, PHYSICS, env, 20.0, 0.85, month=6)
@@ -1348,7 +1342,6 @@ def test_build_weights_unknown_ids_and_coincident_link():
         0,
         {"s0": (EARTH_RADIUS, 0.0, 0.0), "s1": (0.0, 0.0, 0.0)},
         snapshot.gs_positions,
-        EARTH_RADIUS,
     )
     with pytest.raises(ConfigurationError, match="coincide"):
         build_weights(coincident, network, PHYSICS, env, 20.0, 0.85, month=6)
