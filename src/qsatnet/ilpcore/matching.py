@@ -1,14 +1,69 @@
-"""Maximum-weight bipartite matching via shortest augmenting paths."""
+"""Maximum-weight flow through one bipartite layer, and matching as its
+unit-capacity case."""
 
 from __future__ import annotations
 
 import math
 
-import numpy as np
-
 from ..errors import StructuralError
 
-FORBIDDEN_COST = 1e30
+
+def max_weight_flow(supply, demand, arcs, limit=math.inf) -> dict[tuple[int, int], int]:
+    """Integral maximum-weight flow from left to right nodes.
+
+    Left node ``i`` sends at most ``supply[i]`` units, right node ``r``
+    takes at most ``demand[r]`` (possibly infinite), arc ``(i, r)`` carries
+    units at ``arcs[i, r]`` each, and at most ``limit`` units flow in all.
+    Each round pushes units along the best augmenting path, found by
+    Bellman-Ford on the residual graph, until the limit or the first path
+    that gains nothing (Ahuja, Magnanti & Orlin, *Network Flows*, 1993,
+    ch. 9).  A path grows only by a node it does not hold, so rounding can
+    never make a cycle look profitable.  Returns the positive units per
+    arc, in arc order.
+    """
+    for arc, weight in arcs.items():
+        if not math.isfinite(weight):
+            raise StructuralError(f"arc {arc}: weight {weight} must be finite")
+    flow = dict.fromkeys(arcs, 0)
+    sent = dict.fromkeys(sorted(i for i, _ in arcs), 0)
+    taken = dict.fromkeys(sorted(r for _, r in arcs), 0)
+    total = 0
+    while total < limit:
+        # the best path found to each node, as (gain, nodes), with left
+        # node i written (0, i) and right node r written (1, r)
+        label = {(0, i): (0.0, ((0, i),)) for i in sent if sent[i] < supply[i]}
+        # the residual arcs: every arc forward, and back where it carries units
+        steps = [((0, i), (1, r), w) for (i, r), w in arcs.items()]
+        steps += [((1, r), (0, i), -w) for (i, r), w in arcs.items() if flow[i, r]]
+        for _ in range(len(sent) + len(taken)):
+            changed = False
+            for tail, head, gain in steps:
+                if tail in label and head not in label[tail][1]:
+                    value = label[tail][0] + gain
+                    if head not in label or value > label[head][0]:
+                        label[head] = (value, label[tail][1] + (head,))
+                        changed = True
+            if not changed:
+                break
+        ends = [label[1, r] for r in taken if (1, r) in label and taken[r] < demand[r]]
+        gain, path = max(ends, key=lambda end: end[0], default=(0.0, ()))
+        if gain <= 0:
+            break
+        # the path alternates left and right nodes, from a left to a right
+        nodes = [node for _, node in path]
+        forward = list(zip(nodes[0::2], nodes[1::2]))
+        backward = list(zip(nodes[2::2], nodes[1::2]))
+        first, last = nodes[0], nodes[-1]
+        room = (limit - total, supply[first] - sent[first], demand[last] - taken[last])
+        units = min(*room, *(flow[arc] for arc in backward))
+        for arc in forward:
+            flow[arc] += units
+        for arc in backward:
+            flow[arc] -= units
+        sent[first] += units
+        taken[last] += units
+        total += units
+    return {arc: units for arc, units in flow.items() if units}
 
 
 def hungarian(weights) -> tuple[dict[int, int], float]:
@@ -16,70 +71,14 @@ def hungarian(weights) -> tuple[dict[int, int], float]:
 
     Cells holding -inf are forbidden and never matched; negative and zero
     weights simply stay unmatched, since leaving a row out contributes
-    nothing.  Runs the O(n^3) potential/augmenting-path method on a square
-    matrix padded with zero-cost dummies, one per row and column, so every
-    partial matching corresponds to a perfect matching of the padded
-    problem.
+    nothing.  This is the flow with every row and column capacity at one;
+    any other non-finite weight raises StructuralError.
     """
-    num_rows = len(weights)
-    num_cols = len(weights[0]) if num_rows else 0
+    num_cols = len(weights[0]) if weights else 0
+    arcs = {}
     for i, row in enumerate(weights):
         if len(row) != num_cols:
             raise StructuralError(f"row {i}: ragged weight matrix")
-        for value in row:
-            if math.isnan(value) or value == math.inf:
-                raise StructuralError(f"row {i}: weight must be finite or -inf")
-    if num_rows == 0 or num_cols == 0:
-        return {}, 0.0
-
-    n = num_rows + num_cols
-    cost = np.zeros((n + 1, n + 1))
-    for i in range(num_rows):
-        for j in range(num_cols):
-            w = weights[i][j]
-            cost[i + 1, j + 1] = FORBIDDEN_COST if w == -math.inf else -w
-
-    u = np.zeros(n + 1)
-    v = np.zeros(n + 1)
-    match_row = np.zeros(n + 1, dtype=int)
-    way = np.zeros(n + 1, dtype=int)
-    for i in range(1, n + 1):
-        match_row[0] = i
-        j0 = 0
-        minv = np.full(n + 1, np.inf)
-        used = np.zeros(n + 1, dtype=bool)
-        while True:
-            used[j0] = True
-            i0 = match_row[j0]
-            reduced = cost[i0, 1:] - u[i0] - v[1:]
-            free = ~used[1:]
-            better = free & (reduced < minv[1:])
-            minv_view = minv[1:]
-            way_view = way[1:]
-            minv_view[better] = reduced[better]
-            way_view[better] = j0
-            masked = np.where(free, minv_view, np.inf)
-            j1 = int(np.argmin(masked)) + 1
-            delta = masked[j1 - 1]
-            u[match_row[used]] += delta
-            v[used] -= delta
-            minv[~used] -= delta
-            j0 = j1
-            if match_row[j0] == 0:
-                break
-        while j0:
-            j1 = int(way[j0])
-            match_row[j0] = match_row[j1]
-            j0 = j1
-
-    matching: dict[int, int] = {}
-    total = 0.0
-    pairs = []
-    for j in range(1, num_cols + 1):
-        i = int(match_row[j])
-        if 1 <= i <= num_rows and cost[i, j] < FORBIDDEN_COST / 2:
-            pairs.append((i - 1, j - 1))
-    for i, j in sorted(pairs):
-        matching[i] = j
-        total += weights[i][j]
-    return matching, total
+        arcs.update(((i, j), w) for j, w in enumerate(row) if w != -math.inf)
+    matching = dict(sorted(max_weight_flow([1] * len(weights), [1] * num_cols, arcs)))
+    return matching, sum((weights[i][j] for i, j in matching.items()), 0.0)

@@ -66,12 +66,20 @@ class ConstellationConfig:
             raise ConfigurationError("constellation needs at least one ring and satellite")
         if self.altitude <= 0:
             raise ConfigurationError("altitude must be positive")
+        # refuses an orbit whose period overflows, before any slot needs it
+        orbital_period(self.altitude)
 
 
 def orbital_period(altitude: float) -> float:
     """Period of a circular orbit ``altitude`` above the surface."""
     semi_major = EARTH_RADIUS + altitude
-    return 2.0 * math.pi * math.sqrt(semi_major**3 / GRAVITATIONAL_PARAMETER)
+    try:
+        cube = semi_major**3
+    except OverflowError:
+        raise ConfigurationError(
+            f"altitude {altitude} m: orbit radius cubed overflows"
+        ) from None
+    return 2.0 * math.pi * math.sqrt(cube / GRAVITATIONAL_PARAMETER)
 
 
 @dataclass(frozen=True, eq=False)

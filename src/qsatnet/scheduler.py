@@ -31,7 +31,7 @@ from .ilpcore import (
     LinearProgram,
     MipProblem,
     SparseRow,
-    hungarian,
+    max_weight_flow,
     mwis_exact,
     solve_mip,
 )
@@ -568,14 +568,10 @@ def _priced(instance, counts) -> Allocation:
 # policies
 
 
-def _ratesum_counts(instance, routes) -> dict:
+def _ratesum(instance, routes) -> Allocation:
     support = _support(instance, routes)
     result = _solve_assignment(instance, support, [routes[r] for r in support])
-    return _counts(support, result)
-
-
-def _ratesum(instance, routes) -> Allocation:
-    return _priced(instance, _ratesum_counts(instance, routes))
+    return _priced(instance, _counts(support, result))
 
 
 def solve_primary_ratesum(instance: SlotInstance) -> Allocation:
@@ -646,8 +642,20 @@ def solve_one_shot_maxmin(
 def uncontended_max_edr(instance: SlotInstance, routes: dict) -> float:
     """Rate-sum optimum of one pair's routes: the best rate that pair
     could get with the whole network to itself.  ``routes`` maps each of
-    the pair's routes to its rate, in route order."""
-    return _objective(instance, *_sorted_counts(_ratesum_counts(instance, routes)))
+    the pair's routes to its rate, in route order.  Alone, the pair's
+    problem is a flow from transmitters to reflectors, or to one node that
+    stands for the direct routes, of at most the pair's room."""
+    if not routes:
+        return 0.0
+    j = next(iter(routes))[2]
+    a, b = instance.pair_stations[j]
+    room = min(instance.pair_caps[j], instance.gs_caps[a], instance.gs_caps[b])
+    direct = instance.num_sats
+    arcs = {(i, direct if k is None else k): w for (i, k, _), w in routes.items()}
+    demand = (*instance.reflector_caps, math.inf)
+    flow = max_weight_flow(instance.sat_caps, demand, arcs, room)
+    counts = {(i, None if r == direct else r, j): c for (i, r), c in flow.items()}
+    return _objective(instance, *_sorted_counts(counts))
 
 
 def _ratefair(instance: SlotInstance, routes: dict) -> Allocation:
@@ -752,11 +760,12 @@ def solve_stsr(instance: SlotInstance) -> Allocation:
 
 
 def solve_stmr(instance: SlotInstance) -> Allocation:
-    """Matching reduction for instances whose receivers never bind.
+    """Flow reduction for instances whose receivers never bind.
 
-    Satellites expand into one row per transmitter and pairs into one
-    column per allowed connection, then a maximum-weight matching gives
-    the optimal integral assignment directly.
+    With the station caps out of play, the rate-sum problem over direct
+    routes is a maximum-weight flow from satellites, under their
+    transmitter caps, to pairs, under their pair caps, and the flow's
+    integral units are the optimal counts.
     """
     total_tx = sum(instance.sat_caps)
     for g in range(len(instance.station_ids)):
@@ -764,20 +773,11 @@ def solve_stmr(instance: SlotInstance) -> Allocation:
         if instance.gs_caps[g] < min(total_tx, incident_cap):
             raise ModeError(
                 f"station {instance.station_ids[g]}: receiver cap may bind; "
-                "the matching reduction needs non-binding receivers"
+                "the flow reduction needs non-binding receivers"
             )
-    direct = _direct(instance)
-    sats = sorted({i for i, _, _ in direct})
-    pairs = sorted({j for _, _, j in direct})
-    rows = [i for i in sats for _ in range(instance.sat_caps[i])]
-    cols = [j for j in pairs for _ in range(instance.pair_caps[j])]
-    weights = [[direct.get((i, None, j), -math.inf) for j in cols] for i in rows]
-    matching, _ = hungarian(weights)
-    counts: dict[tuple, int] = {}
-    for r, c in matching.items():
-        route = (rows[r], None, cols[c])
-        counts[route] = counts.get(route, 0) + 1
-    return _priced(instance, counts)
+    arcs = {(i, j): rate for (i, _, j), rate in _direct(instance).items()}
+    flow = max_weight_flow(instance.sat_caps, instance.pair_caps, arcs)
+    return _priced(instance, {(i, None, j): c for (i, j), c in flow.items()})
 
 
 # ---------------------------------------------------------------------------

@@ -250,29 +250,18 @@ def run(config: ScenarioConfig, env: EnvironmentTable | None = None) -> RunRepor
                 config.constellation, config.stations, t, config.slot_duration
             )
             hour_utc = (t * config.slot_duration / 3600.0) % 24.0
-            if relayed:
-                instance = build_reflection_weights(
-                    snapshot,
-                    network,
-                    config.physics,
-                    env,
-                    config.min_elevation,
-                    config.fidelity_threshold,
-                    config.mirror_efficiency,
-                    month=config.month,
-                    hour_utc=hour_utc,
-                )
-            else:
-                instance = build_weights(
-                    snapshot,
-                    network,
-                    config.physics,
-                    env,
-                    config.min_elevation,
-                    config.fidelity_threshold,
-                    month=config.month,
-                    hour_utc=hour_utc,
-                )
+            weights = build_reflection_weights if relayed else build_weights
+            instance = weights(
+                snapshot,
+                network,
+                config.physics,
+                env,
+                config.min_elevation,
+                config.fidelity_threshold,
+                *((config.mirror_efficiency,) if relayed else ()),
+                month=config.month,
+                hour_utc=hour_utc,
+            )
             allocation = solver(instance)
             rates = pair_edr(instance, allocation)
             serving = serving_sets(instance, allocation)

@@ -516,6 +516,26 @@ class TestCliBadValues:
         assert grids[0] == [float(i) for i in range(10_000)]
         assert grids[1] == [20000.0, 20005.0, 20010.0, 20015.0]
 
+    def test_overflowing_altitude_is_one_error_line(self, tmp_path, capsys):
+        # the orbit radius cubed overflows; validate must catch what
+        # simulate and casestudy would otherwise meet mid-run
+        message = "altitude 1e+300 m: orbit radius cubed overflows"
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps({"constellation": {"altitude": 1e300}, "num_slots": 2}))
+        assert main(["validate", "--config", str(path)]) == 1
+        assert one_error_line(capsys, "validate").endswith(f"error: {message}")
+        out = tmp_path / "sim"
+        assert main(["simulate", "--config", str(path), "--out", str(out)]) == 1
+        assert one_error_line(capsys, "simulate").endswith(f"error: {message}")
+        assert not out.exists()
+        out = tmp_path / "cs"
+        flags = ["--altitude", "1e300", "--baselines", "0:250:250", "--out", str(out)]
+        assert main(["casestudy", *flags]) == 1
+        assert one_error_line(capsys, "casestudy").endswith(
+            "error: altitude 1e+303 m: orbit radius cubed overflows"
+        )
+        assert not out.exists()
+
     def test_validate_prices_the_scenario_source(self, tmp_path, capsys):
         message = "mean_photon_number 1e+100: emission probabilities overflow"
         path = tmp_path / "scenario.json"

@@ -22,6 +22,7 @@ from qsatnet.ilpcore import (
     brute_force_mip,
     constraint_violations,
     hungarian,
+    max_weight_flow,
     mwis_exact,
     solve_lp,
     solve_mip,
@@ -688,6 +689,73 @@ def test_hungarian_rectangular_and_empty():
     assert matching == {0: 0}
     assert total == 5.0
     assert hungarian([]) == ({}, 0.0)
+
+
+def flow_oracle(supply, demand, arcs, limit):
+    """Best total weight over every integral flow, by enumerating each
+    arc's units; independent of the augmenting-path code."""
+    best = 0.0
+    arc_list = list(arcs)
+    for units in itertools.product(*(range(supply[i] + 1) for i, _ in arc_list)):
+        sent = [0] * len(supply)
+        taken = [0] * len(demand)
+        for (i, r), u in zip(arc_list, units):
+            sent[i] += u
+            taken[r] += u
+        if sum(units) > limit or any(s > cap for s, cap in zip(sent, supply)):
+            continue
+        if any(t > cap for t, cap in zip(taken, demand)):
+            continue
+        best = max(best, sum(arcs[arc] * u for arc, u in zip(arc_list, units)))
+    return best
+
+
+def test_flow_survives_a_rounding_cycle():
+    # pushing (1, 3) first leaves the residual cycle 3 -> 1 -> 3, whose
+    # gain rounds above zero after the 1.076 of arc (0, 3), so a path
+    # that followed it would not be simple
+    assert 1.076 - 8.467 + 8.467 > 1.076
+    flow = max_weight_flow(
+        (1, 1, 1), (1, 1, 2, math.inf), {(0, 3): 1.076, (1, 3): 8.467}, limit=2
+    )
+    assert flow == {(0, 3): 1, (1, 3): 1}
+
+
+def test_flow_matches_enumeration_under_node_caps_and_a_limit():
+    rng = random.Random(2718)
+    limited = 0
+    for trial in range(300):
+        n_left, n_right = rng.randint(1, 3), rng.randint(1, 3)
+        supply = [rng.randint(0, 3) for _ in range(n_left)]
+        demand = [rng.randint(0, 3) for _ in range(n_right)]
+        arcs = {
+            (i, r): float(rng.randint(-2, 9))
+            for i in range(n_left)
+            for r in range(n_right)
+            if rng.random() < 0.7
+        }
+        limit = rng.choice([math.inf, rng.randint(0, 4)])
+        flow = max_weight_flow(supply, demand, arcs, limit)
+        assert all(units > 0 and arc in arcs for arc, units in flow.items())
+        assert sum(flow.values()) <= limit
+        for i in range(n_left):
+            assert sum(u for (a, _), u in flow.items() if a == i) <= supply[i]
+        for r in range(n_right):
+            assert sum(u for (_, b), u in flow.items() if b == r) <= demand[r]
+        # integer weights sum exactly, so the optimum must match exactly
+        total = sum(arcs[arc] * units for arc, units in flow.items())
+        assert total == flow_oracle(supply, demand, arcs, limit), f"trial {trial}"
+        # a unit on a negative arc could be dropped for a better flow
+        assert all(arcs[arc] >= 0 for arc in flow)
+        limited += sum(flow.values()) == limit
+    # the limit binds in some trials, not only the node caps
+    assert limited >= 30
+
+
+def test_flow_rejects_non_finite_weights():
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(StructuralError, match="must be finite"):
+            max_weight_flow((1,), (1,), {(0, 0): bad})
 
 
 def mwis_oracle(weights, edges):

@@ -376,6 +376,81 @@ def test_uncontended_ignores_other_pairs():
     assert uncontended_max_edr(inst, pair_routes(inst.routes, 1)) == pytest.approx(9.0)
 
 
+@st.composite
+def _one_pair_instances(draw):
+    """One pair's instance with direct and relayed routes, and every cap
+    drawn from 0-3 so that each kind can bind."""
+    n_sat = draw(st.integers(1, 4))
+    rates = st.floats(0.5, 10.0)
+    direct = [draw(rates) if draw(st.booleans()) else 0.0 for _ in range(n_sat)]
+    relays = [(i, k) for i in range(n_sat) for k in range(n_sat) if i != k]
+    picked = draw(st.lists(st.sampled_from(relays), max_size=6)) if relays else []
+    nu = {(i, k, 0): draw(rates) for i, k in picked}
+    pair_cap = draw(st.integers(0, 3))
+    station_caps = st.integers(pair_cap, 3)
+    caps = st.lists(st.integers(0, 3), min_size=n_sat, max_size=n_sat)
+    return make_instance(
+        [[rate] for rate in direct],
+        [(0, 1)],
+        2,
+        sat_caps=draw(caps),
+        gs_caps=(draw(station_caps), draw(station_caps)),
+        pair_caps=(pair_cap,),
+        reflector_caps=draw(caps),
+        nu=nu or None,
+    )
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(_one_pair_instances())
+def test_uncontended_flow_equals_the_one_pair_ratesum_mip(inst):
+    counted = []
+    real = scheduler._sorted_counts
+
+    def recorded(counts):
+        counted.append(counts)
+        return real(counts)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(scheduler, "_sorted_counts", recorded)
+        best = uncontended_max_edr(inst, inst.routes)
+    mip = solve_reflection_ratesum(inst).objective
+    assert best == pytest.approx(mip, rel=1e-12)
+    if inst.routes:
+        (counts,) = counted
+        allocation = scheduler._priced(inst, counts)
+        assert allocation.objective == best
+        assert allocation_violations(inst, allocation) == []
+
+
+def test_ratefair_hands_the_solver_no_uncontended_mip(monkeypatch):
+    """The uncontended best is a flow: no MIP is issued while it runs."""
+    inside = []
+    calls = {True: 0, False: 0}
+    real_uncontended, real_solve = scheduler.uncontended_max_edr, scheduler.solve_mip
+
+    def uncontended(instance, routes):
+        inside.append(True)
+        try:
+            return real_uncontended(instance, routes)
+        finally:
+            inside.pop()
+
+    def solve(mip):
+        calls[bool(inside)] += 1
+        return real_solve(mip)
+
+    monkeypatch.setattr(scheduler, "uncontended_max_edr", uncontended)
+    monkeypatch.setattr(scheduler, "solve_mip", solve)
+    rng = random.Random(4242)
+    for inst in _reduced_slots("reflection_ratefair", range(0, 1440, 60)) + [
+        random_instance(rng, max_sats=4, max_pairs=4, reflection=True) for _ in range(20)
+    ]:
+        solve_reflection_ratefair(inst)
+        solve_primary_ratefair(inst)
+    assert calls[True] == 0 and calls[False] > 0
+
+
 def test_ratefair_relay_only_pair_needs_the_reflection_policy():
     # the pair's only route is relayed: primary rate-fair leaves it
     # unserved, reflection rate-fair serves it
@@ -1017,9 +1092,10 @@ def test_budget_limited_solve_fails_its_slot(monkeypatch):
 
 # SHA-256 over repr((objective, constraints, variable_bounds, integer_vars))
 # of every MIP the policies hand to the solver, in call order, with each
-# constraint row written out densely
-PINNED_MIP_COUNT = 2523
-PINNED_MIP_DIGEST = "2fdb4a3700b2822c271872ceb0b98823c3a6fd87be428329c234154302d43eb7"
+# constraint row written out densely; the uncontended per-pair solves are
+# flows and hand it none
+PINNED_MIP_COUNT = 1630
+PINNED_MIP_DIGEST = "d0959301f21fdb6305d4fc247fd36c48d22fd7d4948513506ab83dee6e84f065"
 
 
 def test_mip_sequence_matches_pinned_digest(monkeypatch):
