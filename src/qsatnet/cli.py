@@ -21,7 +21,7 @@ from .config import (
 from .environment import load_weather, save_weather, synth_weather
 from .errors import ConfigurationError, QsatError
 from .linkphys import ArmChannel, end_to_end_outcome, rate_fidelity_curve
-from .orbital import EARTH_RADIUS
+from .orbital import EARTH_RADIUS, orbital_period
 from .simharness import (
     build_network,
     case_study,
@@ -117,9 +117,16 @@ def _cmd_casestudy(args) -> int:
     _require_finite("--altitude", args.altitude)
     if args.altitude <= 0:
         raise ConfigurationError(f"altitude {args.altitude} must be positive km")
+    altitude = args.altitude * 1e3
+    try:
+        orbital_period(altitude)
+    except ConfigurationError:
+        raise ConfigurationError(
+            f"--altitude {args.altitude} km: orbit radius cubed overflows"
+        ) from None
     rows = case_study(
         grid,
-        altitude=args.altitude * 1e3,
+        altitude=altitude,
         min_elevation=args.min_elevation,
         mirror_efficiency=args.mirror_efficiency,
     )

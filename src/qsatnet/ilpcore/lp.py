@@ -78,7 +78,7 @@ def _iterate(
                 return OPTIMAL
             col = int(negatives[0])
         else:
-            col = int(np.argmin(objective))
+            col = int(objective.argmin())
             if objective[col] >= -PIVOT_TOL:
                 return OPTIMAL
 
@@ -241,4 +241,4 @@ def solve_lp(lp: LinearProgram) -> SolveResult:
             shifted[j] = upper[j] - shifted[j]
     solution = shifted[:n] + lower
     value = float(tableau[m, -1]) + const_term
-    return SolveResult(OPTIMAL, value, tuple(float(x) for x in solution))
+    return SolveResult(OPTIMAL, value, tuple(solution.tolist()))

@@ -24,6 +24,8 @@ BOUND_SLACK = 1e-9
 
 
 def _most_fractional(assignment, integer_vars) -> int | None:
+    if all(map(float.is_integer, map(assignment.__getitem__, integer_vars))):
+        return None
     best_j = None
     best_score = INTEGRALITY_TOL
     for j in integer_vars:
@@ -82,7 +84,7 @@ def solve_mip(mip: MipProblem, node_limit: int = 100_000) -> SolveResult:
                 raise QsatError(
                     "rounded relaxation solution fails feasibility: " + problems[0]
                 )
-            value = sum(c * x for c, x in zip(mip.base.objective, candidate))
+            value = sum(map(operator.mul, mip.base.objective, candidate))
             if value > incumbent_obj:
                 incumbent_obj = value
                 incumbent = candidate

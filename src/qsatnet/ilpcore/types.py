@@ -139,10 +139,11 @@ class MipProblem:
     integer_vars: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        indices = tuple(sorted(set(int(j) for j in self.integer_vars)))
-        for j in indices:
-            if not 0 <= j < self.base.num_vars:
-                raise StructuralError(f"integer variable index {j} out of range")
+        indices = tuple(sorted(set(map(int, self.integer_vars))))
+        n = self.base.num_vars
+        if indices and not (0 <= indices[0] and indices[-1] < n):
+            bad = next(j for j in indices if not 0 <= j < n)
+            raise StructuralError(f"integer variable index {bad} out of range")
         object.__setattr__(self, "integer_vars", indices)
 
 

@@ -76,9 +76,9 @@ def orbital_period(altitude: float) -> float:
     try:
         cube = semi_major**3
     except OverflowError:
-        raise ConfigurationError(
-            f"altitude {altitude} m: orbit radius cubed overflows"
-        ) from None
+        cube = math.inf
+    if not math.isfinite(cube):
+        raise ConfigurationError(f"altitude {altitude} m: orbit radius cubed overflows")
     return 2.0 * math.pi * math.sqrt(cube / GRAVITATIONAL_PARAMETER)
 
 
@@ -357,15 +357,21 @@ def visible_links(
     return links
 
 
-def _segment_min_radius(p: Vec3, q: Vec3) -> float:
-    dx, dy, dz = q[0] - p[0], q[1] - p[1], q[2] - p[2]
+def sight_line_clear(p: Vec3, q: Vec3, clearance: float = ISL_CLEARANCE) -> bool:
+    """True when the segment from ``p`` to ``q`` stays ``clearance`` above
+    the Earth's surface.  The closest approach is found from ``p``, so
+    swapping the ends may move it in the last bit."""
+    px, py, pz = p
+    dx, dy, dz = q[0] - px, q[1] - py, q[2] - pz
     seg_sq = dx * dx + dy * dy + dz * dz
     if seg_sq == 0.0:
-        return math.sqrt(p[0] ** 2 + p[1] ** 2 + p[2] ** 2)
-    t = -(p[0] * dx + p[1] * dy + p[2] * dz) / seg_sq
-    t = max(0.0, min(1.0, t))
-    cx, cy, cz = p[0] + t * dx, p[1] + t * dy, p[2] + t * dz
-    return math.sqrt(cx * cx + cy * cy + cz * cz)
+        radius = math.sqrt(px**2 + py**2 + pz**2)
+    else:
+        t = -(px * dx + py * dy + pz * dz) / seg_sq
+        t = max(0.0, min(1.0, t))
+        cx, cy, cz = px + t * dx, py + t * dy, pz + t * dz
+        radius = math.sqrt(cx * cx + cy * cy + cz * cz)
+    return radius >= EARTH_RADIUS + clearance
 
 
 def _sat_pair(
@@ -385,8 +391,7 @@ def inter_satellite_visible(
     clearance: float = ISL_CLEARANCE,
 ) -> bool:
     """True when the sight line between two satellites clears the Earth."""
-    p, q = _sat_pair(snapshot, sat_a, sat_b)
-    return _segment_min_radius(p, q) >= EARTH_RADIUS + clearance
+    return sight_line_clear(*_sat_pair(snapshot, sat_a, sat_b), clearance)
 
 
 def inter_satellite_distance(

@@ -337,11 +337,16 @@ def build_reflection_weights(
     satellites; the source-to-relay hop is pure diffraction into the
     mirror aperture, scaled by the mirror efficiency, and the relay
     downlink reuses the standard optics so a co-located lossless relay
-    reproduces the direct link exactly.  Every relayed candidate with a
-    sight line is priced in one broadcast ``acceptance_and_bell_weights``
-    call, to the same bits as ``end_to_end_outcome`` on each.
+    reproduces the direct link exactly.
+
+    Each visible satellite's position is read once, as a plain list.
+    Each ordered (source, relay) pair gets one sight-line test and, when
+    it passes, one hop distance and mirror hop; each pair's relay list is
+    resolved once.  Every relayed candidate is priced in one broadcast
+    ``acceptance_and_bell_weights`` call over five channel columns, to the
+    same bits as ``end_to_end_outcome`` on each.
     """
-    from .orbital import inter_satellite_distance, inter_satellite_visible
+    from .orbital import sight_line_clear
 
     if not 0.0 <= mirror_efficiency <= 1.0:
         raise ConfigurationError("mirror efficiency must lie in [0, 1]")
@@ -352,46 +357,52 @@ def build_reflection_weights(
     sat_index = network.sat_index
     station_ids = network.station_ids
     hop_free_space = mirror_hop(physics)
+    # each visible satellite's position as a plain list, read once
+    position = {
+        sat_id: snapshot.sat_xyz[snapshot.sat_row[sat_id]].tolist()
+        for visible in links.values()
+        for sat_id in visible
+    }
 
-    def hop_transmissivity(src_id, relay_id):
-        """Free-space factor into the relay mirror; None without a sight line."""
-        if not inter_satellite_visible(snapshot, src_id, relay_id):
-            return None
-        return hop_free_space(inter_satellite_distance(snapshot, src_id, relay_id))
-
-    # keyed by the ordered (source, relay) pair: the sight-line test is not
-    # guaranteed to give the same bits in both directions
+    # hop factors keyed by the ordered (source, relay) pair, None without a
+    # sight line: the test may differ in the last bit between directions
     hops: dict[tuple[str, str], float | None] = {}
     # the relayed candidates, priced together below: each route's hop
-    # factor, source arm and relay-to-station arm
-    keys, channels = [], []
+    # factor, source arm and relay-to-station arm, one column per channel
+    keys = []
+    columns = hop_col, eta1_col, dark1_col, eta2_col, dark2_col = [], [], [], [], []
     for j, (a, b) in enumerate(network.pair_stations):
         station_a, station_b = station_ids[a], station_ids[b]
-        for src_id in links[station_a]:
+        sources = links[station_a]
+        if not sources:
+            continue
+        relays = [
+            (relay_id, sat_index[relay_id], position[relay_id])
+            for relay_id in links[station_b]
+        ]
+        for src_id in sources:
             i = sat_index[src_id]
             arm_a = arm(src_id, station_a)
-            for relay_id in links[station_b]:
-                k = sat_index[relay_id]
-                if i == k:
+            p = position[src_id]
+            for relay_id, k, q in relays:
+                if k == i:
                     continue
                 key = (src_id, relay_id)
                 if key not in hops:
-                    hops[key] = hop_transmissivity(src_id, relay_id)
-                if hops[key] is None:
+                    clear = sight_line_clear(p, q)
+                    hops[key] = hop_free_space(math.dist(p, q)) if clear else None
+                hop = hops[key]
+                if hop is None:
                     continue
                 arm_b = arm(relay_id, station_b)
                 keys.append((i, k, j))
-                channels.append(
-                    (
-                        hops[key],
-                        arm_a.transmissivity,
-                        arm_a.dark_click_prob,
-                        arm_b.transmissivity,
-                        arm_b.dark_click_prob,
-                    )
-                )
+                hop_col.append(hop)
+                eta1_col.append(arm_a.transmissivity)
+                dark1_col.append(arm_a.dark_click_prob)
+                eta2_col.append(arm_b.transmissivity)
+                dark2_col.append(arm_b.dark_click_prob)
     if keys:
-        hop, eta1, dark1, eta_relay, dark2 = np.array(channels).T
+        hop, eta1, dark1, eta_relay, dark2 = np.array(columns)
         # min and max are NaN when any entry is, which fails both tests
         if not (hop.min() >= 0.0 and hop.max() <= 1.0):
             raise ConfigurationError("source-to-relay hop factor must lie in [0, 1]")
@@ -444,18 +455,23 @@ def served_routes(allocation: Allocation):
 def _support(instance, routes) -> dict:
     """The solver's integer variables: the routes with room under every
     cap they touch, each mapped to that room."""
+    sat_caps, reflector_caps = instance.sat_caps, instance.reflector_caps
+    # each pair's room under its own cap and both station caps, found at
+    # the pair's first route
+    pair_room: dict[int, int] = {}
     support = {}
     for route in routes:
         i, k, j = route
-        a, b = instance.pair_stations[j]
-        room = min(
-            instance.sat_caps[i],
-            instance.pair_caps[j],
-            instance.gs_caps[a],
-            instance.gs_caps[b],
-        )
-        if k is not None:
-            room = min(room, instance.reflector_caps[k])
+        room = pair_room.get(j)
+        if room is None:
+            a, b = instance.pair_stations[j]
+            room = pair_room[j] = min(
+                instance.pair_caps[j], instance.gs_caps[a], instance.gs_caps[b]
+            )
+        if sat_caps[i] < room:
+            room = sat_caps[i]
+        if k is not None and reflector_caps[k] < room:
+            room = reflector_caps[k]
         if room > 0:
             support[route] = room
     return support
@@ -480,16 +496,20 @@ def _solve_assignment(
     """
     if not support:
         return None
-    # the columns each transmitter, station, pair and reflector cap covers,
-    # keyed by the indices some route touches
-    by_sat, by_station, by_pair, by_reflector = {}, {}, {}, {}
+    # the columns each transmitter, pair and reflector cap covers, keyed by
+    # the indices some route touches; a station covers its pairs' columns
+    by_sat, by_pair, by_reflector = {}, {}, {}
     for idx, (i, k, j) in enumerate(support):
         by_sat.setdefault(i, []).append(idx)
         by_pair.setdefault(j, []).append(idx)
-        for g in instance.pair_stations[j]:
-            by_station.setdefault(g, []).append(idx)
         if k is not None:
             by_reflector.setdefault(k, []).append(idx)
+    by_station = {}
+    for j, columns in by_pair.items():
+        for g in instance.pair_stations[j]:
+            by_station.setdefault(g, []).extend(columns)
+    for columns in by_station.values():
+        columns.sort()
 
     constraints = []
     for incidence, caps in (
@@ -526,7 +546,7 @@ def _counts(support, result) -> dict:
     (an empty support) counts nothing."""
     if result is None:
         return {}
-    counts = (int(round(v)) for v in result.assignment)
+    counts = map(round, result.assignment)
     return {route: c for route, c in zip(support, counts) if c}
 
 

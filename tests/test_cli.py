@@ -528,13 +528,16 @@ class TestCliBadValues:
         assert main(["simulate", "--config", str(path), "--out", str(out)]) == 1
         assert one_error_line(capsys, "simulate").endswith(f"error: {message}")
         assert not out.exists()
-        out = tmp_path / "cs"
-        flags = ["--altitude", "1e300", "--baselines", "0:250:250", "--out", str(out)]
-        assert main(["casestudy", *flags]) == 1
-        assert one_error_line(capsys, "casestudy").endswith(
-            "error: altitude 1e+303 m: orbit radius cubed overflows"
-        )
-        assert not out.exists()
+        # the flag is in km: 1e300 overflows when cubed, 1e306 already in
+        # the conversion to metres; either is named as the user gave it
+        for altitude in ("1e300", "1e306"):
+            out = tmp_path / f"cs{altitude}"
+            flags = ["--altitude", altitude, "--baselines", "0:250:250", "--out", str(out)]
+            assert main(["casestudy", *flags]) == 1
+            assert one_error_line(capsys, "casestudy").endswith(
+                f"error: --altitude {float(altitude)} km: orbit radius cubed overflows"
+            )
+            assert not out.exists()
 
     def test_validate_prices_the_scenario_source(self, tmp_path, capsys):
         message = "mean_photon_number 1e+100: emission probabilities overflow"

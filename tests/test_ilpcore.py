@@ -560,6 +560,55 @@ def test_non_finite_data_is_rejected(case):
         LinearProgram(objective, (constraint,), (bounds,))
 
 
+# two bad bounds each: the message names the first, whatever the second is
+FIRST_BAD_BOUND = {
+    "nan-upper": (
+        ((0.0, 1.0), (0.0, math.nan), (-math.inf, 1.0)),
+        "variable 1: upper bound is NaN",
+    ),
+    "infinite-lower": (
+        ((-math.inf, 1.0), (0.0, math.nan), (0.0, 1.0)),
+        "variable 0: lower bound must be finite",
+    ),
+    "empty-box": (
+        ((0.0, None), (0.0, 1.0), (2.0, 1.0), (math.inf, None)),
+        r"variable 2: bounds \[2.0, 1.0\] empty",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(FIRST_BAD_BOUND))
+def test_the_first_bad_bound_is_named(case):
+    bounds, message = FIRST_BAD_BOUND[case]
+    with pytest.raises(StructuralError, match=f"^{message}$"):
+        LinearProgram((1.0,) * len(bounds), (), bounds)
+
+
+@pytest.mark.parametrize("indices, named", [((-1, 5), -1), ((0, 4, 7), 4)])
+def test_the_first_out_of_range_integer_index_is_named(indices, named):
+    lp = LinearProgram((1.0,) * 3, (), ((0.0, 1.0),) * 3)
+    with pytest.raises(
+        StructuralError, match=f"^integer variable index {named} out of range$"
+    ):
+        MipProblem(lp, indices)
+
+
+def test_constraint_violations_lists_every_kind_in_order():
+    lp = LinearProgram(
+        (1.0, 1.0, 1.0, 1.0),
+        (((1.0, 1.0, 0.0, 0.0), "<=", 1.0), ((0.0, 0.0, 1.0, 1.0), ">=", 0.0)),
+        ((0.0, 2.0), (0.0, 2.0), (0.0, None), (-1.0, 1.0)),
+    )
+    assert constraint_violations(
+        lp, (-1.0, 3.0, 0.5, 1.0), integer_vars=(0, 1, 2, 3)
+    ) == [
+        "variable 0: -1.0 below lower bound 0.0",
+        "variable 1: 3.0 above upper bound 2.0",
+        "constraint 0: 2.0 > 1.0",
+        "variable 2: 0.5 not integral",
+    ]
+
+
 def test_infinite_upper_bound_means_unbounded_above():
     lp = LinearProgram((1.0,), (((1.0,), "<=", 5.0),), ((0.0, math.inf),))
     assert lp.variable_bounds == ((0.0, None),)

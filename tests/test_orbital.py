@@ -44,6 +44,15 @@ def test_orbital_period_matches_kepler():
     assert orbital_period(1000e3) == pytest.approx(6297.973631285823, abs=1e-6)
 
 
+@pytest.mark.parametrize("altitude", [1e300, math.inf])
+def test_orbital_period_refuses_an_overflowing_orbit(altitude):
+    # 1e300 overflows when cubed; an infinite altitude cubes to inf
+    with pytest.raises(ConfigurationError, match="orbit radius cubed overflows"):
+        orbital_period(altitude)
+    with pytest.raises(ConfigurationError, match="orbit radius cubed overflows"):
+        ConstellationConfig(1, 1, altitude)
+
+
 def scalar_propagate(config, stations, t, slot_duration):
     """Reference: each position from the closed form, one at a time."""
     orbit_radius = R_E + config.altitude

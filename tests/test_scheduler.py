@@ -1,5 +1,6 @@
 """Assignment policy tests with exhaustive-enumeration cross-checks."""
 
+import dataclasses
 import hashlib
 import itertools
 import json
@@ -916,7 +917,16 @@ def test_reflection_weights_reuse_the_direct_link_table(monkeypatch):
         pair_caps=(1, 1),
     )
     downlinks = _count_calls(monkeypatch, orbital, "link_geometry")
-    sight_lines = _count_calls(monkeypatch, orbital, "inter_satellite_visible")
+    # the satellites coincide, so each end is told apart by its position
+    # list, of which the builder reads one per satellite
+    sight_lines = []
+    real_sight_line = orbital.sight_line_clear
+
+    def counted_sight_line(p, q, *rest):
+        sight_lines.append((id(p), id(q)))
+        return real_sight_line(p, q, *rest)
+
+    monkeypatch.setattr(orbital, "sight_line_clear", counted_sight_line)
     validated = []
     real_check = scheduler.SlotInstance.__post_init__
 
@@ -1051,11 +1061,94 @@ def test_broadcast_relay_rates_equal_the_scalar_loop(weather_seed):
             month=config.month,
             hour_utc=hour_utc,
         )
+        # the builders cache the row maps and nothing else on the snapshot
+        assert _cached_on(snapshot) <= {"sat_row", "station_row"}
         expected = _scalar_relay_rates(snapshot, network, config, env, hour_utc)
         # the same rates, to the bit, in route order
         assert repr(list((inst.nu or {}).items())) == repr(sorted(expected.items()))
         relayed += len(inst.nu or {})
     assert relayed > 1000
+
+
+def _cached_on(snapshot):
+    """The names a snapshot holds beyond its fields."""
+    return set(vars(snapshot)) - {f.name for f in dataclasses.fields(snapshot)}
+
+
+def test_relay_rates_at_the_sight_line_boundary_equal_the_scalar_loop():
+    """Sight lines grazing the Earth 1 m outside and 1 m inside the
+    clearance, tested from both ends, and a coincident pair."""
+    config = default_scenario()
+    limit = orbital.EARTH_RADIUS + orbital.ISL_CLEARANCE
+    half_hop = 1000e3
+    sat_positions, gs_positions = {}, {}
+    # each pair sits symmetric about an axis, so its segment's closest
+    # approach is the midpoint, at exactly the axis offset
+    for name, offset in (("clear", limit + 1.0), ("blocked", -(limit - 1.0))):
+        for end, y in (("a", half_hop), ("b", -half_hop)):
+            sat = (offset, y, 0.0)
+            sat_positions[f"{name}_{end}"] = sat
+            scale = orbital.EARTH_RADIUS / math.hypot(*sat)
+            gs_positions[f"g_{name}_{end}"] = tuple(scale * c for c in sat)
+    # two satellites at one point over the pole, seen from two stations
+    pole = (0.0, 0.0, orbital.EARTH_RADIUS + 1000e3)
+    sat_positions.update(same_a=pole, same_b=pole)
+    gs_positions.update(g_same_a=(0.0, 0.0, orbital.EARTH_RADIUS))
+    gs_positions.update(g_same_b=(0.0, 0.0, orbital.EARTH_RADIUS))
+    snapshot = ConstellationSnapshot.from_positions(0, sat_positions, gs_positions)
+
+    station_ids = tuple(gs_positions)
+    # every station pair in both orders, so each sight line is tested from
+    # each end
+    pairs = [(a, b) for a in range(6) for b in range(6) if a != b]
+    network = SlotInstance(
+        time=0,
+        sat_ids=tuple(sat_positions),
+        station_ids=station_ids,
+        pair_ids=tuple(f"{a}-{b}" for a, b in pairs),
+        pair_stations=tuple(pairs),
+        routes={},
+        sat_caps=(1,) * 6,
+        gs_caps=(6,) * 6,
+        pair_caps=(1,) * len(pairs),
+        reflector_caps=(1,) * 6,
+    )
+    env = EnvironmentTable(
+        records={
+            (sid, config.month, 0): WeatherRecord(
+                station_id=sid,
+                month=config.month,
+                hour_utc=0,
+                zenith_transmissivity=0.9,
+                cloud_cover=0.0,
+                solar_irradiance=0.0,
+            )
+            for sid in station_ids
+        }
+    )
+    args = (config.physics, env, config.min_elevation, config.fidelity_threshold)
+    build_weights(snapshot, network, *args, month=config.month)
+    inst = build_reflection_weights(
+        snapshot, network, *args, config.mirror_efficiency, month=config.month
+    )
+    assert _cached_on(snapshot) <= {"sat_row", "station_row"}
+    for a, b in (("clear_a", "clear_b"), ("same_a", "same_b")):
+        assert orbital.inter_satellite_visible(snapshot, a, b)
+        assert orbital.inter_satellite_visible(snapshot, b, a)
+    assert not orbital.inter_satellite_visible(snapshot, "blocked_a", "blocked_b")
+    assert not orbital.inter_satellite_visible(snapshot, "blocked_b", "blocked_a")
+
+    expected = _scalar_relay_rates(snapshot, network, config, env, 0.0)
+    assert repr(list((inst.nu or {}).items())) == repr(sorted(expected.items()))
+    # the clear and the coincident pairs are relayed both ways, the
+    # blocked pair neither way
+    relayed = {(network.sat_ids[i], network.sat_ids[k]) for i, k, _ in inst.nu}
+    assert relayed == {
+        ("clear_a", "clear_b"),
+        ("clear_b", "clear_a"),
+        ("same_a", "same_b"),
+        ("same_b", "same_a"),
+    }
 
 
 def test_out_of_range_hop_factor_is_rejected(monkeypatch):
