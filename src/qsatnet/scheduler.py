@@ -477,6 +477,36 @@ def _support(instance, routes) -> dict:
     return support
 
 
+def _fits_at_room(instance, support) -> bool:
+    """Whether every support route can run at its room at once: under
+    each transmitter, receiver, pair and reflector cap, the rooms of the
+    routes that touch it sum to at most the cap.  Stops at the first cap
+    exceeded."""
+    sat_caps, pair_caps = instance.sat_caps, instance.pair_caps
+    reflector_caps = instance.reflector_caps
+    sat_load, pair_load, reflector_load = {}, {}, {}
+    for (i, k, j), room in support.items():
+        load = sat_load[i] = sat_load.get(i, 0) + room
+        if load > sat_caps[i]:
+            return False
+        load = pair_load[j] = pair_load.get(j, 0) + room
+        if load > pair_caps[j]:
+            return False
+        if k is not None:
+            load = reflector_load[k] = reflector_load.get(k, 0) + room
+            if load > reflector_caps[k]:
+                return False
+    # a station carries the loads of its pairs
+    gs_caps = instance.gs_caps
+    station_load = {}
+    for j, load in pair_load.items():
+        for g in instance.pair_stations[j]:
+            total = station_load[g] = station_load.get(g, 0) + load
+            if total > gs_caps[g]:
+                return False
+    return True
+
+
 def _solve_assignment(
     instance: SlotInstance,
     support,
@@ -616,17 +646,33 @@ def solve_one_shot_maxmin(
     solution among the max-min optima, which keeps results deterministic
     and avoids gratuitously idle resources.
 
+    When every support route fits at its room under every cap at once,
+    no solve runs: with every weight positive, all routes at their room
+    is then the unique optimum of the second solve, whatever the floor.
+
     Returns the second solve's nonzero route counts in route order, and
     each routed pair's weighted rate under them, summed in route order;
     the floor is the least of those rates.
     """
-    # one floor row per active pair (one with a positive weight): its
-    # weighted rate minus the floor
     active = sorted({j for _, _, j in routes})
     totals = dict.fromkeys(active, 0.0)
     support = _support(instance, routes)
-    if not support:
-        return {}, totals
+    counts = (
+        dict(support)
+        if _fits_at_room(instance, support)
+        else _contended_maxmin(instance, routes, support, active)
+    )
+    for route, count in counts.items():
+        totals[route[2]] += routes[route] * count
+    return counts, totals
+
+
+def _contended_maxmin(instance, routes, support, active) -> dict:
+    """The two solves of ``solve_one_shot_maxmin`` over a nonempty
+    support: the floor, then the highest total at that floor.  Returns
+    the second solve's nonzero route counts."""
+    # one floor row per active pair (one with a positive weight): its
+    # weighted rate minus the floor
     weights = [routes[route] for route in support]
     lam_index = len(support)
     floors = {j: [] for j in active}
@@ -653,10 +699,7 @@ def solve_one_shot_maxmin(
         rows,
         ((max(0.0, lam_star - LAMBDA_SLACK), None),),
     )
-    counts = _counts(support, stage2)
-    for route, count in counts.items():
-        totals[route[2]] += routes[route] * count
-    return counts, totals
+    return _counts(support, stage2)
 
 
 def uncontended_max_edr(instance: SlotInstance, routes: dict) -> float:
@@ -664,9 +707,12 @@ def uncontended_max_edr(instance: SlotInstance, routes: dict) -> float:
     could get with the whole network to itself.  ``routes`` maps each of
     the pair's routes to its rate, in route order.  Alone, the pair's
     problem is a flow from transmitters to reflectors, or to one node that
-    stands for the direct routes, of at most the pair's room."""
-    if not routes:
-        return 0.0
+    stands for the direct routes, of at most the pair's room.  When every
+    route with room fits at its room under every cap at once, no flow
+    runs: all of them at their room is then the unique optimum."""
+    support = _support(instance, routes)
+    if _fits_at_room(instance, support):
+        return _objective(instance, *_sorted_counts(support))
     j = next(iter(routes))[2]
     a, b = instance.pair_stations[j]
     room = min(instance.pair_caps[j], instance.gs_caps[a], instance.gs_caps[b])

@@ -10,7 +10,7 @@ import re
 from dataclasses import replace
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qsatnet import orbital, scheduler, simharness
@@ -422,6 +422,184 @@ def test_uncontended_flow_equals_the_one_pair_ratesum_mip(inst):
         allocation = scheduler._priced(inst, counts)
         assert allocation.objective == best
         assert allocation_violations(inst, allocation) == []
+
+
+# --- rounds and bests whose routes all fit at their room --------------------
+
+
+def _cap_loads(inst, counts):
+    """Each cap's load under the route counts, in the instance's cap
+    order: transmitter, receiver, pair and reflector."""
+    sat, gs = [0] * inst.num_sats, [0] * len(inst.station_ids)
+    pair, reflector = [0] * inst.num_pairs, [0] * inst.num_sats
+    for (i, k, j), count in counts.items():
+        sat[i] += count
+        pair[j] += count
+        for g in inst.pair_stations[j]:
+            gs[g] += count
+        if k is not None:
+            reflector[k] += count
+    return tuple(sat), tuple(gs), tuple(pair), tuple(reflector)
+
+
+# one instance per cap kind, every cap loaded to the full when each route
+# runs at its room, and the cap of that kind that two routes share
+_FULL_CAPS = {
+    "transmitter": (
+        make_instance(
+            [[0.0], [0.0], [0.0]], [(0, 1)], 2, sat_caps=(2, 0, 0), gs_caps=(2, 2),
+            pair_caps=(2,), reflector_caps=(0, 1, 1), nu={(0, 1, 0): 3.0, (0, 2, 0): 2.0},
+        ),
+        "sat_caps",
+        0,
+    ),
+    "receiver": (
+        make_instance(
+            [[3.0, 0.0], [0.0, 2.0]], [(0, 1), (1, 2)], 3, sat_caps=(1, 1),
+            gs_caps=(1, 2, 1), pair_caps=(1, 1), reflector_caps=(0, 0),
+        ),
+        "gs_caps",
+        1,
+    ),
+    "pair": (
+        make_instance(
+            [[3.0], [2.0]], [(0, 1)], 2, sat_caps=(1, 1), gs_caps=(2, 2),
+            pair_caps=(2,), reflector_caps=(0, 0),
+        ),
+        "pair_caps",
+        0,
+    ),
+    "reflector": (
+        make_instance(
+            [[0.0], [0.0], [0.0]], [(0, 1)], 2, sat_caps=(1, 1, 0), gs_caps=(2, 2),
+            pair_caps=(2,), reflector_caps=(0, 0, 2), nu={(0, 2, 0): 3.0, (1, 2, 0): 2.0},
+        ),
+        "reflector_caps",
+        2,
+    ),
+}
+
+
+def _one_past_full(kind):
+    """The full instance of the cap kind with its shared cap one lower:
+    the rooms stay, so that cap alone carries one unit more than it
+    holds."""
+    inst, field, index = _FULL_CAPS[kind]
+    caps = list(getattr(inst, field))
+    caps[index] -= 1
+    return replace(inst, **{field: tuple(caps)})
+
+
+@st.composite
+def _relay_instances(draw):
+    """Two to four satellites and one to three pairs over two to four
+    stations, with direct and relayed routes and every cap drawn from
+    0-3, so that about half the supports fit at their room.  A drawn
+    extra pair has a route but no room."""
+    n_sat = draw(st.integers(2, 4))
+    n_gs = draw(st.integers(2, 4))
+    stations = st.integers(0, n_gs - 1)
+    pairs = draw(
+        st.lists(
+            st.tuples(stations, stations).filter(lambda ab: ab[0] != ab[1]),
+            min_size=1,
+            max_size=3,
+        )
+    )
+    # a cap shrinks towards 1, so that most routes have room
+    cap = st.sampled_from((1, 2, 3, 0))
+    pair_caps = [draw(cap) for _ in pairs]
+    rates = st.floats(0.1, 10.0)
+    omega = [[draw(rates) if draw(st.booleans()) else 0.0 for _ in pairs] for _ in range(n_sat)]
+    sats = st.integers(0, n_sat - 1)
+    relays = st.tuples(sats, sats, st.integers(0, len(pairs) - 1))
+    picked = draw(st.lists(relays.filter(lambda ikj: ikj[0] != ikj[1]), max_size=8))
+    nu = {route: draw(rates) for route in picked}
+    if draw(st.booleans()):
+        pairs.append((0, 1))
+        pair_caps.append(0)
+        for row in omega:
+            row.append(0.0)
+        omega[0][-1] = draw(rates)
+    gs_caps = []
+    for g in range(n_gs):
+        floor = max([0, *(cap for cap, ab in zip(pair_caps, pairs) if g in ab)])
+        gs_caps.append(draw(st.integers(floor, 3)))
+    caps = st.lists(cap, min_size=n_sat, max_size=n_sat)
+    return make_instance(
+        omega,
+        pairs,
+        n_gs,
+        sat_caps=draw(caps),
+        gs_caps=gs_caps,
+        pair_caps=pair_caps,
+        reflector_caps=draw(caps),
+        nu=nu or None,
+    )
+
+
+def _round_and_bests(inst):
+    """The instance's max-min round over all its routes, and each routed
+    pair's uncontended best."""
+    routed = sorted({j for _, _, j in inst.routes})
+    bests = [uncontended_max_edr(inst, pair_routes(inst.routes, j)) for j in routed]
+    return solve_one_shot_maxmin(inst, inst.routes), bests
+
+
+# the draws seldom pass a lone reflector, so each kind's single overloaded
+# cap is also run as an explicit example
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(_relay_instances())
+@example(_one_past_full("transmitter"))
+@example(_one_past_full("receiver"))
+@example(_one_past_full("pair"))
+@example(_one_past_full("reflector"))
+def test_rounds_and_bests_that_fit_equal_their_solvers_to_the_bit(inst):
+    """A round or best settled at the routes' rooms gives the very counts
+    and bits of the two-stage MIP and of the flow."""
+    (counts, totals), bests = _round_and_bests(inst)
+    with pytest.MonkeyPatch.context() as patch:
+        # every nonempty support goes to the solvers; an empty one needs none
+        patch.setattr(scheduler, "_fits_at_room", lambda instance, support: not support)
+        (solved_counts, solved_totals), flow_bests = _round_and_bests(inst)
+    assert list(counts.items()) == list(solved_counts.items())
+    assert repr(list(totals.items())) == repr(list(solved_totals.items()))
+    assert repr(bests) == repr(flow_bests)
+
+
+@pytest.mark.parametrize("kind", list(_FULL_CAPS))
+def test_solvers_run_only_past_a_full_cap(monkeypatch, kind):
+    """With every cap loaded to the full, the round and the bests run no
+    solver; one unit past a cap, the round runs its two MIPs once and the
+    best of the pair over that cap runs one flow.  A lone pair never loads
+    a receiver past its cap, which is at least the pair's own."""
+    inst, field, _ = _FULL_CAPS[kind]
+    calls = {"mip": 0, "flow": 0}
+
+    def counted(name, real):
+        def call(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+
+        return call
+
+    monkeypatch.setattr(scheduler, "solve_mip", counted("mip", scheduler.solve_mip))
+    monkeypatch.setattr(
+        scheduler, "max_weight_flow", counted("flow", scheduler.max_weight_flow)
+    )
+    support = scheduler._support(inst, inst.routes)
+    assert len(support) == len(inst.routes)
+    assert _cap_loads(inst, support) == (
+        inst.sat_caps, inst.gs_caps, inst.pair_caps, inst.reflector_caps
+    )
+    (counts, _), _ = _round_and_bests(inst)
+    assert counts == support and calls == {"mip": 0, "flow": 0}
+
+    past = _one_past_full(kind)
+    assert scheduler._support(past, past.routes) == support
+    (counts, _), _ = _round_and_bests(past)
+    assert allocation_violations(past, scheduler._priced(past, counts)) == []
+    assert calls == {"mip": 2, "flow": 0 if field == "gs_caps" else 1}
 
 
 def test_ratefair_hands_the_solver_no_uncontended_mip(monkeypatch):
@@ -1183,15 +1361,33 @@ def test_budget_limited_solve_fails_its_slot(monkeypatch):
     assert failure.value.slot == 1
 
 
-# SHA-256 over repr((objective, constraints, variable_bounds, integer_vars))
-# of every MIP the policies hand to the solver, in call order, with each
-# constraint row written out densely; the uncontended per-pair solves are
-# flows and hand it none
-PINNED_MIP_COUNT = 1630
-PINNED_MIP_DIGEST = "d0959301f21fdb6305d4fc247fd36c48d22fd7d4948513506ab83dee6e84f065"
+# Each policy's MIP count and SHA-256 over repr((objective, constraints,
+# variable_bounds, integer_vars)) of every MIP it hands the solver on the
+# reduced scenario, in call order, with each constraint row written out
+# densely.  The uncontended per-pair solves are flows and hand it none, and
+# neither does a max-min round whose routes all fit at their room.
+PINNED_MIPS = {
+    "reflection_ratefair": (
+        226,
+        "72e90abb1883eaa4be57d59d00c8268b7e82f43da8420e45d746ffa4df8e6433",
+    ),
+    "primary_ratefair": (
+        126,
+        "033350273e2fe13ea503fce7f980d7d161314b8e9d01bfa033451da834a16878",
+    ),
+    "reflection_ratesum": (
+        208,
+        "7a3e90a2eb5277f525846a437d68d00448f52548919179b5811b19653585b55f",
+    ),
+    "primary_ratesum": (
+        170,
+        "cc5a1b0cd0e624c66e2e7226c0079c8d152f375a08115f008b197c907666436f",
+    ),
+}
 
 
-def test_mip_sequence_matches_pinned_digest(monkeypatch):
+@pytest.mark.parametrize("policy", list(PINNED_MIPS))
+def test_mip_sequence_matches_pinned_digest(monkeypatch, policy):
     """Refactors of the assembly must hand the solver the very same MIPs."""
     digest = hashlib.sha256()
     count = 0
@@ -1221,14 +1417,8 @@ def test_mip_sequence_matches_pinned_digest(monkeypatch):
             "num_slots": "240",
         },
     )
-    for policy in (
-        "reflection_ratefair",
-        "primary_ratefair",
-        "reflection_ratesum",
-        "primary_ratesum",
-    ):
-        simharness.run(replace(reduced, policy=policy))
-    assert (count, digest.hexdigest()) == (PINNED_MIP_COUNT, PINNED_MIP_DIGEST)
+    simharness.run(replace(reduced, policy=policy))
+    assert (count, digest.hexdigest()) == PINNED_MIPS[policy]
 
 
 # --- instance validation and serialization -----------------------------------
