@@ -454,20 +454,15 @@ def served_routes(allocation: Allocation):
 
 def _support(instance, routes) -> dict:
     """The solver's integer variables: the routes with room under every
-    cap they touch, each mapped to that room."""
-    sat_caps, reflector_caps = instance.sat_caps, instance.reflector_caps
-    # each pair's room under its own cap and both station caps, found at
-    # the pair's first route
-    pair_room: dict[int, int] = {}
+    cap they touch, each mapped to that room.  A route's room is the
+    least of its pair, transmitter and reflector caps: receiver dominance
+    (``SlotInstance``) puts each station's cap at or above its pairs'."""
+    sat_caps, pair_caps = instance.sat_caps, instance.pair_caps
+    reflector_caps = instance.reflector_caps
     support = {}
     for route in routes:
         i, k, j = route
-        room = pair_room.get(j)
-        if room is None:
-            a, b = instance.pair_stations[j]
-            room = pair_room[j] = min(
-                instance.pair_caps[j], instance.gs_caps[a], instance.gs_caps[b]
-            )
+        room = pair_caps[j]
         if sat_caps[i] < room:
             room = sat_caps[i]
         if k is not None and reflector_caps[k] < room:
@@ -477,57 +472,11 @@ def _support(instance, routes) -> dict:
     return support
 
 
-def _fits_at_room(instance, support) -> bool:
-    """Whether every support route can run at its room at once: under
-    each transmitter, receiver, pair and reflector cap, the rooms of the
-    routes that touch it sum to at most the cap.  Stops at the first cap
-    exceeded."""
-    sat_caps, pair_caps = instance.sat_caps, instance.pair_caps
-    reflector_caps = instance.reflector_caps
-    sat_load, pair_load, reflector_load = {}, {}, {}
-    for (i, k, j), room in support.items():
-        load = sat_load[i] = sat_load.get(i, 0) + room
-        if load > sat_caps[i]:
-            return False
-        load = pair_load[j] = pair_load.get(j, 0) + room
-        if load > pair_caps[j]:
-            return False
-        if k is not None:
-            load = reflector_load[k] = reflector_load.get(k, 0) + room
-            if load > reflector_caps[k]:
-                return False
-    # a station carries the loads of its pairs
-    gs_caps = instance.gs_caps
-    station_load = {}
-    for j, load in pair_load.items():
-        for g in instance.pair_stations[j]:
-            total = station_load[g] = station_load.get(g, 0) + load
-            if total > gs_caps[g]:
-                return False
-    return True
-
-
-def _solve_assignment(
-    instance: SlotInstance,
-    support,
-    objective,
-    extra_constraints=(),
-    extra_bounds=(),
-):
-    """Shared MIP scaffold over support routes.
-
-    ``support`` maps each route to its room, the route's upper bound.
-    ``objective`` has one entry per route, then per continuous extra,
-    whose bounds ``extra_bounds`` gives.  The cap rows come from one pass
-    over the routes: transmitter, receiver, pair, then reflector caps,
-    each in index order and only where some route takes part.  Returns
-    None on an empty support; a solve that does not prove optimality
-    raises.
-    """
-    if not support:
-        return None
-    # the columns each transmitter, pair and reflector cap covers, keyed by
-    # the indices some route touches; a station covers its pairs' columns
+def _cap_rows(instance, support) -> list:
+    """The cap rows over the support's columns, as the solver's
+    ``(row, "<=", cap)`` constraints: transmitter, receiver, pair, then
+    reflector caps, each in index order and only where some route takes
+    part.  A station's row covers its pairs' columns."""
     by_sat, by_pair, by_reflector = {}, {}, {}
     for idx, (i, k, j) in enumerate(support):
         by_sat.setdefault(i, []).append(idx)
@@ -541,7 +490,7 @@ def _solve_assignment(
     for columns in by_station.values():
         columns.sort()
 
-    constraints = []
+    rows = []
     for incidence, caps in (
         (by_sat, instance.sat_caps),
         (by_station, instance.gs_caps),
@@ -551,16 +500,34 @@ def _solve_assignment(
         for index in sorted(incidence):
             members = incidence[index]
             row = SparseRow(tuple(members), (1.0,) * len(members))
-            constraints.append((row, "<=", float(caps[index])))
-    constraints.extend(extra_constraints)
+            rows.append((row, "<=", float(caps[index])))
+    return rows
 
+
+def _fits_at_room(support, rows) -> bool:
+    """Whether every support route can run at its room at once: on each
+    cap row, the rooms of the routes it covers sum to at most the cap."""
+    rooms = list(support.values())
+    return all(sum(rooms[c] for c in row.columns) <= cap for row, _, cap in rows)
+
+
+def _solve_assignment(support, rows, objective, extra_constraints=(), extra_bounds=()):
+    """Shared MIP scaffold over support routes.
+
+    ``support`` maps each route to its room, the route's upper bound, and
+    ``rows`` are its cap rows (``_cap_rows``).  ``objective`` has one
+    entry per route, then per continuous extra, whose bounds
+    ``extra_bounds`` gives.  Returns None on an empty support; a solve
+    that does not prove optimality raises.
+    """
+    if not support:
+        return None
     bounds = [(0.0, float(room)) for room in support.values()]
     bounds.extend(extra_bounds)
-
     mip = MipProblem(
         base=LinearProgram(
             objective=tuple(objective),
-            constraints=tuple(constraints),
+            constraints=(*rows, *extra_constraints),
             variable_bounds=tuple(bounds),
         ),
         integer_vars=tuple(range(len(support))),
@@ -620,7 +587,8 @@ def _priced(instance, counts) -> Allocation:
 
 def _ratesum(instance, routes) -> Allocation:
     support = _support(instance, routes)
-    result = _solve_assignment(instance, support, [routes[r] for r in support])
+    rows = _cap_rows(instance, support)
+    result = _solve_assignment(support, rows, [routes[r] for r in support])
     return _priced(instance, _counts(support, result))
 
 
@@ -646,9 +614,11 @@ def solve_one_shot_maxmin(
     solution among the max-min optima, which keeps results deterministic
     and avoids gratuitously idle resources.
 
-    When every support route fits at its room under every cap at once,
-    no solve runs: with every weight positive, all routes at their room
-    is then the unique optimum of the second solve, whatever the floor.
+    The support's cap rows are built once: the fit test reads them, and
+    both solves take them as their cap constraints.  When every support
+    route fits at its room on every row at once, no solve runs: with
+    every weight positive, all routes at their room is then the unique
+    optimum of the second solve, whatever the floor.
 
     Returns the second solve's nonzero route counts in route order, and
     each routed pair's weighted rate under them, summed in route order;
@@ -657,20 +627,21 @@ def solve_one_shot_maxmin(
     active = sorted({j for _, _, j in routes})
     totals = dict.fromkeys(active, 0.0)
     support = _support(instance, routes)
+    rows = _cap_rows(instance, support)
     counts = (
         dict(support)
-        if _fits_at_room(instance, support)
-        else _contended_maxmin(instance, routes, support, active)
+        if _fits_at_room(support, rows)
+        else _contended_maxmin(routes, support, rows, active)
     )
     for route, count in counts.items():
         totals[route[2]] += routes[route] * count
     return counts, totals
 
 
-def _contended_maxmin(instance, routes, support, active) -> dict:
+def _contended_maxmin(routes, support, rows, active) -> dict:
     """The two solves of ``solve_one_shot_maxmin`` over a nonempty
-    support: the floor, then the highest total at that floor.  Returns
-    the second solve's nonzero route counts."""
+    support and its cap rows: the floor, then the highest total at that
+    floor.  Returns the second solve's nonzero route counts."""
     # one floor row per active pair (one with a positive weight): its
     # weighted rate minus the floor
     weights = [routes[route] for route in support]
@@ -678,7 +649,7 @@ def _contended_maxmin(instance, routes, support, active) -> dict:
     floors = {j: [] for j in active}
     for idx, (_, _, j) in enumerate(support):
         floors[j].append(idx)
-    rows = [
+    floor_rows = [
         (
             SparseRow((*members, lam_index), (*(weights[idx] for idx in members), -1.0)),
             ">=",
@@ -688,15 +659,15 @@ def _contended_maxmin(instance, routes, support, active) -> dict:
     ]
 
     stage1 = _solve_assignment(
-        instance, support, [0.0] * lam_index + [1.0], rows, ((0.0, None),)
+        support, rows, [0.0] * lam_index + [1.0], floor_rows, ((0.0, None),)
     )
     lam_star = stage1.assignment[lam_index]
 
     stage2 = _solve_assignment(
-        instance,
         support,
-        weights + [0.0],
         rows,
+        weights + [0.0],
+        floor_rows,
         ((max(0.0, lam_star - LAMBDA_SLACK), None),),
     )
     return _counts(support, stage2)
@@ -707,19 +678,18 @@ def uncontended_max_edr(instance: SlotInstance, routes: dict) -> float:
     could get with the whole network to itself.  ``routes`` maps each of
     the pair's routes to its rate, in route order.  Alone, the pair's
     problem is a flow from transmitters to reflectors, or to one node that
-    stands for the direct routes, of at most the pair's room.  When every
-    route with room fits at its room under every cap at once, no flow
+    stands for the direct routes, of at most the pair's cap, which
+    receiver dominance puts at or below both station caps.  When every
+    route with room fits at its room on every cap row at once, no flow
     runs: all of them at their room is then the unique optimum."""
     support = _support(instance, routes)
-    if _fits_at_room(instance, support):
+    if _fits_at_room(support, _cap_rows(instance, support)):
         return _objective(instance, *_sorted_counts(support))
     j = next(iter(routes))[2]
-    a, b = instance.pair_stations[j]
-    room = min(instance.pair_caps[j], instance.gs_caps[a], instance.gs_caps[b])
     direct = instance.num_sats
     arcs = {(i, direct if k is None else k): w for (i, k, _), w in routes.items()}
     demand = (*instance.reflector_caps, math.inf)
-    flow = max_weight_flow(instance.sat_caps, demand, arcs, room)
+    flow = max_weight_flow(instance.sat_caps, demand, arcs, instance.pair_caps[j])
     counts = {(i, None if r == direct else r, j): c for (i, r), c in flow.items()}
     return _objective(instance, *_sorted_counts(counts))
 
@@ -752,8 +722,10 @@ def _ratefair(instance: SlotInstance, routes: dict) -> Allocation:
             min(instance.pair_caps[j], caps_r[a], caps_r[b]) if j in remaining else 0
             for j, (a, b) in enumerate(instance.pair_stations)
         )
+        # a round reads only the caps; its weights come as its routes
         residual = replace(
             instance,
+            routes={},
             sat_caps=tuple(caps_t),
             gs_caps=tuple(caps_r),
             pair_caps=residual_pair_caps,
@@ -850,6 +822,12 @@ def solve_stmr(instance: SlotInstance) -> Allocation:
 # verification and serialization
 
 
+def _is_count(value) -> bool:
+    """Whether value is a nonnegative integer.  NaN fails the first test
+    and inf the second, before either reaches ``int``."""
+    return value >= 0 and value != math.inf and value == int(value)
+
+
 def allocation_violations(instance: SlotInstance, allocation: Allocation) -> list[str]:
     """Independent integer-arithmetic feasibility check."""
     n_sat, n_pair = instance.num_sats, instance.num_pairs
@@ -859,11 +837,11 @@ def allocation_violations(instance: SlotInstance, allocation: Allocation) -> lis
     counts = []
     for i, row in enumerate(allocation.x):
         for j, value in enumerate(row):
-            if value < 0 or value != int(value):
+            if not _is_count(value):
                 messages.append(f"direct count {value} is not a nonnegative integer")
             counts.append(((i, None, j), value))
     for i, k, j, count in allocation.y:
-        if count < 0 or count != int(count):
+        if not _is_count(count):
             messages.append(f"relay count {count} is not a nonnegative integer")
         if i == k:
             messages.append(f"self-relay allocation on satellite {i}")

@@ -28,6 +28,7 @@ from .linkphys import (
 )
 from .orbital import (
     EARTH_RADIUS,
+    EARTH_ROTATION_PERIOD,
     ISL_CLEARANCE,
     ConstellationConfig,
     GroundStation,
@@ -91,6 +92,7 @@ class ScenarioConfig:
             raise ConfigurationError("slot duration must be positive")
         if self.num_slots <= 0:
             raise ConfigurationError("slot count must be positive")
+        self._check_slot_angles()
         if not 1 <= self.month <= 12:
             raise ConfigurationError(f"month {self.month} outside 1..12")
         if not 0.0 <= self.min_elevation < 90.0:
@@ -123,6 +125,29 @@ class ScenarioConfig:
                         f"station {sid}: receiver cap {receiver_caps[sid]} "
                         f"below pair cap {pair.pair_cap} of pair {pair.id}"
                     )
+
+    def _check_slot_angles(self) -> None:
+        """Refuse a scenario whose last slot has a time, Earth-spin angle
+        or orbit angle that is not finite, as ``propagate`` computes them.
+        Each grows with the slot index from slot 0, at the finite epoch,
+        so the last slot bounds every slot."""
+        try:
+            elapsed = (self.num_slots - 1) * self.slot_duration
+        except OverflowError:  # a slot count past the float range
+            elapsed = math.inf
+        spin = 2.0 * math.pi * elapsed / EARTH_ROTATION_PERIOD
+        if not math.isfinite(spin):
+            raise ConfigurationError(
+                f"field slot_duration: {self.num_slots} slots of "
+                f"{self.slot_duration} s overflow the Earth-spin angle"
+            )
+        epoch = self.constellation.epoch
+        mean_motion = 2.0 * math.pi / orbital_period(self.constellation.altitude)
+        if not math.isfinite(mean_motion * (epoch + elapsed)):
+            raise ConfigurationError(
+                f"field constellation.epoch: epoch {epoch} s plus {elapsed} s "
+                "of slots overflows the orbit angle"
+            )
 
     def resolved_pairs(self) -> tuple[PairSpec, ...]:
         """Explicit pairs, or every unordered station pair when unset."""

@@ -539,6 +539,40 @@ class TestCliBadValues:
             )
             assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "scenario, message",
+        [
+            # 2 pi times slot 1's time overflows before the cosine
+            (
+                {"slot_duration": 1e308, "num_slots": 2},
+                "field slot_duration: 2 slots of 1e+308 s overflow the Earth-spin angle",
+            ),
+            # a slot count past the float range
+            (
+                {"num_slots": 10**400},
+                f"field slot_duration: {10**400} slots of 10.0 s overflow the Earth-spin angle",
+            ),
+            # the spin stays finite, the epoch plus slot 1's time does not
+            (
+                {"constellation": {"epoch": 1.7e308}, "slot_duration": 1e307, "num_slots": 2},
+                "field constellation.epoch: epoch 1.7e+308 s plus 1e+307 s of slots "
+                "overflows the orbit angle",
+            ),
+        ],
+    )
+    def test_overflowing_slot_time_is_one_error_line(
+        self, tmp_path, capsys, scenario, message
+    ):
+        # validate must refuse what simulate would otherwise meet mid-run
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(scenario))
+        assert main(["validate", "--config", str(path)]) == 1
+        assert one_error_line(capsys, "validate").endswith(f"error: {message}")
+        out = tmp_path / "sim"
+        assert main(["simulate", "--config", str(path), "--out", str(out)]) == 1
+        assert one_error_line(capsys, "simulate").endswith(f"error: {message}")
+        assert not out.exists()
+
     def test_validate_prices_the_scenario_source(self, tmp_path, capsys):
         message = "mean_photon_number 1e+100: emission probabilities overflow"
         path = tmp_path / "scenario.json"

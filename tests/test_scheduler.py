@@ -560,7 +560,7 @@ def test_rounds_and_bests_that_fit_equal_their_solvers_to_the_bit(inst):
     (counts, totals), bests = _round_and_bests(inst)
     with pytest.MonkeyPatch.context() as patch:
         # every nonempty support goes to the solvers; an empty one needs none
-        patch.setattr(scheduler, "_fits_at_room", lambda instance, support: not support)
+        patch.setattr(scheduler, "_fits_at_room", lambda support, rows: not support)
         (solved_counts, solved_totals), flow_bests = _round_and_bests(inst)
     assert list(counts.items()) == list(solved_counts.items())
     assert repr(list(totals.items())) == repr(list(solved_totals.items()))
@@ -602,6 +602,28 @@ def test_solvers_run_only_past_a_full_cap(monkeypatch, kind):
     assert calls == {"mip": 2, "flow": 0 if field == "gs_caps" else 1}
 
 
+# a station shared by two pairs and a lone reflector, each at its cap and
+# one unit past it, besides the drawn instances
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(_relay_instances())
+@example(_FULL_CAPS["receiver"][0])
+@example(_one_past_full("receiver"))
+@example(_FULL_CAPS["reflector"][0])
+@example(_one_past_full("reflector"))
+def test_fit_test_on_the_cap_rows_equals_the_per_cap_loads(inst):
+    """The support fits at its room on the solver's cap rows exactly when
+    every cap's load under the rooms is at most that cap."""
+    support = scheduler._support(inst, inst.routes)
+    caps = (inst.sat_caps, inst.gs_caps, inst.pair_caps, inst.reflector_caps)
+    per_cap = all(
+        load <= cap
+        for loads, kind_caps in zip(_cap_loads(inst, support), caps)
+        for load, cap in zip(loads, kind_caps)
+    )
+    rows = scheduler._cap_rows(inst, support)
+    assert scheduler._fits_at_room(support, rows) == per_cap
+
+
 def test_ratefair_hands_the_solver_no_uncontended_mip(monkeypatch):
     """The uncontended best is a flow: no MIP is issued while it runs."""
     inside = []
@@ -628,6 +650,24 @@ def test_ratefair_hands_the_solver_no_uncontended_mip(monkeypatch):
         solve_reflection_ratefair(inst)
         solve_primary_ratefair(inst)
     assert calls[True] == 0 and calls[False] > 0
+
+
+def test_ratefair_rounds_validate_no_route_map(monkeypatch):
+    """A max-min round's instance carries only caps: the weight builder
+    alone checks and orders a slot's routes."""
+    instances = _reduced_slots("reflection_ratefair", range(0, 1440, 60))
+    validated = {"with routes": 0, "caps only": 0}
+    real_check = SlotInstance.__post_init__
+
+    def counted_check(instance):
+        validated["with routes" if instance.routes else "caps only"] += 1
+        real_check(instance)
+
+    monkeypatch.setattr(SlotInstance, "__post_init__", counted_check)
+    for inst in instances:
+        solve_reflection_ratefair(inst)
+        solve_primary_ratefair(inst)
+    assert validated["with routes"] == 0 and validated["caps only"] > 0
 
 
 def test_ratefair_relay_only_pair_needs_the_reflection_policy():
@@ -1537,6 +1577,19 @@ def test_allocation_checker_reads_the_route_map_and_names_bad_relays(monkeypatch
         assert allocation_violations(inst, bad) == [
             f"relay entry {entry[:3]} is out of range"
         ]
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_allocation_checker_reports_non_finite_counts(bad):
+    inst = make_instance([[1.0], [2.0]], [(0, 1)], 2, nu={(0, 1, 0): 4.0})
+    direct = Allocation(x=((bad,), (0,)), y=(), objective=0.0)
+    assert f"direct count {bad} is not a nonnegative integer" in (
+        allocation_violations(inst, direct)
+    )
+    relay = Allocation(x=((0,), (0,)), y=((0, 1, 0, bad),), objective=0.0)
+    assert f"relay count {bad} is not a nonnegative integer" in (
+        allocation_violations(inst, relay)
+    )
 
 
 def test_allocation_json_shape():
