@@ -346,15 +346,13 @@ def visible_links(
     sin_mask = math.sin(math.radians(max(-90.0, min(90.0, min_elevation))))
     candidates = ~(dot < (sin_mask - SCREEN_MARGIN) * radius * slant)
 
-    links: dict[str, dict[str, LinkGeometry]] = {}
-    for gs_id, row in zip(station_ids, candidates):
-        per_sat = {}
-        for s in np.flatnonzero(row).tolist():
-            geom = link_geometry(snapshot, sat_ids[s], gs_id)
-            if geom.elevation >= min_elevation:
-                per_sat[sat_ids[s]] = geom
-        links[gs_id] = per_sat
-    return links
+    # cells in row-major order: station by station, satellites in order
+    per_station = [{} for _ in station_ids]
+    for g, s in zip(*(axis.tolist() for axis in np.nonzero(candidates))):
+        geom = link_geometry(snapshot, sat_ids[s], station_ids[g])
+        if geom.elevation >= min_elevation:
+            per_station[g][sat_ids[s]] = geom
+    return dict(zip(station_ids, per_station))
 
 
 def sight_line_clear(p: Vec3, q: Vec3, clearance: float = ISL_CLEARANCE) -> bool:

@@ -13,6 +13,9 @@ special-case solvers exploit unit-capacity structure.
 from __future__ import annotations
 
 import math
+from collections import OrderedDict
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass, replace
 from functools import cached_property
 
@@ -618,7 +621,9 @@ def solve_one_shot_maxmin(
     both solves take them as their cap constraints.  When every support
     route fits at its room on every row at once, no solve runs: with
     every weight positive, all routes at their room is then the unique
-    optimum of the second solve, whatever the floor.
+    optimum of the second solve, whatever the floor.  Otherwise the round
+    is looked up by its content in the active round memory
+    (``round_memory``), and solved only when that content is new.
 
     Returns the second solve's nonzero route counts in route order, and
     each routed pair's weighted rate under them, summed in route order;
@@ -631,31 +636,79 @@ def solve_one_shot_maxmin(
     counts = (
         dict(support)
         if _fits_at_room(support, rows)
-        else _contended_maxmin(routes, support, rows, active)
+        else _remembered_maxmin(routes, support, rows, active)
     )
     for route, count in counts.items():
         totals[route[2]] += routes[route] * count
     return counts, totals
 
 
-def _contended_maxmin(routes, support, rows, active) -> dict:
-    """The two solves of ``solve_one_shot_maxmin`` over a nonempty
-    support and its cap rows: the floor, then the highest total at that
-    floor.  Returns the second solve's nonzero route counts."""
-    # one floor row per active pair (one with a positive weight): its
-    # weighted rate minus the floor
+# The contended max-min rounds of one run, keyed by content (see
+# _remembered_maxmin), least recently used first; None outside a run.
+ROUND_MEMORY_SIZE = 64
+_round_memory: ContextVar[OrderedDict | None] = ContextVar("round_memory", default=None)
+
+
+@contextmanager
+def round_memory():
+    """Remember contended max-min rounds by content while the block runs.
+
+    A round whose rooms, weights, cap rows and floor members, all in
+    support order, were already solved in the block takes the remembered
+    counts and hands the solver nothing: the same content makes the same
+    MIPs, and the solver is deterministic.  At most ``ROUND_MEMORY_SIZE``
+    rounds are kept.  On exit, also by an exception, the memory that was
+    active before comes back.  Yields the memory.
+    """
+    token = _round_memory.set(OrderedDict())
+    try:
+        yield _round_memory.get()
+    finally:
+        _round_memory.reset(token)
+
+
+def _remembered_maxmin(routes, support, rows, active) -> dict:
+    """The counts of a contended round: remembered by the active round
+    memory, or solved by ``_contended_maxmin`` and remembered.  Outside
+    ``round_memory`` the memory is a new, empty one, so every round is
+    solved."""
+    # one floor row per active pair (one with a positive weight) over its
+    # support columns
     weights = [routes[route] for route in support]
-    lam_index = len(support)
     floors = {j: [] for j in active}
     for idx, (_, _, j) in enumerate(support):
         floors[j].append(idx)
+    members = tuple(map(tuple, floors.values()))
+    key = (tuple(support.values()), tuple(weights), tuple(rows), members)
+
+    memory = _round_memory.get()
+    if memory is None:
+        memory = OrderedDict()
+    counts = memory.get(key)
+    if counts is None:
+        counts = _contended_maxmin(support, rows, weights, members)
+        memory[key] = counts
+        if len(memory) > ROUND_MEMORY_SIZE:
+            memory.popitem(last=False)
+    else:
+        memory.move_to_end(key)
+    return {route: c for route, c in zip(support, counts) if c}
+
+
+def _contended_maxmin(support, rows, weights, members) -> tuple:
+    """The two solves of ``solve_one_shot_maxmin`` over a nonempty
+    support, its cap rows, its weights and each active pair's floor
+    members: the floor, then the highest total at that floor.  Returns
+    the second solve's count of every support route."""
+    # each floor row is its pair's weighted rate minus the floor
+    lam_index = len(support)
     floor_rows = [
         (
-            SparseRow((*members, lam_index), (*(weights[idx] for idx in members), -1.0)),
+            SparseRow((*cols, lam_index), (*(weights[idx] for idx in cols), -1.0)),
             ">=",
             0.0,
         )
-        for members in floors.values()
+        for cols in members
     ]
 
     stage1 = _solve_assignment(
@@ -670,7 +723,7 @@ def _contended_maxmin(routes, support, rows, active) -> dict:
         floor_rows,
         ((max(0.0, lam_star - LAMBDA_SLACK), None),),
     )
-    return _counts(support, stage2)
+    return tuple(map(round, stage2.assignment[:lam_index]))
 
 
 def uncontended_max_edr(instance: SlotInstance, routes: dict) -> float:

@@ -46,6 +46,7 @@ from .scheduler import (
     default_physics,
     mirror_hop,
     pair_edr,
+    round_memory,
     served_routes,
     solve_primary_ratefair,
     solve_primary_ratesum,
@@ -269,48 +270,50 @@ def run(config: ScenarioConfig, env: EnvironmentTable | None = None) -> RunRepor
     previous_serving: dict[str, frozenset] | None = None
     total_handovers = 0
 
-    for t in range(config.num_slots):
-        try:
-            snapshot = propagate(
-                config.constellation, config.stations, t, config.slot_duration
+    # each run remembers its own contended max-min rounds, and no longer
+    with round_memory():
+        for t in range(config.num_slots):
+            try:
+                snapshot = propagate(
+                    config.constellation, config.stations, t, config.slot_duration
+                )
+                hour_utc = (t * config.slot_duration / 3600.0) % 24.0
+                weights = build_reflection_weights if relayed else build_weights
+                instance = weights(
+                    snapshot,
+                    network,
+                    config.physics,
+                    env,
+                    config.min_elevation,
+                    config.fidelity_threshold,
+                    *((config.mirror_efficiency,) if relayed else ()),
+                    month=config.month,
+                    hour_utc=hour_utc,
+                )
+                allocation = solver(instance)
+                rates = pair_edr(instance, allocation)
+                serving = serving_sets(instance, allocation)
+                handovers = (
+                    count_handovers(previous_serving, serving)
+                    if previous_serving is not None
+                    else 0
+                )
+            except Exception as exc:
+                raise SimulationError(t, str(exc)) from exc
+            previous_serving = serving
+            total_handovers += handovers
+            aggregate = sum(rates[pid] for pid in pair_ids)
+            for pid in pair_ids:
+                daily[pid] += rates[pid] * config.slot_duration
+            series.append(
+                SlotMetrics(
+                    t=t,
+                    aggregate_edr=aggregate,
+                    per_pair_edr=rates,
+                    connectivity=connectivity_count(instance),
+                    handovers_since_prev=handovers,
+                )
             )
-            hour_utc = (t * config.slot_duration / 3600.0) % 24.0
-            weights = build_reflection_weights if relayed else build_weights
-            instance = weights(
-                snapshot,
-                network,
-                config.physics,
-                env,
-                config.min_elevation,
-                config.fidelity_threshold,
-                *((config.mirror_efficiency,) if relayed else ()),
-                month=config.month,
-                hour_utc=hour_utc,
-            )
-            allocation = solver(instance)
-            rates = pair_edr(instance, allocation)
-            serving = serving_sets(instance, allocation)
-            handovers = (
-                count_handovers(previous_serving, serving)
-                if previous_serving is not None
-                else 0
-            )
-        except Exception as exc:
-            raise SimulationError(t, str(exc)) from exc
-        previous_serving = serving
-        total_handovers += handovers
-        aggregate = sum(rates[pid] for pid in pair_ids)
-        for pid in pair_ids:
-            daily[pid] += rates[pid] * config.slot_duration
-        series.append(
-            SlotMetrics(
-                t=t,
-                aggregate_edr=aggregate,
-                per_pair_edr=rates,
-                connectivity=connectivity_count(instance),
-                handovers_since_prev=handovers,
-            )
-        )
 
     served = sum(1 for pid in pair_ids if daily[pid] > 0)
     return RunReport(

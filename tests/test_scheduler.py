@@ -1405,15 +1405,16 @@ def test_budget_limited_solve_fails_its_slot(monkeypatch):
 # variable_bounds, integer_vars)) of every MIP it hands the solver on the
 # reduced scenario, in call order, with each constraint row written out
 # densely.  The uncontended per-pair solves are flows and hand it none, and
-# neither does a max-min round whose routes all fit at their room.
+# neither does a max-min round whose routes all fit at their room, nor one
+# whose content the run has already solved (scheduler.round_memory).
 PINNED_MIPS = {
     "reflection_ratefair": (
-        226,
-        "72e90abb1883eaa4be57d59d00c8268b7e82f43da8420e45d746ffa4df8e6433",
+        120,
+        "00625b825eb85e0236f1c9ecd96364b39bc057b808ffe46472d03059bbf50f37",
     ),
     "primary_ratefair": (
-        126,
-        "033350273e2fe13ea503fce7f980d7d161314b8e9d01bfa033451da834a16878",
+        46,
+        "890984fa5eac24fd006752d27636e0ce07cfce99e7640a8b330c2552d7db30e1",
     ),
     "reflection_ratesum": (
         208,
@@ -1426,27 +1427,21 @@ PINNED_MIPS = {
 }
 
 
-@pytest.mark.parametrize("policy", list(PINNED_MIPS))
-def test_mip_sequence_matches_pinned_digest(monkeypatch, policy):
-    """Refactors of the assembly must hand the solver the very same MIPs."""
-    digest = hashlib.sha256()
-    count = 0
+def _mip_key(mip) -> bytes:
+    """repr((objective, constraints, variable_bounds, integer_vars)) of a
+    MIP, each constraint row written out densely."""
+    lp = mip.base
+    constraints = []
+    for row, relation, rhs in lp.constraints:
+        dense = [0.0] * lp.num_vars
+        for j, c in zip(row.columns, row.coefficients):
+            dense[j] = c
+        constraints.append((tuple(dense), relation, rhs))
+    return repr((lp.objective, tuple(constraints), lp.variable_bounds, mip.integer_vars)).encode()
 
-    def recorded(mip):
-        nonlocal count
-        count += 1
-        lp = mip.base
-        constraints = []
-        for row, relation, rhs in lp.constraints:
-            dense = [0.0] * lp.num_vars
-            for j, c in zip(row.columns, row.coefficients):
-                dense[j] = c
-            constraints.append((tuple(dense), relation, rhs))
-        key = (lp.objective, tuple(constraints), lp.variable_bounds, mip.integer_vars)
-        digest.update(repr(key).encode())
-        return solve_mip(mip)
 
-    monkeypatch.setattr(scheduler, "solve_mip", recorded)
+def _pinned_scenario(policy):
+    """The reduced 4x10 scenario the MIP pins are taken on."""
     reduced = apply_overrides(
         default_scenario(),
         {
@@ -1457,8 +1452,184 @@ def test_mip_sequence_matches_pinned_digest(monkeypatch, policy):
             "num_slots": "240",
         },
     )
-    simharness.run(replace(reduced, policy=policy))
+    return replace(reduced, policy=policy)
+
+
+@pytest.mark.parametrize("policy", list(PINNED_MIPS))
+def test_mip_sequence_matches_pinned_digest(monkeypatch, policy):
+    """Refactors of the assembly must hand the solver the very same MIPs."""
+    digest = hashlib.sha256()
+    count = 0
+
+    def recorded(mip):
+        nonlocal count
+        count += 1
+        digest.update(_mip_key(mip))
+        return solve_mip(mip)
+
+    monkeypatch.setattr(scheduler, "solve_mip", recorded)
+    simharness.run(_pinned_scenario(policy))
     assert (count, digest.hexdigest()) == PINNED_MIPS[policy]
+
+
+# --- the run's round memory ---------------------------------------------------
+
+
+def _counting_mips(patch):
+    """Counts the MIPs handed to the solver from here on."""
+    calls = []
+    real = scheduler.solve_mip
+
+    def counted(mip):
+        calls.append(mip)
+        return real(mip)
+
+    patch.setattr(scheduler, "solve_mip", counted)
+    return calls
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(_relay_instances())
+@example(_one_past_full("transmitter"))
+@example(_one_past_full("reflector"))
+def test_remembered_round_equals_the_solved_round_to_the_bit(inst):
+    """A round met again in a memory takes the counts the solver gave it,
+    and its totals keep their bits."""
+    solved_counts, solved_totals = solve_one_shot_maxmin(inst, inst.routes)
+    with pytest.MonkeyPatch.context() as patch:
+        mips = _counting_mips(patch)
+        with scheduler.round_memory() as memory:
+            first = solve_one_shot_maxmin(inst, inst.routes)
+            solves = len(mips)
+            counts, totals = solve_one_shot_maxmin(inst, inst.routes)
+    assert len(mips) == solves and len(memory) == solves // 2
+    for remembered_counts, remembered_totals in (first, (counts, totals)):
+        assert list(remembered_counts.items()) == list(solved_counts.items())
+        assert repr(list(remembered_totals.items())) == repr(list(solved_totals.items()))
+
+
+# one satellite of cap 10 shared by the three pairs of a station triangle,
+# each pair with one direct route at weight 0.1 through it; a fourth pair's
+# routes can only run on satellite 2, which has no room
+_TRIANGLE = make_instance(
+    [[0.0] * 4] * 3, [(0, 1), (1, 2), (0, 2), (0, 1)], 3, sat_caps=(10, 10, 0),
+    gs_caps=(20, 20, 20), pair_caps=(10, 10, 10, 10),
+)
+
+
+def _triangle_round(sat, weight=0.1):
+    """The triangle's three pairs on satellite ``sat``, pair 0 at ``weight``."""
+    return {(sat, None, j): (weight if j == 0 else 0.1) for j in range(3)}
+
+
+def test_equal_content_on_another_satellite_is_not_solved_again(monkeypatch):
+    """The second round's content equals the first's on satellite 1 instead
+    of 0: it issues no MIP, and its counts are keyed by its own routes."""
+    with scheduler.round_memory() as memory:
+        mips = _counting_mips(monkeypatch)
+        first, _ = solve_one_shot_maxmin(_TRIANGLE, _triangle_round(0))
+        assert len(mips) == 2 and sum(first.values()) == 10
+        second, totals = solve_one_shot_maxmin(_TRIANGLE, _triangle_round(1))
+    assert len(mips) == 2 and len(memory) == 1
+    assert second == {(1, None, j): c for (_, _, j), c in first.items()}
+    # solved afresh, outside the memory, the second round agrees
+    assert (second, totals) == solve_one_shot_maxmin(_TRIANGLE, _triangle_round(1))
+    assert len(mips) == 4
+
+
+def test_a_pair_without_room_keeps_its_round_apart(monkeypatch):
+    """A routed pair with no room pins the floor at 0: the round differs
+    from the one without that pair only in its floor members, and is
+    solved on its own."""
+    heavy = _triangle_round(0, 0.2)
+    with_roomless = {**heavy, (2, None, 3): 0.1}
+    alone = solve_one_shot_maxmin(_TRIANGLE, with_roomless)
+    assert alone[0] == {(0, None, 0): 10} and alone[1][3] == 0.0
+    mips = _counting_mips(monkeypatch)
+    with scheduler.round_memory() as memory:
+        first = solve_one_shot_maxmin(_TRIANGLE, heavy)
+        assert solve_one_shot_maxmin(_TRIANGLE, with_roomless) == alone
+    assert first[0] != alone[0] and len(mips) == 4 and len(memory) == 2
+
+
+def test_policy_called_outside_a_run_issues_every_mip(monkeypatch):
+    """Outside a run each round gets a new, empty memory: calling a policy
+    twice on one slot issues the same MIPs twice, whereas in one memory the
+    second call issues none."""
+    inst = _reduced_slots("reflection_ratefair", [0])[0]
+    mips = _counting_mips(monkeypatch)
+    first = solve_reflection_ratefair(inst)
+    once = [_mip_key(mip) for mip in mips]
+    assert once and solve_reflection_ratefair(inst) == first
+    assert [_mip_key(mip) for mip in mips] == once * 2
+    del mips[:]
+    with scheduler.round_memory():
+        solve_reflection_ratefair(inst)
+        assert solve_reflection_ratefair(inst) == first
+    assert [_mip_key(mip) for mip in mips] == once
+
+
+def test_back_to_back_runs_hand_the_solver_the_same_mips(monkeypatch):
+    """A run's memory does not outlive it: a second run of the same
+    scenario, in the same process, issues the very same MIPs."""
+    mips = _counting_mips(monkeypatch)
+    config = _pinned_scenario("primary_ratefair")
+    runs = []
+    for _ in range(2):
+        report = simharness.run(config)
+        runs.append((report, [_mip_key(mip) for mip in mips]))
+        del mips[:]
+    assert runs[0][1] and runs[0] == runs[1]
+    assert scheduler._round_memory.get() is None
+
+
+def test_a_run_that_raises_restores_the_memory_before_it(monkeypatch):
+    """A slot that raises ends its run's memory: none stays active after a
+    run from outside any memory, and an enclosing one comes back."""
+    seen = []
+    flag, real = simharness.POLICIES["primary_ratefair"]
+
+    def failing_at_slot_1(instance):
+        seen.append(scheduler._round_memory.get())
+        if len(seen) == 2:
+            raise StructuralError("stop")
+        return real(instance)
+
+    monkeypatch.setitem(simharness.POLICIES, "primary_ratefair", (flag, failing_at_slot_1))
+    config = replace(_pinned_scenario("primary_ratefair"), num_slots=3)
+    with pytest.raises(SimulationError, match="stop"):
+        simharness.run(config)
+    assert seen[0] is not None and seen[0] is seen[1]
+    assert scheduler._round_memory.get() is None
+
+    del seen[:]
+    with scheduler.round_memory() as outer:
+        with pytest.raises(SimulationError, match="stop"):
+            simharness.run(config)
+        assert seen[0] is not outer and scheduler._round_memory.get() is outer
+    assert scheduler._round_memory.get() is None
+
+
+def test_the_memory_keeps_at_most_its_bound_least_recent_out(monkeypatch):
+    """One round more than the bound drops the least recently used one; a
+    round met again counts as used.  The bound is 64, and is run at 4."""
+    assert scheduler.ROUND_MEMORY_SIZE == 64
+    bound = 4
+    monkeypatch.setattr(scheduler, "ROUND_MEMORY_SIZE", bound)
+    rounds = [_triangle_round(0, 0.1 + n / 1000) for n in range(bound + 1)]
+    mips = _counting_mips(monkeypatch)
+    with scheduler.round_memory() as memory:
+        for routes in rounds[:bound]:
+            solve_one_shot_maxmin(_TRIANGLE, routes)
+        assert len(mips) == 2 * bound and len(memory) == bound
+        solve_one_shot_maxmin(_TRIANGLE, rounds[0])
+        solve_one_shot_maxmin(_TRIANGLE, rounds[bound])
+        assert len(mips) == 2 * bound + 2 and len(memory) == bound
+        # rounds[1] was the least recently used when rounds[bound] came
+        solve_one_shot_maxmin(_TRIANGLE, rounds[0])
+        assert len(mips) == 2 * bound + 2
+        solve_one_shot_maxmin(_TRIANGLE, rounds[1])
+        assert len(mips) == 2 * bound + 4 and len(memory) == bound
 
 
 # --- instance validation and serialization -----------------------------------
@@ -1664,6 +1835,9 @@ def test_screen_calls_link_geometry_only_near_visible_cells(monkeypatch):
     )
     visible = sum(len(row) for row in brute.values())
     assert 0 < visible <= len(downlinks) < len(station_ids) * len(sat_ids)
+    # one pass over the screen, station by station, satellites in order
+    cells = [(station_ids.index(gs), sat_ids.index(sat)) for sat, gs in downlinks]
+    assert cells == sorted(set(cells))
     _assert_same_table(
         orbital.visible_links(snapshot, sat_ids, station_ids, config.min_elevation),
         brute,
