@@ -25,14 +25,6 @@ class ParameterError(QsatError, ValueError):
     """A solver parameter (limit, tolerance) is invalid."""
 
 
-class SizeLimitError(QsatError, ValueError):
-    """An exact method was asked to exceed its guarded instance size."""
-
-
-class ModeError(QsatError, ValueError):
-    """An instance does not satisfy the preconditions of a special-case solver."""
-
-
 class SimulationError(QsatError, RuntimeError):
     """A run failed mid-flight; carries the slot index where it happened."""
 

@@ -1,5 +1,5 @@
-"""Maximum-weight flow through one bipartite layer, and matching as its
-unit-capacity case."""
+"""Maximum-weight flow through one bipartite layer: the uncontended
+per-pair best of the rate-fair policies."""
 
 from __future__ import annotations
 
@@ -64,21 +64,3 @@ def max_weight_flow(supply, demand, arcs, limit=math.inf) -> dict[tuple[int, int
         taken[last] += units
         total += units
     return {arc: units for arc, units in flow.items() if units}
-
-
-def hungarian(weights) -> tuple[dict[int, int], float]:
-    """Maximum-total-weight partial matching on a dense weight matrix.
-
-    Cells holding -inf are forbidden and never matched; negative and zero
-    weights simply stay unmatched, since leaving a row out contributes
-    nothing.  This is the flow with every row and column capacity at one;
-    any other non-finite weight raises StructuralError.
-    """
-    num_cols = len(weights[0]) if weights else 0
-    arcs = {}
-    for i, row in enumerate(weights):
-        if len(row) != num_cols:
-            raise StructuralError(f"row {i}: ragged weight matrix")
-        arcs.update(((i, j), w) for j, w in enumerate(row) if w != -math.inf)
-    matching = dict(sorted(max_weight_flow([1] * len(weights), [1] * num_cols, arcs)))
-    return matching, sum((weights[i][j] for i, j in matching.items()), 0.0)

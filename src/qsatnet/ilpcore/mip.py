@@ -1,13 +1,12 @@
-"""Branch-and-bound integer programming plus the brute-force oracle."""
+"""Branch-and-bound integer programming."""
 
 from __future__ import annotations
 
 import heapq
-import itertools
 import math
 import operator
 
-from ..errors import ParameterError, QsatError, SizeLimitError, StructuralError
+from ..errors import ParameterError, QsatError, StructuralError
 from .lp import solve_lp
 from .types import (
     GAP_LIMIT,
@@ -118,45 +117,3 @@ def solve_mip(mip: MipProblem, node_limit: int = 100_000) -> SolveResult:
     if incumbent is None:
         return SolveResult(INFEASIBLE, math.nan, None)
     return SolveResult(OPTIMAL, incumbent_obj, incumbent)
-
-
-def brute_force_mip(mip: MipProblem) -> SolveResult:
-    """Exhaustive enumeration over pure-integer problems; the test oracle."""
-    n = mip.base.num_vars
-    if set(mip.integer_vars) != set(range(n)):
-        raise StructuralError("brute force requires every variable integral")
-    domains = []
-    size = 1
-    for j, (lower, upper) in enumerate(mip.base.variable_bounds):
-        if upper is None:
-            raise SizeLimitError(f"variable {j} has an unbounded domain")
-        lo = math.ceil(lower - 1e-9)
-        hi = math.floor(upper + 1e-9)
-        domains.append(range(lo, hi + 1))
-        size *= max(0, hi - lo + 1)
-        if size > 1e7:
-            raise SizeLimitError(f"domain product {size} exceeds 1e7")
-
-    best_obj = -math.inf
-    best: tuple[float, ...] | None = None
-    for values in itertools.product(*domains):
-        feasible = True
-        for (columns, coeffs), relation, rhs in mip.base.constraints:
-            lhs = sum(map(operator.mul, coeffs, map(values.__getitem__, columns)))
-            if relation == "<=" and lhs > rhs + 1e-9:
-                feasible = False
-            elif relation == ">=" and lhs < rhs - 1e-9:
-                feasible = False
-            elif relation == "=" and abs(lhs - rhs) > 1e-9:
-                feasible = False
-            if not feasible:
-                break
-        if not feasible:
-            continue
-        objective = sum(c * x for c, x in zip(mip.base.objective, values))
-        if best is None or objective > best_obj:
-            best_obj = objective
-            best = tuple(float(v) for v in values)
-    if best is None:
-        return SolveResult(INFEASIBLE, math.nan, None)
-    return SolveResult(OPTIMAL, best_obj, best)

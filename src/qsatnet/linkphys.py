@@ -124,16 +124,6 @@ def emission_prob(mean_photon_number: float, n: int) -> float:
         ) from None
 
 
-def emission_tail(mean_photon_number: float, max_pairs: int) -> float:
-    """Total emission probability beyond max_pairs, in closed form."""
-    ns = mean_photon_number
-    if ns == 0.0:
-        return 0.0
-    r = ns / (1.0 + ns)
-    k = max_pairs
-    return r ** (k + 1) * ((k + 2) - (k + 1) * r)
-
-
 def free_space_transmissivity(optics: OpticsParams, slant_range: float) -> float:
     """Diffraction-limited survival over a free line of sight, clamped at 1.
 

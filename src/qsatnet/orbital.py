@@ -30,6 +30,9 @@ ISL_CLEARANCE = 100e3
 # widens the mask; far above the few-ulp gap between numpy's arithmetic
 # and link_geometry's, so no cell link_geometry would keep is screened out
 SCREEN_MARGIN = 1e-9
+# the most satellites a constellation may hold; a run builds an id and a
+# position row for each, so a size past this is refused before any is built
+MAX_SATELLITES = 10_000
 
 
 @dataclass(frozen=True)
@@ -64,6 +67,11 @@ class ConstellationConfig:
     def __post_init__(self) -> None:
         if self.rings < 1 or self.sats_per_ring < 1:
             raise ConfigurationError("constellation needs at least one ring and satellite")
+        if self.rings * self.sats_per_ring > MAX_SATELLITES:
+            raise ConfigurationError(
+                f"constellation of {self.rings} rings x {self.sats_per_ring} satellites: "
+                f"more than {MAX_SATELLITES} satellites"
+            )
         if self.altitude <= 0:
             raise ConfigurationError("altitude must be positive")
         # refuses an orbit whose period overflows, before any slot needs it
@@ -176,16 +184,6 @@ def constellation_ids(rings: int, sats_per_ring: int) -> tuple[str, ...]:
     """Every satellite id of a constellation, ring by ring."""
     return tuple(
         satellite_id(r, s) for r in range(rings) for s in range(sats_per_ring)
-    )
-
-
-def latlon_to_unit(latitude: float, longitude: float) -> Vec3:
-    lat = math.radians(latitude)
-    lon = math.radians(longitude)
-    return (
-        math.cos(lat) * math.cos(lon),
-        math.cos(lat) * math.sin(lon),
-        math.sin(lat),
     )
 
 
@@ -396,22 +394,6 @@ def inter_satellite_distance(
     snapshot: ConstellationSnapshot, sat_a: str, sat_b: str
 ) -> float:
     return math.dist(*_sat_pair(snapshot, sat_a, sat_b))
-
-
-def geodesic_distance(gs_a: GroundStation, gs_b: GroundStation) -> float:
-    """Great-circle distance between two stations on the sphere."""
-    lat1, lon1 = math.radians(gs_a.latitude), math.radians(gs_a.longitude)
-    lat2, lon2 = math.radians(gs_b.latitude), math.radians(gs_b.longitude)
-    dlon = lon2 - lon1
-    y = math.hypot(
-        math.cos(lat2) * math.sin(dlon),
-        math.cos(lat1) * math.sin(lat2)
-        - math.sin(lat1) * math.cos(lat2) * math.cos(dlon),
-    )
-    x = math.sin(lat1) * math.sin(lat2) + math.cos(lat1) * math.cos(lat2) * math.cos(
-        dlon
-    )
-    return EARTH_RADIUS * math.atan2(y, x)
 
 
 def visibility_half_width(altitude: float, min_elevation: float) -> float:

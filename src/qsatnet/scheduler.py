@@ -4,10 +4,9 @@ Every candidate connection is one route (i, k, j): satellite i serves
 pair j, relayed by satellite k, or directly when k is None.  A slot
 instance holds the entanglement rate of every route that has one, as one
 route map, plus the capacity caps.  Policies turn an instance into
-integral route counts: rate-sum maximizes aggregate rate,
-rate-fair divides each route's rate once by its pair's uncontended best
-and runs iterative max-min rounds on that route map, and the two
-special-case solvers exploit unit-capacity structure.
+integral route counts: rate-sum maximizes aggregate rate, and rate-fair
+divides each route's rate once by its pair's uncontended best and runs
+iterative max-min rounds on that route map.
 """
 
 from __future__ import annotations
@@ -25,7 +24,6 @@ from .environment import EnvironmentTable, effective_transmissivity
 from .errors import (
     ConfigurationError,
     IngestionError,
-    ModeError,
     StructuralError,
     UnknownIdError,
 )
@@ -35,7 +33,6 @@ from .ilpcore import (
     MipProblem,
     SparseRow,
     max_weight_flow,
-    mwis_exact,
     solve_mip,
 )
 from .linkphys import (
@@ -817,58 +814,6 @@ def solve_reflection_ratefair(instance: SlotInstance) -> Allocation:
     """Iterative max-min over contention-normalized direct and relayed
     rates."""
     return _ratefair(instance, instance.routes)
-
-
-# ---------------------------------------------------------------------------
-# unit-capacity reductions
-
-
-def solve_stsr(instance: SlotInstance) -> Allocation:
-    """Single-transmitter, single-receiver case via independent sets.
-
-    With every cap at one, feasible allocations are exactly independent
-    sets of the conflict graph whose vertices are positive-rate direct
-    routes and whose edges join routes sharing a satellite or a station.
-    Above the exact search's vertex limit it raises SizeLimitError: it
-    checks the rate-sum MIP, so it must not fall back to it.
-    """
-    if any(c != 1 for c in instance.sat_caps) or any(
-        c != 1 for c in instance.gs_caps
-    ) or any(c != 1 for c in instance.pair_caps):
-        raise ModeError("unit caps required for the independent-set reduction")
-    routes = _direct(instance)
-    vertices = list(routes)
-    edges = []
-    for u in range(len(vertices)):
-        iu, _, ju = vertices[u]
-        su = set(instance.pair_stations[ju])
-        for v in range(u + 1, len(vertices)):
-            iv, _, jv = vertices[v]
-            if iu == iv or su & set(instance.pair_stations[jv]):
-                edges.append((u, v))
-    selected, _ = mwis_exact(list(routes.values()), edges)
-    return _priced(instance, {vertices[v]: 1 for v in selected})
-
-
-def solve_stmr(instance: SlotInstance) -> Allocation:
-    """Flow reduction for instances whose receivers never bind.
-
-    With the station caps out of play, the rate-sum problem over direct
-    routes is a maximum-weight flow from satellites, under their
-    transmitter caps, to pairs, under their pair caps, and the flow's
-    integral units are the optimal counts.
-    """
-    total_tx = sum(instance.sat_caps)
-    for g in range(len(instance.station_ids)):
-        incident_cap = sum(instance.pair_caps[j] for j in instance.pairs_at_station(g))
-        if instance.gs_caps[g] < min(total_tx, incident_cap):
-            raise ModeError(
-                f"station {instance.station_ids[g]}: receiver cap may bind; "
-                "the flow reduction needs non-binding receivers"
-            )
-    arcs = {(i, j): rate for (i, _, j), rate in _direct(instance).items()}
-    flow = max_weight_flow(instance.sat_caps, instance.pair_caps, arcs)
-    return _priced(instance, {(i, None, j): c for (i, j), c in flow.items()})
 
 
 # ---------------------------------------------------------------------------

@@ -1,0 +1,238 @@
+"""Exhaustive and special-case oracles that the tests check the package
+against.
+
+Nothing in the package or the benchmark runs these: they cross-check the
+rate-sum MIP on unit-cap and roomy instances, the branch and bound on
+pure-integer problems small enough to enumerate, and the link physics'
+emission series.  The tests import this module as ``oracles``; pytest puts
+``tests/`` on the import path.
+"""
+
+from __future__ import annotations
+
+import itertools
+import math
+import operator
+
+from qsatnet.errors import StructuralError
+from qsatnet.ilpcore import (
+    INFEASIBLE,
+    OPTIMAL,
+    MipProblem,
+    SolveResult,
+    max_weight_flow,
+)
+from qsatnet.orbital import Vec3
+from qsatnet.scheduler import Allocation, SlotInstance, _direct, _priced
+
+DEFAULT_VERTEX_LIMIT = 32
+
+
+class SizeLimitError(ValueError):
+    """An exact method was asked to exceed its guarded instance size."""
+
+
+class ModeError(ValueError):
+    """An instance does not satisfy the preconditions of a special-case solver."""
+
+
+# ---------------------------------------------------------------------------
+# exact searches
+
+
+def mwis_exact(
+    vertex_weights,
+    edges,
+    vertex_limit: int = DEFAULT_VERTEX_LIMIT,
+) -> tuple[list[int], float]:
+    """Exact maximum-weight independent set by branch and bound over
+    bitmask vertex sets.
+
+    The bound adds every remaining positive weight, so nonpositive
+    vertices are never branched into the set.  Vertices are considered in
+    index order and the first optimum found is kept, which makes the
+    returned set the lexicographically smallest among ties.
+    """
+    n = len(vertex_weights)
+    if n > vertex_limit:
+        raise SizeLimitError(
+            f"{n} vertices exceeds the exact-search limit {vertex_limit}"
+        )
+    weights = [float(w) for w in vertex_weights]
+    adjacency = [0] * n
+    for a, b in edges:
+        if not (0 <= a < n and 0 <= b < n):
+            raise StructuralError(f"edge ({a}, {b}) references a missing vertex")
+        if a == b:
+            raise StructuralError(f"self-loop on vertex {a}")
+        adjacency[a] |= 1 << b
+        adjacency[b] |= 1 << a
+
+    best_weight = 0.0
+    best_set = 0
+
+    def positive_remaining(avail: int) -> float:
+        total = 0.0
+        while avail:
+            v = (avail & -avail).bit_length() - 1
+            if weights[v] > 0.0:
+                total += weights[v]
+            avail &= avail - 1
+        return total
+
+    def explore(avail: int, current_weight: float, current_set: int) -> None:
+        nonlocal best_weight, best_set
+        if current_weight > best_weight:
+            best_weight = current_weight
+            best_set = current_set
+        if not avail:
+            return
+        if current_weight + positive_remaining(avail) <= best_weight:
+            return
+        v = (avail & -avail).bit_length() - 1
+        bit = 1 << v
+        if weights[v] > 0.0:
+            explore(avail & ~bit & ~adjacency[v], current_weight + weights[v], current_set | bit)
+        explore(avail & ~bit, current_weight, current_set)
+
+    explore((1 << n) - 1, 0.0, 0)
+    selected = [v for v in range(n) if best_set & (1 << v)]
+    return selected, best_weight
+
+
+def hungarian(weights) -> tuple[dict[int, int], float]:
+    """Maximum-total-weight partial matching on a dense weight matrix.
+
+    Cells holding -inf are forbidden and never matched; negative and zero
+    weights simply stay unmatched, since leaving a row out contributes
+    nothing.  This is the flow with every row and column capacity at one;
+    any other non-finite weight raises StructuralError.
+    """
+    num_cols = len(weights[0]) if weights else 0
+    arcs = {}
+    for i, row in enumerate(weights):
+        if len(row) != num_cols:
+            raise StructuralError(f"row {i}: ragged weight matrix")
+        arcs.update(((i, j), w) for j, w in enumerate(row) if w != -math.inf)
+    matching = dict(sorted(max_weight_flow([1] * len(weights), [1] * num_cols, arcs)))
+    return matching, sum((weights[i][j] for i, j in matching.items()), 0.0)
+
+
+def brute_force_mip(mip: MipProblem) -> SolveResult:
+    """Exhaustive enumeration over pure-integer problems."""
+    n = mip.base.num_vars
+    if set(mip.integer_vars) != set(range(n)):
+        raise StructuralError("brute force requires every variable integral")
+    domains = []
+    size = 1
+    for j, (lower, upper) in enumerate(mip.base.variable_bounds):
+        if upper is None:
+            raise SizeLimitError(f"variable {j} has an unbounded domain")
+        lo = math.ceil(lower - 1e-9)
+        hi = math.floor(upper + 1e-9)
+        domains.append(range(lo, hi + 1))
+        size *= max(0, hi - lo + 1)
+        if size > 1e7:
+            raise SizeLimitError(f"domain product {size} exceeds 1e7")
+
+    best_obj = -math.inf
+    best: tuple[float, ...] | None = None
+    for values in itertools.product(*domains):
+        feasible = True
+        for (columns, coeffs), relation, rhs in mip.base.constraints:
+            lhs = sum(map(operator.mul, coeffs, map(values.__getitem__, columns)))
+            if relation == "<=" and lhs > rhs + 1e-9:
+                feasible = False
+            elif relation == ">=" and lhs < rhs - 1e-9:
+                feasible = False
+            elif relation == "=" and abs(lhs - rhs) > 1e-9:
+                feasible = False
+            if not feasible:
+                break
+        if not feasible:
+            continue
+        objective = sum(c * x for c, x in zip(mip.base.objective, values))
+        if best is None or objective > best_obj:
+            best_obj = objective
+            best = tuple(float(v) for v in values)
+    if best is None:
+        return SolveResult(INFEASIBLE, math.nan, None)
+    return SolveResult(OPTIMAL, best_obj, best)
+
+
+# ---------------------------------------------------------------------------
+# unit-capacity reductions of the rate-sum policy
+
+
+def solve_stsr(instance: SlotInstance) -> Allocation:
+    """Single-transmitter, single-receiver case via independent sets.
+
+    With every cap at one, feasible allocations are exactly independent
+    sets of the conflict graph whose vertices are positive-rate direct
+    routes and whose edges join routes sharing a satellite or a station.
+    Above the exact search's vertex limit it raises SizeLimitError: it
+    checks the rate-sum MIP, so it must not fall back to it.
+    """
+    if any(c != 1 for c in instance.sat_caps) or any(
+        c != 1 for c in instance.gs_caps
+    ) or any(c != 1 for c in instance.pair_caps):
+        raise ModeError("unit caps required for the independent-set reduction")
+    routes = _direct(instance)
+    vertices = list(routes)
+    edges = []
+    for u in range(len(vertices)):
+        iu, _, ju = vertices[u]
+        su = set(instance.pair_stations[ju])
+        for v in range(u + 1, len(vertices)):
+            iv, _, jv = vertices[v]
+            if iu == iv or su & set(instance.pair_stations[jv]):
+                edges.append((u, v))
+    selected, _ = mwis_exact(list(routes.values()), edges)
+    return _priced(instance, {vertices[v]: 1 for v in selected})
+
+
+def solve_stmr(instance: SlotInstance) -> Allocation:
+    """Flow reduction for instances whose receivers never bind.
+
+    With the station caps out of play, the rate-sum problem over direct
+    routes is a maximum-weight flow from satellites, under their
+    transmitter caps, to pairs, under their pair caps, and the flow's
+    integral units are the optimal counts.
+    """
+    total_tx = sum(instance.sat_caps)
+    for g in range(len(instance.station_ids)):
+        incident_cap = sum(instance.pair_caps[j] for j in instance.pairs_at_station(g))
+        if instance.gs_caps[g] < min(total_tx, incident_cap):
+            raise ModeError(
+                f"station {instance.station_ids[g]}: receiver cap may bind; "
+                "the flow reduction needs non-binding receivers"
+            )
+    arcs = {(i, j): rate for (i, _, j), rate in _direct(instance).items()}
+    flow = max_weight_flow(instance.sat_caps, instance.pair_caps, arcs)
+    return _priced(instance, {(i, None, j): c for (i, j), c in flow.items()})
+
+
+# ---------------------------------------------------------------------------
+# closed forms
+
+
+def emission_tail(mean_photon_number: float, max_pairs: int) -> float:
+    """Total emission probability beyond max_pairs, in closed form."""
+    ns = mean_photon_number
+    if ns == 0.0:
+        return 0.0
+    r = ns / (1.0 + ns)
+    k = max_pairs
+    return r ** (k + 1) * ((k + 2) - (k + 1) * r)
+
+
+def latlon_to_unit(latitude: float, longitude: float) -> Vec3:
+    """The unit vector from the Earth's center toward a latitude and
+    longitude, in degrees."""
+    lat = math.radians(latitude)
+    lon = math.radians(longitude)
+    return (
+        math.cos(lat) * math.cos(lon),
+        math.cos(lat) * math.sin(lon),
+        math.sin(lat),
+    )

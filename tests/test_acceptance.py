@@ -20,10 +20,7 @@ from qsatnet.environment import atmospheric_transmissivity
 from qsatnet.ilpcore import (
     LinearProgram,
     MipProblem,
-    brute_force_mip,
     constraint_violations,
-    hungarian,
-    mwis_exact,
     solve_mip,
 )
 from qsatnet.linkphys import (
@@ -32,7 +29,6 @@ from qsatnet.linkphys import (
     SourceParams,
     dark_click_prob,
     emission_prob,
-    emission_tail,
     end_to_end_outcome,
     free_space_transmissivity,
     rate_fidelity_curve,
@@ -43,11 +39,18 @@ from qsatnet.scheduler import (
     solve_primary_ratefair,
     solve_primary_ratesum,
     solve_reflection_ratesum,
-    solve_stmr,
-    solve_stsr,
     uncontended_max_edr,
 )
 from qsatnet.simharness import case_study, resolve_weather, run
+
+from oracles import (
+    brute_force_mip,
+    emission_tail,
+    hungarian,
+    mwis_exact,
+    solve_stmr,
+    solve_stsr,
+)
 
 
 @contextmanager

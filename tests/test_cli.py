@@ -539,6 +539,19 @@ class TestCliBadValues:
             )
             assert not out.exists()
 
+    def test_oversized_constellation_is_one_error_line(self, tmp_path, capsys):
+        # 1e300 passes as an integral float; without a size bound validate
+        # and simulate would build satellite ids until memory ran out
+        message = f"constellation of {int(1e300)} rings x 20 satellites: more than 10000 satellites"
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps({"constellation": {"rings": 1e300}}))
+        assert main(["validate", "--config", str(path)]) == 1
+        assert one_error_line(capsys, "validate").endswith(f"error: {message}")
+        out = tmp_path / "sim"
+        assert main(["simulate", "--config", str(path), "--out", str(out)]) == 1
+        assert one_error_line(capsys, "simulate").endswith(f"error: {message}")
+        assert not out.exists()
+
     @pytest.mark.parametrize(
         "scenario, message",
         [

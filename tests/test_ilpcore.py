@@ -9,7 +9,7 @@ import pytest
 
 from qsatnet import scheduler, simharness
 from qsatnet.config import apply_overrides, default_scenario
-from qsatnet.errors import ParameterError, SizeLimitError, StructuralError
+from qsatnet.errors import ParameterError, StructuralError
 from qsatnet.ilpcore import lp as lp_module
 from qsatnet.ilpcore import (
     GAP_LIMIT,
@@ -19,14 +19,13 @@ from qsatnet.ilpcore import (
     LinearProgram,
     MipProblem,
     SparseRow,
-    brute_force_mip,
     constraint_violations,
-    hungarian,
     max_weight_flow,
-    mwis_exact,
     solve_lp,
     solve_mip,
 )
+
+from oracles import SizeLimitError, brute_force_mip, hungarian, mwis_exact
 
 
 def dense_row(row, n):

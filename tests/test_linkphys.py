@@ -17,12 +17,13 @@ from qsatnet.linkphys import (
     arm_transmissivity,
     dark_click_prob,
     emission_prob,
-    emission_tail,
     end_to_end_outcome,
     free_space_transmissivity,
     rate_fidelity_curve,
     reflection_arms,
 )
+
+from oracles import emission_tail
 
 
 def oracle_outcome(ns, eta1, eta2, d1, d2):

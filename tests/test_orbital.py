@@ -13,7 +13,6 @@ from qsatnet.orbital import (
     ConstellationSnapshot,
     GroundStation,
     constellation_ids,
-    geodesic_distance,
     inter_satellite_visible,
     link_geometry,
     orbital_period,
@@ -281,29 +280,6 @@ def test_inter_satellite_symmetry():
         )
 
 
-def test_geodesic_examples():
-    a = GroundStation("a", 0.0, 0.0, 1)
-    b = GroundStation("b", 0.0, 90.0, 1)
-    anti = GroundStation("c", 0.0, -180.0, 1)
-    assert geodesic_distance(a, a) == 0.0
-    assert geodesic_distance(a, anti) == pytest.approx(math.pi * R_E, abs=1e3)
-    assert geodesic_distance(a, b) == pytest.approx(10_007.5e3, abs=1e3)
-
-
-def test_geodesic_metric_properties():
-    rng = random.Random(11)
-    stations = [
-        GroundStation(f"s{i}", rng.uniform(-90, 90), rng.uniform(-180, 179.9), 1)
-        for i in range(12)
-    ]
-    for _ in range(60):
-        a, b, c = rng.sample(stations, 3)
-        ab = geodesic_distance(a, b)
-        assert ab == pytest.approx(geodesic_distance(b, a), abs=1e-6)
-        assert ab >= 0.0
-        assert ab <= geodesic_distance(a, c) + geodesic_distance(c, b) + 1e-6
-
-
 def test_half_width_operating_point():
     beta = visibility_half_width(1000e3, 20.0)
     assert math.degrees(beta) == pytest.approx(15.687823008172375, abs=1e-9)
@@ -366,3 +342,10 @@ def test_invalid_inputs():
     dup = [GroundStation("g", 0.0, 0.0, 1), GroundStation("g", 1.0, 1.0, 1)]
     with pytest.raises(ConfigurationError):
         propagate(single_sat_config(), dup, 0, 10.0)
+
+
+def test_constellation_size_is_bounded():
+    # the bound is on the product: neither factor alone is large
+    assert ConstellationConfig(rings=100, sats_per_ring=100, altitude=1000e3).rings == 100
+    with pytest.raises(ConfigurationError, match="101 rings x 100 satellites"):
+        ConstellationConfig(rings=101, sats_per_ring=100, altitude=1000e3)

@@ -19,13 +19,11 @@ from qsatnet.environment import EnvironmentTable, WeatherRecord
 from qsatnet.errors import (
     ConfigurationError,
     IngestionError,
-    ModeError,
     SimulationError,
-    SizeLimitError,
     StructuralError,
     UnknownIdError,
 )
-from qsatnet.ilpcore import GAP_LIMIT, SolveResult, brute_force_mip, solve_mip
+from qsatnet.ilpcore import GAP_LIMIT, SolveResult, solve_mip
 from qsatnet.linkphys import (
     OpticsParams,
     SourceParams,
@@ -47,9 +45,16 @@ from qsatnet.scheduler import (
     solve_primary_ratesum,
     solve_reflection_ratefair,
     solve_reflection_ratesum,
+    uncontended_max_edr,
+)
+
+from oracles import (
+    ModeError,
+    SizeLimitError,
+    brute_force_mip,
+    latlon_to_unit,
     solve_stmr,
     solve_stsr,
-    uncontended_max_edr,
 )
 
 EARTH_RADIUS = 6371e3
@@ -1878,11 +1883,11 @@ def _skies(draw):
     mask = draw(st.floats(0.0, 90.0, exclude_max=True))
     gs_positions = {}
     for n in range(draw(st.integers(1, 3))):
-        unit = orbital.latlon_to_unit(draw(_latitudes), draw(_longitudes))
+        unit = latlon_to_unit(draw(_latitudes), draw(_longitudes))
         gs_positions[f"g{n}"] = tuple(EARTH_RADIUS * c for c in unit)
     sat_positions = {}
     for n in range(draw(st.integers(0, 6))):
-        unit = orbital.latlon_to_unit(draw(_latitudes), draw(_longitudes))
+        unit = latlon_to_unit(draw(_latitudes), draw(_longitudes))
         radius = EARTH_RADIUS + draw(st.floats(300e3, 2000e3))
         sat_positions[f"s{n}"] = tuple(radius * c for c in unit)
     for n in range(draw(st.integers(0, 4))):
