@@ -214,11 +214,36 @@ class SlotInstance:
 
 @dataclass(frozen=True)
 class Allocation:
-    """Integral assignment: x[sat][pair] plus sparse reflection counts."""
+    """Integral assignment: x[sat][pair] plus sparse reflection counts.
+
+    ``counts`` holds the nonzero counts keyed by route (i, k, j), in
+    route order (``SlotInstance``); the per-slot metrics read it.  It is
+    not a field, so equality, ``repr`` and ``dataclasses.replace`` see
+    ``x``, ``y`` and ``objective`` alone.  The policies' ``_priced``
+    stores the counts it priced; any other allocation, a replaced one
+    included, reads them from its own ``x`` and ``y`` on first access.
+    ``x`` and ``y`` stay for the independent feasibility checks.
+    """
 
     x: tuple[tuple[int, ...], ...]
     y: tuple[tuple[int, int, int, int], ...]
     objective: float
+
+    @cached_property
+    def counts(self) -> dict[tuple[int, int | None, int], int]:
+        """Nonzero counts keyed (i, k, j): direct cells in row-major
+        order, then relay entries in ``y`` order; a route entered twice in
+        ``y`` holds the sum of its counts."""
+        counts = {}
+        for i, row in enumerate(self.x):
+            if any(row):
+                for j, count in enumerate(row):
+                    if count:
+                        counts[i, None, j] = count
+        for i, k, j, count in self.y:
+            if count:
+                counts[i, k, j] = counts.get((i, k, j), 0) + count
+        return counts
 
 
 # ---------------------------------------------------------------------------
@@ -441,15 +466,9 @@ def _direct(instance) -> dict:
 
 
 def served_routes(allocation: Allocation):
-    """The allocation's nonzero counts as (route, count), in route order."""
-    for i, row in enumerate(allocation.x):
-        if any(row):
-            for j, count in enumerate(row):
-                if count:
-                    yield (i, None, j), count
-    for i, k, j, count in allocation.y:
-        if count:
-            yield (i, k, j), count
+    """The allocation's nonzero counts as (route, count), in route order,
+    read from ``Allocation.counts``, never from the dense ``x``."""
+    return allocation.counts.items()
 
 
 def _support(instance, routes) -> dict:
@@ -567,18 +586,25 @@ def _objective(instance, direct, y) -> float:
 
 def _priced(instance, counts) -> Allocation:
     """Allocation holding the given nonzero route counts, priced at the
-    instance's rates."""
+    instance's rates.  It stores those counts, in route order, as the
+    allocation's ``counts``, so no policy's answer reads them back from
+    ``x`` and ``y``."""
     direct, y = _sorted_counts(counts)
     # only served rows get a row of their own; the rest share one
     num_pairs = instance.num_pairs
     served: dict[int, list[int]] = {}
     for i, j, c in direct:
         served.setdefault(i, [0] * num_pairs)[j] = c
-    unserved = (0,) * num_pairs
-    x = tuple(
-        tuple(served[i]) if i in served else unserved for i in range(instance.num_sats)
+    x = [(0,) * num_pairs] * instance.num_sats
+    for i, row in served.items():
+        x[i] = tuple(row)
+    allocation = Allocation(
+        x=tuple(x), y=tuple(y), objective=_objective(instance, direct, y)
     )
-    return Allocation(x=x, y=tuple(y), objective=_objective(instance, direct, y))
+    priced = {(i, None, j): c for i, j, c in direct}
+    priced.update(((i, k, j), c) for i, k, j, c in y)
+    object.__setattr__(allocation, "counts", priced)
+    return allocation
 
 
 # ---------------------------------------------------------------------------
@@ -888,10 +914,14 @@ def allocation_violations(instance: SlotInstance, allocation: Allocation) -> lis
 
 
 def pair_edr(instance: SlotInstance, allocation: Allocation) -> dict[str, float]:
-    totals = {pid: 0.0 for pid in instance.pair_ids}
+    """Each pair's delivered rate: its served routes' rates times their
+    counts, summed in route order over ``Allocation.counts``."""
+    pair_ids = instance.pair_ids
+    rate = instance.routes.get
+    totals = {pid: 0.0 for pid in pair_ids}
     for route, count in served_routes(allocation):
         # a count on a route without a rate delivers nothing
-        totals[instance.pair_ids[route[2]]] += instance.routes.get(route, 0.0) * count
+        totals[pair_ids[route[2]]] += rate(route, 0.0) * count
     return totals
 
 

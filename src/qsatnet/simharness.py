@@ -223,15 +223,18 @@ def serving_sets(instance, allocation) -> dict[str, frozenset]:
 
     Direct service is identified by the satellite id; relayed service by
     the (source, relay) id pair, since moving either endpoint re-points
-    hardware just like swapping a direct satellite does.
+    hardware just like swapping a direct satellite does.  Reads the
+    allocation's route counts (``Allocation.counts``), not its dense
+    ``x``.
     """
-    servers: dict[str, set] = {pid: set() for pid in instance.pair_ids}
+    sat_ids, pair_ids = instance.sat_ids, instance.pair_ids
+    servers: dict[str, set] = {pid: set() for pid in pair_ids}
     for (i, k, j), count in served_routes(allocation):
         if count > 0:
-            server = instance.sat_ids[i]
+            server = sat_ids[i]
             if k is not None:
-                server = (server, instance.sat_ids[k])
-            servers[instance.pair_ids[j]].add(server)
+                server = (server, sat_ids[k])
+            servers[pair_ids[j]].add(server)
     return {pid: frozenset(s) for pid, s in servers.items()}
 
 

@@ -1,7 +1,5 @@
 """Weather table ingestion, secant law, and synthetic generator checks."""
 
-import math
-
 import pytest
 
 from qsatnet.environment import (

@@ -1713,19 +1713,61 @@ def test_route_map_is_stored_in_route_order():
 def test_timed_pipeline_never_builds_the_dense_views(monkeypatch):
     """The policies, the metrics and the handovers read the route map
     alone, and the orbit layer its position arrays; the dense omega and nu
-    views and the id-keyed position views are for checks and oracles."""
+    views and the id-keyed position views are for checks and oracles.  The
+    metrics fold the counts each policy stored on its allocation: they
+    never read the allocation's x and y, nor derive counts from them."""
 
     def refuse(instance):
         raise AssertionError("dense view read in the slot pipeline")
+
+    def store(name):
+        def set_field(allocation, value):
+            allocation.__dict__[name] = value
+
+        return set_field
 
     monkeypatch.setattr(SlotInstance, "omega", property(refuse))
     monkeypatch.setattr(SlotInstance, "nu", property(refuse))
     monkeypatch.setattr(ConstellationSnapshot, "sat_positions", property(refuse))
     monkeypatch.setattr(ConstellationSnapshot, "gs_positions", property(refuse))
+    # the dataclass still sets x and y; reading either raises
+    for name in ("x", "y"):
+        monkeypatch.setattr(Allocation, name, property(refuse, store(name)), raising=False)
+    with pytest.raises(AssertionError, match="dense view"):
+        Allocation(x=((1,),), y=(), objective=0.0).counts
     config = replace(default_scenario(), num_slots=5)
     for policy in simharness.POLICIES:
         report = simharness.run(replace(config, policy=policy))
         assert len(report.series) == 5
+
+
+def test_policies_store_the_counts_their_x_and_y_hold(monkeypatch):
+    """At default scale (20x20, six cities), every allocation the four
+    policies return carries the counts it was priced from, equal in items
+    and order to those read back from its own x and y."""
+    returned = []
+
+    def recording(solver):
+        def solve(instance):
+            allocation = solver(instance)
+            # stored before the metrics read them, not derived by that read
+            assert "counts" in vars(allocation)
+            returned.append(allocation)
+            return allocation
+
+        return solve
+
+    for policy, (relayed, solver) in simharness.POLICIES.items():
+        monkeypatch.setitem(simharness.POLICIES, policy, (relayed, recording(solver)))
+    config = replace(default_scenario(), num_slots=5)
+    for policy in simharness.POLICIES:
+        simharness.run(replace(config, policy=policy))
+    assert len(returned) == 20
+    assert any(allocation.y for allocation in returned)
+    for allocation in returned:
+        derived = Allocation(allocation.x, allocation.y, allocation.objective).counts
+        assert allocation.counts
+        assert list(allocation.counts.items()) == list(derived.items())
 
 
 def test_allocation_checker_flags_overload():
@@ -1793,6 +1835,44 @@ def test_allocation_json_relayed_counts():
     payload = allocation_to_json(inst, alloc, "reflection_ratesum")
     assert payload["counts"] == [[0, 1, 0, 1]]
     assert payload["per_pair_edr"]["p0"] == pytest.approx(7.0)
+
+
+def test_replaced_allocation_reads_counts_from_its_own_x_and_y():
+    """``dataclasses.replace`` builds a new allocation, so its counts and
+    its metrics follow the replaced x or y, never the stored counts of the
+    allocation it came from."""
+    inst = make_instance(
+        [[1.0], [2.0], [0.0]], [(0, 1)], 2, sat_caps=(1, 1, 1), pair_caps=(2,),
+        nu={(2, 0, 0): 4.0},
+    )
+    alloc = solve_reflection_ratesum(inst)
+    assert (alloc.x, alloc.y) == (((0,), (1,), (0,)), ((2, 0, 0, 1),))
+    assert alloc.counts == {(1, None, 0): 1, (2, 0, 0): 1}
+    assert "counts" not in repr(alloc)
+    assert replace(alloc) == alloc
+    relayed = ("s2", "s0")
+    cases = (
+        (
+            replace(alloc, x=((1,), (0,), (0,))),
+            {(0, None, 0): 1, (2, 0, 0): 1},
+            5.0,
+            {"s0", relayed},
+        ),
+        (replace(alloc, y=()), {(1, None, 0): 1}, 2.0, {"s1"}),
+        (
+            replace(alloc, y=((2, 0, 0, 2),)),
+            {(1, None, 0): 1, (2, 0, 0): 2},
+            10.0,
+            {"s1", relayed},
+        ),
+    )
+    for replaced, counts, rate, servers in cases:
+        assert list(replaced.counts.items()) == list(counts.items())
+        assert pair_edr(inst, replaced) == {"p0": rate}
+        assert simharness.serving_sets(inst, replaced) == {"p0": frozenset(servers)}
+    # the stored counts of the source allocation are untouched
+    assert alloc.counts == {(1, None, 0): 1, (2, 0, 0): 1}
+    assert pair_edr(inst, alloc) == {"p0": 6.0}
 
 
 # --- visibility screen --------------------------------------------------------
@@ -2065,9 +2145,14 @@ def test_row_skipping_scans_match_dense_references():
             inst, allocation
         )
         counts = dict(scheduler.served_routes(allocation))
+        # rate-fair prices its counts in the order its rounds froze them
+        counts = dict(reversed(counts.items()))
         priced, dense = scheduler._priced(inst, counts), _dense_priced(inst, counts)
         assert priced == dense
         assert repr(priced.objective) == repr(dense.objective)
+        # the counts _priced stored equal those read from its x and y
+        derived = Allocation(priced.x, priced.y, priced.objective).counts
+        assert list(priced.counts.items()) == list(derived.items())
         # an instance cannot hold the NaN cells, so its table zeroes them
         finite = tuple(tuple(0.0 if math.isnan(w) else w for w in row) for row in weights)
         for instance in (inst, replace(inst, routes=dense_routes(finite, nu))):

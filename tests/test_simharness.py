@@ -3,7 +3,6 @@
 import csv
 import json
 import math
-import os
 from dataclasses import replace
 
 import pytest
