@@ -34,6 +34,11 @@ def _fields_of(obj) -> dict:
     return {f.name: getattr(obj, f.name) for f in fields(obj)}
 
 
+def _defaults_of(cls) -> dict:
+    """The dataclass's field defaults, so a file and code agree on them."""
+    return {f.name: f.default for f in fields(cls) if f.default is not MISSING}
+
+
 class _Table(NamedTuple):
     """One scenario object: the kind of each field under its file name,
     the defaults of its optional fields (a field without one is
@@ -67,12 +72,12 @@ _CONSTELLATION = _Table(
 )
 _STATION = _Table(
     {"id": str, "latitude": float, "longitude": float, "receiver_cap": int},
-    {"receiver_cap": 10},
+    _defaults_of(GroundStation),
     GroundStation,
 )
 _PAIR = _Table(
     {"id": str, "station_a": str, "station_b": str, "pair_cap": int},
-    {"pair_cap": 10},
+    _defaults_of(PairSpec),
     PairSpec,
 )
 _PHYSICS_DEFAULTS = _physics_to_dict(default_physics())
@@ -106,7 +111,7 @@ _SCENARIO = _Table(
         "constellation": ConstellationConfig(**_CONSTELLATION.defaults),
         "physics": default_physics(),
         "stations": DEFAULT_STATIONS,
-        **{f.name: f.default for f in fields(ScenarioConfig) if f.default is not MISSING},
+        **_defaults_of(ScenarioConfig),
     },
     ScenarioConfig,
 )

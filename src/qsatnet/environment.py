@@ -59,7 +59,14 @@ class EnvironmentTable:
     records: dict[tuple[str, int, int], WeatherRecord]
 
     def lookup(self, station_id: str, month: int, hour_utc: float) -> WeatherRecord:
-        """Record at the nearest covered hour (circular distance, ties early)."""
+        """Record at the covered hour nearest ``hour_utc``.
+
+        The hour ``round(hour_utc) % 24`` is taken when the table has it;
+        ``round`` sends a half hour to the even hour, so 1.5 h and 2.5 h
+        both read hour 2 and 23.5 h reads hour 0.  Otherwise the covered
+        hour at the least circular distance is taken, a tie going to the
+        smaller hour: without hour 2, 1.5 h reads hour 1 and 2.5 h hour 3.
+        """
         exact = self.records.get((station_id, month, int(round(hour_utc)) % 24))
         if exact is not None:
             return exact

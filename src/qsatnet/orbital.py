@@ -40,7 +40,7 @@ class GroundStation:
     id: str
     latitude: float
     longitude: float
-    receiver_cap: int = 1
+    receiver_cap: int = 10
 
     def __post_init__(self) -> None:
         if not self.id:

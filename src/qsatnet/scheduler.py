@@ -11,8 +11,8 @@ iterative max-min rounds on that route map.
 
 from __future__ import annotations
 
+import functools
 import math
-from collections import OrderedDict
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass, replace
@@ -56,7 +56,7 @@ class PairSpec:
     id: str
     station_a: str
     station_b: str
-    pair_cap: int = 1
+    pair_cap: int = 10
 
     def __post_init__(self) -> None:
         if not self.id:
@@ -491,7 +491,7 @@ def _support(instance, routes) -> dict:
     return support
 
 
-def _cap_rows(instance, support) -> list:
+def _cap_rows(instance, support) -> tuple:
     """The cap rows over the support's columns, as the solver's
     ``(row, "<=", cap)`` constraints: transmitter, receiver, pair, then
     reflector caps, each in index order and only where some route takes
@@ -520,7 +520,7 @@ def _cap_rows(instance, support) -> list:
             members = incidence[index]
             row = SparseRow(tuple(members), (1.0,) * len(members))
             rows.append((row, "<=", float(caps[index])))
-    return rows
+    return tuple(rows)
 
 
 def _fits_at_room(support, rows) -> bool:
@@ -530,18 +530,18 @@ def _fits_at_room(support, rows) -> bool:
     return all(sum(rooms[c] for c in row.columns) <= cap for row, _, cap in rows)
 
 
-def _solve_assignment(support, rows, objective, extra_constraints=(), extra_bounds=()):
+def _solve_assignment(rooms, rows, objective, extra_constraints=(), extra_bounds=()):
     """Shared MIP scaffold over support routes.
 
-    ``support`` maps each route to its room, the route's upper bound, and
-    ``rows`` are its cap rows (``_cap_rows``).  ``objective`` has one
-    entry per route, then per continuous extra, whose bounds
-    ``extra_bounds`` gives.  Returns None on an empty support; a solve
-    that does not prove optimality raises.
+    ``rooms`` holds each support route's room, its upper bound, in
+    support order, and ``rows`` are the support's cap rows
+    (``_cap_rows``).  ``objective`` has one entry per route, then per
+    continuous extra, whose bounds ``extra_bounds`` gives.  Returns None
+    on an empty support; a solve that does not prove optimality raises.
     """
-    if not support:
+    if not rooms:
         return None
-    bounds = [(0.0, float(room)) for room in support.values()]
+    bounds = [(0.0, float(room)) for room in rooms]
     bounds.extend(extra_bounds)
     mip = MipProblem(
         base=LinearProgram(
@@ -549,7 +549,7 @@ def _solve_assignment(support, rows, objective, extra_constraints=(), extra_boun
             constraints=(*rows, *extra_constraints),
             variable_bounds=tuple(bounds),
         ),
-        integer_vars=tuple(range(len(support))),
+        integer_vars=tuple(range(len(rooms))),
     )
     result = solve_mip(mip)
     if result.status != OPTIMAL:
@@ -614,7 +614,9 @@ def _priced(instance, counts) -> Allocation:
 def _ratesum(instance, routes) -> Allocation:
     support = _support(instance, routes)
     rows = _cap_rows(instance, support)
-    result = _solve_assignment(support, rows, [routes[r] for r in support])
+    result = _solve_assignment(
+        tuple(support.values()), rows, [routes[r] for r in support]
+    )
     return _priced(instance, _counts(support, result))
 
 
@@ -644,9 +646,10 @@ def solve_one_shot_maxmin(
     both solves take them as their cap constraints.  When every support
     route fits at its room on every row at once, no solve runs: with
     every weight positive, all routes at their room is then the unique
-    optimum of the second solve, whatever the floor.  Otherwise the round
-    is looked up by its content in the active round memory
-    (``round_memory``), and solved only when that content is new.
+    optimum of the second solve, whatever the floor.  Otherwise the
+    round's content, in support order, goes to the active round solver:
+    inside ``round_memory`` it answers a content it has met from memory,
+    and outside it solves every round.
 
     Returns the second solve's nonzero route counts in route order, and
     each routed pair's weighted rate under them, summed in route order;
@@ -656,75 +659,36 @@ def solve_one_shot_maxmin(
     totals = dict.fromkeys(active, 0.0)
     support = _support(instance, routes)
     rows = _cap_rows(instance, support)
-    counts = (
-        dict(support)
-        if _fits_at_room(support, rows)
-        else _remembered_maxmin(routes, support, rows, active)
-    )
+    if _fits_at_room(support, rows):
+        counts = dict(support)
+    else:
+        # one floor row per active pair (one with a positive weight) over
+        # its support columns
+        floors = {j: [] for j in active}
+        for idx, (_, _, j) in enumerate(support):
+            floors[j].append(idx)
+        solved = _round_solver.get()(
+            tuple(support.values()),
+            rows,
+            tuple(routes[route] for route in support),
+            tuple(map(tuple, floors.values())),
+        )
+        counts = {route: c for route, c in zip(support, solved) if c}
     for route, count in counts.items():
         totals[route[2]] += routes[route] * count
     return counts, totals
 
 
-# The contended max-min rounds of one run, keyed by content (see
-# _remembered_maxmin), least recently used first; None outside a run.
-ROUND_MEMORY_SIZE = 64
-_round_memory: ContextVar[OrderedDict | None] = ContextVar("round_memory", default=None)
-
-
-@contextmanager
-def round_memory():
-    """Remember contended max-min rounds by content while the block runs.
-
-    A round whose rooms, weights, cap rows and floor members, all in
-    support order, were already solved in the block takes the remembered
-    counts and hands the solver nothing: the same content makes the same
-    MIPs, and the solver is deterministic.  At most ``ROUND_MEMORY_SIZE``
-    rounds are kept.  On exit, also by an exception, the memory that was
-    active before comes back.  Yields the memory.
-    """
-    token = _round_memory.set(OrderedDict())
-    try:
-        yield _round_memory.get()
-    finally:
-        _round_memory.reset(token)
-
-
-def _remembered_maxmin(routes, support, rows, active) -> dict:
-    """The counts of a contended round: remembered by the active round
-    memory, or solved by ``_contended_maxmin`` and remembered.  Outside
-    ``round_memory`` the memory is a new, empty one, so every round is
-    solved."""
-    # one floor row per active pair (one with a positive weight) over its
-    # support columns
-    weights = [routes[route] for route in support]
-    floors = {j: [] for j in active}
-    for idx, (_, _, j) in enumerate(support):
-        floors[j].append(idx)
-    members = tuple(map(tuple, floors.values()))
-    key = (tuple(support.values()), tuple(weights), tuple(rows), members)
-
-    memory = _round_memory.get()
-    if memory is None:
-        memory = OrderedDict()
-    counts = memory.get(key)
-    if counts is None:
-        counts = _contended_maxmin(support, rows, weights, members)
-        memory[key] = counts
-        if len(memory) > ROUND_MEMORY_SIZE:
-            memory.popitem(last=False)
-    else:
-        memory.move_to_end(key)
-    return {route: c for route, c in zip(support, counts) if c}
-
-
-def _contended_maxmin(support, rows, weights, members) -> tuple:
+def _contended_maxmin(rooms, rows, weights, members) -> tuple:
     """The two solves of ``solve_one_shot_maxmin`` over a nonempty
-    support, its cap rows, its weights and each active pair's floor
-    members: the floor, then the highest total at that floor.  Returns
-    the second solve's count of every support route."""
+    support, given as its content alone: each support route's room, the
+    support's cap rows, each route's weight, and each active pair's floor
+    members, all tuples in support order.  It reads nothing else, so
+    equal arguments make the same MIPs, and the deterministic solver the
+    same answer.  Solves the floor, then the highest total at that floor,
+    and returns the second solve's count of every support route."""
     # each floor row is its pair's weighted rate minus the floor
-    lam_index = len(support)
+    lam_index = len(rooms)
     floor_rows = [
         (
             SparseRow((*cols, lam_index), (*(weights[idx] for idx in cols), -1.0)),
@@ -735,18 +699,44 @@ def _contended_maxmin(support, rows, weights, members) -> tuple:
     ]
 
     stage1 = _solve_assignment(
-        support, rows, [0.0] * lam_index + [1.0], floor_rows, ((0.0, None),)
+        rooms, rows, [0.0] * lam_index + [1.0], floor_rows, ((0.0, None),)
     )
     lam_star = stage1.assignment[lam_index]
 
     stage2 = _solve_assignment(
-        support,
+        rooms,
         rows,
-        weights + [0.0],
+        (*weights, 0.0),
         floor_rows,
         ((max(0.0, lam_star - LAMBDA_SLACK), None),),
     )
     return tuple(map(round, stage2.assignment[:lam_index]))
+
+
+# The solver of contended max-min rounds: plain _contended_maxmin outside a
+# run, and inside round_memory an lru_cache over it, keyed by its arguments.
+ROUND_MEMORY_SIZE = 64
+_round_solver: ContextVar = ContextVar("round_solver", default=_contended_maxmin)
+
+
+@contextmanager
+def round_memory():
+    """Remember contended max-min rounds by content while the block runs.
+
+    The block's round solver is ``functools.lru_cache`` over
+    ``_contended_maxmin``, whose arguments are the round's content: a
+    round whose rooms, cap rows, weights and floor members were already
+    solved in the block takes the remembered counts and hands the solver
+    nothing.  At most ``ROUND_MEMORY_SIZE`` rounds are kept, least
+    recently used out first.  On exit, also by an exception, the solver
+    that was active before comes back.  Yields the cached solver, whose
+    ``cache_info()`` reports the memory.
+    """
+    token = _round_solver.set(functools.lru_cache(ROUND_MEMORY_SIZE)(_contended_maxmin))
+    try:
+        yield _round_solver.get()
+    finally:
+        _round_solver.reset(token)
 
 
 def uncontended_max_edr(instance: SlotInstance, routes: dict) -> float:

@@ -429,6 +429,8 @@ def case_study(
     the satellite pair is swept over every phase offset and keeps the best
     yield.  The ratio of the two quantifies what the relay geometry buys.
     """
+    if not 0.0 <= mirror_efficiency <= 1.0:
+        raise ConfigurationError("mirror efficiency must lie in [0, 1]")
     if physics is None:
         physics = default_physics()
     orbit_radius = EARTH_RADIUS + altitude

@@ -480,6 +480,20 @@ class TestCliBadValues:
         assert named in one_error_line(capsys, "casestudy")
         assert not out.exists()
 
+    @pytest.mark.parametrize("efficiency", ["1.5", "nan", "-0.1"])
+    def test_casestudy_rejects_a_mirror_efficiency_outside_0_1(
+        self, tmp_path, capsys, efficiency
+    ):
+        # no relay pass is integrated at a baseline beyond the pair's
+        # reach, so only a check on entry refuses the value there
+        out = tmp_path / "cs"
+        flags = ["--mirror-efficiency", efficiency, "--baselines", "19000:19000:1"]
+        assert main(["casestudy", *flags, "--out", str(out)]) == 1
+        assert one_error_line(capsys, "casestudy").endswith(
+            "error: mirror efficiency must lie in [0, 1]"
+        )
+        assert not out.exists()
+
     @pytest.mark.parametrize(
         "baselines, message",
         [

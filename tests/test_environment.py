@@ -146,6 +146,21 @@ def test_lookup_nearest_hour():
         table.lookup("g", 7, 12.0)
 
 
+def test_lookup_half_hours_round_to_even_then_fall_back_to_the_nearest():
+    """A half hour reads the even hour when the table has it; otherwise the
+    nearest covered hour, a tie going to the smaller hour."""
+    full = EnvironmentTable(
+        records={("g", 6, h): rec(hour_utc=h) for h in range(24)}
+    )
+    for hour_utc, hour in ((1.5, 2), (2.5, 2), (23.5, 0)):
+        assert full.lookup("g", 6, hour_utc).hour_utc == hour
+    without_2 = EnvironmentTable(
+        records={key: r for key, r in full.records.items() if key[2] != 2}
+    )
+    for hour_utc, hour in ((1.5, 1), (2.5, 3), (2.0, 1)):
+        assert without_2.lookup("g", 6, hour_utc).hour_utc == hour
+
+
 def test_load_rejects_bad_rows(tmp_path):
     header = "station_id,month,hour_utc,zenith_transmissivity,cloud_cover,solar_irradiance_uW_cm2_sr_nm"
 

@@ -723,6 +723,13 @@ def _reduced_slots(policy, times):
             "policy": policy,
         },
     )
+    return _slot_instances(config, times)
+
+
+def _slot_instances(config, times):
+    """The scenario's instances for the given slots, built for its policy
+    as its run builds them."""
+    policy = config.policy
     env = simharness.resolve_weather(config)
     network = simharness.build_network(config)
     instances = []
@@ -1507,10 +1514,30 @@ def test_remembered_round_equals_the_solved_round_to_the_bit(inst):
             first = solve_one_shot_maxmin(inst, inst.routes)
             solves = len(mips)
             counts, totals = solve_one_shot_maxmin(inst, inst.routes)
-    assert len(mips) == solves and len(memory) == solves // 2
+    assert len(mips) == solves and memory.cache_info().currsize == solves // 2
     for remembered_counts, remembered_totals in (first, (counts, totals)):
         assert list(remembered_counts.items()) == list(solved_counts.items())
         assert repr(list(remembered_totals.items())) == repr(list(solved_totals.items()))
+
+
+def test_a_second_pass_over_default_slots_in_one_memory_issues_no_mip(monkeypatch):
+    """At default scale (20x20, six cities), primary_ratefair slots 0-2 hold
+    six contended rounds: a second pass inside one memory issues no MIP,
+    and both passes equal the allocations solved outside any memory."""
+    config = replace(default_scenario(), policy="primary_ratefair", num_slots=3)
+    instances = _slot_instances(config, range(3))
+    solved = [solve_primary_ratefair(inst) for inst in instances]
+    mips = _counting_mips(monkeypatch)
+    with scheduler.round_memory() as memory:
+        first = [solve_primary_ratefair(inst) for inst in instances]
+        assert len(mips) == 12 and memory.cache_info().currsize == 6
+        second = [solve_primary_ratefair(inst) for inst in instances]
+    assert len(mips) == 12 and memory.cache_info().hits == 6
+    for passed in (first, second):
+        assert passed == solved
+        assert [list(a.counts.items()) for a in passed] == [
+            list(a.counts.items()) for a in solved
+        ]
 
 
 # one satellite of cap 10 shared by the three pairs of a station triangle,
@@ -1535,7 +1562,7 @@ def test_equal_content_on_another_satellite_is_not_solved_again(monkeypatch):
         first, _ = solve_one_shot_maxmin(_TRIANGLE, _triangle_round(0))
         assert len(mips) == 2 and sum(first.values()) == 10
         second, totals = solve_one_shot_maxmin(_TRIANGLE, _triangle_round(1))
-    assert len(mips) == 2 and len(memory) == 1
+    assert len(mips) == 2 and memory.cache_info().currsize == 1
     assert second == {(1, None, j): c for (_, _, j), c in first.items()}
     # solved afresh, outside the memory, the second round agrees
     assert (second, totals) == solve_one_shot_maxmin(_TRIANGLE, _triangle_round(1))
@@ -1554,11 +1581,12 @@ def test_a_pair_without_room_keeps_its_round_apart(monkeypatch):
     with scheduler.round_memory() as memory:
         first = solve_one_shot_maxmin(_TRIANGLE, heavy)
         assert solve_one_shot_maxmin(_TRIANGLE, with_roomless) == alone
-    assert first[0] != alone[0] and len(mips) == 4 and len(memory) == 2
+    assert first[0] != alone[0] and len(mips) == 4
+    assert memory.cache_info().currsize == 2
 
 
 def test_policy_called_outside_a_run_issues_every_mip(monkeypatch):
-    """Outside a run each round gets a new, empty memory: calling a policy
+    """Outside a run every contended round is solved: calling a policy
     twice on one slot issues the same MIPs twice, whereas in one memory the
     second call issues none."""
     inst = _reduced_slots("reflection_ratefair", [0])[0]
@@ -1585,7 +1613,7 @@ def test_back_to_back_runs_hand_the_solver_the_same_mips(monkeypatch):
         runs.append((report, [_mip_key(mip) for mip in mips]))
         del mips[:]
     assert runs[0][1] and runs[0] == runs[1]
-    assert scheduler._round_memory.get() is None
+    assert scheduler._round_solver.get() is scheduler._contended_maxmin
 
 
 def test_a_run_that_raises_restores_the_memory_before_it(monkeypatch):
@@ -1595,7 +1623,7 @@ def test_a_run_that_raises_restores_the_memory_before_it(monkeypatch):
     flag, real = simharness.POLICIES["primary_ratefair"]
 
     def failing_at_slot_1(instance):
-        seen.append(scheduler._round_memory.get())
+        seen.append(scheduler._round_solver.get())
         if len(seen) == 2:
             raise StructuralError("stop")
         return real(instance)
@@ -1604,15 +1632,15 @@ def test_a_run_that_raises_restores_the_memory_before_it(monkeypatch):
     config = replace(_pinned_scenario("primary_ratefair"), num_slots=3)
     with pytest.raises(SimulationError, match="stop"):
         simharness.run(config)
-    assert seen[0] is not None and seen[0] is seen[1]
-    assert scheduler._round_memory.get() is None
+    assert seen[0] is not scheduler._contended_maxmin and seen[0] is seen[1]
+    assert scheduler._round_solver.get() is scheduler._contended_maxmin
 
     del seen[:]
     with scheduler.round_memory() as outer:
         with pytest.raises(SimulationError, match="stop"):
             simharness.run(config)
-        assert seen[0] is not outer and scheduler._round_memory.get() is outer
-    assert scheduler._round_memory.get() is None
+        assert seen[0] is not outer and scheduler._round_solver.get() is outer
+    assert scheduler._round_solver.get() is scheduler._contended_maxmin
 
 
 def test_the_memory_keeps_at_most_its_bound_least_recent_out(monkeypatch):
@@ -1626,15 +1654,15 @@ def test_the_memory_keeps_at_most_its_bound_least_recent_out(monkeypatch):
     with scheduler.round_memory() as memory:
         for routes in rounds[:bound]:
             solve_one_shot_maxmin(_TRIANGLE, routes)
-        assert len(mips) == 2 * bound and len(memory) == bound
+        assert len(mips) == 2 * bound and memory.cache_info().currsize == bound
         solve_one_shot_maxmin(_TRIANGLE, rounds[0])
         solve_one_shot_maxmin(_TRIANGLE, rounds[bound])
-        assert len(mips) == 2 * bound + 2 and len(memory) == bound
+        assert len(mips) == 2 * bound + 2 and memory.cache_info().currsize == bound
         # rounds[1] was the least recently used when rounds[bound] came
         solve_one_shot_maxmin(_TRIANGLE, rounds[0])
         assert len(mips) == 2 * bound + 2
         solve_one_shot_maxmin(_TRIANGLE, rounds[1])
-        assert len(mips) == 2 * bound + 4 and len(memory) == bound
+        assert len(mips) == 2 * bound + 4 and memory.cache_info().currsize == bound
 
 
 # --- instance validation and serialization -----------------------------------

@@ -8,7 +8,7 @@ from dataclasses import replace
 import pytest
 
 from qsatnet import simharness
-from qsatnet.config import default_scenario
+from qsatnet.config import default_scenario, scenario_from_dict
 from qsatnet.environment import EnvironmentTable
 from qsatnet.errors import ConfigurationError, SimulationError, StructuralError
 from qsatnet.orbital import (
@@ -106,12 +106,38 @@ def test_scenario_validation():
         polar_scenario(month=13)
 
 
+def test_code_and_scenario_file_share_the_cap_defaults():
+    """Stations and pairs built in code take the caps a scenario file
+    leaves out, so a scenario of default stations passes its own
+    receiver-dominance check."""
+    config = ScenarioConfig(
+        constellation=ConstellationConfig(4, 10, 1000e3),
+        stations=(GroundStation("a", 0.0, 0.0), GroundStation("b", 10.0, 10.0)),
+    )
+    assert [gs.receiver_cap for gs in config.stations] == [10, 10]
+    assert [p.pair_cap for p in config.resolved_pairs()] == [10]
+    assert PairSpec("p", "a", "b").pair_cap == 10
+    loaded = scenario_from_dict(
+        {
+            "stations": [
+                {"id": "a", "latitude": 0.0, "longitude": 0.0},
+                {"id": "b", "latitude": 10.0, "longitude": 10.0},
+            ],
+            "pairs": [{"id": "p", "station_a": "a", "station_b": "b"}],
+        }
+    )
+    assert loaded.stations == config.stations
+    assert loaded.pairs == (PairSpec("p", "a", "b"),)
+
+
 def test_resolved_pairs_defaults_to_all_station_pairs():
     config = polar_scenario()
     ids = [p.id for p in config.resolved_pairs()]
     assert ids == ["alpha-bravo", "alpha-carol", "bravo-carol"]
     explicit = polar_scenario(
-        pairs=(PairSpec(id="only", station_a="alpha", station_b="carol"),)
+        pairs=(
+            PairSpec(id="only", station_a="alpha", station_b="carol", pair_cap=1),
+        )
     )
     assert [p.id for p in explicit.resolved_pairs()] == ["only"]
 
