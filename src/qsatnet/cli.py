@@ -182,6 +182,13 @@ def _cmd_weather_synth(args) -> int:
     return 0
 
 
+def _check_weather(table, config) -> None:
+    """Raise unless the table holds a record for every station of the
+    scenario in the scenario's month."""
+    for station in config.stations:
+        table.lookup(station.id, config.month, 0.0)
+
+
 def _cmd_validate(args) -> int:
     config, _ = _load_with_overrides(args.config, None)
     # the network checks that simulate runs before its first slot, and
@@ -190,11 +197,13 @@ def _cmd_validate(args) -> int:
     build_network(config)
     lossless = ArmChannel(transmissivity=1.0, dark_click_prob=0.0)
     end_to_end_outcome(config.physics.source, lossless, lossless)
+    # simulate reads the scenario's own weather file; refuse one it cannot use
+    if config.weather_csv is not None:
+        _check_weather(resolve_weather(config), config)
     checked = f"scenario ok ({len(config.stations)} stations, policy {config.policy})"
     if args.weather:
         table = load_weather(args.weather)
-        for station in config.stations:
-            table.lookup(station.id, config.month, 0.0)
+        _check_weather(table, config)
         checked += f"; weather ok ({len(table.records)} records)"
     print(f"validate: {checked}")
     return 0

@@ -16,6 +16,9 @@ class IngestionError(QsatError, ValueError):
 class UnknownIdError(QsatError, KeyError):
     """A satellite, station, or weather key is not present."""
 
+    # KeyError would quote the message as the repr of a key
+    __str__ = Exception.__str__
+
 
 class StructuralError(QsatError, ValueError):
     """An optimization problem is dimensionally malformed."""

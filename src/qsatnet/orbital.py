@@ -10,7 +10,7 @@ module constants below.
 from __future__ import annotations
 
 import math
-from collections.abc import Mapping, Sequence
+from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from types import MappingProxyType
@@ -304,39 +304,24 @@ def link_geometry(snapshot: ConstellationSnapshot, sat: str, gs: str) -> LinkGeo
     return LinkGeometry(elevation=elevation, slant_range=slant)
 
 
-def _rows_of(
-    xyz: np.ndarray, ids: tuple[str, ...], wanted: Sequence[str]
-) -> np.ndarray:
-    """The rows of ``wanted`` in that order, NaN for an id not in ``ids``."""
-    if tuple(wanted) == ids:
-        return xyz
-    row = _row_index(ids)
-    padded = np.vstack([xyz, np.full((1, 3), math.nan)])
-    return padded[[row.get(id_, len(ids)) for id_ in wanted]]
-
-
 def visible_links(
-    snapshot: ConstellationSnapshot,
-    sat_ids: Sequence[str],
-    station_ids: Sequence[str],
-    min_elevation: float,
-) -> dict[str, dict[str, LinkGeometry]]:
-    """Per station, the satellites at or above ``min_elevation``, with geometry.
+    snapshot: ConstellationSnapshot, min_elevation: float
+) -> list[dict[int, LinkGeometry]]:
+    """Per station row, the satellite rows at or above ``min_elevation``,
+    with geometry: one dict per station in ``station_ids`` order, each
+    keyed by satellite row in row order.
 
     One numpy pass over every (station, satellite) cell keeps the cells
     whose elevation sine lies within SCREEN_MARGIN of the mask or above
     it; only those reach the scalar ``link_geometry``, which decides each
     of them and supplies every returned value.  The result therefore
-    equals gating ``link_geometry`` on every cell, in ``sat_ids`` order.
-    A cell the screen cannot evaluate (NaN, as for an unknown id) is
-    passed on, so ``link_geometry`` raises there as it would unscreened.
-    The screen works one coordinate at a time, so each sum is added in
-    x, y, z order as in ``link_geometry``.
+    equals gating ``link_geometry`` on every cell.  A cell the screen
+    cannot evaluate (NaN) is passed on to ``link_geometry`` as it would
+    be unscreened.  The screen works one coordinate at a time, so each
+    sum is added in x, y, z order as in ``link_geometry``.
     """
-    sx, sy, sz = _rows_of(snapshot.sat_xyz, snapshot.sat_ids, sat_ids).T
-    gx, gy, gz = _rows_of(snapshot.gs_xyz, snapshot.station_ids, station_ids).T[
-        :, :, None
-    ]
+    sx, sy, sz = snapshot.sat_xyz.T
+    gx, gy, gz = snapshot.gs_xyz.T[:, :, None]
     dx, dy, dz = sx - gx, sy - gy, sz - gz
     slant = np.sqrt(dx * dx + dy * dy + dz * dz)
     radius = np.sqrt(gx * gx + gy * gy + gz * gz)
@@ -345,12 +330,13 @@ def visible_links(
     candidates = ~(dot < (sin_mask - SCREEN_MARGIN) * radius * slant)
 
     # cells in row-major order: station by station, satellites in order
+    sat_ids, station_ids = snapshot.sat_ids, snapshot.station_ids
     per_station = [{} for _ in station_ids]
     for g, s in zip(*(axis.tolist() for axis in np.nonzero(candidates))):
         geom = link_geometry(snapshot, sat_ids[s], station_ids[g])
         if geom.elevation >= min_elevation:
-            per_station[g][sat_ids[s]] = geom
-    return dict(zip(station_ids, per_station))
+            per_station[g][s] = geom
+    return per_station
 
 
 def sight_line_clear(p: Vec3, q: Vec3, clearance: float = ISL_CLEARANCE) -> bool:

@@ -203,11 +203,6 @@ class SlotInstance:
         relayed = {r: rate for r, rate in self.routes.items() if r[1] is not None}
         return relayed or None
 
-    @cached_property
-    def sat_index(self) -> dict[str, int]:
-        """Each satellite id mapped to its index."""
-        return {sat_id: i for i, sat_id in enumerate(self.sat_ids)}
-
     def pairs_at_station(self, g: int) -> list[int]:
         return [j for j, (a, b) in enumerate(self.pair_stations) if g in (a, b)]
 
@@ -276,26 +271,47 @@ def _arm_for(geom, record, physics) -> ArmChannel:
     return ArmChannel(transmissivity=eta, dark_click_prob=dark)
 
 
+def _check_rows(snapshot, network) -> None:
+    """Refuse a snapshot whose rows are not the network's satellites and
+    stations in the network's order, naming a missing id first."""
+    if (snapshot.sat_ids, snapshot.station_ids) == (
+        network.sat_ids,
+        network.station_ids,
+    ):
+        return
+    for kind, rows, ids in (
+        ("satellite", snapshot.sat_row, network.sat_ids),
+        ("ground station", snapshot.station_row, network.station_ids),
+    ):
+        for id_ in ids:
+            if id_ not in rows:
+                raise UnknownIdError(f"unknown {kind} id {id_!r}")
+    raise ConfigurationError(
+        "snapshot rows must hold exactly the network's satellite and "
+        "station ids, in the network's order"
+    )
+
+
 def _slot_links(snapshot, network, physics, env, min_elevation, month, hour_utc):
     """The slot's gated geometry and a memoized downlink-arm lookup.
 
-    The table maps each station to the satellites that clear the minimum
-    elevation there.  A station's weather is read on its first arm, so a
-    station no satellite serves needs no weather record.
+    The table holds, per station row g, the satellite rows i that clear
+    the minimum elevation there; ``arm(i, g)`` is that link's downlink
+    arm.  A station's weather is read on its first arm, so a station no
+    satellite serves needs no weather record.
     """
-    links = visible_links(
-        snapshot, network.sat_ids, network.station_ids, min_elevation
-    )
+    _check_rows(snapshot, network)
+    links = visible_links(snapshot, min_elevation)
+    station_ids = network.station_ids
     records = {}
-    arms: dict[tuple[str, str], ArmChannel] = {}
+    arms: dict[tuple[int, int], ArmChannel] = {}
 
-    def arm(sat_id, station_id):
-        key = (sat_id, station_id)
+    def arm(i, g):
+        key = (i, g)
         if key not in arms:
-            if station_id not in records:
-                records[station_id] = _weather_record(env, station_id, month, hour_utc)
-            record = records[station_id]
-            arms[key] = _arm_for(links[station_id][sat_id], record, physics)
+            if g not in records:
+                records[g] = _weather_record(env, station_ids[g], month, hour_utc)
+            arms[key] = _arm_for(links[g][i], records[g], physics)
         return arms[key]
 
     return links, arm
@@ -304,20 +320,15 @@ def _slot_links(snapshot, network, physics, env, min_elevation, month, hour_utc)
 def _direct_routes(network, physics, links, arm, fidelity_threshold):
     """The slot's direct routes (i, None, j) that clear the fidelity
     threshold, mapped to their rates."""
-    sat_index = network.sat_index
-    station_ids = network.station_ids
     routes = {}
     for j, (a, b) in enumerate(network.pair_stations):
-        station_a, station_b = station_ids[a], station_ids[b]
-        visible_b = links[station_b]
-        for sat_id in links[station_a]:
-            if sat_id not in visible_b:
+        visible_b = links[b]
+        for i in links[a]:
+            if i not in visible_b:
                 continue
-            outcome = end_to_end_outcome(
-                physics.source, arm(sat_id, station_a), arm(sat_id, station_b)
-            )
+            outcome = end_to_end_outcome(physics.source, arm(i, a), arm(i, b))
             if outcome.fidelity >= fidelity_threshold and outcome.edr > 0:
-                routes[(sat_index[sat_id], None, j)] = outcome.edr
+                routes[(i, None, j)] = outcome.edr
     return routes
 
 
@@ -379,47 +390,36 @@ def build_reflection_weights(
         snapshot, network, physics, env, min_elevation, month, hour_utc
     )
     routes = _direct_routes(network, physics, links, arm, fidelity_threshold)
-    sat_index = network.sat_index
-    station_ids = network.station_ids
     hop_free_space = mirror_hop(physics)
     # each visible satellite's position as a plain list, read once
-    position = {
-        sat_id: snapshot.sat_xyz[snapshot.sat_row[sat_id]].tolist()
-        for visible in links.values()
-        for sat_id in visible
-    }
+    position = {i: snapshot.sat_xyz[i].tolist() for visible in links for i in visible}
 
     # hop factors keyed by the ordered (source, relay) pair, None without a
     # sight line: the test may differ in the last bit between directions
-    hops: dict[tuple[str, str], float | None] = {}
+    hops: dict[tuple[int, int], float | None] = {}
     # the relayed candidates, priced together below: each route's hop
     # factor, source arm and relay-to-station arm, one column per channel
     keys = []
     columns = hop_col, eta1_col, dark1_col, eta2_col, dark2_col = [], [], [], [], []
     for j, (a, b) in enumerate(network.pair_stations):
-        station_a, station_b = station_ids[a], station_ids[b]
-        sources = links[station_a]
+        sources = links[a]
         if not sources:
             continue
-        relays = [
-            (relay_id, sat_index[relay_id], position[relay_id])
-            for relay_id in links[station_b]
-        ]
-        for src_id in sources:
-            i = sat_index[src_id]
-            arm_a = arm(src_id, station_a)
-            p = position[src_id]
-            for relay_id, k, q in relays:
+        relays = [(k, position[k]) for k in links[b]]
+        for i in sources:
+            arm_a = arm(i, a)
+            p = position[i]
+            for k, q in relays:
                 if k == i:
                     continue
-                key = (src_id, relay_id)
+                key = (i, k)
                 if key not in hops:
                     clear = sight_line_clear(p, q)
                     hops[key] = hop_free_space(math.dist(p, q)) if clear else None
                 hop = hops[key]
                 if hop is None:
                     continue
-                arm_b = arm(relay_id, station_b)
+                arm_b = arm(k, b)
                 keys.append((i, k, j))
                 hop_col.append(hop)
                 eta1_col.append(arm_a.transmissivity)
@@ -463,12 +463,6 @@ def build_reflection_weights(
 def _direct(instance) -> dict:
     """The instance's direct routes and their rates, in route order."""
     return {route: rate for route, rate in instance.routes.items() if route[1] is None}
-
-
-def served_routes(allocation: Allocation):
-    """The allocation's nonzero counts as (route, count), in route order,
-    read from ``Allocation.counts``, never from the dense ``x``."""
-    return allocation.counts.items()
 
 
 def _support(instance, routes) -> dict:
@@ -909,7 +903,7 @@ def pair_edr(instance: SlotInstance, allocation: Allocation) -> dict[str, float]
     pair_ids = instance.pair_ids
     rate = instance.routes.get
     totals = {pid: 0.0 for pid in pair_ids}
-    for route, count in served_routes(allocation):
+    for route, count in allocation.counts.items():
         # a count on a route without a rate delivers nothing
         totals[pair_ids[route[2]]] += rate(route, 0.0) * count
     return totals
@@ -923,7 +917,7 @@ def allocation_to_json(
     return {
         "t": instance.time,
         "policy": policy,
-        "counts": [[*route, count] for route, count in served_routes(allocation)],
+        "counts": [[*route, count] for route, count in allocation.counts.items()],
         "objective": allocation.objective,
         "per_pair_edr": pair_edr(instance, allocation),
     }

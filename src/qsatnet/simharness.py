@@ -47,7 +47,6 @@ from .scheduler import (
     mirror_hop,
     pair_edr,
     round_memory,
-    served_routes,
     solve_primary_ratefair,
     solve_primary_ratesum,
     solve_reflection_ratefair,
@@ -229,7 +228,7 @@ def serving_sets(instance, allocation) -> dict[str, frozenset]:
     """
     sat_ids, pair_ids = instance.sat_ids, instance.pair_ids
     servers: dict[str, set] = {pid: set() for pid in pair_ids}
-    for (i, k, j), count in served_routes(allocation):
+    for (i, k, j), count in allocation.counts.items():
         if count > 0:
             server = sat_ids[i]
             if k is not None:

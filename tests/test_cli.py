@@ -677,6 +677,13 @@ class TestCliFileErrors:
         self.assert_one_line_error(capsys, "simulate", missing)
         assert not out.exists()
 
+    def test_validate_missing_weather_csv(self, tmp_path, capsys):
+        missing = tmp_path / "missing.csv"
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps({"weather_csv": str(missing)}))
+        assert main(["validate", "--config", str(path)]) == 1
+        self.assert_one_line_error(capsys, "validate", missing)
+
     def test_non_utf8_config(self, tmp_path, capsys):
         path = tmp_path / "scenario.json"
         path.write_bytes(b'{"policy": "\xff"}')
@@ -850,6 +857,29 @@ class TestCliWeather:
             handle.writelines(kept)
         assert main(["validate", "--config", config, "--weather", pruned]) == 1
         assert "carol" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("given_by", ["--weather", "weather_csv"])
+    def test_validate_names_a_station_the_weather_file_lacks(
+        self, tmp_path, capsys, given_by
+    ):
+        # given as the scenario's weather_csv, simulate would read the file
+        # and fail at the first slot that reaches rome
+        weather = tmp_path / "weather.csv"
+        main(["weather-synth", "--seed", "3", "--out", str(weather)])
+        capsys.readouterr()
+        lines = weather.read_text().splitlines(keepends=True)
+        pruned = tmp_path / "no_rome.csv"
+        pruned.write_text("".join(ln for ln in lines if not ln.startswith("rome,")))
+        if given_by == "--weather":
+            argv = ["validate", "--weather", str(pruned)]
+        else:
+            path = tmp_path / "scenario.json"
+            path.write_text(json.dumps({"weather_csv": str(pruned)}))
+            argv = ["validate", "--config", str(path)]
+        assert main(argv) == 1
+        assert one_error_line(capsys, "validate") == (
+            "qsatnet validate: error: no weather records for station 'rome' month 6"
+        )
 
     def test_simulate_with_weather_file(self, tmp_path, capsys):
         config_path = write_small_config(tmp_path)

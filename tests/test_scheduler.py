@@ -291,7 +291,7 @@ def pair_routes(routes, j):
 
 
 def served_counts(allocation):
-    return dict(scheduler.served_routes(allocation))
+    return dict(allocation.counts)
 
 
 def test_maxmin_independent_pairs_floor():
@@ -1085,7 +1085,7 @@ def test_build_weights_fidelity_gate_records_chi():
     assert admitted.omega[0][0] > 0
     assert gated.omega[0][0] == 0.0
     _, arm = scheduler._slot_links(snapshot, network, PHYSICS, env, 20.0, 6, 0.0)
-    outcome = end_to_end_outcome(PHYSICS.source, arm("s0", "ga"), arm("s0", "gb"))
+    outcome = end_to_end_outcome(PHYSICS.source, arm(0, 0), arm(0, 1))
     assert 0.85 < outcome.fidelity < 0.9999
     assert outcome.edr == admitted.omega[0][0]
 
@@ -1243,29 +1243,25 @@ def _scalar_relay_rates(snapshot, network, config, env, hour_utc):
     links, arm = scheduler._slot_links(
         snapshot, network, physics, env, config.min_elevation, config.month, hour_utc
     )
-    sat_index = {sat_id: i for i, sat_id in enumerate(network.sat_ids)}
+    sat_ids = network.sat_ids
     hop_free_space = scheduler.mirror_hop(physics)
     nu = {}
     for j, (a, b) in enumerate(network.pair_stations):
-        station_a, station_b = network.station_ids[a], network.station_ids[b]
-        for src_id in links[station_a]:
-            for relay_id in links[station_b]:
-                if src_id == relay_id or not orbital.inter_satellite_visible(
-                    snapshot, src_id, relay_id
+        for i in links[a]:
+            for k in links[b]:
+                if i == k or not orbital.inter_satellite_visible(
+                    snapshot, sat_ids[i], sat_ids[k]
                 ):
                     continue
                 hop = hop_free_space(
-                    orbital.inter_satellite_distance(snapshot, src_id, relay_id)
+                    orbital.inter_satellite_distance(snapshot, sat_ids[i], sat_ids[k])
                 )
                 arm1, arm2 = reflection_arms(
-                    arm(src_id, station_a),
-                    hop,
-                    config.mirror_efficiency,
-                    arm(relay_id, station_b),
+                    arm(i, a), hop, config.mirror_efficiency, arm(k, b)
                 )
                 out = end_to_end_outcome(physics.source, arm1, arm2)
                 if out.fidelity >= config.fidelity_threshold and out.edr > 0:
-                    nu[(sat_index[src_id], sat_index[relay_id], j)] = out.edr
+                    nu[(i, k, j)] = out.edr
     return nu
 
 
@@ -1906,24 +1902,21 @@ def test_replaced_allocation_reads_counts_from_its_own_x_and_y():
 # --- visibility screen --------------------------------------------------------
 
 
-def _brute_links(snapshot, sat_ids, station_ids, min_elevation):
-    """The gated table from scalar geometry on every cell."""
-    table = {}
-    for gs in station_ids:
-        table[gs] = {}
-        for sat in sat_ids:
+def _brute_links(snapshot, min_elevation):
+    """The gated table from scalar geometry on every cell, keyed by row."""
+    table = []
+    for gs in snapshot.station_ids:
+        table.append({})
+        for s, sat in enumerate(snapshot.sat_ids):
             geom = orbital.link_geometry(snapshot, sat, gs)
             if geom.elevation >= min_elevation:
-                table[gs][sat] = geom
+                table[-1][s] = geom
     return table
 
 
 def _assert_same_table(screened, brute):
     assert screened == brute
-    assert list(screened) == list(brute)
-    assert [list(row) for row in screened.values()] == [
-        list(row) for row in brute.values()
-    ]
+    assert [list(row) for row in screened] == [list(row) for row in brute]
 
 
 def test_screen_calls_link_geometry_only_near_visible_cells(monkeypatch):
@@ -1934,7 +1927,7 @@ def test_screen_calls_link_geometry_only_near_visible_cells(monkeypatch):
     )
     sat_ids = list(network.sat_ids)
     station_ids = list(network.station_ids)
-    brute = _brute_links(snapshot, sat_ids, station_ids, config.min_elevation)
+    brute = _brute_links(snapshot, config.min_elevation)
 
     downlinks = _count_calls(monkeypatch, orbital, "link_geometry")
     build_weights(
@@ -1946,13 +1939,13 @@ def test_screen_calls_link_geometry_only_near_visible_cells(monkeypatch):
         config.fidelity_threshold,
         month=config.month,
     )
-    visible = sum(len(row) for row in brute.values())
+    visible = sum(len(row) for row in brute)
     assert 0 < visible <= len(downlinks) < len(station_ids) * len(sat_ids)
     # one pass over the screen, station by station, satellites in order
     cells = [(station_ids.index(gs), sat_ids.index(sat)) for sat, gs in downlinks]
     assert cells == sorted(set(cells))
     _assert_same_table(
-        orbital.visible_links(snapshot, sat_ids, station_ids, config.min_elevation),
+        orbital.visible_links(snapshot, config.min_elevation),
         brute,
     )
 
@@ -1987,7 +1980,7 @@ _longitudes = st.floats(-180.0, 180.0, exclude_max=True)
 
 @st.composite
 def _skies(draw):
-    """A snapshot, its ids and a mask, with some cells within 1e-9 deg of it."""
+    """A snapshot and a mask, with some cells within 1e-9 deg of it."""
     mask = draw(st.floats(0.0, 90.0, exclude_max=True))
     gs_positions = {}
     for n in range(draw(st.integers(1, 3))):
@@ -2011,17 +2004,15 @@ def _skies(draw):
         sat_positions=sat_positions,
         gs_positions=gs_positions,
     )
-    sat_ids = draw(st.permutations(sorted(sat_positions)))
-    return snapshot, sat_ids, sorted(gs_positions), mask
+    return snapshot, mask
 
 
 @settings(derandomize=True, max_examples=200, deadline=None)
 @given(_skies())
 def test_screen_equals_brute_force_table(sky):
-    snapshot, sat_ids, station_ids, mask = sky
+    snapshot, mask = sky
     _assert_same_table(
-        orbital.visible_links(snapshot, sat_ids, station_ids, mask),
-        _brute_links(snapshot, sat_ids, station_ids, mask),
+        orbital.visible_links(snapshot, mask), _brute_links(snapshot, mask)
     )
 
 
@@ -2044,6 +2035,28 @@ def test_build_weights_unknown_ids_and_coincident_link():
     )
     with pytest.raises(ConfigurationError, match="coincide"):
         build_weights(coincident, network, PHYSICS, env, 20.0, 0.85, month=6)
+
+
+@pytest.mark.parametrize("relayed", [False, True])
+def test_build_weights_refuses_a_snapshot_out_of_network_rows(relayed):
+    # the link table is keyed by row, so a snapshot whose rows are not the
+    # network's ids in its order is refused rather than misattributed
+    snapshot, network, env = overhead_scene(n_sats=2)
+    sats, stations = snapshot.sat_positions, snapshot.gs_positions
+    skies = [
+        ({"s1": sats["s1"], "s0": sats["s0"]}, stations),
+        ({**sats, "s2": sats["s0"]}, stations),
+        (sats, {"gb": stations["gb"], "ga": stations["ga"]}),
+    ]
+    for sat_positions, gs_positions in skies:
+        moved = ConstellationSnapshot.from_positions(0, sat_positions, gs_positions)
+        with pytest.raises(ConfigurationError, match="in the network's order"):
+            if relayed:
+                build_reflection_weights(
+                    moved, network, PHYSICS, env, 20.0, 0.85, 0.95, month=6
+                )
+            else:
+                build_weights(moved, network, PHYSICS, env, 20.0, 0.85, month=6)
 
 
 # --- row-skipping scans against their dense references ----------------------
@@ -2172,7 +2185,7 @@ def test_row_skipping_scans_match_dense_references():
         assert simharness.serving_sets(inst, allocation) == _dense_serving_sets(
             inst, allocation
         )
-        counts = dict(scheduler.served_routes(allocation))
+        counts = dict(allocation.counts)
         # rate-fair prices its counts in the order its rounds froze them
         counts = dict(reversed(counts.items()))
         priced, dense = scheduler._priced(inst, counts), _dense_priced(inst, counts)
