@@ -21,7 +21,7 @@ among all blocking variables, the entering one's own flip included.
 from __future__ import annotations
 
 import math
-from itertools import chain
+from itertools import compress
 
 import numpy as np
 
@@ -137,50 +137,41 @@ def _iterate(
 
 def solve_lp(lp: LinearProgram) -> SolveResult:
     n = lp.num_vars
-    m = len(lp.constraints)
+    m = len(lp.rhs)
     lower = np.array([b[0] for b in lp.variable_bounds], dtype=float)
     objective = np.array(lp.objective, dtype=float)
     const_term = float(objective @ lower) if n else 0.0
 
-    columns = [row.columns for row, _, _ in lp.constraints]
-    rows = np.zeros((m, n))
-    rows[
-        np.repeat(np.arange(m), list(map(len, columns))),
-        np.fromiter(chain.from_iterable(columns), dtype=np.intp),
-    ] = np.fromiter(
-        chain.from_iterable(row.coefficients for row, _, _ in lp.constraints), dtype=float
-    )
-    relations = [r for _, r, _ in lp.constraints]
-    rhs = [b for _, _, b in lp.constraints]
+    senses = lp.senses.tolist()
+    rhs = lp.rhs.tolist()
     if lower.any():
-        rhs = [b - float(a @ lower) for a, b in zip(rows, rhs)]
-    for i in range(m):
-        if rhs[i] < 0:
-            rows[i] = -rows[i]
-            rhs[i] = -rhs[i]
-            if relations[i] == "<=":
-                relations[i] = ">="
-            elif relations[i] == ">=":
-                relations[i] = "<="
+        rhs = [b - float(a @ lower) for a, b in zip(lp.matrix, rhs)]
+    # a row with a negative right-hand side is negated, swapping <= and >=
+    negated = [i for i in range(m) if rhs[i] < 0]
+    for i in negated:
+        rhs[i] = -rhs[i]
+        senses[i] = -senses[i]
 
-    num_slack = sum(1 for r in relations if r in ("<=", ">="))
-    num_artificial = sum(1 for r in relations if r in (">=", "="))
+    num_slack = m - senses.count(0)
+    num_artificial = m - senses.count(1)
     slack_start = n
     art_start = n + num_slack
     total = n + num_slack + num_artificial
 
     tableau = np.zeros((m + 1, total + 1))
-    tableau[:m, :n] = rows
+    tableau[:m, :n] = lp.matrix
+    if negated:
+        tableau[negated, :n] = -lp.matrix[negated]
     tableau[:m, -1] = rhs
     basis = [0] * m
     slack_idx = slack_start
     art_idx = art_start
     for i in range(m):
-        if relations[i] == "<=":
+        if senses[i] > 0:
             tableau[i, slack_idx] = 1.0
             basis[i] = slack_idx
             slack_idx += 1
-        elif relations[i] == ">=":
+        elif senses[i] < 0:
             tableau[i, slack_idx] = -1.0
             slack_idx += 1
             tableau[i, art_idx] = 1.0
@@ -192,10 +183,8 @@ def solve_lp(lp: LinearProgram) -> SolveResult:
             art_idx += 1
 
     # each column's room above zero, and whether it holds a complement
-    upper = [math.inf] * total
-    for j, (lo, hi) in enumerate(lp.variable_bounds):
-        if hi is not None:
-            upper[j] = hi - lo
+    upper = [math.inf if hi is None else hi - lo for lo, hi in lp.variable_bounds]
+    upper += [math.inf] * (total - n)
     flipped = [False] * total
     iteration = [0]
 
@@ -221,10 +210,9 @@ def solve_lp(lp: LinearProgram) -> SolveResult:
     # is written over the complements, then priced out of the basis
     tableau[m, :] = 0.0
     tableau[m, :n] = -objective
-    for j in range(n):
-        if flipped[j]:
-            tableau[m, -1] -= tableau[m, j] * upper[j]
-            tableau[m, j] = 0.0 - tableau[m, j]
+    for j in compress(range(n), flipped):
+        tableau[m, -1] -= tableau[m, j] * upper[j]
+        tableau[m, j] = 0.0 - tableau[m, j]
     for i in range(m):
         coeff = tableau[m, basis[i]]
         if coeff != 0.0:
@@ -234,11 +222,9 @@ def solve_lp(lp: LinearProgram) -> SolveResult:
         return SolveResult(UNBOUNDED, math.inf, None)
 
     shifted = np.zeros(total)
-    for i, col in enumerate(basis):
-        shifted[col] = tableau[i, -1]
-    for j in range(n):
-        if flipped[j]:
-            shifted[j] = upper[j] - shifted[j]
+    shifted[basis] = tableau[:m, -1]
+    for j in compress(range(n), flipped):
+        shifted[j] = upper[j] - shifted[j]
     solution = shifted[:n] + lower
     value = float(tableau[m, -1]) + const_term
     return SolveResult(OPTIMAL, value, tuple(solution.tolist()))

@@ -16,6 +16,7 @@ from .types import (
     MipProblem,
     SolveResult,
     constraint_violations,
+    within_tolerance,
 )
 
 INTEGRALITY_TOL = 1e-6
@@ -76,13 +77,17 @@ def solve_mip(mip: MipProblem, node_limit: int = 100_000) -> SolveResult:
         branch_var = _most_fractional(relaxed.assignment, mip.integer_vars)
         if branch_var is None:
             candidate = _rounded(relaxed.assignment, mip.integer_vars)
-            problems = constraint_violations(
-                mip.base, candidate, integer_vars=mip.integer_vars
-            )
-            if problems:
-                raise QsatError(
-                    "rounded relaxation solution fails feasibility: " + problems[0]
+            # a finite rounded candidate is integral, so the exact pass runs
+            # only for one that is not finite or has a bound or row near or
+            # past its tolerance
+            if not within_tolerance(mip.base, candidate):
+                problems = constraint_violations(
+                    mip.base, candidate, integer_vars=mip.integer_vars
                 )
+                if problems:
+                    raise QsatError(
+                        "rounded relaxation solution fails feasibility: " + problems[0]
+                    )
             value = sum(map(operator.mul, mip.base.objective, candidate))
             if value > incumbent_obj:
                 incumbent_obj = value

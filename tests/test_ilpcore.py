@@ -2,15 +2,20 @@
 
 import itertools
 import math
+import operator
 import random
+import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qsatnet import scheduler, simharness
 from qsatnet.config import apply_overrides, default_scenario
 from qsatnet.errors import ParameterError, StructuralError
 from qsatnet.ilpcore import lp as lp_module
+from qsatnet.ilpcore import mip as mip_module
 from qsatnet.ilpcore import (
     GAP_LIMIT,
     INFEASIBLE,
@@ -24,6 +29,7 @@ from qsatnet.ilpcore import (
     solve_lp,
     solve_mip,
 )
+from qsatnet.ilpcore.types import within_tolerance
 
 from oracles import SizeLimitError, brute_force_mip, hungarian, mwis_exact
 
@@ -505,30 +511,35 @@ def test_dense_rows_are_stored_sparse():
     assert LinearProgram(lp.objective, lp.constraints, lp.variable_bounds) == lp
 
 
-@pytest.mark.parametrize(
-    "row",
-    [
+# each malformed row over three variables, and the message naming it as
+# constraint {k}
+MALFORMED_ROWS = {
+    "column-past-end": (
         SparseRow((0, 3), (1.0, 1.0)),
+        "columns must increase strictly within [0, 3)",
+    ),
+    "negative-column": (
         SparseRow((-1, 1), (1.0, 1.0)),
+        "columns must increase strictly within [0, 3)",
+    ),
+    "repeated-columns": (
         SparseRow((1, 1), (1.0, 1.0)),
+        "columns must increase strictly within [0, 3)",
+    ),
+    "unsorted-columns": (
         SparseRow((2, 0), (1.0, 1.0)),
-        SparseRow((0, 1), (1.0,)),
-        SparseRow((0,), (1.0, 2.0)),
-        (1.0, 1.0),
-        (1.0, 1.0, 1.0, 1.0),
-    ],
-    ids=[
-        "column-past-end",
-        "negative-column",
-        "repeated-columns",
-        "unsorted-columns",
-        "fewer-coefficients",
-        "fewer-columns",
-        "dense-too-short",
-        "dense-too-long",
-    ],
-)
-def test_malformed_rows_are_rejected(row):
+        "columns must increase strictly within [0, 3)",
+    ),
+    "fewer-coefficients": (SparseRow((0, 1), (1.0,)), "2 columns for 1 coefficients"),
+    "fewer-columns": (SparseRow((0,), (1.0, 2.0)), "1 columns for 2 coefficients"),
+    "dense-too-short": ((1.0, 1.0), "2 coefficients for 3 variables"),
+    "dense-too-long": ((1.0, 1.0, 1.0, 1.0), "4 coefficients for 3 variables"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_ROWS))
+def test_malformed_rows_are_rejected(case):
+    row, _ = MALFORMED_ROWS[case]
     with pytest.raises(StructuralError):
         LinearProgram(
             objective=(1.0, 1.0, 1.0),
@@ -612,6 +623,303 @@ def test_infinite_upper_bound_means_unbounded_above():
     lp = LinearProgram((1.0,), (((1.0,), "<=", 5.0),), ((0.0, math.inf),))
     assert lp.variable_bounds == ((0.0, None),)
     assert solve_lp(lp).assignment == (5.0,)
+
+
+def test_minus_infinite_upper_bound_is_an_empty_box():
+    with pytest.raises(
+        StructuralError, match=r"^variable 0: bounds \[0.0, -inf\] empty$"
+    ):
+        LinearProgram((1.0,), (((1.0,), "<=", 5.0),), ((0.0, -math.inf),))
+    lp = LinearProgram((1.0,), (((1.0,), "<=", 5.0),), ((0.0, 3.0),))
+    with pytest.raises(
+        StructuralError, match=r"^variable 0: bounds \[1.0, -inf\] empty$"
+    ):
+        lp.with_bounds(0, 1.0, -math.inf)
+
+
+def test_fractional_integer_index_is_refused():
+    lp = LinearProgram((1.0,) * 3, (), ((0.0, 1.0),) * 3)
+    with pytest.raises(
+        StructuralError, match=r"^integer variable index 1.5 is not an integer$"
+    ):
+        MipProblem(lp, (0, 1.5, 2.5))
+    assert MipProblem(lp, (np.int64(2), True, 2)).integer_vars == (1, 2)
+
+
+@pytest.mark.parametrize("integer_vars", [(), (0, 1, 2)])
+def test_non_finite_entries_are_violations(integer_vars):
+    lp = LinearProgram(
+        (1.0, 1.0, 1.0),
+        (((1.0, 1.0, 1.0), "<=", 4.0),),
+        ((0.0, 2.0), (0.0, None), (0.0, 2.0)),
+    )
+    assert constraint_violations(lp, (0.0, math.nan, 0.0), integer_vars=integer_vars) == [
+        "variable 1: nan is not finite"
+    ]
+    assert constraint_violations(
+        lp, (math.inf, 1.0, -math.inf), integer_vars=integer_vars
+    ) == [
+        "variable 0: inf is not finite",
+        "variable 2: -inf is not finite",
+        "variable 0: inf above upper bound 2.0",
+        "variable 2: -inf below lower bound 0.0",
+    ]
+    assert constraint_violations(lp, (0.0, math.inf, 0.0), integer_vars=integer_vars) == [
+        "variable 1: inf is not finite",
+        "constraint 0: inf > 4.0",
+    ]
+
+
+def test_constraint_arrays_are_read_only_and_shared():
+    lp = LinearProgram(
+        (1.0, 2.0, 3.0),
+        (
+            (SparseRow((0, 2), (2.0, -1.0)), "<=", 4.0),
+            ((0.0, 5.0, 0.0), ">=", -1.0),
+            (SparseRow((), ()), "=", 0.0),
+        ),
+        ((0.0, 1.0),) * 3,
+    )
+    assert lp.matrix.tolist() == [[2.0, 0.0, -1.0], [0.0, 5.0, 0.0], [0.0, 0.0, 0.0]]
+    assert lp.rhs.tolist() == [4.0, -1.0, 0.0]
+    assert lp.senses.tolist() == [1, -1, 0]
+    for array in (lp.matrix, lp.rhs, lp.senses):
+        assert not array.flags.writeable
+    grandchild = lp.with_bounds(0, 1.0, 1.0).with_bounds(2, 0.0, 0.0)
+    assert grandchild.matrix is lp.matrix
+    assert grandchild.rhs is lp.rhs and grandchild.senses is lp.senses
+
+
+def test_rows_of_other_types_are_stored_converted():
+    # lists, numpy scalars, int coefficients and a str subclass take the
+    # row-by-row path and are stored as the exact types it converts to
+    class Relation(str):
+        pass
+
+    lp = LinearProgram(
+        (1.0, 1.0),
+        [
+            [SparseRow([np.int64(0), True], [1, np.float64(2.5)]), Relation("<="), 3],
+            (SparseRow((0,), (1.0,)), ">=", np.float64(0.5)),
+        ],
+        ((0.0, 2.0), (0.0, 2.0)),
+    )
+    assert lp.constraints == (
+        (SparseRow((0, 1), (1.0, 2.5)), "<=", 3.0),
+        (SparseRow((0,), (1.0,)), ">=", 0.5),
+    )
+    for row, relation, rhs in lp.constraints:
+        assert type(row.columns) is tuple and type(row.coefficients) is tuple
+        assert {type(c) for c in row.columns} == {int}
+        assert {type(c) for c in row.coefficients} == {float}
+        assert type(relation) is str and type(rhs) is float
+    assert lp.matrix.tolist() == [[1.0, 2.5], [1.0, 0.0]]
+
+
+def _three_row_parts():
+    """A valid LP over three variables with three sparse rows, as lists to
+    place a defect in: objective, constraints, bounds."""
+    objective = [1.0, 1.0, 1.0]
+    constraints = [(SparseRow((0, 1), (1.0, 1.0)), "<=", 2.0)] * 3
+    bounds = [(0.0, 1.0)] * 3
+    return objective, constraints, bounds
+
+
+# each row defect: the constraint to place, and its message as constraint {k}
+ROW_DEFECTS = {
+    **{
+        case: ((row, "<=", 1.0), message)
+        for case, (row, message) in MALFORMED_ROWS.items()
+    },
+    "nan-dense-coefficient": (
+        ((math.nan, 0.0, 0.0), "<=", 5.0), "coefficients must be finite"
+    ),
+    "inf-sparse-coefficient": (
+        (SparseRow((0,), (math.inf,)), "<=", 5.0), "coefficients must be finite"
+    ),
+    "nan-rhs": ((SparseRow((0,), (1.0,)), "<=", math.nan), "right-hand side must be finite"),
+    "inf-rhs": ((SparseRow((0,), (1.0,)), "<=", -math.inf), "right-hand side must be finite"),
+    "unknown-relation": ((SparseRow((0,), (1.0,)), "<>", 1.0), "unknown relation '<>'"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(ROW_DEFECTS))
+@pytest.mark.parametrize("k", [0, 2])
+def test_a_bad_row_is_named_with_its_message(case, k):
+    constraint, message = ROW_DEFECTS[case]
+    objective, constraints, bounds = _three_row_parts()
+    constraints[k] = constraint
+    with pytest.raises(StructuralError, match=f"^constraint {k}: {re.escape(message)}$"):
+        LinearProgram(objective, tuple(constraints), tuple(bounds))
+
+
+@pytest.mark.parametrize("case", sorted(ROW_DEFECTS))
+def test_of_two_bad_rows_the_first_is_named(case):
+    constraint, message = ROW_DEFECTS[case]
+    other, other_message = ROW_DEFECTS["negative-column"]
+    objective, constraints, bounds = _three_row_parts()
+    constraints[1], constraints[2] = constraint, other
+    with pytest.raises(StructuralError, match=f"^constraint 1: {re.escape(message)}$"):
+        LinearProgram(objective, tuple(constraints), tuple(bounds))
+    constraints[1], constraints[2] = other, constraint
+    with pytest.raises(
+        StructuralError, match=f"^constraint 1: {re.escape(other_message)}$"
+    ):
+        LinearProgram(objective, tuple(constraints), tuple(bounds))
+
+
+@pytest.mark.parametrize("j", [0, 2])
+def test_the_non_finite_objective_and_bound_cases_still_name_theirs(j):
+    objective, constraints, bounds = _three_row_parts()
+    objective[j] = math.nan
+    with pytest.raises(StructuralError, match="^objective entries must be finite$"):
+        LinearProgram(tuple(objective), tuple(constraints), tuple(bounds))
+    objective, constraints, bounds = _three_row_parts()
+    bounds[j] = (0.0, math.nan)
+    with pytest.raises(StructuralError, match=f"^variable {j}: upper bound is NaN$"):
+        LinearProgram(tuple(objective), tuple(constraints), tuple(bounds))
+
+
+class _Unreadable(tuple):
+    """Stands in for ``constraints`` where the solvers must not read it."""
+
+    def __iter__(self):
+        raise AssertionError("constraints were read")
+
+    def __len__(self):
+        raise AssertionError("constraints were read")
+
+    def __getitem__(self, key):
+        raise AssertionError("constraints were read")
+
+
+def test_solvers_read_the_arrays_not_the_rows(monkeypatch):
+    # the root relaxation takes a sixth of x, so branch and bound runs
+    lp = LinearProgram(
+        (5.0, 4.0, 3.5),
+        (
+            ((3.0, 2.0, 2.0), "<=", 4.5),
+            ((1.0, 1.0, 0.0), ">=", 0.5),
+            ((0.0, 1.0, -1.0), "=", 0.0),
+        ),
+        ((0.0, 1.0), (0.0, 1.0), (0.0, 1.0)),
+    )
+    mip = MipProblem(lp, (0, 1, 2))
+    expected_lp, expected_mip = repr(solve_lp(lp)), repr(solve_mip(mip))
+    nodes = []
+    real = mip_module.solve_lp
+    monkeypatch.setattr(mip_module, "solve_lp", lambda node: nodes.append(node) or real(node))
+    object.__setattr__(lp, "constraints", _Unreadable())
+    assert repr(solve_lp(lp)) == expected_lp
+    assert repr(solve_mip(mip)) == expected_mip
+    assert len(nodes) >= 3
+
+
+TOL = 1e-7
+LOOSE = 1e-3
+# how far past its tolerance edge a placed row or bound sits (negative:
+# inside), as an offset or as a number of ulps from the edge itself
+EDGES = (-1e-9, -1e-12, 0.0, 1e-12, 1e-9)
+ULPS = (-2, -1, 0, 1, 2)
+
+
+@st.composite
+def _lps_and_points(draw):
+    """An LP and a point built around each other: each row's right-hand
+    side and one bound of each variable are either loose at the point or
+    placed at the edge of their tolerance."""
+    n = draw(st.integers(1, 6))
+    m = draw(st.integers(0, 4))
+    values = st.floats(-100.0, 100.0, allow_subnormal=False)
+    point = [draw(values) for _ in range(n)]
+    placements = []
+
+    def place(anchor, sign):
+        """``anchor`` moved by the tolerance toward ``sign`` (the side
+        where the point breaks the bound or row), or loose: moved by
+        LOOSE the other way."""
+        kind = draw(st.sampled_from(("loose",) * 4 + ("offset", "ulps")))
+        if kind == "loose":
+            placements.append(None)
+            return anchor - sign * LOOSE
+        if kind == "offset":
+            edge = draw(st.sampled_from(EDGES))
+            placements.append(edge)
+            return anchor + sign * (TOL + edge)
+        steps = draw(st.sampled_from(ULPS))
+        placements.append(0.0)
+        value = anchor + sign * TOL
+        for _ in range(abs(steps)):
+            value = math.nextafter(value, sign * steps * math.inf)
+        return value
+
+    constraints = []
+    for _ in range(m):
+        row = [draw(st.sampled_from((0.0, 1.0)) | values) for _ in range(n)]
+        lhs = sum(map(operator.mul, row, point), 0.0)
+        relation = draw(st.sampled_from(("<=", ">=", "=")))
+        if relation == "=":
+            # a loose equality row holds exactly
+            sign = draw(st.sampled_from((-1.0, 1.0)))
+            rhs = place(lhs, sign)
+            if placements[-1] is None:
+                rhs = lhs
+        else:
+            rhs = place(lhs, -1.0 if relation == "<=" else 1.0)
+        constraints.append((tuple(row), relation, rhs))
+    # one bound of each variable is placed, the other is loose or absent
+    bounds = []
+    for x in point:
+        if draw(st.booleans()):
+            bounds.append((place(x, 1.0), None if draw(st.booleans()) else x + LOOSE))
+        else:
+            bounds.append((x - LOOSE, place(x, -1.0)))
+    lp = LinearProgram(tuple(0.0 for _ in point), tuple(constraints), tuple(bounds))
+    spoilt = draw(st.sampled_from((None,) * 6 + (math.nan, math.inf, -math.inf)))
+    if spoilt is not None:
+        point[draw(st.integers(0, n - 1))] = spoilt
+    return lp, tuple(point), placements
+
+
+@settings(derandomize=True, max_examples=500, deadline=None)
+@given(_lps_and_points())
+def test_array_feasibility_agrees_with_the_exact_check(case):
+    lp, point, placements = case
+    fast = within_tolerance(lp, point, TOL)
+    exact = constraint_violations(lp, point, TOL)
+    # the array test never passes what the exact check refuses, and it
+    # passes every point whose rows and bounds all have room to spare
+    finite = all(map(math.isfinite, point))
+    if fast:
+        assert exact == []
+    if finite and all(p is None for p in placements):
+        assert fast
+    if not finite or any(p is not None and p >= 1e-9 for p in placements):
+        assert exact and not fast
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_array_feasibility_refuses_non_finite_points(value):
+    # no row, and no upper bound, to catch a non-finite entry
+    lp = LinearProgram((0.0, 0.0), (), ((0.0, None), (0.0, None)))
+    assert within_tolerance(lp, (1.0, 2.0))
+    assert not within_tolerance(lp, (1.0, value))
+    assert constraint_violations(lp, (1.0, value))[0] == f"variable 1: {value} is not finite"
+
+
+def test_array_feasibility_leaves_the_tolerance_edge_to_the_exact_check():
+    lp = LinearProgram((0.0, 0.0), (((1.0, 1.0), "<=", 2.0),), ((0.0, 2.0), (0.0, 2.0)))
+    assert within_tolerance(lp, (1.0, 1.0))
+    # the last point below the row's tolerance edge passes the exact check
+    # but has no room to spare
+    y = 1.0 + TOL
+    for _ in range(8):
+        if not constraint_violations(lp, (1.0, y)):
+            break
+        y = math.nextafter(y, 0.0)
+    assert not constraint_violations(lp, (1.0, y))
+    assert not within_tolerance(lp, (1.0, y))
+    assert not within_tolerance(lp, (1.0, math.nextafter(y, 2.0)))
 
 
 def sparse_form(dense_rows):
