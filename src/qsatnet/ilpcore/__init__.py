@@ -1,7 +1,7 @@
 """Self-contained optimization engine for per-slot assignment problems.
 
-Linear programs over sparse constraint rows, a bounded-variable dense
-simplex, branch-and-bound integer programming, and maximum-weight flow
+Linear programs held as dense constraint arrays (built from arrays, or
+from sparse or dense rows), a bounded-variable dense simplex, branch-and-bound integer programming, and maximum-weight flow
 through a bipartite layer.  Instances here are desk-scale (hundreds of
 variables), so everything favors clarity and determinism over solver
 heroics.  The entry points take and return plain value types, which

@@ -138,7 +138,7 @@ def _iterate(
 def solve_lp(lp: LinearProgram) -> SolveResult:
     n = lp.num_vars
     m = len(lp.rhs)
-    lower = np.array([b[0] for b in lp.variable_bounds], dtype=float)
+    lower = lp.lower
     objective = np.array(lp.objective, dtype=float)
     const_term = float(objective @ lower) if n else 0.0
 
@@ -183,7 +183,7 @@ def solve_lp(lp: LinearProgram) -> SolveResult:
             art_idx += 1
 
     # each column's room above zero, and whether it holds a complement
-    upper = [math.inf if hi is None else hi - lo for lo, hi in lp.variable_bounds]
+    upper = (lp.upper - lower).tolist()
     upper += [math.inf] * (total - n)
     flipped = [False] * total
     iteration = [0]

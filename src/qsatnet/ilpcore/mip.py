@@ -54,9 +54,9 @@ def solve_mip(mip: MipProblem, node_limit: int = 100_000) -> SolveResult:
     """
     if node_limit <= 0:
         raise ParameterError("node limit must be positive")
+    upper = mip.base.upper.tolist()
     for j in mip.integer_vars:
-        lower, upper = mip.base.variable_bounds[j]
-        if upper is None:
+        if upper[j] == math.inf:
             raise StructuralError(f"integer variable {j} needs a finite upper bound")
 
     root = solve_lp(mip.base)
@@ -99,13 +99,14 @@ def solve_mip(mip: MipProblem, node_limit: int = 100_000) -> SolveResult:
             gap = (bound - incumbent_obj) / max(1.0, abs(incumbent_obj))
             return SolveResult(GAP_LIMIT, incumbent_obj, incumbent, gap=max(0.0, gap))
         value = relaxed.assignment[branch_var]
-        lower, upper = node_lp.variable_bounds[branch_var]
+        lower = float(node_lp.lower[branch_var])
+        upper = float(node_lp.upper[branch_var])
         floor_v = math.floor(value)
         for new_lower, new_upper in (
             (lower, float(floor_v)),
             (float(floor_v + 1), upper),
         ):
-            if new_upper is not None and new_lower > new_upper:
+            if new_lower > new_upper:
                 continue
             child_lp = node_lp.with_bounds(branch_var, new_lower, new_upper)
             child = solve_lp(child_lp)

@@ -2,11 +2,11 @@
 
 from __future__ import annotations
 
-import copy
+import functools
 import math
 import operator
-from dataclasses import dataclass, field
-from itertools import chain, compress
+from dataclasses import FrozenInstanceError, dataclass
+from itertools import compress
 from typing import NamedTuple
 
 import numpy as np
@@ -32,58 +32,115 @@ class SparseRow(NamedTuple):
     coefficients: tuple[float, ...]
 
 
-@dataclass(frozen=True)
 class LinearProgram:
     """Maximize objective . x subject to linear constraints and box bounds.
 
-    Each constraint is ``(row, relation, rhs)``.  The row may be given as
-    a ``SparseRow`` or as a dense sequence with one coefficient per
-    variable; either way it is stored as a ``SparseRow``, a dense row
-    keeping only its nonzero entries.  ``variable_bounds`` holds one
-    (lower, upper) pair per variable; upper may be None (or +inf) for
-    unbounded above.  Lower bounds must be finite, and objective entries,
-    coefficients and right-hand sides too; a NaN or -inf upper bound is
-    rejected.
+    The program is held as arrays: ``matrix``, the constraint rows as a
+    dense ``(m, n)`` array; ``rhs`` and ``senses`` (+1 for ``<=``, 0 for
+    ``=``, -1 for ``>=``), one entry per row; and ``lower`` and ``upper``,
+    one bound per variable, +inf for no upper bound.  All five are
+    read-only and shared by every ``with_bounds`` and ``with_objective``
+    copy.  ``LinearProgram.from_arrays`` takes them as they are kept;
+    ``LinearProgram(objective, constraints, variable_bounds)`` takes rows.
 
-    The constraints are also kept as read-only arrays, built once here
-    and shared by every ``with_bounds`` copy: ``matrix``, the rows
-    scattered into a dense ``(m, n)`` array, and ``rhs`` and ``senses``
-    (+1 for ``<=``, 0 for ``=``, -1 for ``>=``), one entry per row.
+    Each constraint in the row form is ``(row, relation, rhs)``.  The row
+    may be given as a ``SparseRow`` or as a dense sequence with one
+    coefficient per variable.  ``variable_bounds`` holds one (lower,
+    upper) pair per variable; upper may be None (or +inf) for unbounded
+    above.  Either way, lower bounds must be finite, and objective
+    entries, coefficients and right-hand sides too; a NaN or -inf upper
+    bound is rejected, as is a lower bound above its upper bound.
+
+    ``constraints`` and ``variable_bounds`` are views in the row form,
+    built on first read: each row as the ``SparseRow`` of its nonzero
+    entries (rows handed to the row form are kept as checked), each
+    infinite upper bound as None.  Equality, hashing and ``repr`` read
+    ``objective``, ``constraints`` and ``variable_bounds``.
     """
 
-    objective: tuple[float, ...]
-    constraints: tuple[tuple[SparseRow, str, float], ...]
-    variable_bounds: tuple[tuple[float, float | None], ...]
-    matrix: np.ndarray = field(init=False, repr=False, compare=False)
-    rhs: np.ndarray = field(init=False, repr=False, compare=False)
-    senses: np.ndarray = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        objective = tuple(map(float, self.objective))
-        if not all(map(math.isfinite, objective)):
-            raise StructuralError("objective entries must be finite")
+    def __init__(self, objective, constraints, variable_bounds) -> None:
+        objective = _checked_objective(objective)
         n = len(objective)
-        given = tuple(self.constraints)
-        try:
-            checked = _array_form(given, n)
-        except (TypeError, ValueError, KeyError, OverflowError):
-            checked = None
-        if checked is None:
-            # row by row, to name the first bad constraint, or to convert
-            # dense rows and entries of other types
-            checked = _array_form(_checked_constraints(given, n), n)
-        if len(self.variable_bounds) != n:
-            raise StructuralError(
-                f"{len(self.variable_bounds)} bounds for {n} variables"
+        rows = _checked_constraints(tuple(constraints), n)
+        matrix = np.zeros((len(rows), n))
+        for k, (row, _, _) in enumerate(rows):
+            matrix[k, list(row.columns)] = row.coefficients
+        self._set(
+            objective,
+            matrix,
+            [rhs for _, _, rhs in rows],
+            [SENSES[relation] for _, relation, _ in rows],
+            [lower for lower, _ in variable_bounds],
+            [math.inf if upper is None else upper for _, upper in variable_bounds],
+        )
+        self.__dict__["constraints"] = rows
+
+    @classmethod
+    def from_arrays(cls, objective, matrix, rhs, senses, lower, upper) -> "LinearProgram":
+        """The program over the given arrays, each copied and checked
+        whole, with the row form's messages."""
+        lp = object.__new__(cls)
+        lp._set(objective, matrix, rhs, senses, lower, upper)
+        return lp
+
+    def _set(self, objective, matrix, rhs, senses, lower, upper) -> None:
+        objective = _checked_objective(objective)
+        n = len(objective)
+        matrix = np.array(matrix, dtype=float)
+        if matrix.ndim != 2 or (matrix.shape[1] != n and not len(matrix)):
+            raise StructuralError(f"matrix of shape {matrix.shape} over {n} variables")
+        m, width = matrix.shape
+        if width != n:
+            raise StructuralError(f"constraint 0: {width} coefficients for {n} variables")
+        rhs = np.array(rhs, dtype=float)
+        for name, array in (("right-hand sides", rhs), ("senses", senses)):
+            if np.shape(array) != (m,):
+                raise StructuralError(f"{name} of shape {np.shape(array)} for {m} rows")
+        known = set(np.asarray(senses).tolist()) <= _RELATION_OF.keys()
+        if not (known and np.isfinite(rhs).all() and np.isfinite(matrix).all()):
+            raise StructuralError(_first_bad_row(matrix, rhs, senses))
+        senses = np.array(senses, dtype=np.int8)
+        lower = np.array(lower, dtype=float)
+        upper = np.array(upper, dtype=float)
+        for bound in (lower, upper):
+            if bound.shape != (n,):
+                raise StructuralError(f"{len(bound)} bounds for {n} variables")
+        bad = ~np.isfinite(lower) | np.isnan(upper) | (upper < lower)
+        if bad.any():
+            j = int(bad.argmax())
+            raise StructuralError(_bound_defect(j, float(lower[j]), float(upper[j])))
+        for array in (matrix, rhs, senses, lower, upper):
+            array.flags.writeable = False
+        self.__dict__.update(
+            objective=tuple(objective.tolist()),
+            matrix=matrix,
+            rhs=rhs,
+            senses=senses,
+            lower=lower,
+            upper=upper,
+        )
+
+    @functools.cached_property
+    def constraints(self) -> tuple[tuple[SparseRow, str, float], ...]:
+        # the nonzeros' flat indices in row-major order, and where each
+        # row starts among them (a bool nonzero is far cheaper than a
+        # float one)
+        n = self.num_vars
+        flat = np.flatnonzero(self.matrix.ravel() != 0)
+        values = self.matrix.ravel()[flat].tolist()
+        columns = (flat % n).tolist() if n else []
+        starts = np.searchsorted(flat, np.arange(len(self.rhs) + 1) * n).tolist()
+        return tuple(
+            (SparseRow(tuple(columns[a:b]), tuple(values[a:b])), _RELATION_OF[sense], rhs)
+            for a, b, sense, rhs in zip(
+                starts, starts[1:], self.senses.tolist(), self.rhs.tolist()
             )
-        bounds = [
-            _checked_bounds(j, lower, upper)
-            for j, (lower, upper) in enumerate(self.variable_bounds)
-        ]
-        object.__setattr__(self, "objective", objective)
-        for name, value in zip(("constraints", "matrix", "rhs", "senses"), checked):
-            object.__setattr__(self, name, value)
-        object.__setattr__(self, "variable_bounds", tuple(bounds))
+        )
+
+    @functools.cached_property
+    def variable_bounds(self) -> tuple[tuple[float, float | None], ...]:
+        upper = [None if hi == math.inf else hi for hi in self.upper.tolist()]
+        return tuple(zip(self.lower.tolist(), upper))
 
     @property
     def num_vars(self) -> int:
@@ -92,61 +149,101 @@ class LinearProgram:
     def with_bounds(self, var: int, lower: float, upper: float | None) -> "LinearProgram":
         """Copy with variable ``var``'s bounds replaced.  Only the new pair
         is checked: everything else was checked when ``self`` was built,
-        and the copy shares its constraint arrays."""
-        bounds = list(self.variable_bounds)
-        bounds[var] = _checked_bounds(var, lower, upper)
-        child = copy.copy(self)
-        object.__setattr__(child, "variable_bounds", tuple(bounds))
+        and the copy shares the constraint arrays."""
+        n = self.num_vars
+        try:
+            j = operator.index(var)
+        except TypeError:
+            raise StructuralError(f"variable index {var!r} is not an integer") from None
+        if not 0 <= j < n:
+            raise StructuralError(f"variable index {j} out of range")
+        lower = float(lower)
+        upper = math.inf if upper is None else float(upper)
+        defect = _bound_defect(j, lower, upper)
+        if defect:
+            raise StructuralError(defect)
+        return self._copy(
+            lower=_with_entry(self.lower, j, lower), upper=_with_entry(self.upper, j, upper)
+        )
+
+    def with_objective(self, objective) -> "LinearProgram":
+        """Copy with the objective replaced; the copy shares every array."""
+        objective = _checked_objective(objective)
+        if len(objective) != self.num_vars:
+            raise StructuralError(
+                f"{len(objective)} objective entries for {self.num_vars} variables"
+            )
+        return self._copy(objective=tuple(objective.tolist()))
+
+    def _copy(self, **changes) -> "LinearProgram":
+        """Copy with some fields replaced, sharing the rest and the
+        ``constraints`` view; a bounds view is built again on first read."""
+        child = object.__new__(type(self))
+        child.__dict__.update(self.__dict__)
+        child.__dict__.update(changes)
+        if changes.keys() & {"lower", "upper"}:
+            child.__dict__.pop("variable_bounds", None)
         return child
 
+    def _key(self) -> tuple:
+        return (self.objective, self.constraints, self.variable_bounds)
 
-def _array_form(constraints: tuple, n: int):
-    """``(constraints, matrix, rhs, senses)`` of constraints over ``n``
-    variables, checked on flat arrays, or None where a check fails or an
-    entry is not of the exact type it is stored as: a tuple per
-    constraint, a ``SparseRow`` of tuples of ints and floats, a str
-    relation and a float right-hand side.
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
 
-    Accepts only what ``_checked_constraints`` accepts, and then stores
-    the same values: the constraints are kept as given.
-    """
-    m = len(constraints)
-    rows, relations, rhs = zip(*constraints, strict=True) if m else ((), (), ())
-    if not (
-        set(map(type, constraints)) <= {tuple}
-        and set(map(type, rows)) <= {SparseRow}
-        and set(map(type, relations)) <= {str}
-        and set(map(type, rhs)) <= {float}
-    ):
-        return None
-    columns, coefficients = zip(*rows) if m else ((), ())
-    lengths = list(map(len, columns))
-    if not (
-        set(map(type, chain(columns, coefficients))) <= {tuple}
-        and set(map(type, chain.from_iterable(columns))) <= {int}
-        and set(map(type, chain.from_iterable(coefficients))) <= {float}
-        and lengths == list(map(len, coefficients))
-        and all(map(math.isfinite, rhs))
-    ):
-        return None
-    senses = np.fromiter(map(SENSES.__getitem__, relations), np.int8, m)
-    nnz = sum(lengths)
-    cols = np.fromiter(chain.from_iterable(columns), np.intp, nnz)
-    coefs = np.fromiter(chain.from_iterable(coefficients), float, nnz)
-    # each nonzero's index in the flattened matrix: with every column in
-    # [0, n), these increase strictly exactly where each row's columns do;
-    # read as unsigned, a negative column lies past n as well
-    flat = (np.arange(m) * n).repeat(lengths) + cols
-    finite_in_range = np.isfinite(coefs) & (cols.view(np.uintp) < n)
-    if np.count_nonzero(finite_in_range) < nnz or np.count_nonzero(flat[1:] <= flat[:-1]):
-        return None
-    values = np.zeros(m * n)
-    values[flat] = coefs
-    matrix = values.reshape(m, n)
-    rhs = np.array(rhs)
-    for array in (matrix, rhs, senses):
-        array.flags.writeable = False
-    return constraints, matrix, rhs, senses
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        return (
+            f"{type(self).__qualname__}(objective={self.objective!r}, "
+            f"constraints={self.constraints!r}, variable_bounds={self.variable_bounds!r})"
+        )
+
+    def __setattr__(self, name, value) -> None:
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name) -> None:
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+
+# each sense's relation, the inverse of SENSES
+_RELATION_OF = {sense: relation for relation, sense in SENSES.items()}
+
+
+def _with_entry(array: np.ndarray, j: int, value: float) -> np.ndarray:
+    """A read-only copy of ``array`` with entry ``j`` replaced."""
+    array = array.copy()
+    array[j] = value
+    array.flags.writeable = False
+    return array
+
+
+def _checked_objective(objective) -> np.ndarray:
+    objective = np.array(objective, dtype=float)
+    if objective.ndim != 1:
+        raise StructuralError(f"objective of shape {objective.shape}: one entry per variable")
+    if not np.isfinite(objective).all():
+        raise StructuralError("objective entries must be finite")
+    return objective
+
+
+def _first_bad_row(matrix, rhs, senses) -> str:
+    """The message naming the first row with an unknown sense, a
+    non-finite right-hand side or a non-finite coefficient, checked in
+    that order within the row, as the row form checks each constraint."""
+    senses = np.asarray(senses).tolist()
+    known = np.array([sense in _RELATION_OF for sense in senses])
+    finite_rhs = np.isfinite(rhs)
+    finite_rows = np.isfinite(matrix).all(axis=1)
+    k = int((~known | ~finite_rhs | ~finite_rows).argmax())
+    if not known[k]:
+        return f"constraint {k}: unknown sense {senses[k]!r}"
+    if not finite_rhs[k]:
+        return f"constraint {k}: right-hand side must be finite"
+    return f"constraint {k}: coefficients must be finite"
 
 
 def _checked_constraints(constraints: tuple, n: int) -> tuple:
@@ -199,20 +296,16 @@ def _checked_row(k: int, row, n: int) -> SparseRow:
     return SparseRow(columns, coefficients)
 
 
-def _checked_bounds(j: int, lower, upper) -> tuple[float, float | None]:
-    """Variable ``j``'s (lower, upper) as floats, an infinite upper as None."""
-    lower = float(lower)
+def _bound_defect(j: int, lower: float, upper: float) -> str | None:
+    """What is wrong with variable ``j``'s bounds, +inf for no upper
+    bound, or None."""
     if not math.isfinite(lower):
-        raise StructuralError(f"variable {j}: lower bound must be finite")
-    if upper is not None:
-        upper = float(upper)
-        if math.isnan(upper):
-            raise StructuralError(f"variable {j}: upper bound is NaN")
-        if upper == math.inf:
-            upper = None
-    if upper is not None and upper < lower:
-        raise StructuralError(f"variable {j}: bounds [{lower}, {upper}] empty")
-    return lower, upper
+        return f"variable {j}: lower bound must be finite"
+    if math.isnan(upper):
+        return f"variable {j}: upper bound is NaN"
+    if upper < lower:
+        return f"variable {j}: bounds [{lower}, {upper}] empty"
+    return None
 
 
 @dataclass(frozen=True)
@@ -297,13 +390,7 @@ def within_tolerance(lp: LinearProgram, assignment, tol: float = 1e-7) -> bool:
     n = lp.num_vars
     if x.shape != (n,):
         return False
-    lower, upper = zip(*lp.variable_bounds) if n else ((), ())
-    # an upper bound of None reads as NaN, which no entry exceeds
-    outside = (
-        ~np.isfinite(x)
-        | (x < np.array(lower, dtype=float) - tol)
-        | (x > np.array(upper, dtype=float) + tol)
-    )
+    outside = ~np.isfinite(x) | (x < lp.lower - tol) | (x > lp.upper + tol)
     if np.count_nonzero(outside):
         return False
     matrix, rhs, senses = lp.matrix, lp.rhs, lp.senses

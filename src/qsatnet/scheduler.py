@@ -17,6 +17,7 @@ from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass, replace
 from functools import cached_property
+from itertools import chain
 
 import numpy as np
 
@@ -31,7 +32,6 @@ from .ilpcore import (
     OPTIMAL,
     LinearProgram,
     MipProblem,
-    SparseRow,
     max_weight_flow,
     solve_mip,
 )
@@ -486,10 +486,13 @@ def _support(instance, routes) -> dict:
 
 
 def _cap_rows(instance, support) -> tuple:
-    """The cap rows over the support's columns, as the solver's
-    ``(row, "<=", cap)`` constraints: transmitter, receiver, pair, then
-    reflector caps, each in index order and only where some route takes
-    part.  A station's row covers its pairs' columns."""
+    """The cap rows over the support's columns, as ``(columns, cap)``
+    pairs, the columns a strictly increasing tuple: transmitter,
+    receiver, pair, then reflector caps, each in index order and only
+    where some route takes part.  A station's row covers its pairs'
+    columns.  Plain tuples, so the fit test reads them without numpy and
+    a round's content hashes them; ``_assignment_program`` scatters them
+    into the solver's matrix."""
     by_sat, by_pair, by_reflector = {}, {}, {}
     for idx, (i, k, j) in enumerate(support):
         by_sat.setdefault(i, []).append(idx)
@@ -511,9 +514,7 @@ def _cap_rows(instance, support) -> tuple:
         (by_reflector, instance.reflector_caps),
     ):
         for index in sorted(incidence):
-            members = incidence[index]
-            row = SparseRow(tuple(members), (1.0,) * len(members))
-            rows.append((row, "<=", float(caps[index])))
+            rows.append((tuple(incidence[index]), caps[index]))
     return tuple(rows)
 
 
@@ -521,41 +522,53 @@ def _fits_at_room(support, rows) -> bool:
     """Whether every support route can run at its room at once: on each
     cap row, the rooms of the routes it covers sum to at most the cap."""
     rooms = list(support.values())
-    return all(sum(rooms[c] for c in row.columns) <= cap for row, _, cap in rows)
+    return all(sum(rooms[c] for c in columns) <= cap for columns, cap in rows)
 
 
-def _solve_assignment(rooms, rows, objective, extra_constraints=(), extra_bounds=()):
-    """Shared MIP scaffold over support routes.
+def _assignment_program(rooms, rows, objective, members=(), weights=()):
+    """The LP relaxation of an assignment over a nonempty support.
 
     ``rooms`` holds each support route's room, its upper bound, in
     support order, and ``rows`` are the support's cap rows
-    (``_cap_rows``).  ``objective`` has one entry per route, then per
-    continuous extra, whose bounds ``extra_bounds`` gives.  Returns None
-    on an empty support; a solve that does not prove optimality raises.
+    (``_cap_rows``), scattered into the matrix in one call.  With floor
+    ``members`` (each active pair's support columns), a floor variable
+    λ >= 0 comes last, and one row per pair reads its weighted rate
+    minus λ >= 0, each route's weight taken from ``weights``.
+    ``objective`` has one entry per variable.
     """
-    if not rooms:
-        return None
-    bounds = [(0.0, float(room)) for room in rooms]
-    bounds.extend(extra_bounds)
-    mip = MipProblem(
-        base=LinearProgram(
-            objective=tuple(objective),
-            constraints=(*rows, *extra_constraints),
-            variable_bounds=tuple(bounds),
-        ),
-        integer_vars=tuple(range(len(rooms))),
-    )
-    result = solve_mip(mip)
+    num_routes = len(rooms)
+    n = num_routes + 1 if members else num_routes
+    groups = (*(columns for columns, _ in rows), *members)
+    lengths = list(map(len, groups))
+    columns = np.fromiter(chain.from_iterable(groups), np.intp, sum(lengths))
+    matrix = np.zeros((len(groups), n))
+    matrix[np.arange(len(groups)).repeat(lengths), columns] = 1.0
+    rhs = np.zeros(len(groups))
+    rhs[: len(rows)] = [cap for _, cap in rows]
+    senses = np.ones(len(groups), np.int8)
+    if members:
+        # each floor row's ones become its members' weights
+        floor_rows = matrix[len(rows) :]
+        floor_rows[:, :num_routes] *= weights
+        floor_rows[:, num_routes] = -1.0
+        senses[len(rows) :] = -1
+    upper = np.full(n, math.inf)
+    upper[:num_routes] = rooms
+    return LinearProgram.from_arrays(objective, matrix, rhs, senses, np.zeros(n), upper)
+
+
+def _solve_assignment(program, num_routes):
+    """Solves ``program`` with its first ``num_routes`` variables, the
+    route counts, integral; a solve that does not prove optimality
+    raises."""
+    result = solve_mip(MipProblem(base=program, integer_vars=tuple(range(num_routes))))
     if result.status != OPTIMAL:
         raise StructuralError(f"assignment solve returned {result.status}")
     return result
 
 
 def _counts(support, result) -> dict:
-    """The nonzero route counts of a solve over ``support``; a None result
-    (an empty support) counts nothing."""
-    if result is None:
-        return {}
+    """The nonzero route counts of a solve over ``support``."""
     counts = map(round, result.assignment)
     return {route: c for route, c in zip(support, counts) if c}
 
@@ -607,11 +620,14 @@ def _priced(instance, counts) -> Allocation:
 
 def _ratesum(instance, routes) -> Allocation:
     support = _support(instance, routes)
-    rows = _cap_rows(instance, support)
-    result = _solve_assignment(
-        tuple(support.values()), rows, [routes[r] for r in support]
+    if not support:
+        return _priced(instance, {})
+    program = _assignment_program(
+        tuple(support.values()),
+        _cap_rows(instance, support),
+        [routes[r] for r in support],
     )
-    return _priced(instance, _counts(support, result))
+    return _priced(instance, _counts(support, _solve_assignment(program, len(support))))
 
 
 def solve_primary_ratesum(instance: SlotInstance) -> Allocation:
@@ -681,29 +697,19 @@ def _contended_maxmin(rooms, rows, weights, members) -> tuple:
     equal arguments make the same MIPs, and the deterministic solver the
     same answer.  Solves the floor, then the highest total at that floor,
     and returns the second solve's count of every support route."""
-    # each floor row is its pair's weighted rate minus the floor
+    # both solves share one program: the fill solve differs only in its
+    # objective and in the floor's lower bound
     lam_index = len(rooms)
-    floor_rows = [
-        (
-            SparseRow((*cols, lam_index), (*(weights[idx] for idx in cols), -1.0)),
-            ">=",
-            0.0,
-        )
-        for cols in members
-    ]
-
-    stage1 = _solve_assignment(
-        rooms, rows, [0.0] * lam_index + [1.0], floor_rows, ((0.0, None),)
+    floor_program = _assignment_program(
+        rooms, rows, [0.0] * lam_index + [1.0], members, weights
     )
+    stage1 = _solve_assignment(floor_program, lam_index)
     lam_star = stage1.assignment[lam_index]
 
-    stage2 = _solve_assignment(
-        rooms,
-        rows,
-        (*weights, 0.0),
-        floor_rows,
-        ((max(0.0, lam_star - LAMBDA_SLACK), None),),
+    fill_program = floor_program.with_objective((*weights, 0.0)).with_bounds(
+        lam_index, max(0.0, lam_star - LAMBDA_SLACK), None
     )
+    stage2 = _solve_assignment(fill_program, lam_index)
     return tuple(map(round, stage2.assignment[:lam_index]))
 
 

@@ -3,8 +3,9 @@ against.
 
 Nothing in the package or the benchmark runs these: they cross-check the
 rate-sum MIP on unit-cap and roomy instances, the branch and bound on
-pure-integer problems small enough to enumerate, and the link physics'
-emission series.  The tests import this module as ``oracles``; pytest puts
+pure-integer problems small enough to enumerate, the scheduler's
+constraint arrays against the rows they were once built from, and the link
+physics' emission series.  The tests import this module as ``oracles``; pytest puts
 ``tests/`` on the import path.
 """
 
@@ -18,8 +19,10 @@ from qsatnet.errors import StructuralError
 from qsatnet.ilpcore import (
     INFEASIBLE,
     OPTIMAL,
+    LinearProgram,
     MipProblem,
     SolveResult,
+    SparseRow,
     max_weight_flow,
 )
 from qsatnet.orbital import Vec3
@@ -158,6 +161,62 @@ def brute_force_mip(mip: MipProblem) -> SolveResult:
     if best is None:
         return SolveResult(INFEASIBLE, math.nan, None)
     return SolveResult(OPTIMAL, best_obj, best)
+
+
+# ---------------------------------------------------------------------------
+# the scheduler's programs, row by row
+
+
+def sparse_cap_rows(instance, support) -> tuple:
+    """The support's cap rows as row-form ``(SparseRow, "<=", cap)``
+    constraints: transmitter, receiver, pair, then reflector caps, each in
+    index order and only where some route takes part.  A station's row
+    covers its pairs' columns."""
+    by_sat, by_pair, by_reflector = {}, {}, {}
+    for idx, (i, k, j) in enumerate(support):
+        by_sat.setdefault(i, []).append(idx)
+        by_pair.setdefault(j, []).append(idx)
+        if k is not None:
+            by_reflector.setdefault(k, []).append(idx)
+    by_station = {}
+    for j, columns in by_pair.items():
+        for g in instance.pair_stations[j]:
+            by_station.setdefault(g, []).extend(columns)
+    for columns in by_station.values():
+        columns.sort()
+
+    rows = []
+    for incidence, caps in (
+        (by_sat, instance.sat_caps),
+        (by_station, instance.gs_caps),
+        (by_pair, instance.pair_caps),
+        (by_reflector, instance.reflector_caps),
+    ):
+        for index in sorted(incidence):
+            members = incidence[index]
+            row = SparseRow(tuple(members), (1.0,) * len(members))
+            rows.append((row, "<=", float(caps[index])))
+    return tuple(rows)
+
+
+def row_form_program(rooms, cap_rows, objective, members=(), weights=()):
+    """The assignment LP in the row form: one count per route, bounded by
+    its room, under ``cap_rows`` (``sparse_cap_rows``); with floor
+    ``members``, a floor variable last, unbounded above, and per active
+    pair the row of its weighted rate minus the floor, at least 0."""
+    lam_index = len(rooms)
+    floor_rows = tuple(
+        (
+            SparseRow((*cols, lam_index), (*(weights[idx] for idx in cols), -1.0)),
+            ">=",
+            0.0,
+        )
+        for cols in members
+    )
+    bounds = [(0.0, float(room)) for room in rooms]
+    if members:
+        bounds.append((0.0, None))
+    return LinearProgram(tuple(objective), (*cap_rows, *floor_rows), tuple(bounds))
 
 
 # ---------------------------------------------------------------------------

@@ -780,6 +780,233 @@ def test_the_non_finite_objective_and_bound_cases_still_name_theirs(j):
         LinearProgram(tuple(objective), tuple(constraints), tuple(bounds))
 
 
+# --- the array constructor ---------------------------------------------------
+
+
+def row_form(objective, matrix, rhs, senses, lower, upper, dense=False):
+    """The same program for the row form: each row as the SparseRow of its
+    nonzero entries, or written out densely, and each +inf upper bound as
+    None."""
+    relations = {1: "<=", 0: "=", -1: ">="}
+    constraints = []
+    for coefficients, sense, b in zip(matrix, senses, rhs):
+        if dense:
+            row = tuple(coefficients)
+        else:
+            columns = tuple(j for j, c in enumerate(coefficients) if c != 0)
+            row = SparseRow(columns, tuple(coefficients[j] for j in columns))
+        constraints.append((row, relations[sense], b))
+    bounds = tuple(
+        (lo, None if hi == math.inf else hi) for lo, hi in zip(lower, upper)
+    )
+    return tuple(objective), tuple(constraints), bounds
+
+
+@st.composite
+def _program_arrays(draw):
+    """A small program as lists and an (m, n) matrix: objective, matrix,
+    rhs, senses, lower, upper.  Coefficients are small multiples of a
+    half, so that some are zero, but never -0.0, which the row form cannot
+    hand over."""
+    n = draw(st.integers(1, 5))
+    m = draw(st.integers(0, 4))
+    halves = st.integers(-6, 6).map(lambda h: h / 2 + 0.0)
+    matrix = [[draw(halves) for _ in range(n)] for _ in range(m)]
+    rhs = [draw(st.integers(-4, 10)) / 2 + 0.0 for _ in range(m)]
+    senses = [draw(st.sampled_from((1, 1, 0, -1))) for _ in range(m)]
+    lower = [draw(st.integers(-2, 2)) + 0.0 for _ in range(n)]
+    upper = [lo + draw(st.sampled_from((0.0, 1.0, 2.0, 3.0, math.inf))) for lo in lower]
+    objective = [draw(halves) for _ in range(n)]
+    return objective, np.reshape(matrix, (m, n)), rhs, senses, lower, upper
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(_program_arrays(), st.booleans())
+def test_array_and_row_built_programs_are_the_same(arrays, dense):
+    built = LinearProgram.from_arrays(*arrays)
+    rows = LinearProgram(*row_form(*arrays, dense=dense))
+    for name in ("matrix", "rhs", "senses", "lower", "upper"):
+        mine, theirs = getattr(built, name), getattr(rows, name)
+        assert mine.dtype == theirs.dtype and mine.tolist() == theirs.tolist()
+    assert built.objective == rows.objective
+    assert built.variable_bounds == rows.variable_bounds
+    assert built.constraints == rows.constraints
+    assert built == rows and hash(built) == hash(rows)
+    assert repr(built) == repr(rows)
+    assert repr(solve_lp(built)) == repr(solve_lp(rows))
+    bounded = tuple(j for j, hi in enumerate(arrays[5]) if hi != math.inf)
+    assert repr(solve_mip(MipProblem(built, bounded))) == repr(
+        solve_mip(MipProblem(rows, bounded))
+    )
+
+
+def _two_row_arrays():
+    """A valid program over three variables and two rows, as lists to
+    place a defect in: objective, matrix, rhs, senses, lower, upper."""
+    return (
+        [1.0, 2.0, 3.0],
+        [[1.0, 1.0, 0.0], [0.0, 1.0, 1.0]],
+        [2.0, 3.0],
+        [1, -1],
+        [0.0, 0.0, 0.0],
+        [1.0, 2.0, math.inf],
+    )
+
+
+def _place(part, index, value):
+    def place(arrays):
+        target = arrays[part]
+        for i in index[:-1]:
+            target = target[i]
+        target[index[-1]] = value
+
+    return place
+
+
+def _reshape(part, value):
+    def place(arrays):
+        arrays[part] = value
+
+    return place
+
+
+# each defect, placed in the two-row program, and the message both
+# constructors refuse it with; the ones of two defects name the first
+ARRAY_DEFECTS = {
+    "nan-objective": ([_place(0, (1,), math.nan)], "objective entries must be finite"),
+    "inf-objective": ([_place(0, (2,), -math.inf)], "objective entries must be finite"),
+    "nan-coefficient": (
+        [_place(1, (1, 2), math.nan)], "constraint 1: coefficients must be finite"
+    ),
+    "inf-coefficient": (
+        [_place(1, (0, 0), math.inf)], "constraint 0: coefficients must be finite"
+    ),
+    "nan-rhs": ([_place(2, (1,), math.nan)], "constraint 1: right-hand side must be finite"),
+    "inf-rhs": ([_place(2, (0,), -math.inf)], "constraint 0: right-hand side must be finite"),
+    "rhs-before-coefficients": (
+        [_place(1, (0, 1), math.nan), _place(2, (0,), math.inf)],
+        "constraint 0: right-hand side must be finite",
+    ),
+    "first-row-first": (
+        [_place(2, (1,), math.nan), _place(1, (0, 2), math.inf)],
+        "constraint 0: coefficients must be finite",
+    ),
+    "nan-lower": ([_place(4, (1,), math.nan)], "variable 1: lower bound must be finite"),
+    "inf-lower": ([_place(4, (0,), -math.inf)], "variable 0: lower bound must be finite"),
+    "nan-upper": ([_place(5, (2,), math.nan)], "variable 2: upper bound is NaN"),
+    "minus-inf-upper": (
+        [_place(5, (0,), -math.inf)], "variable 0: bounds [0.0, -inf] empty"
+    ),
+    "empty-box": ([_place(4, (1,), 2.5)], "variable 1: bounds [2.5, 2.0] empty"),
+    "first-bound-first": (
+        [_place(5, (2,), math.nan), _place(4, (1,), 3.0)],
+        "variable 1: bounds [3.0, 2.0] empty",
+    ),
+    "rows-before-bounds": (
+        [_place(4, (0,), math.nan), _place(2, (1,), math.nan)],
+        "constraint 1: right-hand side must be finite",
+    ),
+    "short-rows": (
+        [_reshape(1, [[1.0, 1.0], [0.0, 1.0]])], "constraint 0: 2 coefficients for 3 variables"
+    ),
+    "long-rows": (
+        [_reshape(1, [[1.0, 1.0, 0.0, 1.0], [0.0, 1.0, 1.0, 0.0]])],
+        "constraint 0: 4 coefficients for 3 variables",
+    ),
+    "too-few-bounds": (
+        [_reshape(4, [0.0, 0.0]), _reshape(5, [1.0, 2.0])], "2 bounds for 3 variables"
+    ),
+    "too-many-bounds": (
+        [_reshape(4, [0.0] * 4), _reshape(5, [1.0] * 4)], "4 bounds for 3 variables"
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(ARRAY_DEFECTS))
+def test_both_constructors_refuse_a_defect_with_one_message(case):
+    placements, message = ARRAY_DEFECTS[case]
+    arrays = list(_two_row_arrays())
+    for place in placements:
+        place(arrays)
+    pattern = f"^{re.escape(message)}$"
+    with pytest.raises(StructuralError, match=pattern):
+        LinearProgram.from_arrays(*arrays)
+    with pytest.raises(StructuralError, match=pattern):
+        LinearProgram(*row_form(*arrays, dense=True))
+
+
+@pytest.mark.parametrize(
+    "part, value, message",
+    [
+        (1, [1.0, 1.0, 0.0], "matrix of shape (3,) over 3 variables"),
+        (2, [2.0], "right-hand sides of shape (1,) for 2 rows"),
+        (3, [1, -1, 0], "senses of shape (3,) for 2 rows"),
+        (3, [1, 2], "constraint 1: unknown sense 2"),
+        (0, [[1.0, 2.0, 3.0]], "objective of shape (1, 3): one entry per variable"),
+    ],
+)
+def test_the_array_constructor_refuses_arrays_of_the_wrong_shape(part, value, message):
+    arrays = list(_two_row_arrays())
+    arrays[part] = value
+    with pytest.raises(StructuralError, match=f"^{re.escape(message)}$"):
+        LinearProgram.from_arrays(*arrays)
+
+
+def test_array_built_programs_keep_read_only_arrays_and_share_them():
+    arrays = _two_row_arrays()
+    given = [np.array(part, dtype=float) for part in arrays]
+    lp = LinearProgram.from_arrays(*given)
+    # the arrays are copies, not the caller's
+    given[1][0, 0] = 7.0
+    given[4][0] = -1.0
+    assert lp.matrix[0, 0] == 1.0 and lp.lower[0] == 0.0
+    names = ("matrix", "rhs", "senses", "lower", "upper")
+    for name in names:
+        assert not getattr(lp, name).flags.writeable
+    assert lp.senses.dtype == np.int8
+    assert lp.variable_bounds == ((0.0, 1.0), (0.0, 2.0), (0.0, None))
+
+    rebound = lp.with_bounds(1, 0.5, None)
+    for name in ("matrix", "rhs", "senses"):
+        assert getattr(rebound, name) is getattr(lp, name)
+    assert rebound.lower.tolist() == [0.0, 0.5, 0.0]
+    assert rebound.upper.tolist() == [1.0, math.inf, math.inf]
+    assert not rebound.lower.flags.writeable and not rebound.upper.flags.writeable
+    assert rebound.variable_bounds == ((0.0, 1.0), (0.5, None), (0.0, None))
+    assert lp.variable_bounds == ((0.0, 1.0), (0.0, 2.0), (0.0, None))
+    assert rebound.objective == lp.objective
+
+    reweighed = rebound.with_objective([0.0, -1.0, 2])
+    for name in names:
+        assert getattr(reweighed, name) is getattr(rebound, name)
+    assert reweighed.objective == (0.0, -1.0, 2.0)
+    assert reweighed.constraints == rebound.constraints == lp.constraints
+    assert reweighed == LinearProgram(
+        (0.0, -1.0, 2.0), lp.constraints, rebound.variable_bounds
+    )
+    with pytest.raises(StructuralError, match="^objective entries must be finite$"):
+        lp.with_objective([1.0, math.nan, 1.0])
+    with pytest.raises(StructuralError, match="^2 objective entries for 3 variables$"):
+        lp.with_objective([1.0, 1.0])
+    with pytest.raises(AttributeError):
+        lp.objective = (1.0, 1.0, 1.0)
+
+
+@pytest.mark.parametrize(
+    "var, message",
+    [
+        (-1, "variable index -1 out of range"),
+        (2, "variable index 2 out of range"),
+        (1.0, "variable index 1.0 is not an integer"),
+    ],
+)
+def test_with_bounds_refuses_an_index_outside_the_program(var, message):
+    lp = LinearProgram((1.0, 1.0), (((1.0, 1.0), "<=", 1.5),), ((0.0, 1.0), (0.0, 1.0)))
+    with pytest.raises(StructuralError, match=f"^{re.escape(message)}$"):
+        lp.with_bounds(var, 0.0, 0.5)
+    assert lp.with_bounds(np.int64(1), 0.0, 0.5).variable_bounds == ((0.0, 1.0), (0.0, 0.5))
+
+
 class _Unreadable(tuple):
     """Stands in for ``constraints`` where the solvers must not read it."""
 

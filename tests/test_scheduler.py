@@ -53,8 +53,10 @@ from oracles import (
     SizeLimitError,
     brute_force_mip,
     latlon_to_unit,
+    row_form_program,
     solve_stmr,
     solve_stsr,
+    sparse_cap_rows,
 )
 
 EARTH_RADIUS = 6371e3
@@ -627,6 +629,42 @@ def test_fit_test_on_the_cap_rows_equals_the_per_cap_loads(inst):
     )
     rows = scheduler._cap_rows(inst, support)
     assert scheduler._fits_at_room(support, rows) == per_cap
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(_relay_instances())
+@example(_one_past_full("receiver"))
+@example(_one_past_full("reflector"))
+def test_cap_matrix_is_the_reference_rows_scattered(inst):
+    """The scheduler's cap tuples give the fit test's verdict on the
+    reference rows, and scattered into a program, with and without the
+    floor rows of a max-min round, the matrix, right-hand sides, senses,
+    bounds and row view of the reference rows' row-form program."""
+    support = scheduler._support(inst, inst.routes)
+    rows = scheduler._cap_rows(inst, support)
+    reference = sparse_cap_rows(inst, support)
+    rooms = tuple(support.values())
+    fits = all(sum(rooms[c] for c in row.columns) <= cap for row, _, cap in reference)
+    assert scheduler._fits_at_room(support, rows) == fits
+    if not support:
+        return
+    weights = tuple(inst.routes[route] for route in support)
+    floors = {}
+    for idx, (_, _, j) in enumerate(support):
+        floors.setdefault(j, []).append(idx)
+    members = tuple(map(tuple, floors.values()))
+    for objective, floor_members in (
+        (weights, ()),
+        ((0.0,) * len(rooms) + (1.0,), members),
+    ):
+        program = scheduler._assignment_program(
+            rooms, rows, objective, floor_members, weights
+        )
+        expected = row_form_program(rooms, reference, objective, floor_members, weights)
+        for name in ("matrix", "rhs", "senses", "lower", "upper"):
+            assert getattr(program, name).tolist() == getattr(expected, name).tolist()
+        assert program.constraints[: len(reference)] == reference
+        assert program == expected and repr(program) == repr(expected)
 
 
 def test_ratefair_hands_the_solver_no_uncontended_mip(monkeypatch):

@@ -20,6 +20,8 @@ TEST_ONLY_NAMES = {
     "emission_tail",
     "latlon_to_unit",
     "geodesic_distance",
+    "sparse_cap_rows",
+    "row_form_program",
     "ModeError",
     "SizeLimitError",
 }
