@@ -95,6 +95,7 @@ def atmospheric_transmissivity(zenith_transmissivity: float, elevation: float) -
     air_mass = 1.0 / math.sin(math.radians(elevation))
     return zenith_transmissivity**air_mass
 
+
 def effective_transmissivity(record: WeatherRecord, elevation: float) -> float:
     clear = atmospheric_transmissivity(record.zenith_transmissivity, elevation)
     return clear * (1.0 - record.cloud_cover)

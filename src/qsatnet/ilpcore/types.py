@@ -18,9 +18,8 @@ INFEASIBLE = "Infeasible"
 UNBOUNDED = "Unbounded"
 GAP_LIMIT = "GapLimit"
 
-RELATIONS = ("<=", "=", ">=")
-# each relation's entry in LinearProgram.senses
-SENSES = {"<=": 1, "=": 0, ">=": -1}
+# each entry of LinearProgram.senses and its relation in the row view
+_RELATION_OF = {1: "<=", 0: "=", -1: ">="}
 EPS = float(np.finfo(float).eps)
 
 
@@ -35,76 +34,45 @@ class SparseRow(NamedTuple):
 class LinearProgram:
     """Maximize objective . x subject to linear constraints and box bounds.
 
-    The program is held as arrays: ``matrix``, the constraint rows as a
-    dense ``(m, n)`` array; ``rhs`` and ``senses`` (+1 for ``<=``, 0 for
-    ``=``, -1 for ``>=``), one entry per row; and ``lower`` and ``upper``,
-    one bound per variable, +inf for no upper bound.  All five are
-    read-only and shared by every ``with_bounds`` and ``with_objective``
-    copy.  ``LinearProgram.from_arrays`` takes them as they are kept;
-    ``LinearProgram(objective, constraints, variable_bounds)`` takes rows.
+    ``LinearProgram(objective, matrix, rhs, senses, lower, upper)`` holds
+    the program as arrays, each copied and checked whole: ``matrix``, the
+    constraint rows as a dense ``(m, n)`` array; ``rhs`` and ``senses``
+    (+1 for ``<=``, 0 for ``=``, -1 for ``>=``), one entry per row; and
+    ``lower`` and ``upper``, one bound per variable, +inf for no upper
+    bound.  An argument that is ragged or not numeric is refused by name.
+    Objective entries, coefficients, right-hand sides and lower bounds
+    must be finite; a NaN upper bound is refused, and so is a lower bound
+    above its upper bound.  All five arrays are read-only and shared by
+    every ``with_bounds`` and ``with_objective`` copy.
 
-    Each constraint in the row form is ``(row, relation, rhs)``.  The row
-    may be given as a ``SparseRow`` or as a dense sequence with one
-    coefficient per variable.  ``variable_bounds`` holds one (lower,
-    upper) pair per variable; upper may be None (or +inf) for unbounded
-    above.  Either way, lower bounds must be finite, and objective
-    entries, coefficients and right-hand sides too; a NaN or -inf upper
-    bound is rejected, as is a lower bound above its upper bound.
-
-    ``constraints`` and ``variable_bounds`` are views in the row form,
-    built on first read: each row as the ``SparseRow`` of its nonzero
-    entries (rows handed to the row form are kept as checked), each
-    infinite upper bound as None.  Equality, hashing and ``repr`` read
-    ``objective``, ``constraints`` and ``variable_bounds``.
+    ``constraints`` and ``variable_bounds`` are views of the arrays, built
+    on first read: each row as ``(SparseRow, relation, rhs)`` with the
+    row's nonzero entries, each infinite upper bound as None.  Equality,
+    hashing and ``repr`` read ``objective`` and the two views, so they
+    follow the arrays alone.
     """
 
-    def __init__(self, objective, constraints, variable_bounds) -> None:
+    def __init__(self, objective, matrix, rhs, senses, lower, upper) -> None:
         objective = _checked_objective(objective)
         n = len(objective)
-        rows = _checked_constraints(tuple(constraints), n)
-        matrix = np.zeros((len(rows), n))
-        for k, (row, _, _) in enumerate(rows):
-            matrix[k, list(row.columns)] = row.coefficients
-        self._set(
-            objective,
-            matrix,
-            [rhs for _, _, rhs in rows],
-            [SENSES[relation] for _, relation, _ in rows],
-            [lower for lower, _ in variable_bounds],
-            [math.inf if upper is None else upper for _, upper in variable_bounds],
-        )
-        self.__dict__["constraints"] = rows
-
-    @classmethod
-    def from_arrays(cls, objective, matrix, rhs, senses, lower, upper) -> "LinearProgram":
-        """The program over the given arrays, each copied and checked
-        whole, with the row form's messages."""
-        lp = object.__new__(cls)
-        lp._set(objective, matrix, rhs, senses, lower, upper)
-        return lp
-
-    def _set(self, objective, matrix, rhs, senses, lower, upper) -> None:
-        objective = _checked_objective(objective)
-        n = len(objective)
-        matrix = np.array(matrix, dtype=float)
-        if matrix.ndim != 2 or (matrix.shape[1] != n and not len(matrix)):
+        matrix = _array("matrix", matrix)
+        if matrix.ndim != 2 or matrix.shape[1] != n:
             raise StructuralError(f"matrix of shape {matrix.shape} over {n} variables")
-        m, width = matrix.shape
-        if width != n:
-            raise StructuralError(f"constraint 0: {width} coefficients for {n} variables")
-        rhs = np.array(rhs, dtype=float)
+        m = len(matrix)
+        rhs = _array("right-hand sides", rhs)
+        senses = _array("senses", senses, dtype=None)
         for name, array in (("right-hand sides", rhs), ("senses", senses)):
-            if np.shape(array) != (m,):
-                raise StructuralError(f"{name} of shape {np.shape(array)} for {m} rows")
-        known = set(np.asarray(senses).tolist()) <= _RELATION_OF.keys()
+            if array.shape != (m,):
+                raise StructuralError(f"{name} of shape {array.shape} for {m} rows")
+        known = set(senses.tolist()) <= _RELATION_OF.keys()
         if not (known and np.isfinite(rhs).all() and np.isfinite(matrix).all()):
             raise StructuralError(_first_bad_row(matrix, rhs, senses))
-        senses = np.array(senses, dtype=np.int8)
-        lower = np.array(lower, dtype=float)
-        upper = np.array(upper, dtype=float)
+        senses = senses.astype(np.int8)
+        lower = _array("lower bounds", lower)
+        upper = _array("upper bounds", upper)
         for bound in (lower, upper):
             if bound.shape != (n,):
-                raise StructuralError(f"{len(bound)} bounds for {n} variables")
+                raise StructuralError(f"{bound.size} bounds for {n} variables")
         bad = ~np.isfinite(lower) | np.isnan(upper) | (upper < lower)
         if bad.any():
             j = int(bad.argmax())
@@ -209,10 +177,6 @@ class LinearProgram:
         raise FrozenInstanceError(f"cannot delete field {name!r}")
 
 
-# each sense's relation, the inverse of SENSES
-_RELATION_OF = {sense: relation for relation, sense in SENSES.items()}
-
-
 def _with_entry(array: np.ndarray, j: int, value: float) -> np.ndarray:
     """A read-only copy of ``array`` with entry ``j`` replaced."""
     array = array.copy()
@@ -221,8 +185,21 @@ def _with_entry(array: np.ndarray, j: int, value: float) -> np.ndarray:
     return array
 
 
+def _array(name: str, value, dtype=float) -> np.ndarray:
+    """``value`` as a new array, of floats or of the numeric type numpy
+    finds, refused by name if it is ragged or holds an entry that is not
+    a number."""
+    try:
+        array = np.array(value, dtype=dtype)
+    except (TypeError, ValueError):
+        array = None
+    if array is None or array.dtype.kind not in "biuf":
+        raise StructuralError(f"{name} is not an array of numbers")
+    return array
+
+
 def _checked_objective(objective) -> np.ndarray:
-    objective = np.array(objective, dtype=float)
+    objective = _array("objective", objective)
     if objective.ndim != 1:
         raise StructuralError(f"objective of shape {objective.shape}: one entry per variable")
     if not np.isfinite(objective).all():
@@ -233,67 +210,17 @@ def _checked_objective(objective) -> np.ndarray:
 def _first_bad_row(matrix, rhs, senses) -> str:
     """The message naming the first row with an unknown sense, a
     non-finite right-hand side or a non-finite coefficient, checked in
-    that order within the row, as the row form checks each constraint."""
-    senses = np.asarray(senses).tolist()
+    that order within the row."""
+    senses = senses.tolist()
     known = np.array([sense in _RELATION_OF for sense in senses])
     finite_rhs = np.isfinite(rhs)
     finite_rows = np.isfinite(matrix).all(axis=1)
     k = int((~known | ~finite_rhs | ~finite_rows).argmax())
     if not known[k]:
-        return f"constraint {k}: unknown sense {senses[k]!r}"
+        return f"constraint {k}: unknown sense {senses[k]:g}"
     if not finite_rhs[k]:
         return f"constraint {k}: right-hand side must be finite"
     return f"constraint {k}: coefficients must be finite"
-
-
-def _checked_constraints(constraints: tuple, n: int) -> tuple:
-    """The constraints checked one by one, each row as a ``SparseRow``,
-    each relation as its string in ``RELATIONS`` and each right-hand side
-    as a float; raises on the first bad one."""
-    checked = []
-    for k, item in enumerate(constraints):
-        if len(item) != 3:
-            raise StructuralError(f"constraint {k}: expected (row, relation, rhs)")
-        row, relation, rhs = item
-        if relation not in RELATIONS:
-            raise StructuralError(f"constraint {k}: unknown relation {relation!r}")
-        rhs = float(rhs)
-        if not math.isfinite(rhs):
-            raise StructuralError(f"constraint {k}: right-hand side must be finite")
-        relation = RELATIONS[RELATIONS.index(relation)]
-        checked.append((_checked_row(k, row, n), relation, rhs))
-    return tuple(checked)
-
-
-def _checked_row(k: int, row, n: int) -> SparseRow:
-    """Constraint ``k``'s row over ``n`` variables as a checked SparseRow."""
-    if isinstance(row, SparseRow):
-        columns = tuple(map(operator.index, row.columns))
-        coefficients = tuple(map(float, row.coefficients))
-        if len(columns) != len(coefficients):
-            raise StructuralError(
-                f"constraint {k}: {len(columns)} columns for "
-                f"{len(coefficients)} coefficients"
-            )
-        if columns and not (
-            0 <= columns[0]
-            and columns[-1] < n
-            and all(map(operator.lt, columns, columns[1:]))
-        ):
-            raise StructuralError(
-                f"constraint {k}: columns must increase strictly within [0, {n})"
-            )
-    else:
-        dense = tuple(map(float, row))
-        if len(dense) != n:
-            raise StructuralError(
-                f"constraint {k}: {len(dense)} coefficients for {n} variables"
-            )
-        columns = tuple(compress(range(n), dense))
-        coefficients = tuple(compress(dense, dense))
-    if not all(map(math.isfinite, coefficients)):
-        raise StructuralError(f"constraint {k}: coefficients must be finite")
-    return SparseRow(columns, coefficients)
 
 
 def _bound_defect(j: int, lower: float, upper: float) -> str | None:

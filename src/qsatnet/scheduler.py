@@ -554,7 +554,7 @@ def _assignment_program(rooms, rows, objective, members=(), weights=()):
         senses[len(rows) :] = -1
     upper = np.full(n, math.inf)
     upper[:num_routes] = rooms
-    return LinearProgram.from_arrays(objective, matrix, rhs, senses, np.zeros(n), upper)
+    return LinearProgram(objective, matrix, rhs, senses, np.zeros(n), upper)
 
 
 def _solve_assignment(program, num_routes):

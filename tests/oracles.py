@@ -5,7 +5,8 @@ Nothing in the package or the benchmark runs these: they cross-check the
 rate-sum MIP on unit-cap and roomy instances, the branch and bound on
 pure-integer problems small enough to enumerate, the scheduler's
 constraint arrays against the rows they were once built from, and the link
-physics' emission series.  The tests import this module as ``oracles``; pytest puts
+physics' emission series.  ``program_from_rows`` lets a test write an LP
+as rows.  The tests import this module as ``oracles``; pytest puts
 ``tests/`` on the import path.
 """
 
@@ -14,6 +15,8 @@ from __future__ import annotations
 import itertools
 import math
 import operator
+
+import numpy as np
 
 from qsatnet.errors import StructuralError
 from qsatnet.ilpcore import (
@@ -29,6 +32,8 @@ from qsatnet.orbital import Vec3
 from qsatnet.scheduler import Allocation, SlotInstance, _direct, _priced
 
 DEFAULT_VERTEX_LIMIT = 32
+# each relation's entry in LinearProgram.senses
+SENSE_OF = {"<=": 1, "=": 0, ">=": -1}
 
 
 class SizeLimitError(ValueError):
@@ -164,11 +169,32 @@ def brute_force_mip(mip: MipProblem) -> SolveResult:
 
 
 # ---------------------------------------------------------------------------
-# the scheduler's programs, row by row
+# programs written as rows
+
+
+def program_from_rows(objective, constraints, variable_bounds) -> LinearProgram:
+    """The program of ``(row, relation, rhs)`` constraints and (lower,
+    upper) bounds, None for no upper bound.  A row is a ``SparseRow`` or a
+    dense sequence with one coefficient per variable.  The rows are only
+    scattered into a matrix: every check is the constructor's."""
+    matrix = np.zeros((len(constraints), len(objective)))
+    for k, (row, _, _) in enumerate(constraints):
+        if isinstance(row, SparseRow):
+            matrix[k, list(row.columns)] = row.coefficients
+        else:
+            matrix[k] = row
+    return LinearProgram(
+        objective,
+        matrix,
+        [rhs for _, _, rhs in constraints],
+        [SENSE_OF[relation] for _, relation, _ in constraints],
+        [lower for lower, _ in variable_bounds],
+        [math.inf if upper is None else upper for _, upper in variable_bounds],
+    )
 
 
 def sparse_cap_rows(instance, support) -> tuple:
-    """The support's cap rows as row-form ``(SparseRow, "<=", cap)``
+    """The support's cap rows as ``(SparseRow, "<=", cap)``
     constraints: transmitter, receiver, pair, then reflector caps, each in
     index order and only where some route takes part.  A station's row
     covers its pairs' columns."""
@@ -200,7 +226,7 @@ def sparse_cap_rows(instance, support) -> tuple:
 
 
 def row_form_program(rooms, cap_rows, objective, members=(), weights=()):
-    """The assignment LP in the row form: one count per route, bounded by
+    """The assignment LP written as rows: one count per route, bounded by
     its room, under ``cap_rows`` (``sparse_cap_rows``); with floor
     ``members``, a floor variable last, unbounded above, and per active
     pair the row of its weighted rate minus the floor, at least 0."""
@@ -216,7 +242,7 @@ def row_form_program(rooms, cap_rows, objective, members=(), weights=()):
     bounds = [(0.0, float(room)) for room in rooms]
     if members:
         bounds.append((0.0, None))
-    return LinearProgram(tuple(objective), (*cap_rows, *floor_rows), tuple(bounds))
+    return program_from_rows(tuple(objective), (*cap_rows, *floor_rows), tuple(bounds))
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,6 @@ from qsatnet.cli import main
 from qsatnet.config import save_scenario, scenario_from_dict
 from qsatnet.environment import atmospheric_transmissivity
 from qsatnet.ilpcore import (
-    LinearProgram,
     MipProblem,
     constraint_violations,
     solve_mip,
@@ -48,6 +47,7 @@ from oracles import (
     emission_tail,
     hungarian,
     mwis_exact,
+    program_from_rows,
     solve_stmr,
     solve_stsr,
 )
@@ -120,7 +120,7 @@ def random_mip(rng):
         relation = "=" if rng.random() < 0.15 else rng.choice(("<=", ">="))
         rhs = float(rng.randint(-2, 8))
         constraints.append((coeffs, relation, rhs))
-    lp = LinearProgram(
+    lp = program_from_rows(
         objective=objective,
         constraints=tuple(constraints),
         variable_bounds=bounds,

@@ -639,7 +639,7 @@ def test_cap_matrix_is_the_reference_rows_scattered(inst):
     """The scheduler's cap tuples give the fit test's verdict on the
     reference rows, and scattered into a program, with and without the
     floor rows of a max-min round, the matrix, right-hand sides, senses,
-    bounds and row view of the reference rows' row-form program."""
+    bounds and row view of the program written as the reference rows."""
     support = scheduler._support(inst, inst.routes)
     rows = scheduler._cap_rows(inst, support)
     reference = sparse_cap_rows(inst, support)

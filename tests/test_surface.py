@@ -22,6 +22,11 @@ TEST_ONLY_NAMES = {
     "geodesic_distance",
     "sparse_cap_rows",
     "row_form_program",
+    "program_from_rows",
+    "_checked_row",
+    "_checked_constraints",
+    "RELATIONS",
+    "SENSES",
     "ModeError",
     "SizeLimitError",
 }
@@ -61,3 +66,10 @@ def test_no_module_defines_a_test_only_name():
 
 def test_ilpcore_exports_exactly_what_the_pipeline_uses():
     assert set(ilpcore.__all__) == PIPELINE_ILPCORE_NAMES
+
+
+def test_a_linear_program_is_built_one_way():
+    # from its arrays, by LinearProgram(...); tests write rows through
+    # oracles.program_from_rows
+    for name in ("from_arrays", "_set"):
+        assert not hasattr(ilpcore.LinearProgram, name)
