@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import heapq
 import math
 import operator
@@ -16,7 +17,6 @@ from .types import (
     MipProblem,
     SolveResult,
     constraint_violations,
-    within_tolerance,
 )
 
 INTEGRALITY_TOL = 1e-6
@@ -77,18 +77,15 @@ def solve_mip(mip: MipProblem, node_limit: int = 100_000) -> SolveResult:
         branch_var = _most_fractional(relaxed.assignment, mip.integer_vars)
         if branch_var is None:
             candidate = _rounded(relaxed.assignment, mip.integer_vars)
-            # a finite rounded candidate is integral, so the exact pass runs
-            # only for one that is not finite or has a bound or row near or
-            # past its tolerance
-            if not within_tolerance(mip.base, candidate):
-                problems = constraint_violations(
-                    mip.base, candidate, integer_vars=mip.integer_vars
+            # no integer_vars: rounding made each finite integer entry integral
+            problems = constraint_violations(mip.base, candidate)
+            if problems:
+                raise QsatError(
+                    "rounded relaxation solution fails feasibility: " + problems[0]
                 )
-                if problems:
-                    raise QsatError(
-                        "rounded relaxation solution fails feasibility: " + problems[0]
-                    )
-            value = sum(map(operator.mul, mip.base.objective, candidate))
+            # left to right: from Python 3.12 on, the built-in sum is compensated
+            terms = map(operator.mul, mip.base.objective, candidate)
+            value = functools.reduce(operator.add, terms, 0)
             if value > incumbent_obj:
                 incumbent_obj = value
                 incumbent = candidate

@@ -6,12 +6,11 @@ import functools
 import math
 import operator
 from dataclasses import FrozenInstanceError, dataclass
-from itertools import compress
 from typing import NamedTuple
 
 import numpy as np
 
-from ..errors import StructuralError
+from ..errors import ParameterError, StructuralError
 
 OPTIMAL = "Optimal"
 INFEASIBLE = "Infeasible"
@@ -20,7 +19,6 @@ GAP_LIMIT = "GapLimit"
 
 # each entry of LinearProgram.senses and its relation in the row view
 _RELATION_OF = {1: "<=", 0: "=", -1: ">="}
-EPS = float(np.finfo(float).eps)
 
 
 class SparseRow(NamedTuple):
@@ -271,63 +269,42 @@ def constraint_violations(
     tol: float = 1e-7,
     integer_vars: tuple[int, ...] = (),
 ) -> list[str]:
-    """Independent feasibility pass, row by row; returns one message per
-    violation.  Non-finite entries come first, each its own violation."""
-    if assignment is None or len(assignment) != lp.num_vars:
-        return [f"assignment has wrong length for {lp.num_vars} variables"]
-    finite = list(map(math.isfinite, assignment))
+    """One message per violation, read from the LP's arrays: each
+    non-finite entry, each bound and each row more than ``tol`` past its
+    edge, then each fractional finite entry of ``integer_vars`` (checked
+    as ``MipProblem`` checks it).  The rows are one product ``matrix @ x``,
+    so a row that a non-finite entry turns NaN is not listed; the entry
+    is.  ``solve_mip`` runs this on each rounded candidate."""
+    if not 0.0 <= tol < math.inf:
+        raise ParameterError(f"tolerance {tol} must be finite and nonnegative")
+    n = lp.num_vars
+    integer_vars = MipProblem(lp, integer_vars).integer_vars
+    if assignment is None or len(assignment) != n:
+        return [f"assignment has wrong length for {n} variables"]
+    x = _array("assignment", assignment)
+    lower, upper, senses = lp.lower, lp.upper, lp.senses
+    # inf times a zero coefficient, or inf minus inf, is NaN: no row or
+    # bound reads past its edge there, and numpy must not warn
+    with np.errstate(invalid="ignore", over="ignore"):
+        lhs = lp.matrix @ x
+        excess = lhs - lp.rhs
+        # how far each row is past its edge, an equality row either way
+        rows = (np.where(senses, senses * excess, np.abs(excess)) > tol).nonzero()[0]
+        bounds = (np.maximum(lower - x, x - upper) > tol).nonzero()[0]
+    finite = np.isfinite(x)
     messages = [
         f"variable {j}: {assignment[j]} is not finite"
-        for j in compress(range(len(finite)), map(operator.not_, finite))
+        for j in (~finite).nonzero()[0].tolist()
     ]
-    for j, ((lower, upper), x) in enumerate(zip(lp.variable_bounds, assignment)):
-        if x < lower - tol:
-            messages.append(f"variable {j}: {x} below lower bound {lower}")
-        if upper is not None and x > upper + tol:
-            messages.append(f"variable {j}: {x} above upper bound {upper}")
-    for k, ((columns, coeffs), relation, rhs) in enumerate(lp.constraints):
-        lhs = sum(map(operator.mul, coeffs, map(assignment.__getitem__, columns)), 0.0)
-        if relation == "<=" and lhs > rhs + tol:
-            messages.append(f"constraint {k}: {lhs} > {rhs}")
-        elif relation == ">=" and lhs < rhs - tol:
-            messages.append(f"constraint {k}: {lhs} < {rhs}")
-        elif relation == "=" and abs(lhs - rhs) > tol:
-            messages.append(f"constraint {k}: {lhs} != {rhs}")
-    for j in integer_vars:
-        if finite[j] and assignment[j] != round(assignment[j]):
-            messages.append(f"variable {j}: {assignment[j]} not integral")
+    for j in bounds.tolist():
+        side, bound = ("below lower", lower[j]) if x[j] < lower[j] else ("above upper", upper[j])
+        messages.append(f"variable {j}: {assignment[j]} {side} bound {float(bound)}")
+    for k in rows.tolist():
+        relation = "!=" if senses[k] == 0 else ">" if senses[k] > 0 else "<"
+        messages.append(f"constraint {k}: {float(lhs[k])} {relation} {float(lp.rhs[k])}")
+    messages += [
+        f"variable {j}: {assignment[j]} not integral"
+        for j in integer_vars
+        if finite[j] and not x[j].is_integer()
+    ]
     return messages
-
-
-def within_tolerance(lp: LinearProgram, assignment, tol: float = 1e-7) -> bool:
-    """Whether ``assignment`` meets every bound and row of ``lp`` with room
-    to spare, read from the LP's arrays with one product ``matrix @ x``.
-
-    True only where ``constraint_violations`` finds no bound or row
-    violation.  Bounds compare as that check compares them.  A row's
-    product may round differently from that check's sum, by at most
-    ``n * eps`` times the sum of its terms' magnitudes, so the row must
-    clear its tolerance by four times that bound (counting ``|rhs| +
-    tol`` as terms too, for the rounding of the comparison itself).
-    False sends the assignment to the exact check: a non-finite entry
-    gives False, and so does a bound or row outside its tolerance or
-    within that margin of it.
-    """
-    x = np.array(assignment, dtype=float)
-    n = lp.num_vars
-    if x.shape != (n,):
-        return False
-    outside = ~np.isfinite(x) | (x < lp.lower - tol) | (x > lp.upper + tol)
-    if np.count_nonzero(outside):
-        return False
-    matrix, rhs, senses = lp.matrix, lp.rhs, lp.senses
-    # a row whose terms' magnitudes sum past 1e300 could overflow in one
-    # order and not the other, so it goes to the exact check too
-    scale = np.abs(matrix) @ np.abs(x) + np.abs(rhs) + tol
-    room = tol - (4.0 * (n + 2) * EPS) * scale
-    excess = matrix @ x - rhs
-    return not np.count_nonzero(
-        ((senses >= 0) & (excess > room))
-        | ((senses <= 0) & (excess < -room))
-        | (scale > 1e300)
-    )

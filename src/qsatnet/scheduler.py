@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass, replace
@@ -202,9 +203,6 @@ class SlotInstance:
         is relayed."""
         relayed = {r: rate for r, rate in self.routes.items() if r[1] is not None}
         return relayed or None
-
-    def pairs_at_station(self, g: int) -> list[int]:
-        return [j for j, (a, b) in enumerate(self.pair_stations) if g in (a, b)]
 
 
 @dataclass(frozen=True)
@@ -585,9 +583,14 @@ def _objective(instance, direct, y) -> float:
     """Total rate of sorted direct and relayed counts."""
     # a count on a route without a rate delivers nothing
     rate = instance.routes.get
-    objective = float(sum(rate((i, None, j), 0.0) * c for i, j, c in direct))
+    # left to right: from Python 3.12 on, the built-in sum of floats is
+    # compensated, and the outputs would depend on the version
+    terms = (rate((i, None, j), 0.0) * c for i, j, c in direct)
+    objective = float(functools.reduce(operator.add, terms, 0))
     if y:
-        objective += sum(rate((i, k, j), 0.0) * c for i, k, j, c in y)
+        objective += functools.reduce(
+            operator.add, (rate((i, k, j), 0.0) * c for i, k, j, c in y), 0
+        )
     return objective
 
 
@@ -833,74 +836,7 @@ def solve_reflection_ratefair(instance: SlotInstance) -> Allocation:
 
 
 # ---------------------------------------------------------------------------
-# verification and serialization
-
-
-def _is_count(value) -> bool:
-    """Whether value is a nonnegative integer.  NaN fails the first test
-    and inf the second, before either reaches ``int``."""
-    return value >= 0 and value != math.inf and value == int(value)
-
-
-def allocation_violations(instance: SlotInstance, allocation: Allocation) -> list[str]:
-    """Independent integer-arithmetic feasibility check."""
-    n_sat, n_pair = instance.num_sats, instance.num_pairs
-    if len(allocation.x) != n_sat or any(len(row) != n_pair for row in allocation.x):
-        return ["allocation shape does not match the instance"]
-    messages = []
-    counts = []
-    for i, row in enumerate(allocation.x):
-        for j, value in enumerate(row):
-            if not _is_count(value):
-                messages.append(f"direct count {value} is not a nonnegative integer")
-            counts.append(((i, None, j), value))
-    for i, k, j, count in allocation.y:
-        if not _is_count(count):
-            messages.append(f"relay count {count} is not a nonnegative integer")
-        if i == k:
-            messages.append(f"self-relay allocation on satellite {i}")
-        if i in range(n_sat) and k in range(n_sat) and j in range(n_pair):
-            counts.append(((i, k, j), count))
-        else:
-            messages.append(f"relay entry {(i, k, j)} is out of range")
-    source_load = [0] * n_sat
-    relay_load = [0] * n_sat
-    pair_load = [0] * n_pair
-    for (i, k, j), count in counts:
-        source_load[i] += count
-        if k is not None:
-            relay_load[k] += count
-        pair_load[j] += count
-    for i in range(instance.num_sats):
-        if source_load[i] > instance.sat_caps[i]:
-            messages.append(
-                f"satellite {instance.sat_ids[i]}: {source_load[i]} transmissions "
-                f"exceed cap {instance.sat_caps[i]}"
-            )
-        if relay_load[i] > instance.reflector_caps[i]:
-            messages.append(
-                f"satellite {instance.sat_ids[i]}: {relay_load[i]} reflections "
-                f"exceed cap {instance.reflector_caps[i]}"
-            )
-    for g in range(len(instance.station_ids)):
-        load = sum(pair_load[j] for j in instance.pairs_at_station(g))
-        if load > instance.gs_caps[g]:
-            messages.append(
-                f"station {instance.station_ids[g]}: {load} connections exceed "
-                f"cap {instance.gs_caps[g]}"
-            )
-    for j in range(instance.num_pairs):
-        if pair_load[j] > instance.pair_caps[j]:
-            messages.append(
-                f"pair {instance.pair_ids[j]}: {pair_load[j]} connections exceed "
-                f"cap {instance.pair_caps[j]}"
-            )
-    expected = sum(instance.routes.get(route, 0.0) * count for route, count in counts)
-    if abs(expected - allocation.objective) > 1e-6 * max(1.0, abs(expected)):
-        messages.append(
-            f"objective {allocation.objective} differs from recomputed {expected}"
-        )
-    return messages
+# serialization
 
 
 def pair_edr(instance: SlotInstance, allocation: Allocation) -> dict[str, float]:

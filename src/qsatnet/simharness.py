@@ -11,8 +11,10 @@ best phase-split satellite pair.
 from __future__ import annotations
 
 import csv
+import functools
 import json
 import math
+import operator
 import os
 from dataclasses import dataclass, field
 
@@ -304,7 +306,11 @@ def run(config: ScenarioConfig, env: EnvironmentTable | None = None) -> RunRepor
                 raise SimulationError(t, str(exc)) from exc
             previous_serving = serving
             total_handovers += handovers
-            aggregate = sum(rates[pid] for pid in pair_ids)
+            # left to right: from Python 3.12 on, the built-in sum of floats
+            # is compensated, and the outputs would depend on the version
+            aggregate = functools.reduce(
+                operator.add, (rates[pid] for pid in pair_ids), 0
+            )
             for pid in pair_ids:
                 daily[pid] += rates[pid] * config.slot_duration
             series.append(

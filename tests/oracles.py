@@ -5,7 +5,9 @@ Nothing in the package or the benchmark runs these: they cross-check the
 rate-sum MIP on unit-cap and roomy instances, the branch and bound on
 pure-integer problems small enough to enumerate, the scheduler's
 constraint arrays against the rows they were once built from, and the link
-physics' emission series.  ``program_from_rows`` lets a test write an LP
+physics' emission series; ``allocation_violations`` checks a policy's
+allocation against the instance's caps in integer arithmetic, apart from
+the solver's own check.  ``program_from_rows`` lets a test write an LP
 as rows.  The tests import this module as ``oracles``; pytest puts
 ``tests/`` on the import path.
 """
@@ -286,7 +288,7 @@ def solve_stmr(instance: SlotInstance) -> Allocation:
     """
     total_tx = sum(instance.sat_caps)
     for g in range(len(instance.station_ids)):
-        incident_cap = sum(instance.pair_caps[j] for j in instance.pairs_at_station(g))
+        incident_cap = sum(instance.pair_caps[j] for j in pairs_at_station(instance, g))
         if instance.gs_caps[g] < min(total_tx, incident_cap):
             raise ModeError(
                 f"station {instance.station_ids[g]}: receiver cap may bind; "
@@ -295,6 +297,82 @@ def solve_stmr(instance: SlotInstance) -> Allocation:
     arcs = {(i, j): rate for (i, _, j), rate in _direct(instance).items()}
     flow = max_weight_flow(instance.sat_caps, instance.pair_caps, arcs)
     return _priced(instance, {(i, None, j): c for (i, j), c in flow.items()})
+
+
+# ---------------------------------------------------------------------------
+# allocation checks
+
+
+def pairs_at_station(instance: SlotInstance, g: int) -> list[int]:
+    """The pairs with station ``g`` at either end."""
+    return [j for j, (a, b) in enumerate(instance.pair_stations) if g in (a, b)]
+
+
+def _is_count(value) -> bool:
+    """Whether value is a nonnegative integer.  NaN fails the first test
+    and inf the second, before either reaches ``int``."""
+    return value >= 0 and value != math.inf and value == int(value)
+
+
+def allocation_violations(instance: SlotInstance, allocation: Allocation) -> list[str]:
+    """Independent integer-arithmetic feasibility check."""
+    n_sat, n_pair = instance.num_sats, instance.num_pairs
+    if len(allocation.x) != n_sat or any(len(row) != n_pair for row in allocation.x):
+        return ["allocation shape does not match the instance"]
+    messages = []
+    counts = []
+    for i, row in enumerate(allocation.x):
+        for j, value in enumerate(row):
+            if not _is_count(value):
+                messages.append(f"direct count {value} is not a nonnegative integer")
+            counts.append(((i, None, j), value))
+    for i, k, j, count in allocation.y:
+        if not _is_count(count):
+            messages.append(f"relay count {count} is not a nonnegative integer")
+        if i == k:
+            messages.append(f"self-relay allocation on satellite {i}")
+        if i in range(n_sat) and k in range(n_sat) and j in range(n_pair):
+            counts.append(((i, k, j), count))
+        else:
+            messages.append(f"relay entry {(i, k, j)} is out of range")
+    source_load = [0] * n_sat
+    relay_load = [0] * n_sat
+    pair_load = [0] * n_pair
+    for (i, k, j), count in counts:
+        source_load[i] += count
+        if k is not None:
+            relay_load[k] += count
+        pair_load[j] += count
+    for i in range(instance.num_sats):
+        if source_load[i] > instance.sat_caps[i]:
+            messages.append(
+                f"satellite {instance.sat_ids[i]}: {source_load[i]} transmissions "
+                f"exceed cap {instance.sat_caps[i]}"
+            )
+        if relay_load[i] > instance.reflector_caps[i]:
+            messages.append(
+                f"satellite {instance.sat_ids[i]}: {relay_load[i]} reflections "
+                f"exceed cap {instance.reflector_caps[i]}"
+            )
+    for g in range(len(instance.station_ids)):
+        load = sum(pair_load[j] for j in pairs_at_station(instance, g))
+        if load > instance.gs_caps[g]:
+            messages.append(
+                f"station {instance.station_ids[g]}: {load} connections exceed "
+                f"cap {instance.gs_caps[g]}"
+            )
+    for j in range(instance.num_pairs):
+        if pair_load[j] > instance.pair_caps[j]:
+            messages.append(
+                f"pair {instance.pair_ids[j]}: {pair_load[j]} connections exceed "
+                f"cap {instance.pair_caps[j]}"
+            )
+    expected = sum(instance.routes.get(route, 0.0) * count for route, count in counts)
+    if abs(expected - allocation.objective) > 1e-6 * max(1.0, abs(expected)):
+        messages.append(
+            f"objective {allocation.objective} differs from recomputed {expected}"
+        )
+    return messages
 
 
 # ---------------------------------------------------------------------------

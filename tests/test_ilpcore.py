@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from qsatnet import scheduler, simharness
 from qsatnet.config import apply_overrides, default_scenario
-from qsatnet.errors import ParameterError, StructuralError
+from qsatnet.errors import ParameterError, QsatError, StructuralError
 from qsatnet.ilpcore import lp as lp_module
 from qsatnet.ilpcore import mip as mip_module
 from qsatnet.ilpcore import (
@@ -29,7 +29,6 @@ from qsatnet.ilpcore import (
     solve_lp,
     solve_mip,
 )
-from qsatnet.ilpcore.types import within_tolerance
 
 from oracles import (
     SizeLimitError,
@@ -982,16 +981,17 @@ def test_with_bounds_refuses_an_index_outside_the_program(var, message):
 
 
 class _Unreadable(tuple):
-    """Stands in for ``constraints`` where the solvers must not read it."""
+    """Stands in for a view (``constraints``, ``variable_bounds``) where
+    the solvers and the check must not read it."""
 
     def __iter__(self):
-        raise AssertionError("constraints were read")
+        raise AssertionError("a view was read")
 
     def __len__(self):
-        raise AssertionError("constraints were read")
+        raise AssertionError("a view was read")
 
     def __getitem__(self, key):
-        raise AssertionError("constraints were read")
+        raise AssertionError("a view was read")
 
 
 def test_solvers_read_the_arrays_not_the_rows(monkeypatch):
@@ -1011,9 +1011,17 @@ def test_solvers_read_the_arrays_not_the_rows(monkeypatch):
     real = mip_module.solve_lp
     monkeypatch.setattr(mip_module, "solve_lp", lambda node: nodes.append(node) or real(node))
     object.__setattr__(lp, "constraints", _Unreadable())
+    object.__setattr__(lp, "variable_bounds", _Unreadable())
     assert repr(solve_lp(lp)) == expected_lp
     assert repr(solve_mip(mip)) == expected_mip
     assert len(nodes) >= 3
+    assert constraint_violations(lp, solve_mip(mip).assignment, integer_vars=(0, 1, 2)) == []
+    assert constraint_violations(lp, (0.5, 1.0, 2.0), integer_vars=(0, 1, 2)) == [
+        "variable 2: 2.0 above upper bound 1.0",
+        "constraint 0: 7.5 > 4.5",
+        "constraint 2: -1.0 != 0.0",
+        "variable 0: 0.5 not integral",
+    ]
 
 
 TOL = 1e-7
@@ -1085,42 +1093,73 @@ def _lps_and_points(draw):
 @settings(derandomize=True, max_examples=500, deadline=None)
 @given(_lps_and_points())
 def test_array_feasibility_agrees_with_the_exact_check(case):
+    # the one check, read from the arrays, passes every finite point whose
+    # rows and bounds all have room to spare, and refuses every point that
+    # is not finite or sits 1e-9 or more past an edge
     lp, point, placements = case
-    fast = within_tolerance(lp, point, TOL)
-    exact = constraint_violations(lp, point, TOL)
-    # the array test never passes what the exact check refuses, and it
-    # passes every point whose rows and bounds all have room to spare
+    violations = constraint_violations(lp, point, TOL)
     finite = all(map(math.isfinite, point))
-    if fast:
-        assert exact == []
     if finite and all(p is None for p in placements):
-        assert fast
+        assert violations == []
     if not finite or any(p is not None and p >= 1e-9 for p in placements):
-        assert exact and not fast
+        assert violations
 
 
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
 def test_array_feasibility_refuses_non_finite_points(value):
     # no row, and no upper bound, to catch a non-finite entry
     lp = program_from_rows((0.0, 0.0), (), ((0.0, None), (0.0, None)))
-    assert within_tolerance(lp, (1.0, 2.0))
-    assert not within_tolerance(lp, (1.0, value))
     assert constraint_violations(lp, (1.0, value))[0] == f"variable 1: {value} is not finite"
 
 
-def test_array_feasibility_leaves_the_tolerance_edge_to_the_exact_check():
-    lp = program_from_rows((0.0, 0.0), (((1.0, 1.0), "<=", 2.0),), ((0.0, 2.0), (0.0, 2.0)))
-    assert within_tolerance(lp, (1.0, 1.0))
-    # the last point below the row's tolerance edge passes the exact check
-    # but has no room to spare
-    y = 1.0 + TOL
-    for _ in range(8):
-        if not constraint_violations(lp, (1.0, y)):
-            break
-        y = math.nextafter(y, 0.0)
-    assert not constraint_violations(lp, (1.0, y))
-    assert not within_tolerance(lp, (1.0, y))
-    assert not within_tolerance(lp, (1.0, math.nextafter(y, 2.0)))
+@pytest.mark.parametrize(
+    "tol, integer_vars, error, message",
+    [
+        (math.nan, (), ParameterError, "tolerance nan must be finite and nonnegative"),
+        (-1.0, (), ParameterError, "tolerance -1.0 must be finite and nonnegative"),
+        (math.inf, (), ParameterError, "tolerance inf must be finite and nonnegative"),
+        (1e-7, (5,), StructuralError, "integer variable index 5 out of range"),
+        (1e-7, (-1,), StructuralError, "integer variable index -1 out of range"),
+        (1e-7, (0.5,), StructuralError, "integer variable index 0.5 is not an integer"),
+    ],
+)
+def test_the_check_refuses_a_bad_tolerance_or_index(tol, integer_vars, error, message):
+    lp = program_from_rows((1.0, 1.0), (((1.0, 1.0), "<=", 1.0),), ((0.0, 1.0), (0.0, 1.0)))
+    for point in ((1.0, 1.0), (0.0, 0.0)):
+        with pytest.raises(error, match=f"^{re.escape(message)}$"):
+            constraint_violations(lp, point, tol, integer_vars)
+
+
+@pytest.mark.parametrize("point", [("a", 1.0), ([1.0], 1.0)])
+def test_the_check_refuses_a_point_that_is_not_numbers(point):
+    lp = program_from_rows((1.0, 1.0), (((1.0, 1.0), "<=", 1.0),), ((0.0, 1.0), (0.0, 1.0)))
+    with pytest.raises(StructuralError, match="^assignment is not an array of numbers$"):
+        constraint_violations(lp, point)
+
+
+def test_each_rounded_candidate_is_checked_once(monkeypatch):
+    # 0.9999995 is integral to the branch and bound (within 1e-6), but
+    # rounded to 1 it sits 5e-7 past the row
+    lp = program_from_rows((1.0,), (((1.0,), "<=", 0.9999995),), ((0.0, 2.0),))
+    calls = []
+    real = mip_module.constraint_violations
+    monkeypatch.setattr(
+        mip_module, "constraint_violations", lambda *args: calls.append(args) or real(*args)
+    )
+    message = "rounded relaxation solution fails feasibility: constraint 0: 1.0 > 0.9999995"
+    with pytest.raises(QsatError, match=f"^{re.escape(message)}$"):
+        solve_mip(MipProblem(lp, (0,)))
+    assert calls == [(lp, (1.0,))]
+
+
+def test_the_mip_objective_sums_left_to_right():
+    # from Python 3.12 on, the built-in sum of these terms is compensated
+    terms = (1e16, 1.0, 1.0)
+    assert math.fsum(terms) == 1e16 + 2
+    lp = program_from_rows(terms, (), ((1.0, 1.0),) * 3)
+    result = solve_mip(MipProblem(lp, (0, 1, 2)))
+    assert result.assignment == (1.0, 1.0, 1.0)
+    assert result.objective_value == 1e16
 
 
 def sparse_form(dense_rows):

@@ -36,7 +36,6 @@ from qsatnet.scheduler import (
     PhysicsParams,
     SlotInstance,
     allocation_to_json,
-    allocation_violations,
     build_reflection_weights,
     build_weights,
     pair_edr,
@@ -51,6 +50,7 @@ from qsatnet.scheduler import (
 from oracles import (
     ModeError,
     SizeLimitError,
+    allocation_violations,
     brute_force_mip,
     latlon_to_unit,
     row_form_program,
@@ -607,6 +607,19 @@ def test_solvers_run_only_past_a_full_cap(monkeypatch, kind):
     (counts, _), _ = _round_and_bests(past)
     assert allocation_violations(past, scheduler._priced(past, counts)) == []
     assert calls == {"mip": 2, "flow": 0 if field == "gs_caps" else 1}
+
+
+@pytest.mark.parametrize("relayed", [False, True])
+def test_the_objective_sums_left_to_right(relayed):
+    # from Python 3.12 on, the built-in sum of these rates is compensated
+    rates = (1e16, 1.0, 1.0)
+    assert math.fsum(rates) == 1e16 + 2
+    k = 1 if relayed else None
+    omega = [[0.0] * 3] * 2 if relayed else [rates]
+    nu = {(0, 1, j): rate for j, rate in enumerate(rates)} if relayed else None
+    inst = make_instance(omega, [(0, 1)] * 3, 2, nu=nu)
+    allocation = scheduler._priced(inst, {(0, k, j): 1 for j in range(3)})
+    assert allocation.objective == 1e16
 
 
 # a station shared by two pairs and a lone reflector, each at its cap and

@@ -277,3 +277,13 @@ def test_every_slot_shares_the_run_network(monkeypatch, policy):
             assert getattr(instance, name) is getattr(network, name)
     assert network.routes == {}
     assert len(network.sat_ids) == 400
+
+
+def test_the_aggregate_rate_sums_left_to_right(monkeypatch):
+    # from Python 3.12 on, the built-in sum of these rates is compensated
+    config = replace(default_scenario(), num_slots=1)
+    pair_ids = simharness.build_network(config).pair_ids
+    rates = {pid: 1e16 if n == 0 else 1.0 for n, pid in enumerate(pair_ids)}
+    assert math.fsum(rates.values()) > 1e16
+    monkeypatch.setattr(simharness, "pair_edr", lambda instance, allocation: rates)
+    assert run(config).series[0].aggregate_edr == 1e16

@@ -8,7 +8,7 @@ import importlib
 import pkgutil
 
 import qsatnet
-from qsatnet import ilpcore
+from qsatnet import ilpcore, scheduler
 
 # moved to tests/oracles.py, or deleted with their only tests
 TEST_ONLY_NAMES = {
@@ -27,13 +27,16 @@ TEST_ONLY_NAMES = {
     "_checked_constraints",
     "RELATIONS",
     "SENSES",
+    "within_tolerance",
+    "allocation_violations",
+    "_is_count",
     "ModeError",
     "SizeLimitError",
 }
 
 # what the slot pipeline (scheduler and ilpcore's own modules) and
 # perfbench/ take from ilpcore: the model and result types, the status
-# constants, the LP and MIP solvers, the integrality check the branch and
+# constants, the LP and MIP solvers, the feasibility check the branch and
 # bound runs on each incumbent, and the flow behind the uncontended bests
 PIPELINE_ILPCORE_NAMES = {
     "GAP_LIMIT",
@@ -73,3 +76,8 @@ def test_a_linear_program_is_built_one_way():
     # oracles.program_from_rows
     for name in ("from_arrays", "_set"):
         assert not hasattr(ilpcore.LinearProgram, name)
+
+
+def test_a_slot_instance_has_no_station_lookup():
+    # pairs_at_station moved to tests/oracles.py with the allocation check
+    assert not hasattr(scheduler.SlotInstance, "pairs_at_station")
