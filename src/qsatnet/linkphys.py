@@ -14,13 +14,16 @@ a basic IEEE operation in the same order, except the squares: a Python
 ``float ** 2`` calls the C library's ``pow``, while numpy's ``a ** 2`` is
 ``a * a``, and the two can differ in the last ulp.  Arrays are therefore
 squared element by element with ``math.pow``, the same C ``pow``
-(``_square``).
+(``_square``).  The terms that depend on the source alone are taken once
+per mean photon number (``_source_terms``), and the aperture product once
+per ``OpticsParams``.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property, lru_cache
 from itertools import repeat
 
 import numpy as np
@@ -99,6 +102,11 @@ class OpticsParams:
             if not 0.0 <= eff <= 1.0:
                 raise ConfigurationError("efficiencies must be in [0, 1]")
 
+    @cached_property
+    def aperture_product(self) -> float:
+        """The two aperture areas multiplied, (pi rT^2)(pi rR^2)."""
+        return (math.pi * self.tx_radius**2) * (math.pi * self.rx_radius**2)
+
 
 @dataclass(frozen=True)
 class PairOutcome:
@@ -132,8 +140,7 @@ def free_space_transmissivity(optics: OpticsParams, slant_range: float) -> float
     """
     if slant_range <= 0:
         raise ConfigurationError("slant_range must be positive")
-    num = (math.pi * optics.tx_radius**2) * (math.pi * optics.rx_radius**2)
-    return min(1.0, num / (optics.wavelength * slant_range) ** 2)
+    return min(1.0, optics.aperture_product / (optics.wavelength * slant_range) ** 2)
 
 
 def arm_transmissivity(
@@ -184,6 +191,21 @@ def _one_click_probs(eta, survive_dark):
     return [fired[m1] * silent[m2] + fired[m2] * silent[m1] for m1, m2 in _RAIL_COUNTS]
 
 
+@lru_cache(maxsize=16, typed=True)
+def _source_terms(mean_photon_number, zero_sign):
+    # The channel-free terms of acceptance_and_bell_weights for one mean
+    # photon number: the pattern weights probs[n] / split with their rail
+    # indices, the emission norm, and the Bell prefactor probs[1] / norm.
+    # zero_sign keeps 0.0 and -0.0, equal as keys, apart: they differ in
+    # the sign of probs[1] and so of the prefactor.
+    probs = [emission_prob(mean_photon_number, n) for n in (0, 1, 2)]
+    norm = probs[0] + probs[1] + probs[2]
+    patterns = tuple(
+        (probs[n] / split, rails1, rails2) for n, rails1, rails2, split in _PATTERNS
+    )
+    return patterns, norm, probs[1] / norm
+
+
 def acceptance_and_bell_weights(mean_photon_number, eta1, eta2, dark1, dark2):
     """Acceptance probability and the accepted true-pair weight per round.
 
@@ -201,18 +223,18 @@ def acceptance_and_bell_weights(mean_photon_number, eta1, eta2, dark1, dark2):
     numpy's own square may differ in the last ulp (see the module
     docstring).
     """
-    probs = [emission_prob(mean_photon_number, n) for n in (0, 1, 2)]
-    norm = probs[0] + probs[1] + probs[2]
+    patterns, norm, bell_prefactor = _source_terms(
+        mean_photon_number, math.copysign(1.0, mean_photon_number)
+    )
     survive1 = 1.0 - dark1
     survive2 = 1.0 - dark2
     side1 = _one_click_probs(eta1, survive1)
     side2 = _one_click_probs(eta2, survive2)
     success = 0.0
-    for n, rails1, rails2, split in _PATTERNS:
-        weight = probs[n] / split
+    for weight, rails1, rails2 in patterns:
         success = success + weight * side1[rails1] * side2[rails2]
     success = success / norm
-    bell = probs[1] / norm * eta1 * eta2 * _square(survive1 * survive2)
+    bell = bell_prefactor * eta1 * eta2 * _square(survive1 * survive2)
     return success, bell
 
 

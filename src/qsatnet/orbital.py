@@ -26,10 +26,20 @@ EARTH_RADIUS = 6371e3
 EARTH_ROTATION_PERIOD = 86400.0
 GRAVITATIONAL_PARAMETER = 3.986e14
 ISL_CLEARANCE = 100e3
-# slack, in elevation sine, by which the numpy screen in visible_links
-# widens the mask; far above the few-ulp gap between numpy's arithmetic
-# and link_geometry's, so no cell link_geometry would keep is screened out
+# slack, in elevation sine, by which the screen in visible_links widens the
+# mask.  The screen takes g.s from one matrix product and |g|^2 and |s|^2
+# from row norms, so its dot product and squared slant each lie within
+# SCREEN_ERROR * (|g| + |s|)^2 of exact: about 4u and 5u by the standard
+# inner-product error bound, u = 2**-53, and 6u is taken.  That absolute
+# error, E, is what cancellation leaves at short slants: about 0.13 m^2 at
+# Earth scale.  Half the slack covers every other rounding of the screen and
+# of link_geometry, all within a few tens of u; the other half, m, keeps the
+# screen conservative for every cell whose slant S satisfies
+# m R S^2 >= E S + 2 R E, R the station radius, which holds for all S above
+# E / (m R) + sqrt(2 E / m): about 22 km at Earth scale.  Nearer cells are
+# passed to link_geometry unscreened (_near_slant_sq).
 SCREEN_MARGIN = 1e-9
+SCREEN_ERROR = 6 * 2.0**-53
 # the most satellites a constellation may hold; a run builds an id and a
 # position row for each, so a size past this is refused before any is built
 MAX_SATELLITES = 10_000
@@ -249,11 +259,12 @@ def propagate(
         config.rings, config.sats_per_ring
     )
     u = (mean_motion * sat_time + ring_phase + slot_phase).tolist()
-    radial = orbit_radius * np.array(list(map(math.cos, u)))
-    sat_xyz = np.empty((len(u), 3))
+    n = len(u)
+    radial = orbit_radius * np.fromiter(map(math.cos, u), float, n)
+    sat_xyz = np.empty((n, 3))
     sat_xyz[:, 0] = radial * cos_node
     sat_xyz[:, 1] = radial * sin_node
-    sat_xyz[:, 2] = orbit_radius * np.array(list(map(math.sin, u)))
+    sat_xyz[:, 2] = orbit_radius * np.fromiter(map(math.sin, u), float, n)
     sat_xyz.flags.writeable = False
 
     spin = 2.0 * math.pi * (t * slot_duration) / EARTH_ROTATION_PERIOD
@@ -304,6 +315,26 @@ def link_geometry(snapshot: ConstellationSnapshot, sat: str, gs: str) -> LinkGeo
     return LinkGeometry(elevation=elevation, slant_range=slant)
 
 
+# row sums of an (n, 3) array as one product, cheaper than .sum(axis=1)
+_ROW_SUM = np.ones(3)
+_ROW_SUM.flags.writeable = False
+
+
+def _near_slant_sq(station_sq: list[float], sat_sq_max: float) -> float:
+    """The squared slant below which the product screen of ``visible_links``
+    may misjudge a cell (SCREEN_MARGIN), from the stations' squared radii
+    and the largest squared satellite radius; infinite, so that nothing is
+    screened out, when a radius is zero or not finite."""
+    r_min = math.sqrt(min(station_sq))
+    scale = math.sqrt(max(station_sq)) + math.sqrt(sat_sq_max)
+    err = SCREEN_ERROR * scale * scale
+    slack = SCREEN_MARGIN / 2
+    if not (r_min > 0.0 and err < math.inf):
+        return math.inf
+    near = err / (slack * r_min) + math.sqrt(2.0 * err / slack)
+    return near * near + err
+
+
 def visible_links(
     snapshot: ConstellationSnapshot, min_elevation: float
 ) -> list[dict[int, LinkGeometry]]:
@@ -311,23 +342,34 @@ def visible_links(
     with geometry: one dict per station in ``station_ids`` order, each
     keyed by satellite row in row order.
 
-    One numpy pass over every (station, satellite) cell keeps the cells
+    A numpy screen over every (station, satellite) cell keeps the cells
     whose elevation sine lies within SCREEN_MARGIN of the mask or above
     it; only those reach the scalar ``link_geometry``, which decides each
     of them and supplies every returned value.  The result therefore
-    equals gating ``link_geometry`` on every cell.  A cell the screen
-    cannot evaluate (NaN) is passed on to ``link_geometry`` as it would
-    be unscreened.  The screen works one coordinate at a time, so each
-    sum is added in x, y, z order as in ``link_geometry``.
+    equals gating ``link_geometry`` on every cell.  The screen takes one
+    product ``gs_xyz @ sat_xyz.T`` and the rows' squared norms: the dot
+    product of the station with the line of sight is g.s - |g|^2 and the
+    squared slant is |s|^2 - 2 g.s + |g|^2.  Both lie within
+    SCREEN_ERROR * (|g| + |s|)^2 of exact, which the margin absorbs for
+    every slant above a bound of about 22 km at Earth scale.  Every cell
+    whose squared slant lies below that bound (``_near_slant_sq``) is
+    passed on unscreened, and so is every cell the screen cannot evaluate
+    (NaN), such as one whose squared slant cancellation made negative.
     """
-    sx, sy, sz = snapshot.sat_xyz.T
-    gx, gy, gz = snapshot.gs_xyz.T[:, :, None]
-    dx, dy, dz = sx - gx, sy - gy, sz - gz
-    slant = np.sqrt(dx * dx + dy * dy + dz * dz)
-    radius = np.sqrt(gx * gx + gy * gy + gz * gz)
-    dot = dx * gx + dy * gy + dz * gz
+    gs_xyz, sat_xyz = snapshot.gs_xyz, snapshot.sat_xyz
+    station_sq = (gs_xyz * gs_xyz) @ _ROW_SUM
+    sat_sq = (sat_xyz * sat_xyz) @ _ROW_SUM
+    g_dot_s = gs_xyz @ sat_xyz.T
+    station_sq_col = station_sq[:, None]
+    dot = g_dot_s - station_sq_col
+    slant_sq = sat_sq - 2.0 * g_dot_s + station_sq_col
+    with np.errstate(invalid="ignore"):
+        slant = np.sqrt(slant_sq)
     sin_mask = math.sin(math.radians(max(-90.0, min(90.0, min_elevation))))
-    candidates = ~(dot < (sin_mask - SCREEN_MARGIN) * radius * slant)
+    threshold = (sin_mask - SCREEN_MARGIN) * np.sqrt(station_sq_col)
+    candidates = ~(dot < threshold * slant)
+    if candidates.size:
+        candidates |= slant_sq < _near_slant_sq(station_sq.tolist(), sat_sq.max())
 
     # cells in row-major order: station by station, satellites in order
     sat_ids, station_ids = snapshot.sat_ids, snapshot.station_ids

@@ -252,13 +252,9 @@ def _weather_record(env, station_id, month, hour_utc):
         ) from exc
 
 
-def _arm_for(geom, record, physics) -> ArmChannel:
-    fs = free_space_transmissivity(physics.optics, geom.slant_range)
-    atm = effective_transmissivity(record, geom.elevation)
-    eta = arm_transmissivity(
-        fs, atm, physics.optics.tx_efficiency, physics.optics.rx_efficiency
-    )
-    dark = dark_click_prob(
+def _station_dark(record, physics) -> float:
+    """A station's per-gate dark-click probability under its weather."""
+    return dark_click_prob(
         record.solar_irradiance,
         physics.detector_gate,
         physics.filter_bandwidth_nm,
@@ -266,6 +262,18 @@ def _arm_for(geom, record, physics) -> ArmChannel:
         physics.optics.rx_radius,
         physics.optics.wavelength,
     )
+
+
+def _arm_for(geom, record, physics, dark=None) -> ArmChannel:
+    """The downlink arm of one link; ``dark`` is its station's
+    ``_station_dark``, computed here when not given."""
+    fs = free_space_transmissivity(physics.optics, geom.slant_range)
+    atm = effective_transmissivity(record, geom.elevation)
+    eta = arm_transmissivity(
+        fs, atm, physics.optics.tx_efficiency, physics.optics.rx_efficiency
+    )
+    if dark is None:
+        dark = _station_dark(record, physics)
     return ArmChannel(transmissivity=eta, dark_click_prob=dark)
 
 
@@ -296,20 +304,23 @@ def _slot_links(snapshot, network, physics, env, min_elevation, month, hour_utc)
     The table holds, per station row g, the satellite rows i that clear
     the minimum elevation there; ``arm(i, g)`` is that link's downlink
     arm.  A station's weather is read on its first arm, so a station no
-    satellite serves needs no weather record.
+    satellite serves needs no weather record, and its dark-click
+    probability is computed there, once for the slot.
     """
     _check_rows(snapshot, network)
     links = visible_links(snapshot, min_elevation)
     station_ids = network.station_ids
-    records = {}
+    stations = {}
     arms: dict[tuple[int, int], ArmChannel] = {}
 
     def arm(i, g):
         key = (i, g)
         if key not in arms:
-            if g not in records:
-                records[g] = _weather_record(env, station_ids[g], month, hour_utc)
-            arms[key] = _arm_for(links[g][i], records[g], physics)
+            if g not in stations:
+                record = _weather_record(env, station_ids[g], month, hour_utc)
+                stations[g] = record, _station_dark(record, physics)
+            record, dark = stations[g]
+            arms[key] = _arm_for(links[g][i], record, physics, dark)
         return arms[key]
 
     return links, arm
@@ -374,11 +385,12 @@ def build_reflection_weights(
     reproduces the direct link exactly.
 
     Each visible satellite's position is read once, as a plain list.
-    Each ordered (source, relay) pair gets one sight-line test and, when
-    it passes, one hop distance and mirror hop; each pair's relay list is
-    resolved once.  Every relayed candidate is priced in one broadcast
-    ``acceptance_and_bell_weights`` call over five channel columns, to the
-    same bits as ``end_to_end_outcome`` on each.
+    Each ordered (source, relay) pair gets one sight-line test; each
+    unordered pair whose sight line is clear gets one hop distance and
+    mirror hop, since ``math.dist`` is symmetric bit for bit; each pair's
+    relay list is resolved once.  Every relayed candidate is priced in
+    one broadcast ``acceptance_and_bell_weights`` call over five channel
+    columns, to the same bits as ``end_to_end_outcome`` on each.
     """
     from .orbital import sight_line_clear
 
@@ -393,7 +405,8 @@ def build_reflection_weights(
     position = {i: snapshot.sat_xyz[i].tolist() for visible in links for i in visible}
 
     # hop factors keyed by the ordered (source, relay) pair, None without a
-    # sight line: the test may differ in the last bit between directions
+    # sight line: the test may differ in the last bit between directions,
+    # the distance may not, so a clear reverse pair lends its factor
     hops: dict[tuple[int, int], float | None] = {}
     # the relayed candidates, priced together below: each route's hop
     # factor, source arm and relay-to-station arm, one column per channel
@@ -412,8 +425,12 @@ def build_reflection_weights(
                     continue
                 key = (i, k)
                 if key not in hops:
-                    clear = sight_line_clear(p, q)
-                    hops[key] = hop_free_space(math.dist(p, q)) if clear else None
+                    if not sight_line_clear(p, q):
+                        hops[key] = None
+                    elif hops.get((k, i)) is not None:
+                        hops[key] = hops[k, i]
+                    else:
+                        hops[key] = hop_free_space(math.dist(p, q))
                 hop = hops[key]
                 if hop is None:
                     continue

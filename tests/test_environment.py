@@ -99,9 +99,15 @@ def test_synth_roundtrip(tmp_path):
 def test_synth_night_below_noon():
     table = synth_weather(5, STATIONS, list(range(1, 13)))
     for station in STATIONS:
+
+        def from_midnight(record):
+            # circular distance, so the hours just before midnight count
+            lh = local_hour(record.hour_utc, station.longitude)
+            return min(lh, 24 - lh)
+
         for month in range(1, 13):
             recs = [table.records[(station.id, month, h)] for h in range(24)]
-            night = min(recs, key=lambda r: abs(local_hour(r.hour_utc, station.longitude) - 0.0) % 24)
+            night = min(recs, key=from_midnight)
             noon = min(recs, key=lambda r: abs(local_hour(r.hour_utc, station.longitude) - 12.0))
             assert night.solar_irradiance < noon.solar_irradiance
 

@@ -8,6 +8,7 @@ from math import comb
 import numpy as np
 import pytest
 
+from qsatnet import linkphys
 from qsatnet.errors import ConfigurationError
 from qsatnet.linkphys import (
     ArmChannel,
@@ -234,6 +235,35 @@ def test_broadcast_weights_equal_scalar_outcomes_bit_for_bit():
             assert s == out.success_prob
             assert (b / s if s > 0.0 else 0.0) == out.fidelity
             assert 1e9 * s == out.edr
+
+
+def _per_call_weights(ns, eta1, eta2, dark1, dark2):
+    """acceptance_and_bell_weights with its source terms taken on every
+    call, as the reference for the memoized terms."""
+    probs = [emission_prob(ns, n) for n in (0, 1, 2)]
+    norm = probs[0] + probs[1] + probs[2]
+    survive1, survive2 = 1.0 - dark1, 1.0 - dark2
+    side1 = linkphys._one_click_probs(eta1, survive1)
+    side2 = linkphys._one_click_probs(eta2, survive2)
+    success = 0.0
+    for n, rails1, rails2, split in linkphys._PATTERNS:
+        success = success + probs[n] / split * side1[rails1] * side2[rails2]
+    success = success / norm
+    bell = probs[1] / norm * eta1 * eta2 * linkphys._square(survive1 * survive2)
+    return success, bell
+
+
+def test_memoized_source_terms_equal_the_per_call_formula():
+    # each mean photon number twice, interleaved with values equal to it as
+    # dict keys: 0.0 and -0.0 differ in the sign of the Bell weight, an int
+    # and its float in the type of the emission terms
+    rng = random.Random(29)
+    numbers = [0.0, -0.0, 0, 1, 1.0, np.float64(0.0078), 0.0078, 0.6, 7.5]
+    for ns in numbers + numbers[::-1]:
+        for _ in range(20):
+            args = (rng.random(), rng.random(), rng.uniform(0, 0.3), rng.random() / 4)
+            got = acceptance_and_bell_weights(ns, *args)
+            assert repr(got) == repr(_per_call_weights(ns, *args))
 
 
 def test_edr_equals_rate_times_success():

@@ -1226,6 +1226,36 @@ def test_reflection_weights_reuse_the_direct_link_table(monkeypatch):
     assert validated == [inst.routes]
 
 
+def test_relay_hop_factor_is_taken_once_per_satellite_pair(monkeypatch):
+    snapshot, network, env = overhead_scene(n_sats=3)
+    network = replace(
+        network,
+        pair_ids=("ab", "ba"),
+        pair_stations=((0, 1), (1, 0)),
+        pair_caps=(1, 1),
+    )
+    lengths = []
+    real_mirror_hop = scheduler.mirror_hop
+
+    def counted_mirror_hop(physics):
+        hop = real_mirror_hop(physics)
+
+        def counted(length):
+            lengths.append(length)
+            return hop(length)
+
+        return counted
+
+    monkeypatch.setattr(scheduler, "mirror_hop", counted_mirror_hop)
+    inst = build_reflection_weights(
+        snapshot, network, PHYSICS, env, 20.0, 0.85, mirror_efficiency=1.0, month=6
+    )
+    # six ordered (source, relay) pairs with a clear sight line, three
+    # unordered ones
+    assert len(inst.nu) == 2 * 3 * 2
+    assert len(lengths) == 3
+
+
 def test_reflection_weights_lossy_mirror_reduces_rate():
     snapshot, network, env = overhead_scene(n_sats=2)
     inst = build_reflection_weights(
@@ -2065,6 +2095,49 @@ def test_screen_equals_brute_force_table(sky):
     _assert_same_table(
         orbital.visible_links(snapshot, mask), _brute_links(snapshot, mask)
     )
+
+
+def _random_station(rng):
+    unit = latlon_to_unit(rng.uniform(-90.0, 90.0), rng.uniform(-180.0, 180.0))
+    return tuple(EARTH_RADIUS * c for c in unit)
+
+
+def test_screen_passes_coincident_cells_to_link_geometry():
+    # a satellite at exactly a station's (non-integer) coordinates: the
+    # screen's squared slant there is cancellation noise of either sign, so
+    # the cell must still reach link_geometry, which refuses it
+    rng = random.Random(200)
+    for _ in range(200):
+        position = _random_station(rng)
+        snapshot = ConstellationSnapshot.from_positions(
+            0, {"s0": position}, {"g0": position}
+        )
+        with pytest.raises(ConfigurationError, match="coincide"):
+            orbital.visible_links(snapshot, 20.0)
+
+
+@pytest.mark.parametrize("mask", [0.0, 89.9])
+@pytest.mark.parametrize("slant", [1e-3, 1.0, 1e3])
+def test_screen_equals_brute_force_table_near_a_station(slant, mask):
+    # satellites `slant` meters from a station, where the screen's
+    # cancellation error is largest, beside constellation-height ones
+    rng = random.Random(f"{slant}/{mask}")
+    gs_positions = {f"g{n}": _random_station(rng) for n in range(3)}
+    sat_positions = {}
+    for n in range(24):
+        station = gs_positions[f"g{n % 3}"]
+        offset = rng.choice([-1e-6, 0.0, 1e-6, rng.uniform(-0.05, 0.05)])
+        sat_positions[f"n{n}"] = _position_at_elevation(
+            station, min(90.0, mask + offset), rng.uniform(0.0, 360.0), slant
+        )
+        sat_positions[f"h{n}"] = _position_at_elevation(
+            station, rng.uniform(-90.0, 90.0), rng.uniform(0.0, 360.0), 1000e3
+        )
+    snapshot = ConstellationSnapshot.from_positions(0, sat_positions, gs_positions)
+    brute = _brute_links(snapshot, mask)
+    near = {n for row in brute for n in row if snapshot.sat_ids[n].startswith("n")}
+    assert 0 < len(near) < 24
+    _assert_same_table(orbital.visible_links(snapshot, mask), brute)
 
 
 def test_build_weights_unknown_ids_and_coincident_link():

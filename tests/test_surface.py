@@ -4,11 +4,15 @@ The exhaustive and special-case oracles that only tests call live in
 ``tests/oracles.py``; these tests keep them from drifting back.
 """
 
+import ast
 import importlib
+import inspect
 import pkgutil
 
+import pytest
+
 import qsatnet
-from qsatnet import ilpcore, scheduler
+from qsatnet import environment, ilpcore, linkphys, orbital, scheduler
 
 # moved to tests/oracles.py, or deleted with their only tests
 TEST_ONLY_NAMES = {
@@ -81,3 +85,44 @@ def test_a_linear_program_is_built_one_way():
 def test_a_slot_instance_has_no_station_lookup():
     # pairs_at_station moved to tests/oracles.py with the allocation check
     assert not hasattr(scheduler.SlotInstance, "pairs_at_station")
+
+
+# numpy's transcendental and power functions, which may differ from the C
+# library's in the last ulp; np.sqrt is correctly rounded on both sides
+NUMPY_TRANSCENDENTALS = {
+    "sin",
+    "cos",
+    "tan",
+    "arcsin",
+    "arccos",
+    "arctan",
+    "arctan2",
+    "exp",
+    "log",
+    "power",
+    "square",
+    "hypot",
+    "degrees",
+    "radians",
+}
+
+
+@pytest.mark.parametrize("module", [orbital, linkphys, environment, scheduler])
+def test_the_weights_layer_takes_its_transcendentals_from_math(module):
+    # the slot's weights are bit-identical to the scalar formulas only while
+    # every transcendental comes from math, whatever path computes it
+    tree = ast.parse(inspect.getsource(module))
+    used = {
+        node.attr
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute)
+        and isinstance(node.value, ast.Name)
+        and node.value.id in {"np", "numpy"}
+    }
+    imported = {
+        alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.module == "numpy"
+        for alias in node.names
+    }
+    assert not (used | imported) & NUMPY_TRANSCENDENTALS
