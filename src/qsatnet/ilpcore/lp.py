@@ -1,4 +1,11 @@
-"""Dense bounded-variable two-phase simplex.
+"""Bounded-variable two-phase simplex over a dense tableau.
+
+A pivot on a tableau of at least RESTRICTED_PIVOT_CELLS cells updates
+only the rows whose entry in the entering column is nonzero; the others
+would subtract zeros.  Smaller tableaux update every row, which costs
+less at their size.  Both give the same bits, except that a row the
+restricted update skips keeps a -0.0 that the dense update may turn
+into 0.0, and no comparison the solver makes tells the two apart.
 
 Variables are shifted by their lower bounds, so the working problem has
 0 <= x <= u, and the tableau holds the constraint rows only: upper bounds
@@ -32,11 +39,24 @@ PIVOT_TOL = 1e-9
 FEAS_TOL = 1e-7
 BLAND_AFTER = 5000
 MAX_ITERATIONS = 200_000
+# tableau cells from which a pivot updates only the rows whose entry in the
+# entering column is nonzero.  On tableaux whose column holds 6 to 12
+# nonzeros the restricted update is slower up to about 5,000 cells and
+# faster from about 7,000; on the benchmark's tableaux it took 8.7 us
+# against 4.8 us dense at 96 to 1,242 cells, and 15 us against 40 us at
+# the relay rate-sum LPs' 18.3k to 18.6k
+RESTRICTED_PIVOT_CELLS = 6000
 
 
 def _pivot(tableau: np.ndarray, basis: list[int], row: int, col: int) -> None:
     pivot_row = tableau[row] / tableau[row, col]
-    tableau -= tableau[:, col, None] * pivot_row
+    if tableau.size < RESTRICTED_PIVOT_CELLS:
+        tableau -= tableau[:, col, None] * pivot_row
+    else:
+        rows = np.flatnonzero(tableau[:, col])
+        block = tableau[rows]
+        block -= block[:, col, None] * pivot_row
+        tableau[rows] = block
     tableau[row] = pivot_row
     tableau[:, col] = 0.0
     tableau[row, col] = 1.0

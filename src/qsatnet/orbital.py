@@ -398,6 +398,35 @@ def sight_line_clear(p: Vec3, q: Vec3, clearance: float = ISL_CLEARANCE) -> bool
     return radius >= EARTH_RADIUS + clearance
 
 
+def sight_line_matrix(xyz: np.ndarray, clearance: float = ISL_CLEARANCE) -> np.ndarray:
+    """Ordered sight lines between the rows of an (n, 3) position array:
+    entry (v, w) is ``sight_line_clear(xyz[v], xyz[w], clearance)`` for
+    v != w, and the diagonal is False.
+
+    Each entry is computed with the scalar test's operations, element by
+    element, so it equals that test bit for bit.  The two differ only
+    where the closest-approach parameter is NaN, coincident points
+    included: the scalar test reads such a segment as a point or clamps
+    the parameter to 1, and those cells are handed to it.
+    """
+    px, py, pz = xyz[:, 0, None], xyz[:, 1, None], xyz[:, 2, None]
+    dx, dy, dz = xyz[:, 0] - px, xyz[:, 1] - py, xyz[:, 2] - pz
+    seg_sq = dx * dx + dy * dy + dz * dz
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t = -(px * dx + py * dy + pz * dz) / seg_sq
+        clamped = np.maximum(0.0, np.minimum(1.0, t))
+        cx, cy, cz = px + clamped * dx, py + clamped * dy, pz + clamped * dz
+        clear = np.sqrt(cx * cx + cy * cy + cz * cz) >= EARTH_RADIUS + clearance
+    undecided = np.isnan(t)
+    np.fill_diagonal(undecided, False)
+    np.fill_diagonal(clear, False)
+    if undecided.any():
+        rows = xyz.tolist()
+        for v, w in zip(*(axis.tolist() for axis in np.nonzero(undecided))):
+            clear[v, w] = sight_line_clear(rows[v], rows[w], clearance)
+    return clear
+
+
 def _sat_pair(
     snapshot: ConstellationSnapshot, sat_a: str, sat_b: str
 ) -> tuple[list[float], list[float]]:

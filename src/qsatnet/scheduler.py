@@ -50,6 +50,14 @@ from .orbital import ConstellationSnapshot, visible_links
 
 SATURATION_REL_TOL = 1e-6
 LAMBDA_SLACK = 1e-9
+# the (pair, source, relay) cells of a slot, the sum over its pairs of
+# |sources| * |relays|, from which build_reflection_weights gathers its
+# relayed candidates in one array pass rather than one at a time.  Timed on
+# default-constellation slots cut to 1 to 3 pairs, the pass costs about
+# 100 us more below 50 cells, breaks even near 100 and saves 50 to 140 us
+# from 150 to 225; a full default slot (398 to 800+ cells) saves about a
+# fifth of its weights time, and reduced slots have at most 15 cells
+RELAY_ARRAY_CELLS = 100
 
 
 @dataclass(frozen=True)
@@ -116,6 +124,15 @@ def mirror_hop(physics: PhysicsParams):
     return lambda hop: free_space_transmissivity(optics, hop) if hop > 0 else 1.0
 
 
+def _index(value, what: str) -> int:
+    """``value`` as ``operator.index`` reads it, or a StructuralError
+    naming ``what``, the index's place."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise StructuralError(f"{what} {value!r} is not an integer") from None
+
+
 @dataclass(frozen=True, eq=True)
 class SlotInstance:
     """One slot's rates and caps.
@@ -153,6 +170,8 @@ class SlotInstance:
         if len(self.gs_caps) != n_gs:
             raise StructuralError("station cap array must align with station_ids")
         for j, (a, b) in enumerate(self.pair_stations):
+            if not (type(a) is type(b) is int):
+                a, b = (_index(g, f"pair {j}: station index") for g in (a, b))
             if not (0 <= a < n_gs and 0 <= b < n_gs) or a == b:
                 raise StructuralError(f"pair {j}: bad station indices ({a}, {b})")
             # scheduling model assumes receivers outnumber pair connections
@@ -166,6 +185,10 @@ class SlotInstance:
         direct, relayed = [], []
         for route, rate in self.routes.items():
             i, k, j = route
+            if not (type(i) is type(j) is int and (k is None or type(k) is int)):
+                what = f"route {route}: index"
+                i, j = _index(i, what), _index(j, what)
+                k = None if k is None else _index(k, what)
             if not (0 <= i < n_sat and 0 <= j < n_pair and (k is None or 0 <= k < n_sat)):
                 raise StructuralError(f"route {route}: index out of range")
             if k == i:
@@ -384,32 +407,69 @@ def build_reflection_weights(
     downlink reuses the standard optics so a co-located lossless relay
     reproduces the direct link exactly.
 
-    Each visible satellite's position is read once, as a plain list.
-    Each ordered (source, relay) pair gets one sight-line test; each
-    unordered pair whose sight line is clear gets one hop distance and
-    mirror hop, since ``math.dist`` is symmetric bit for bit; each pair's
-    relay list is resolved once.  Every relayed candidate is priced in
-    one broadcast ``acceptance_and_bell_weights`` call over five channel
-    columns, to the same bits as ``end_to_end_outcome`` on each.
+    A slot with fewer than RELAY_ARRAY_CELLS (pair, source, relay) cells
+    gathers its relayed candidates one at a time (``_looped_relays``), a
+    larger one in one array pass (``_array_relays``); both give the same
+    routes, rates and weather reads.  Either way the candidates are
+    priced together (``_relay_rates``).
     """
-    from .orbital import sight_line_clear
-
     if not 0.0 <= mirror_efficiency <= 1.0:
         raise ConfigurationError("mirror efficiency must lie in [0, 1]")
     links, arm = _slot_links(
         snapshot, network, physics, env, min_elevation, month, hour_utc
     )
     routes = _direct_routes(network, physics, links, arm, fidelity_threshold)
-    hop_free_space = mirror_hop(physics)
-    # each visible satellite's position as a plain list, read once
-    position = {i: snapshot.sat_xyz[i].tolist() for visible in links for i in visible}
+    cells = sum(len(links[a]) * len(links[b]) for a, b in network.pair_stations)
+    relays = _array_relays if cells >= RELAY_ARRAY_CELLS else _looped_relays
+    price = functools.partial(
+        _relay_rates, physics, mirror_efficiency, fidelity_threshold
+    )
+    routes.update(relays(snapshot, network, links, arm, mirror_hop(physics), price))
+    return replace(network, time=snapshot.time, routes=routes)
 
+
+def _relay_rates(
+    physics, mirror_efficiency, fidelity_threshold, hop, eta1, dark1, eta_relay, dark2
+):
+    """Rates of relayed candidates given as channel columns: each route's
+    hop factor, source arm and relay-to-station arm.  Returns the rates
+    and which of them clear the fidelity threshold with a positive rate,
+    from one broadcast ``acceptance_and_bell_weights`` call, to the same
+    bits as ``end_to_end_outcome`` on each candidate."""
+    # min and max are NaN when any entry is, which fails both tests
+    if not (hop.min() >= 0.0 and hop.max() <= 1.0):
+        raise ConfigurationError("source-to-relay hop factor must lie in [0, 1]")
+    # multiplied in the order of reflection_arms, so each rate matches
+    # the scalar end_to_end_outcome bit for bit
+    eta2 = hop * mirror_efficiency * eta_relay
+    if not (eta2.min() >= 0.0 and eta2.max() <= 1.0):
+        raise ConfigurationError("relayed arm transmissivity must lie in [0, 1]")
+    success, bell = acceptance_and_bell_weights(
+        physics.source.mean_photon_number, eta1, eta2, dark1, dark2
+    )
+    fidelity = np.divide(
+        bell, success, out=np.zeros_like(success), where=success > 0.0
+    )
+    edr = physics.source.repetition_rate * success
+    return edr, (fidelity >= fidelity_threshold) & (edr > 0)
+
+
+def _looped_relays(snapshot, network, links, arm, hop_free_space, price):
+    """The relayed routes (i, k, j) that ``price`` keeps, mapped to their
+    rates, gathered one candidate at a time.
+
+    Each visible satellite's position is read once, as a plain list.
+    Each ordered (source, relay) pair gets one sight-line test; each
+    unordered pair whose sight line is clear gets one hop distance and
+    mirror hop, since ``math.dist`` is symmetric bit for bit.
+    """
+    from .orbital import sight_line_clear
+
+    position = {i: snapshot.sat_xyz[i].tolist() for visible in links for i in visible}
     # hop factors keyed by the ordered (source, relay) pair, None without a
     # sight line: the test may differ in the last bit between directions,
     # the distance may not, so a clear reverse pair lends its factor
     hops: dict[tuple[int, int], float | None] = {}
-    # the relayed candidates, priced together below: each route's hop
-    # factor, source arm and relay-to-station arm, one column per channel
     keys = []
     columns = hop_col, eta1_col, dark1_col, eta2_col, dark2_col = [], [], [], [], []
     for j, (a, b) in enumerate(network.pair_stations):
@@ -441,30 +501,84 @@ def build_reflection_weights(
                 dark1_col.append(arm_a.dark_click_prob)
                 eta2_col.append(arm_b.transmissivity)
                 dark2_col.append(arm_b.dark_click_prob)
-    if keys:
-        hop, eta1, dark1, eta_relay, dark2 = np.array(columns)
-        # min and max are NaN when any entry is, which fails both tests
-        if not (hop.min() >= 0.0 and hop.max() <= 1.0):
-            raise ConfigurationError("source-to-relay hop factor must lie in [0, 1]")
-        # multiplied in the order of reflection_arms, so each rate matches
-        # the scalar end_to_end_outcome bit for bit
-        eta2 = hop * mirror_efficiency * eta_relay
-        if not (eta2.min() >= 0.0 and eta2.max() <= 1.0):
-            raise ConfigurationError("relayed arm transmissivity must lie in [0, 1]")
-        success, bell = acceptance_and_bell_weights(
-            physics.source.mean_photon_number, eta1, eta2, dark1, dark2
+    if not keys:
+        return {}
+    edr, kept = price(*np.array(columns))
+    return {
+        key: rate for key, rate, keep in zip(keys, edr.tolist(), kept.tolist()) if keep
+    }
+
+
+def _array_relays(snapshot, network, links, arm, hop_free_space, price):
+    """``_looped_relays`` in one array pass over the slot's visible
+    satellites, for slots with many candidates.
+
+    Sight lines come from one ordered ``sight_line_matrix``; one boolean
+    (pair, source, relay) mask holds the candidates, read out in the
+    loop's (j, i, k) order; each unordered pair with a clear sight line
+    that some candidate uses gets one hop distance and mirror hop; and
+    ``arm`` is called once for each arm some candidate reads, station by
+    station in the order in which the loop first reads each station's
+    weather.  Keys are built only for the routes ``price`` keeps.
+    """
+    from .orbital import sight_line_matrix
+
+    pair_stations = network.pair_stations
+    visible = sorted({i for row in links for i in row})
+    column = {i: v for v, i in enumerate(visible)}
+    seen = np.zeros((len(links), len(visible)), bool)
+    seen[
+        [g for g, row in enumerate(links) for _ in row],
+        [column[i] for row in links for i in row],
+    ] = True
+    xyz = snapshot.sat_xyz[visible]
+    a_of, b_of = np.array(pair_stations, np.intp).reshape(-1, 2).T
+    mask = seen[a_of, :, None] & seen[b_of, None, :] & sight_line_matrix(xyz)
+
+    # the arms the loop reads: every source of a pair with sources, and
+    # every relay of a candidate; stations in the loop's first-read order
+    relay_used = mask.any(axis=1)
+    has_candidates = relay_used.any(axis=1).tolist()
+    needed = {}
+    for j, (a, b) in enumerate(pair_stations):
+        if links[a]:
+            needed[a] = needed.get(a, False) | seen[a]
+            if has_candidates[j]:
+                needed[b] = needed.get(b, False) | relay_used[j]
+    eta = np.zeros(seen.shape)
+    dark = np.zeros(len(links))
+    for g, row in needed.items():
+        cols = np.flatnonzero(row).tolist()
+        channels = [arm(visible[v], g) for v in cols]
+        eta[g, cols] = [channel.transmissivity for channel in channels]
+        dark[g] = channels[0].dark_click_prob
+
+    pair, src, rel = np.nonzero(mask)
+    if not pair.size:
+        return {}
+    # one hop factor per unordered pair that some candidate uses
+    used = mask.any(axis=0)
+    hop = np.zeros(used.shape)
+    positions = xyz.tolist()
+    near, far = (axis.tolist() for axis in np.nonzero(np.triu(used | used.T)))
+    factors = [
+        hop_free_space(math.dist(positions[v], positions[w])) for v, w in zip(near, far)
+    ]
+    hop[near, far] = factors
+    hop[far, near] = factors
+    a_at, b_at = a_of[pair], b_of[pair]
+    edr, kept = price(
+        hop[src, rel], eta[a_at, src], dark[a_at], eta[b_at, rel], dark[b_at]
+    )
+    kept = np.flatnonzero(kept)
+    # satellite rows taken from ``visible``, whose ints the link table and
+    # the other routes share, not new ones from the index arrays
+    return {
+        (visible[v], visible[w], j): rate
+        for v, w, j, rate in zip(
+            src[kept].tolist(), rel[kept].tolist(), pair[kept].tolist(), edr[kept].tolist()
         )
-        fidelity = np.divide(
-            bell, success, out=np.zeros_like(success), where=success > 0.0
-        )
-        edr = physics.source.repetition_rate * success
-        kept = (fidelity >= fidelity_threshold) & (edr > 0)
-        routes.update(
-            (key, rate)
-            for key, rate, keep in zip(keys, edr.tolist(), kept.tolist())
-            if keep
-        )
-    return replace(network, time=snapshot.time, routes=routes)
+    }
 
 
 # ---------------------------------------------------------------------------

@@ -284,9 +284,14 @@ def highs_reference(lp):
 
 def test_lp_matches_highs_on_random_mixed_lps():
     pytest.importorskip("scipy")
-    rng = random.Random(303)
+    check_against_highs(random.Random(303), 2000)
+
+
+def check_against_highs(rng, trials):
+    """Random mixed LPs against HiGHS: the same status, and at an optimum
+    the same value and a feasible point; every status occurs."""
     seen = set()
-    for trial in range(2000):
+    for trial in range(trials):
         lp = random_mixed_lp(rng, 8, 6)
         status, value = highs_reference(lp)
         res = solve_lp(lp)
@@ -304,6 +309,10 @@ def test_default_reflection_lps_match_highs(monkeypatch):
     """The default constellation's rate-sum LPs, hundreds of variables
     with as many upper bounds, against HiGHS."""
     pytest.importorskip("scipy")
+    check_default_reflection_lps_against_highs(monkeypatch)
+
+
+def check_default_reflection_lps_against_highs(monkeypatch):
     captured = []
 
     def recorded(mip):
@@ -398,7 +407,10 @@ def random_mip(rng, max_vars=8):
 
 
 def test_mip_matches_brute_force():
-    rng = random.Random(2024)
+    check_mips_against_brute_force(random.Random(2024))
+
+
+def check_mips_against_brute_force(rng):
     optimal_seen = 0
     for trial in range(200):
         mip = random_mip(rng)
@@ -417,6 +429,130 @@ def test_mip_matches_brute_force():
             relaxed = solve_lp(mip.base)
             assert relaxed.objective_value >= fast.objective_value - 1e-6
     assert optimal_seen > 100
+
+
+PIVOTS = pytest.mark.parametrize("cutoff", [0, math.inf], ids=["restricted", "dense"])
+
+
+@PIVOTS
+def test_lp_oracles_hold_under_either_pivot(monkeypatch, cutoff):
+    """The vertex-oracle checks, Bland's rule included, with every pivot
+    updating only the rows its column touches, then with every pivot
+    dense."""
+    monkeypatch.setattr(lp_module, "RESTRICTED_PIVOT_CELLS", cutoff)
+    assert check_against_vertex_oracle(oracle_lps(101, 60)) >= 10
+    monkeypatch.setattr(lp_module, "BLAND_AFTER", 0)
+    assert check_against_vertex_oracle(oracle_lps(202, 30)) > 0
+
+
+@PIVOTS
+def test_highs_cross_checks_hold_under_either_pivot(monkeypatch, cutoff):
+    pytest.importorskip("scipy")
+    monkeypatch.setattr(lp_module, "RESTRICTED_PIVOT_CELLS", cutoff)
+    check_against_highs(random.Random(303), 2000)
+    check_default_reflection_lps_against_highs(monkeypatch)
+
+
+def _negated_rows(lp):
+    """The rows ``solve_lp`` negates: those whose right-hand side, shifted
+    by the lower bounds, is negative."""
+    return [
+        i
+        for i, (a, b) in enumerate(zip(lp.matrix, lp.rhs.tolist()))
+        if b - float(a @ lp.lower) < 0
+    ]
+
+
+def _recorded_lps(monkeypatch):
+    """The list to which every LP that ``solve_mip`` solves is appended."""
+    lps = []
+    solve = mip_module.solve_lp
+
+    def recorded(lp):
+        lps.append(lp)
+        return solve(lp)
+
+    monkeypatch.setattr(mip_module, "solve_lp", recorded)
+    return lps
+
+
+def _has_negated_zeros(lp):
+    """Whether ``solve_lp`` negates a row of a branch-and-bound child (a
+    raised lower bound) that holds a zero coefficient."""
+    return lp.lower.any() and any((lp.matrix[i] == 0).any() for i in _negated_rows(lp))
+
+
+@PIVOTS
+def test_mip_oracle_holds_under_either_pivot(monkeypatch, cutoff):
+    """The brute-force MIP check, whose branch-and-bound children include
+    rows negated after their lower bounds rose: negating a row's zeros is
+    the only way -0.0 enters a tableau."""
+    monkeypatch.setattr(lp_module, "RESTRICTED_PIVOT_CELLS", cutoff)
+    lps = _recorded_lps(monkeypatch)
+    check_mips_against_brute_force(random.Random(2024))
+    assert any(map(_has_negated_zeros, lps))
+
+
+def _solved_under_both_pivots(monkeypatch, lps):
+    """``repr(solve_lp(lp))`` for each LP, restricted pivots, then dense."""
+    results = []
+    for cutoff in (0, math.inf):
+        monkeypatch.setattr(lp_module, "RESTRICTED_PIVOT_CELLS", cutoff)
+        results.append([repr(solve_lp(lp)) for lp in lps])
+    return results
+
+
+def test_branch_and_bound_children_solve_alike_under_either_pivot(monkeypatch):
+    """Every LP of the random MIPs, children with negated rows included,
+    gets the same result to the bit under either pivot."""
+    lps = _recorded_lps(monkeypatch)
+    rng = random.Random(2024)
+    for _ in range(200):
+        solve_mip(random_mip(rng))
+    monkeypatch.undo()
+    assert sum(map(_has_negated_zeros, lps)) > 10
+    restricted, dense = _solved_under_both_pivots(monkeypatch, lps)
+    assert restricted == dense
+
+
+# a few seed-1 slots of each benchmark workload: its policy, constellation
+# and weather (seed 1 with the workload's first weather table, or the
+# reduced day's fixed weather 23 and its epoch of 1000 s)
+WORKLOAD_SCENARIOS = {
+    "default_primary_ratesum": {
+        "policy": "primary_ratesum",
+        "num_slots": "5",
+        "weather_seed": "32",
+    },
+    "default_reflection_ratesum": {
+        "policy": "reflection_ratesum",
+        "num_slots": "3",
+        "weather_seed": "16",
+    },
+    "reduced_reflection_ratefair": {
+        "policy": "reflection_ratefair",
+        "constellation.rings": "4",
+        "constellation.sats_per_ring": "10",
+        "constellation.altitude": "1000e3",
+        "constellation.epoch": "1000",
+        "slot_duration": "60",
+        "num_slots": "240",
+        "month": "6",
+        "weather_seed": "23",
+    },
+}
+
+
+@pytest.mark.parametrize("workload", sorted(WORKLOAD_SCENARIOS))
+def test_workload_lps_solve_alike_under_either_pivot(monkeypatch, workload):
+    """The LPs of a few benchmark slots, recorded as the run solves them,
+    get the same result to the bit under either pivot."""
+    lps = _recorded_lps(monkeypatch)
+    simharness.run(apply_overrides(default_scenario(), WORKLOAD_SCENARIOS[workload]))
+    monkeypatch.undo()
+    assert lps
+    restricted, dense = _solved_under_both_pivots(monkeypatch, lps)
+    assert restricted == dense
 
 
 def test_mip_gap_limit():

@@ -9,6 +9,7 @@ import random
 import re
 from dataclasses import replace
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -1226,6 +1227,17 @@ def test_reflection_weights_reuse_the_direct_link_table(monkeypatch):
     assert validated == [inst.routes]
 
 
+def each_relay_path(monkeypatch):
+    """Forces build_reflection_weights onto its candidate loop, then onto
+    its array pass, yielding each path's name in between; the forced path
+    must have run by the next step."""
+    for path, cutoff in (("_looped_relays", math.inf), ("_array_relays", 0)):
+        monkeypatch.setattr(scheduler, "RELAY_ARRAY_CELLS", cutoff)
+        calls = _count_calls(monkeypatch, scheduler, path)
+        yield path
+        assert calls, f"{path} never ran"
+
+
 def test_relay_hop_factor_is_taken_once_per_satellite_pair(monkeypatch):
     snapshot, network, env = overhead_scene(n_sats=3)
     network = replace(
@@ -1247,13 +1259,15 @@ def test_relay_hop_factor_is_taken_once_per_satellite_pair(monkeypatch):
         return counted
 
     monkeypatch.setattr(scheduler, "mirror_hop", counted_mirror_hop)
-    inst = build_reflection_weights(
-        snapshot, network, PHYSICS, env, 20.0, 0.85, mirror_efficiency=1.0, month=6
-    )
-    # six ordered (source, relay) pairs with a clear sight line, three
-    # unordered ones
-    assert len(inst.nu) == 2 * 3 * 2
-    assert len(lengths) == 3
+    for _ in each_relay_path(monkeypatch):
+        lengths.clear()
+        inst = build_reflection_weights(
+            snapshot, network, PHYSICS, env, 20.0, 0.85, mirror_efficiency=1.0, month=6
+        )
+        # six ordered (source, relay) pairs with a clear sight line, three
+        # unordered ones
+        assert len(inst.nu) == 2 * 3 * 2
+        assert len(lengths) == 3
 
 
 def test_reflection_weights_lossy_mirror_reduces_rate():
@@ -1347,34 +1361,35 @@ def _scalar_relay_rates(snapshot, network, config, env, hour_utc):
 
 
 @pytest.mark.parametrize("weather_seed", [1, 2])
-def test_broadcast_relay_rates_equal_the_scalar_loop(weather_seed):
+def test_broadcast_relay_rates_equal_the_scalar_loop(weather_seed, monkeypatch):
     config = replace(default_scenario(), weather_seed=weather_seed)
     env = simharness.resolve_weather(config)
     network = simharness.build_network(config)
-    relayed = 0
-    for t in range(0, 8640, 613):  # default 10 s slots sampled across the day
-        snapshot = orbital.propagate(
-            config.constellation, config.stations, t, config.slot_duration
-        )
-        hour_utc = (t * config.slot_duration / 3600.0) % 24.0
-        inst = build_reflection_weights(
-            snapshot,
-            network,
-            config.physics,
-            env,
-            config.min_elevation,
-            config.fidelity_threshold,
-            config.mirror_efficiency,
-            month=config.month,
-            hour_utc=hour_utc,
-        )
-        # the builders cache the row maps and nothing else on the snapshot
-        assert _cached_on(snapshot) <= {"sat_row", "station_row"}
-        expected = _scalar_relay_rates(snapshot, network, config, env, hour_utc)
-        # the same rates, to the bit, in route order
-        assert repr(list((inst.nu or {}).items())) == repr(sorted(expected.items()))
-        relayed += len(inst.nu or {})
-    assert relayed > 1000
+    for _ in each_relay_path(monkeypatch):
+        relayed = 0
+        for t in range(0, 8640, 613):  # default 10 s slots sampled across the day
+            snapshot = orbital.propagate(
+                config.constellation, config.stations, t, config.slot_duration
+            )
+            hour_utc = (t * config.slot_duration / 3600.0) % 24.0
+            inst = build_reflection_weights(
+                snapshot,
+                network,
+                config.physics,
+                env,
+                config.min_elevation,
+                config.fidelity_threshold,
+                config.mirror_efficiency,
+                month=config.month,
+                hour_utc=hour_utc,
+            )
+            # the builders cache the row maps and nothing else on the snapshot
+            assert _cached_on(snapshot) <= {"sat_row", "station_row"}
+            expected = _scalar_relay_rates(snapshot, network, config, env, hour_utc)
+            # the same rates, to the bit, in route order
+            assert repr(list((inst.nu or {}).items())) == repr(sorted(expected.items()))
+            relayed += len(inst.nu or {})
+        assert relayed > 1000
 
 
 def _cached_on(snapshot):
@@ -1382,7 +1397,7 @@ def _cached_on(snapshot):
     return set(vars(snapshot)) - {f.name for f in dataclasses.fields(snapshot)}
 
 
-def test_relay_rates_at_the_sight_line_boundary_equal_the_scalar_loop():
+def test_relay_rates_at_the_sight_line_boundary_equal_the_scalar_loop(monkeypatch):
     """Sight lines grazing the Earth 1 m outside and 1 m inside the
     clearance, tested from both ends, and a coincident pair."""
     config = default_scenario()
@@ -1435,27 +1450,90 @@ def test_relay_rates_at_the_sight_line_boundary_equal_the_scalar_loop():
     )
     args = (config.physics, env, config.min_elevation, config.fidelity_threshold)
     build_weights(snapshot, network, *args, month=config.month)
-    inst = build_reflection_weights(
-        snapshot, network, *args, config.mirror_efficiency, month=config.month
-    )
-    assert _cached_on(snapshot) <= {"sat_row", "station_row"}
     for a, b in (("clear_a", "clear_b"), ("same_a", "same_b")):
         assert orbital.inter_satellite_visible(snapshot, a, b)
         assert orbital.inter_satellite_visible(snapshot, b, a)
     assert not orbital.inter_satellite_visible(snapshot, "blocked_a", "blocked_b")
     assert not orbital.inter_satellite_visible(snapshot, "blocked_b", "blocked_a")
-
     expected = _scalar_relay_rates(snapshot, network, config, env, 0.0)
-    assert repr(list((inst.nu or {}).items())) == repr(sorted(expected.items()))
-    # the clear and the coincident pairs are relayed both ways, the
-    # blocked pair neither way
-    relayed = {(network.sat_ids[i], network.sat_ids[k]) for i, k, _ in inst.nu}
-    assert relayed == {
-        ("clear_a", "clear_b"),
-        ("clear_b", "clear_a"),
-        ("same_a", "same_b"),
-        ("same_b", "same_a"),
-    }
+
+    for _ in each_relay_path(monkeypatch):
+        inst = build_reflection_weights(
+            snapshot, network, *args, config.mirror_efficiency, month=config.month
+        )
+        assert _cached_on(snapshot) <= {"sat_row", "station_row"}
+        assert repr(list((inst.nu or {}).items())) == repr(sorted(expected.items()))
+        # the clear and the coincident pairs are relayed both ways, the
+        # blocked pair neither way
+        relayed = {(network.sat_ids[i], network.sat_ids[k]) for i, k, _ in inst.nu}
+        assert relayed == {
+            ("clear_a", "clear_b"),
+            ("clear_b", "clear_a"),
+            ("same_a", "same_b"),
+            ("same_b", "same_a"),
+        }
+
+
+def test_both_relay_paths_read_the_same_stations_first(monkeypatch):
+    """Two stations whose satellites serve their pairs only as relays
+    have no weather records.  Each path reads the stations the loop reads,
+    in the loop's order, so both name the same one: b2, whose pair comes
+    first, not b1, which comes first in station order."""
+    config = default_scenario()
+    altitude = 1000e3
+
+    def at(longitude, radius):
+        angle = math.radians(longitude)
+        return (radius * math.cos(angle), radius * math.sin(angle), 0.0)
+
+    # two clusters 30 degrees apart along the equator: each cluster's
+    # satellites see only its own stations, and see the other cluster's
+    # satellites over the Earth
+    stations = {"a1": 0.0, "a2": 1.0, "b1": 30.0, "b2": 31.0}
+    satellites = {"sa0": 0.2, "sa1": 0.8, "sb0": 30.2, "sb1": 30.8}
+    snapshot = ConstellationSnapshot.from_positions(
+        0,
+        {sid: at(lon, orbital.EARTH_RADIUS + altitude) for sid, lon in satellites.items()},
+        {gid: at(lon, orbital.EARTH_RADIUS) for gid, lon in stations.items()},
+    )
+    station_ids = tuple(stations)
+    pairs = ((0, 3), (1, 2))  # a1-b2, then a2-b1
+    network = SlotInstance(
+        time=0,
+        sat_ids=tuple(satellites),
+        station_ids=station_ids,
+        pair_ids=("a1-b2", "a2-b1"),
+        pair_stations=pairs,
+        routes={},
+        sat_caps=(1,) * 4,
+        gs_caps=(2,) * 4,
+        pair_caps=(1, 1),
+        reflector_caps=(1,) * 4,
+    )
+    env = EnvironmentTable(
+        records={
+            (sid, config.month, 0): WeatherRecord(
+                station_id=sid,
+                month=config.month,
+                hour_utc=0,
+                zenith_transmissivity=0.9,
+                cloud_cover=0.0,
+                solar_irradiance=0.0,
+            )
+            for sid in ("a1", "a2")
+        }
+    )
+    args = (config.physics, env, config.min_elevation, config.fidelity_threshold)
+    # no satellite sees both ends of a pair, so no direct route reads b1 or b2
+    assert build_weights(snapshot, network, *args, month=config.month).routes == {}
+    messages = []
+    for _ in each_relay_path(monkeypatch):
+        with pytest.raises(IngestionError) as raised:
+            build_reflection_weights(
+                snapshot, network, *args, config.mirror_efficiency, month=config.month
+            )
+        messages.append(str(raised.value))
+    assert messages == ["station b2: no weather records available"] * 2
 
 
 def test_out_of_range_hop_factor_is_rejected(monkeypatch):
@@ -1788,6 +1866,29 @@ def test_route_map_rejects_a_bad_route_by_name(route, rate, problem):
     routes = {(0, None, 0): 1.0, route: rate}
     with pytest.raises(StructuralError, match=re.escape(f"route {route}: {problem}")):
         _two_pair_instance(routes)
+
+
+@pytest.mark.parametrize(
+    "route, bad", [((0.5, None, 0), 0.5), ((0, 1.0, 0), 1.0), ((0, None, 0.0), 0.0)]
+)
+def test_route_map_refuses_an_index_that_is_not_an_integer(route, bad):
+    message = f"route {route}: index {bad!r} is not an integer"
+    with pytest.raises(StructuralError, match=re.escape(message)):
+        _two_pair_instance({route: 1.0})
+
+
+def test_pair_stations_refuse_an_index_that_is_not_an_integer():
+    base = make_instance([[0.0, 0.0], [0.0, 0.0]], [(0, 1), (0, 2)], 3)
+    message = "pair 0: station index 0.0 is not an integer"
+    with pytest.raises(StructuralError, match=re.escape(message)):
+        replace(base, pair_stations=((0.0, 1), (0, 2)))
+
+
+def test_indices_that_operator_index_reads_are_accepted():
+    route = (np.int64(1), None, np.int8(0))
+    inst = _two_pair_instance({route: 1.0})
+    assert inst.routes == {(1, None, 0): 1.0}
+    assert replace(inst, pair_stations=((np.int64(0), True), (0, 2))).routes == inst.routes
 
 
 def test_route_map_is_stored_in_route_order():
