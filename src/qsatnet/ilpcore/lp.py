@@ -165,7 +165,11 @@ def solve_lp(lp: LinearProgram) -> SolveResult:
     senses = lp.senses.tolist()
     rhs = lp.rhs.tolist()
     if lower.any():
-        rhs = [b - float(a @ lower) for a, b in zip(lp.matrix, rhs)]
+        # only a row with a nonzero entry under a nonzero lower bound moves:
+        # every other row's product is +0.0, and b - 0.0 is b
+        matrix = lp.matrix
+        for i in np.flatnonzero(matrix[:, lower != 0.0].any(axis=1)).tolist():
+            rhs[i] = rhs[i] - float(matrix[i] @ lower)
     # a row with a negative right-hand side is negated, swapping <= and >=
     negated = [i for i in range(m) if rhs[i] < 0]
     for i in negated:

@@ -10,8 +10,11 @@ module constants below.
 from __future__ import annotations
 
 import math
+import weakref
 from collections.abc import Mapping
-from dataclasses import dataclass
+from contextlib import contextmanager
+from contextvars import ContextVar
+from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from types import MappingProxyType
 from typing import ClassVar
@@ -43,6 +46,12 @@ SCREEN_ERROR = 6 * 2.0**-53
 # the most satellites a constellation may hold; a run builds an id and a
 # position row for each, so a size past this is refused before any is built
 MAX_SATELLITES = 10_000
+# the most (slot, station, satellite) cells in a block of slots that a run
+# places and screens in one pass (slot_blocks): 68 slots of 6 stations x 40
+# satellites, 6 of 6 x 400.  A block spreads the fixed cost of each numpy
+# call over its slots, but the screen's temporaries grow with it, and at
+# 6 x 400 cells a slot the per-cell work already dominates
+BLOCK_CELLS = 16_384
 
 
 @dataclass(frozen=True)
@@ -100,6 +109,39 @@ def orbital_period(altitude: float) -> float:
     return 2.0 * math.pi * math.sqrt(cube / GRAVITATIONAL_PARAMETER)
 
 
+class SlotBlock:
+    """The consecutive slots ``start``, ``start`` + 1, ... placed together:
+    their positions as read-only ``(slots, n, 3)`` arrays, one per kind,
+    whose row k holds slot ``start`` + k, and their ``snapshots`` in slot
+    order.  ``cells`` screens the whole block at once, per elevation
+    mask."""
+
+    __slots__ = ("start", "sat_xyz", "gs_xyz", "snapshots", "_screens", "__weakref__")
+
+    def __init__(self, start: int, sat_xyz: np.ndarray, gs_xyz: np.ndarray):
+        self.start = start
+        self.sat_xyz = sat_xyz
+        self.gs_xyz = gs_xyz
+        self.snapshots: tuple[ConstellationSnapshot, ...] = ()
+        self._screens: dict[float, tuple[list[int], list[int], list[int]]] = {}
+
+    def cells(self, min_elevation: float) -> tuple[list[int], list[int], list[int]]:
+        """The cells that pass the screen of ``visible_links`` at
+        ``min_elevation``, slot by slot in row-major order: the station
+        and satellite rows of slot ``start`` + k are entries
+        ``bounds[k]`` to ``bounds[k + 1]`` of the two row lists.
+        Returns ``(bounds, station rows, satellite rows)``, computed once
+        per mask."""
+        cells = self._screens.get(min_elevation)
+        if cells is None:
+            passed = _screen(self.gs_xyz, self.sat_xyz, min_elevation)
+            slot, station, sat = np.nonzero(passed)
+            bounds = np.searchsorted(slot, np.arange(len(passed) + 1))
+            cells = (bounds.tolist(), station.tolist(), sat.tolist())
+            self._screens[min_elevation] = cells
+        return cells
+
+
 @dataclass(frozen=True, eq=False)
 class ConstellationSnapshot:
     """Every position of one slot, one read-only ``(n, 3)`` array per kind.
@@ -108,6 +150,13 @@ class ConstellationSnapshot:
     is station ``station_ids[n]``.  ``sat_positions`` and ``gs_positions``
     are id-keyed views of the same values for checks and oracles; the slot
     pipeline reads the arrays.
+
+    ``block`` is a weak reference to the ``SlotBlock`` the slot was placed
+    in with its neighbours (row ``time`` - ``block.start``), so that
+    ``visible_links`` screens them all at once.  Only a run's block memory
+    keeps a block alive, so a kept snapshot holds its own slot's positions
+    and no more; once its block is gone, or when it was placed alone
+    (``block`` None), the slot is screened as a block of one.
     """
 
     time: int
@@ -115,6 +164,9 @@ class ConstellationSnapshot:
     sat_xyz: np.ndarray
     station_ids: tuple[str, ...]
     gs_xyz: np.ndarray
+    block: weakref.ref[SlotBlock] | None = field(
+        default=None, compare=False, repr=False
+    )
     earth_radius: ClassVar[float] = EARTH_RADIUS
 
     @classmethod
@@ -240,57 +292,150 @@ def propagate(
 ) -> ConstellationSnapshot:
     """Positions of every satellite and station at slot ``t``.
 
+    Inside ``slot_blocks`` the slot comes from the run's current block,
+    which is placed on a miss; outside it, the slot is placed alone.
+    Either way ``propagate_slots`` places it, to the same bits.
+    """
+    memory = _slot_blocks.get()
+    if memory is None:
+        return propagate_slots(config, stations, t, t + 1, slot_duration).snapshots[0]
+    return memory.snapshot(config, stations, t, slot_duration)
+
+
+def propagate_slots(
+    config: ConstellationConfig,
+    stations: list[GroundStation],
+    start: int,
+    stop: int,
+    slot_duration: float,
+) -> SlotBlock:
+    """The consecutive slots [``start``, ``stop``), placed in one array
+    pass, as one ``SlotBlock`` and its snapshots.
+
     Satellites ride circular polar orbits (``_rings``); stations spin
     about the z axis; the constellation's own zero point is set by
-    ``epoch``.  The satellites are placed in one numpy pass that keeps the
-    per-element operation order of the scalar formula, with the cosine and
-    sine of each argument taken from ``math``, so every coordinate has the
-    same bits as the scalar formula gives it.
+    ``epoch``.  The pass keeps the per-element operation order of the
+    scalar formula, with every cosine, sine and radians taken from
+    ``math``, so every coordinate has the same bits as the scalar formula
+    gives it, whatever slots are placed together.
     """
-    if t < 0:
+    if start < 0:
         raise ConfigurationError("slot index must be nonnegative")
+    if stop <= start:
+        raise ConfigurationError("slot range must be nonempty")
     if slot_duration < 0:
         raise ConfigurationError("slot duration must be nonnegative")
-    orbit_radius = EARTH_RADIUS + config.altitude
-    mean_motion = 2.0 * math.pi / orbital_period(config.altitude)
-    sat_time = config.epoch + t * slot_duration
-
-    ring_phase, slot_phase, cos_node, sin_node = _rings(
-        config.rings, config.sats_per_ring
-    )
-    u = (mean_motion * sat_time + ring_phase + slot_phase).tolist()
-    n = len(u)
-    radial = orbit_radius * np.fromiter(map(math.cos, u), float, n)
-    sat_xyz = np.empty((n, 3))
-    sat_xyz[:, 0] = radial * cos_node
-    sat_xyz[:, 1] = radial * sin_node
-    sat_xyz[:, 2] = orbit_radius * np.fromiter(map(math.sin, u), float, n)
-    sat_xyz.flags.writeable = False
-
-    spin = 2.0 * math.pi * (t * slot_duration) / EARTH_ROTATION_PERIOD
     station_ids: dict[str, None] = {}
-    gs_rows = []
     for gs in stations:
         if gs.id in station_ids:
             raise ConfigurationError(f"duplicate ground station id {gs.id!r}")
         station_ids[gs.id] = None
-        lat = math.radians(gs.latitude)
-        lon = math.radians(gs.longitude) + spin
-        gs_rows.append(
-            (
-                EARTH_RADIUS * math.cos(lat) * math.cos(lon),
-                EARTH_RADIUS * math.cos(lat) * math.sin(lon),
-                EARTH_RADIUS * math.sin(lat),
-            )
-        )
+    slots = range(start, stop)
+    orbit_radius = EARTH_RADIUS + config.altitude
+    mean_motion = 2.0 * math.pi / orbital_period(config.altitude)
 
-    return ConstellationSnapshot(
-        time=t,
-        sat_ids=constellation_ids(config.rings, config.sats_per_ring),
-        sat_xyz=sat_xyz,
-        station_ids=tuple(station_ids),
-        gs_xyz=_frozen_rows(gs_rows),
+    # row k is slot start + k, satellites in constellation_ids order
+    ring_phase, slot_phase, cos_node, sin_node = _rings(
+        config.rings, config.sats_per_ring
     )
+    sweep = [mean_motion * (config.epoch + t * slot_duration) for t in slots]
+    u = (np.array(sweep)[:, None] + ring_phase + slot_phase).ravel().tolist()
+    shape = (len(slots), len(ring_phase))
+    radial = orbit_radius * np.fromiter(map(math.cos, u), float, len(u)).reshape(shape)
+    sat_xyz = np.empty((*shape, 3))
+    sat_xyz[:, :, 0] = radial * cos_node
+    sat_xyz[:, :, 1] = radial * sin_node
+    sat_xyz[:, :, 2] = orbit_radius * np.fromiter(
+        map(math.sin, u), float, len(u)
+    ).reshape(shape)
+    sat_xyz.flags.writeable = False
+
+    # stations in scenario order, each spun by the slot's Earth rotation
+    ground = [
+        (
+            EARTH_RADIUS * math.cos(math.radians(gs.latitude)),
+            EARTH_RADIUS * math.sin(math.radians(gs.latitude)),
+            math.radians(gs.longitude),
+        )
+        for gs in stations
+    ]
+    gs_rows = []
+    for t in slots:
+        spin = 2.0 * math.pi * (t * slot_duration) / EARTH_ROTATION_PERIOD
+        for radial_gs, z, longitude in ground:
+            lon = longitude + spin
+            gs_rows.append((radial_gs * math.cos(lon), radial_gs * math.sin(lon), z))
+    gs_xyz = np.array(gs_rows, dtype=float).reshape(len(slots), len(ground), 3)
+    gs_xyz.flags.writeable = False
+
+    block = SlotBlock(start, sat_xyz, gs_xyz)
+    if len(slots) > 1:
+        # each snapshot owns its rows, so that a kept one holds its own
+        # slot's positions and not its block's
+        sat_xyz, gs_xyz = map(_own_rows, sat_xyz), map(_own_rows, gs_xyz)
+    ref = weakref.ref(block)
+    sat_ids = constellation_ids(config.rings, config.sats_per_ring)
+    station_ids = tuple(station_ids)
+    block.snapshots = tuple(
+        ConstellationSnapshot(t, sat_ids, sats, station_ids, gs, ref)
+        for t, sats, gs in zip(slots, sat_xyz, gs_xyz)
+    )
+    return block
+
+
+def _own_rows(xyz: np.ndarray) -> np.ndarray:
+    """A read-only copy of one slot's rows of a block array."""
+    rows = xyz.copy()
+    rows.flags.writeable = False
+    return rows
+
+
+class _BlockMemory:
+    """A run's current block, placed for the constellation, station list
+    and slot duration in ``key``; no slot at or past the run's ``horizon``
+    is placed unless it is asked for."""
+
+    __slots__ = ("horizon", "key", "block")
+
+    def __init__(self, horizon: int):
+        self.horizon = horizon
+        self.key = None
+        self.block = None
+
+    def snapshot(self, config, stations, t, slot_duration) -> ConstellationSnapshot:
+        key = self.key
+        if key is not None and key[0] is config and key[1] is stations:
+            row = t - self.block.start
+            if key[2] == slot_duration and 0 <= row < len(self.block.snapshots):
+                return self.block.snapshots[row]
+        cells = max(1, len(stations) * config.rings * config.sats_per_ring)
+        stop = max(t + 1, min(t + max(1, BLOCK_CELLS // cells), self.horizon))
+        self.block = propagate_slots(config, stations, t, stop, slot_duration)
+        self.key = (config, stations, slot_duration)
+        return self.block.snapshots[0]
+
+
+_slot_blocks: ContextVar[_BlockMemory | None] = ContextVar("slot_blocks", default=None)
+
+
+@contextmanager
+def slot_blocks(horizon: int):
+    """Serve ``propagate`` from blocks of slots while the block runs.
+
+    On a slot outside the current block, ``propagate`` places the block
+    [t, min(t + B, ``horizon``)) in one ``propagate_slots`` pass, where B
+    is ``BLOCK_CELLS`` over the slot's (station, satellite) cells, at
+    least 1, and keeps it in place of the last; the slots are matched to
+    the block by the identity of the constellation and station list.
+    No slot at or past ``horizon`` is placed unless it is asked for.  On
+    exit, also by an exception, the memory ends and the one active before
+    comes back.
+    """
+    token = _slot_blocks.set(_BlockMemory(horizon))
+    try:
+        yield
+    finally:
+        _slot_blocks.reset(token)
 
 
 def link_geometry(snapshot: ConstellationSnapshot, sat: str, gs: str) -> LinkGeometry:
@@ -320,19 +465,58 @@ _ROW_SUM = np.ones(3)
 _ROW_SUM.flags.writeable = False
 
 
-def _near_slant_sq(station_sq: list[float], sat_sq_max: float) -> float:
+def _near_slant_sq(station_sq: np.ndarray, sat_sq: np.ndarray) -> float:
     """The squared slant below which the product screen of ``visible_links``
-    may misjudge a cell (SCREEN_MARGIN), from the stations' squared radii
-    and the largest squared satellite radius; infinite, so that nothing is
-    screened out, when a radius is zero or not finite."""
-    r_min = math.sqrt(min(station_sq))
-    scale = math.sqrt(max(station_sq)) + math.sqrt(sat_sq_max)
+    may misjudge a cell (SCREEN_MARGIN), from the smallest and largest
+    squared station radii and the largest squared satellite radius;
+    infinite, so that nothing is screened out, when a radius is zero or
+    not finite, or when there is no cell.  Taken over a block of slots,
+    the bound holds for each of them, and is never below the bound of any
+    one slot."""
+    if not (station_sq.size and sat_sq.size):
+        return math.inf
+    r_min = math.sqrt(station_sq.min())
+    scale = math.sqrt(station_sq.max()) + math.sqrt(sat_sq.max())
     err = SCREEN_ERROR * scale * scale
     slack = SCREEN_MARGIN / 2
     if not (r_min > 0.0 and err < math.inf):
         return math.inf
     near = err / (slack * r_min) + math.sqrt(2.0 * err / slack)
     return near * near + err
+
+
+def _screen(
+    gs_xyz: np.ndarray, sat_xyz: np.ndarray, min_elevation: float
+) -> np.ndarray:
+    """The cells of a block of slots, ``(slots, stations, satellites)``,
+    that the screen of ``visible_links`` passes at ``min_elevation``.
+
+    The screen takes one stacked product ``gs_xyz @ sat_xyz^T`` and the
+    rows' squared norms: the dot product of the station with the line of
+    sight is g.s - |g|^2 and the squared slant is |s|^2 - 2 g.s + |g|^2.
+    Both lie within SCREEN_ERROR * (|g| + |s|)^2 of exact, which the
+    margin absorbs for every slant above ``_near_slant_sq``, about 22 km
+    at Earth scale.  Every nearer cell is passed, and so is every cell the
+    screen cannot evaluate (NaN), such as one whose squared slant
+    cancellation made negative.
+    """
+    station_sq = (gs_xyz * gs_xyz) @ _ROW_SUM
+    sat_sq = (sat_xyz * sat_xyz) @ _ROW_SUM
+    station_sq_col = station_sq[:, :, None]
+    # two (slots, stations, satellites) float arrays at most, in place
+    dot = gs_xyz @ sat_xyz.transpose(0, 2, 1)
+    slant = 2.0 * dot
+    np.subtract(sat_sq[:, None, :], slant, out=slant)
+    slant += station_sq_col
+    passed = slant < _near_slant_sq(station_sq, sat_sq)
+    with np.errstate(invalid="ignore"):
+        np.sqrt(slant, out=slant)
+    sin_mask = math.sin(math.radians(max(-90.0, min(90.0, min_elevation))))
+    slant *= (sin_mask - SCREEN_MARGIN) * np.sqrt(station_sq_col)
+    dot -= station_sq_col
+    below = np.less(dot, slant)
+    passed |= np.logical_not(below, out=below)
+    return passed
 
 
 def visible_links(
@@ -342,39 +526,26 @@ def visible_links(
     with geometry: one dict per station in ``station_ids`` order, each
     keyed by satellite row in row order.
 
-    A numpy screen over every (station, satellite) cell keeps the cells
-    whose elevation sine lies within SCREEN_MARGIN of the mask or above
-    it; only those reach the scalar ``link_geometry``, which decides each
-    of them and supplies every returned value.  The result therefore
-    equals gating ``link_geometry`` on every cell.  The screen takes one
-    product ``gs_xyz @ sat_xyz.T`` and the rows' squared norms: the dot
-    product of the station with the line of sight is g.s - |g|^2 and the
-    squared slant is |s|^2 - 2 g.s + |g|^2.  Both lie within
-    SCREEN_ERROR * (|g| + |s|)^2 of exact, which the margin absorbs for
-    every slant above a bound of about 22 km at Earth scale.  Every cell
-    whose squared slant lies below that bound (``_near_slant_sq``) is
-    passed on unscreened, and so is every cell the screen cannot evaluate
-    (NaN), such as one whose squared slant cancellation made negative.
+    A numpy screen (``_screen``) over every (station, satellite) cell
+    keeps the cells whose elevation sine lies within SCREEN_MARGIN of the
+    mask or above it; only those reach the scalar ``link_geometry``, which
+    decides each of them and supplies every returned value.  The result
+    therefore equals gating ``link_geometry`` on every cell.  The screen
+    runs once per mask over the snapshot's whole block of slots
+    (``SlotBlock.cells``), and each slot reads its own cells; a snapshot
+    whose block is gone is screened as a block of one.
     """
-    gs_xyz, sat_xyz = snapshot.gs_xyz, snapshot.sat_xyz
-    station_sq = (gs_xyz * gs_xyz) @ _ROW_SUM
-    sat_sq = (sat_xyz * sat_xyz) @ _ROW_SUM
-    g_dot_s = gs_xyz @ sat_xyz.T
-    station_sq_col = station_sq[:, None]
-    dot = g_dot_s - station_sq_col
-    slant_sq = sat_sq - 2.0 * g_dot_s + station_sq_col
-    with np.errstate(invalid="ignore"):
-        slant = np.sqrt(slant_sq)
-    sin_mask = math.sin(math.radians(max(-90.0, min(90.0, min_elevation))))
-    threshold = (sin_mask - SCREEN_MARGIN) * np.sqrt(station_sq_col)
-    candidates = ~(dot < threshold * slant)
-    if candidates.size:
-        candidates |= slant_sq < _near_slant_sq(station_sq.tolist(), sat_sq.max())
+    block = None if snapshot.block is None else snapshot.block()
+    if block is None:
+        block = SlotBlock(snapshot.time, snapshot.sat_xyz[None], snapshot.gs_xyz[None])
+    bounds, station_rows, sat_rows = block.cells(min_elevation)
+    row = snapshot.time - block.start
+    first, last = bounds[row], bounds[row + 1]
 
     # cells in row-major order: station by station, satellites in order
     sat_ids, station_ids = snapshot.sat_ids, snapshot.station_ids
     per_station = [{} for _ in station_ids]
-    for g, s in zip(*(axis.tolist() for axis in np.nonzero(candidates))):
+    for g, s in zip(station_rows[first:last], sat_rows[first:last]):
         geom = link_geometry(snapshot, sat_ids[s], station_ids[g])
         if geom.elevation >= min_elevation:
             per_station[g][s] = geom

@@ -1,8 +1,9 @@
 """Multi-slot simulation driver and the two-satellite relay case study.
 
-The driver propagates the constellation slot by slot, rebuilds the weight
-instance, solves the configured policy, and folds the allocations into
-time series plus day totals.  The case study strips the problem down to
+The driver propagates the constellation slot by slot, from blocks of
+slots placed together, rebuilds the weight instance, solves the
+configured policy, and folds the allocations into time series plus day
+totals.  The case study strips the problem down to
 two stations under a single orbit plane and integrates delivered rate
 over a pass, once for a lone dual-downlink satellite and once for the
 best phase-split satellite pair.
@@ -38,6 +39,7 @@ from .orbital import (
     orbital_period,
     overhead_visibility_arcs,
     propagate,
+    slot_blocks,
 )
 from .scheduler import (
     PairSpec,
@@ -274,8 +276,9 @@ def run(config: ScenarioConfig, env: EnvironmentTable | None = None) -> RunRepor
     previous_serving: dict[str, frozenset] | None = None
     total_handovers = 0
 
-    # each run remembers its own contended max-min rounds, and no longer
-    with round_memory():
+    # each run remembers its own contended max-min rounds and its current
+    # block of placed slots, and no longer
+    with round_memory(), slot_blocks(config.num_slots):
         for t in range(config.num_slots):
             try:
                 snapshot = propagate(

@@ -4,8 +4,11 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qsatnet import orbital
+from qsatnet.config import default_scenario, scenario_from_dict
 from qsatnet.errors import ConfigurationError, UnknownIdError
 from qsatnet.orbital import (
     EARTH_ROTATION_PERIOD,
@@ -349,3 +352,134 @@ def test_constellation_size_is_bounded():
     assert ConstellationConfig(rings=100, sats_per_ring=100, altitude=1000e3).rings == 100
     with pytest.raises(ConfigurationError, match="101 rings x 100 satellites"):
         ConstellationConfig(rings=101, sats_per_ring=100, altitude=1000e3)
+
+
+# --- blocks of slots against lone slots ---------------------------------------
+
+# the reduced acceptance scenario: 4x10 satellites, six stations, a day of
+# 60 s slots
+REDUCED_DAY = {
+    "constellation": {"rings": 4, "sats_per_ring": 10, "altitude": 1000e3},
+    "slot_duration": 60.0,
+    "num_slots": 1440,
+}
+
+
+def _hex_links(snapshot, min_elevation):
+    """The snapshot's link table, every float by its bits, in table order."""
+    return [
+        [(s, g.elevation.hex(), g.slant_range.hex()) for s, g in row.items()]
+        for row in orbital.visible_links(snapshot, min_elevation)
+    ]
+
+
+def _lone_slots(config, slots):
+    """Each slot placed and screened alone, outside any block memory."""
+    lone = []
+    for t in slots:
+        snapshot = propagate(
+            config.constellation, config.stations, t, config.slot_duration
+        )
+        assert snapshot.block() is None
+        lone.append((snapshot, _hex_links(snapshot, config.min_elevation)))
+    return lone
+
+
+def _assert_blocked_equals_lone(config, blocked, lone):
+    """A slot served from a live block of several equals the slot placed
+    and screened alone, bit for bit."""
+    snapshot, links = lone
+    block = blocked.block()
+    assert block is not None and len(block.snapshots) > 1
+    assert blocked.time == snapshot.time
+    assert (blocked.sat_ids, blocked.station_ids) == (
+        snapshot.sat_ids,
+        snapshot.station_ids,
+    )
+    assert blocked.sat_xyz.tobytes() == snapshot.sat_xyz.tobytes()
+    assert blocked.gs_xyz.tobytes() == snapshot.gs_xyz.tobytes()
+    assert _hex_links(blocked, config.min_elevation) == links
+
+
+def test_blocks_equal_lone_slots_over_the_reduced_day():
+    config = scenario_from_dict(REDUCED_DAY)
+    lone = _lone_slots(config, range(config.num_slots))
+    assert sum(len(row) for _, links in lone for row in links) > 1000
+    with orbital.slot_blocks(config.num_slots):
+        for t in range(config.num_slots):
+            blocked = propagate(
+                config.constellation, config.stations, t, config.slot_duration
+            )
+            _assert_blocked_equals_lone(config, blocked, lone[t])
+
+
+@pytest.mark.parametrize("length", [2, 3, 7, 20])
+def test_blocks_equal_lone_slots_across_block_boundaries(monkeypatch, length):
+    # a 20-slot window of the default scenario, cut into blocks of
+    # `length` slots (the last one shorter), BLOCK_CELLS not a multiple
+    config = default_scenario()
+    lone = _lone_slots(config, range(20))
+    cells = len(config.stations) * config.constellation.rings * (
+        config.constellation.sats_per_ring
+    )
+    monkeypatch.setattr(orbital, "BLOCK_CELLS", length * cells + cells // 2)
+    starts = set()
+    with orbital.slot_blocks(20):
+        for t in range(20):
+            blocked = propagate(
+                config.constellation, config.stations, t, config.slot_duration
+            )
+            block = blocked.block()
+            assert len(block.snapshots) == min(length, 20 - block.start)
+            starts.add(block.start)
+            _assert_blocked_equals_lone(config, blocked, lone[t])
+    assert sorted(starts) == list(range(0, 20, length))
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(
+    horizon=st.integers(1, 40),
+    length=st.integers(1, 12),
+    spare=st.integers(0, 11),
+)
+def test_a_run_places_each_slot_once_and_none_past_its_horizon(horizon, length, spare):
+    config = ConstellationConfig(rings=2, sats_per_ring=3, altitude=1000e3)
+    stations = (GroundStation("a", 10.0, 20.0, 1), GroundStation("b", -5.0, 100.0, 1))
+    placed = []
+    place = orbital.propagate_slots
+
+    def counted(config, stations, start, stop, slot_duration):
+        placed.append((start, stop))
+        return place(config, stations, start, stop, slot_duration)
+
+    with pytest.MonkeyPatch.context() as patch:
+        # 12 cells a slot: blocks of `length` slots
+        patch.setattr(orbital, "BLOCK_CELLS", length * 12 + spare)
+        patch.setattr(orbital, "propagate_slots", counted)
+        with orbital.slot_blocks(horizon):
+            for t in range(horizon):
+                assert propagate(config, stations, t, 60.0).time == t
+                # asking for the slot again places nothing
+                assert propagate(config, stations, t, 60.0).block() is not None
+    assert [t for start, stop in placed for t in range(start, stop)] == list(
+        range(horizon)
+    )
+    assert all(stop - start == min(length, horizon - start) for start, stop in placed)
+
+
+def test_slot_blocks_place_a_slot_past_the_horizon_alone():
+    config = single_sat_config()
+    with orbital.slot_blocks(3):
+        assert propagate(config, [], 1, 10.0).block().start == 1
+        past = propagate(config, [], 5, 10.0)
+        assert len(past.block().snapshots) == 1
+        # another constellation or slot duration is placed anew
+        other = ConstellationConfig(1, 1, 2000e3)
+        for cfg, slot_duration in ((other, 10.0), (config, 20.0)):
+            placed = propagate(cfg, [], 1, slot_duration)
+            alone = orbital.propagate_slots(cfg, [], 1, 2, slot_duration)
+            assert placed.sat_xyz.tobytes() == alone.snapshots[0].sat_xyz.tobytes()
+        with pytest.raises(ConfigurationError, match="nonnegative"):
+            propagate(config, [], -1, 10.0)
+    with pytest.raises(ConfigurationError, match="nonempty"):
+        orbital.propagate_slots(config, [], 2, 2, 10.0)

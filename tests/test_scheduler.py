@@ -7,6 +7,7 @@ import json
 import math
 import random
 import re
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -2239,6 +2240,103 @@ def test_screen_equals_brute_force_table_near_a_station(slant, mask):
     near = {n for row in brute for n in row if snapshot.sat_ids[n].startswith("n")}
     assert 0 < len(near) < 24
     _assert_same_table(orbital.visible_links(snapshot, mask), brute)
+
+
+@st.composite
+def _sky_blocks(draw):
+    """One to four hand-placed snapshots of the same ids and a mask: the
+    stations and satellites move from slot to slot, some satellites lie
+    within 1e-9 deg of the mask, and some lie at most 30 km from a
+    station, where the screen's near bound (about 22 km) passes cells
+    unscreened: at the mask, or below it."""
+    mask = draw(st.floats(0.0, 90.0, exclude_max=True))
+    stations, sats = draw(st.integers(1, 3)), draw(st.integers(0, 4))
+    edges, near = draw(st.integers(0, 3)), draw(st.integers(0, 3))
+    near_slants = st.sampled_from([1e-3, 1.0, 1e3]) | st.floats(15e3, 30e3)
+    snapshots = []
+    for _ in range(draw(st.integers(1, 4))):
+        gs_positions = {}
+        for n in range(stations):
+            unit = latlon_to_unit(draw(_latitudes), draw(_longitudes))
+            gs_positions[f"g{n}"] = tuple(EARTH_RADIUS * c for c in unit)
+        sat_positions = {}
+        for n in range(sats):
+            unit = latlon_to_unit(draw(_latitudes), draw(_longitudes))
+            radius = EARTH_RADIUS + draw(st.floats(300e3, 2000e3))
+            sat_positions[f"s{n}"] = tuple(radius * c for c in unit)
+        for n in range(edges + near):
+            if n < edges or draw(st.booleans()):
+                elevation = min(90.0, mask + draw(st.floats(-1e-9, 1e-9)))
+            else:
+                elevation = max(-90.0, mask - draw(st.floats(1.0, 60.0)))
+            sat_positions[f"m{n}"] = _position_at_elevation(
+                gs_positions[f"g{n % stations}"],
+                elevation,
+                draw(st.floats(0.0, 360.0)),
+                draw(st.floats(100e3, 3000e3) if n < edges else near_slants),
+            )
+        snapshots.append(
+            ConstellationSnapshot.from_positions(0, sat_positions, gs_positions)
+        )
+    return snapshots, mask
+
+
+def _block_of(snapshots):
+    """Snapshots of the same ids, as slots 0, 1, ... of one block."""
+    block = orbital.SlotBlock(
+        0,
+        np.stack([s.sat_xyz for s in snapshots]),
+        np.stack([s.gs_xyz for s in snapshots]),
+    )
+    ref = weakref.ref(block)
+    block.snapshots = tuple(
+        replace(s, time=k, block=ref) for k, s in enumerate(snapshots)
+    )
+    return block
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(_sky_blocks())
+def test_a_block_screens_each_slot_as_that_slot_alone(sky):
+    # the block's screen bounds its near cells by the largest radii of all
+    # its slots, which can only pass more cells to link_geometry
+    snapshots, mask = sky
+    block = _block_of(snapshots)
+    passed = orbital._screen(block.gs_xyz, block.sat_xyz, mask)
+    for lone, blocked, cells in zip(snapshots, block.snapshots, passed):
+        alone = orbital._screen(lone.gs_xyz[None], lone.sat_xyz[None], mask)[0]
+        assert not (alone & ~cells).any()
+        brute = _brute_links(lone, mask)
+        _assert_same_table(orbital.visible_links(lone, mask), brute)
+        _assert_same_table(orbital.visible_links(blocked, mask), brute)
+    assert list(block._screens) == [mask]
+
+
+def test_a_block_bounds_its_near_cells_by_its_largest_radii():
+    # a satellite 23 km from the station, 30 deg below the mask, lies
+    # inside the near bound of the slot whose other satellite flies at
+    # 3,000 km (about 25.7 km) but outside that of the slot where it flies
+    # at 300 km (about 21.3 km); the block takes the larger bound for both
+    mask = 20.0
+    station = {"g": (EARTH_RADIUS, 0.0, 0.0)}
+    near = _position_at_elevation(station["g"], mask - 30.0, 40.0, 23e3)
+    snapshots = [
+        ConstellationSnapshot.from_positions(
+            0, {"high": (0.0, 0.0, EARTH_RADIUS + altitude), "near": near}, station
+        )
+        for altitude in (300e3, 3000e3)
+    ]
+    block = _block_of(snapshots)
+    passed = orbital._screen(block.gs_xyz, block.sat_xyz, mask)
+    alone = [
+        orbital._screen(s.gs_xyz[None], s.sat_xyz[None], mask)[0] for s in snapshots
+    ]
+    assert [cells[0, 1] for cells in alone] == [False, True]
+    assert passed[:, 0, 1].tolist() == [True, True]
+    for lone, blocked in zip(snapshots, block.snapshots):
+        brute = _brute_links(lone, mask)
+        assert brute == [{}]
+        _assert_same_table(orbital.visible_links(blocked, mask), brute)
 
 
 def test_build_weights_unknown_ids_and_coincident_link():

@@ -1,13 +1,15 @@
 """End-to-end simulation driver and case-study tests."""
 
 import csv
+import functools
 import json
 import math
+import operator
 from dataclasses import replace
 
 import pytest
 
-from qsatnet import simharness
+from qsatnet import orbital, simharness
 from qsatnet.config import default_scenario, scenario_from_dict
 from qsatnet.environment import EnvironmentTable
 from qsatnet.errors import ConfigurationError, SimulationError, StructuralError
@@ -76,7 +78,11 @@ def test_run_daily_totals_conserve_slot_rates():
             accumulated += m.per_pair_edr[pid] * config.slot_duration
         assert accumulated == daily
     for m in report.series:
-        assert m.aggregate_edr == sum(m.per_pair_edr.values())
+        # left to right, as the run folds it: from Python 3.12 on, the
+        # built-in sum of floats is compensated and may differ
+        assert m.aggregate_edr == functools.reduce(
+            operator.add, m.per_pair_edr.values(), 0
+        )
     assert report.served_pair_count == sum(
         1 for v in report.per_pair_daily.values() if v > 0
     )
@@ -90,6 +96,44 @@ def test_run_wraps_errors_with_slot_index():
         run(config, env=EnvironmentTable(records={}))
     except SimulationError as exc:
         assert exc.slot == 0
+
+
+def test_block_memory_ends_with_its_run(monkeypatch):
+    """Each run places its own blocks of slots, and no block outlives the
+    run that placed it, also when the run raises."""
+    config = polar_scenario(num_slots=20)
+    # 3 stations x 40 satellites: blocks of 6 slots
+    monkeypatch.setattr(orbital, "BLOCK_CELLS", 6 * 120)
+    placed, served = [], []
+    place = orbital.propagate_slots
+
+    def counted(*args):
+        block = place(*args)
+        placed.append((block.start, len(block.snapshots)))
+        return block
+
+    monkeypatch.setattr(orbital, "propagate_slots", counted)
+    serve = simharness.propagate
+
+    def kept(*args):
+        served.append(serve(*args))
+        return served[-1]
+
+    monkeypatch.setattr(simharness, "propagate", kept)
+    blocks = [(0, 6), (6, 6), (12, 6), (18, 2)]
+    first = run(config)
+    assert placed == blocks
+    assert orbital._slot_blocks.get() is None
+    assert all(snapshot.block() is None for snapshot in served)
+    # the same scenario again places every block anew, with the same result
+    assert run(config) == first
+    assert placed == 2 * blocks
+    assert all(snapshot.block() is None for snapshot in served)
+    with pytest.raises(SimulationError, match=r"slot 0:"):
+        run(config, env=EnvironmentTable(records={}))
+    assert placed == [*2 * blocks, (0, 6)]
+    assert orbital._slot_blocks.get() is None
+    assert served[-1].block() is None
 
 
 def test_run_reflection_policy_executes():
