@@ -8,8 +8,9 @@ All functions here are pure.
 
 ``acceptance_and_bell_weights`` is one formula for scalars and for numpy
 arrays: ``end_to_end_outcome`` prices a single link through it, and the
-relay weight builder prices every relayed candidate of a slot in one
-broadcast call.  The two give bit-identical results because every step is
+relay weight builder prices a slot's relayed candidates through it, one
+call per candidate on floats when they are few and one broadcast call
+when they are many.  The two give bit-identical results because every step is
 a basic IEEE operation in the same order, except the squares: a Python
 ``float ** 2`` calls the C library's ``pow``, while numpy's ``a ** 2`` is
 ``a * a``, and the two can differ in the last ulp.  Arrays are therefore

@@ -16,7 +16,7 @@ import math
 import operator
 from contextlib import contextmanager
 from contextvars import ContextVar
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
 
@@ -58,6 +58,14 @@ LAMBDA_SLACK = 1e-9
 # from 150 to 225; a full default slot (398 to 800+ cells) saves about a
 # fifth of its weights time, and reduced slots have at most 15 cells
 RELAY_ARRAY_CELLS = 100
+# the relayed candidates from which _relay_rates prices a slot's candidates
+# in one broadcast call rather than one at a time on Python floats.  Timed
+# on one x86-64 core, the broadcast costs 44 to 50 us at 1 to 16
+# candidates, numpy's fixed cost per call, and the scalar formula about
+# 3.3 us per candidate (5.5 us on a slower run), so the two cross between
+# 9 and 15; reduced slots have 1 to 7 candidates, full default slots
+# hundreds
+RELAY_BROADCAST_CANDIDATES = 12
 
 
 @dataclass(frozen=True)
@@ -160,30 +168,76 @@ class SlotInstance:
     reflector_caps: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        n_sat = len(self.sat_ids)
+        self._check_cap_lengths()
         n_gs = len(self.station_ids)
-        n_pair = len(self.pair_ids)
-        if len(self.pair_stations) != n_pair or len(self.pair_caps) != n_pair:
-            raise StructuralError("pair arrays must align with pair_ids")
-        if len(self.sat_caps) != n_sat or len(self.reflector_caps) != n_sat:
-            raise StructuralError("satellite cap arrays must align with sat_ids")
-        if len(self.gs_caps) != n_gs:
-            raise StructuralError("station cap array must align with station_ids")
         for j, (a, b) in enumerate(self.pair_stations):
             if not (type(a) is type(b) is int):
                 a, b = (_index(g, f"pair {j}: station index") for g in (a, b))
             if not (0 <= a < n_gs and 0 <= b < n_gs) or a == b:
                 raise StructuralError(f"pair {j}: bad station indices ({a}, {b})")
-            # scheduling model assumes receivers outnumber pair connections
-            for g in (a, b):
-                if self.gs_caps[g] < self.pair_caps[j]:
-                    raise ConfigurationError(
-                        f"station {self.station_ids[g]}: receiver cap "
-                        f"{self.gs_caps[g]} below pair cap {self.pair_caps[j]} "
-                        f"of pair {self.pair_ids[j]}"
-                    )
+            self._check_receivers(j, (a, b))
+        object.__setattr__(self, "routes", self._ordered_routes(self.routes))
+
+    def with_routes(self, time: int, routes: dict) -> SlotInstance:
+        """Copy at slot ``time`` with ``routes`` as its route map.  Only
+        the route map is checked and put in route order, as the
+        constructor does it: the ids and caps were checked when ``self``
+        was built, and the copy shares them."""
+        return self._copy(time=time, routes=self._ordered_routes(routes))
+
+    def caps_only(self, sat_caps, gs_caps, pair_caps, reflector_caps) -> SlotInstance:
+        """Copy with the caps replaced and no routes, as a max-min round
+        reads a residual network.  Only the caps' lengths and receiver
+        dominance are checked, as the constructor does it: the ids and
+        pair stations were checked when ``self`` was built, and the copy
+        shares them."""
+        copy = self._copy(
+            routes={},
+            sat_caps=sat_caps,
+            gs_caps=gs_caps,
+            pair_caps=pair_caps,
+            reflector_caps=reflector_caps,
+        )
+        copy._check_cap_lengths()
+        for j, stations in enumerate(copy.pair_stations):
+            copy._check_receivers(j, stations)
+        return copy
+
+    def _copy(self, **changes) -> SlotInstance:
+        """Copy with some fields replaced, sharing the rest; the dense
+        views (``omega``, ``nu``) are built again on first read."""
+        child = object.__new__(SlotInstance)
+        for name in self.__dataclass_fields__:
+            value = changes[name] if name in changes else getattr(self, name)
+            object.__setattr__(child, name, value)
+        return child
+
+    def _check_cap_lengths(self) -> None:
+        n_sat = len(self.sat_ids)
+        n_pair = len(self.pair_ids)
+        if len(self.pair_stations) != n_pair or len(self.pair_caps) != n_pair:
+            raise StructuralError("pair arrays must align with pair_ids")
+        if len(self.sat_caps) != n_sat or len(self.reflector_caps) != n_sat:
+            raise StructuralError("satellite cap arrays must align with sat_ids")
+        if len(self.gs_caps) != len(self.station_ids):
+            raise StructuralError("station cap array must align with station_ids")
+
+    def _check_receivers(self, j: int, stations) -> None:
+        # scheduling model assumes receivers outnumber pair connections
+        for g in stations:
+            if self.gs_caps[g] < self.pair_caps[j]:
+                raise ConfigurationError(
+                    f"station {self.station_ids[g]}: receiver cap "
+                    f"{self.gs_caps[g]} below pair cap {self.pair_caps[j]} "
+                    f"of pair {self.pair_ids[j]}"
+                )
+
+    def _ordered_routes(self, routes: dict) -> dict:
+        """``routes`` checked against the ids, in route order."""
+        n_sat = len(self.sat_ids)
+        n_pair = len(self.pair_ids)
         direct, relayed = [], []
-        for route, rate in self.routes.items():
+        for route, rate in routes.items():
             i, k, j = route
             if not (type(i) is type(j) is int and (k is None or type(k) is int)):
                 what = f"route {route}: index"
@@ -198,9 +252,7 @@ class SlotInstance:
                     f"route {route}: rate {rate!r} must be positive and finite"
                 )
             (direct if k is None else relayed).append(route)
-        routes = self.routes
-        ordered = {route: routes[route] for route in sorted(direct) + sorted(relayed)}
-        object.__setattr__(self, "routes", ordered)
+        return {route: routes[route] for route in sorted(direct) + sorted(relayed)}
 
     @property
     def num_sats(self) -> int:
@@ -378,13 +430,14 @@ def build_weights(
 
     A satellite gets a direct route to a pair only when it clears the
     minimum elevation at both stations and the delivered fidelity clears
-    the threshold.
+    the threshold.  The slot's instance is the network's ``with_routes``
+    copy, so only its route map is checked.
     """
     links, arm = _slot_links(
         snapshot, network, physics, env, min_elevation, month, hour_utc
     )
     routes = _direct_routes(network, physics, links, arm, fidelity_threshold)
-    return replace(network, time=snapshot.time, routes=routes)
+    return network.with_routes(snapshot.time, routes)
 
 
 def build_reflection_weights(
@@ -411,7 +464,10 @@ def build_reflection_weights(
     gathers its relayed candidates one at a time (``_looped_relays``), a
     larger one in one array pass (``_array_relays``); both give the same
     routes, rates and weather reads.  Either way the candidates are
-    priced together (``_relay_rates``).
+    priced together (``_relay_rates``): fewer than
+    RELAY_BROADCAST_CANDIDATES one at a time on Python floats, more in
+    one broadcast call, to the same bits.  The slot's instance is the
+    network's ``with_routes`` copy, so only its route map is checked.
     """
     if not 0.0 <= mirror_efficiency <= 1.0:
         raise ConfigurationError("mirror efficiency must lie in [0, 1]")
@@ -425,33 +481,96 @@ def build_reflection_weights(
         _relay_rates, physics, mirror_efficiency, fidelity_threshold
     )
     routes.update(relays(snapshot, network, links, arm, mirror_hop(physics), price))
-    return replace(network, time=snapshot.time, routes=routes)
+    return network.with_routes(snapshot.time, routes)
 
 
 def _relay_rates(
     physics, mirror_efficiency, fidelity_threshold, hop, eta1, dark1, eta_relay, dark2
 ):
-    """Rates of relayed candidates given as channel columns: each route's
-    hop factor, source arm and relay-to-station arm.  Returns the rates
-    and which of them clear the fidelity threshold with a positive rate,
-    from one broadcast ``acceptance_and_bell_weights`` call, to the same
-    bits as ``end_to_end_outcome`` on each candidate."""
-    # min and max are NaN when any entry is, which fails both tests
-    if not (hop.min() >= 0.0 and hop.max() <= 1.0):
-        raise ConfigurationError("source-to-relay hop factor must lie in [0, 1]")
-    # multiplied in the order of reflection_arms, so each rate matches
-    # the scalar end_to_end_outcome bit for bit
-    eta2 = hop * mirror_efficiency * eta_relay
-    if not (eta2.min() >= 0.0 and eta2.max() <= 1.0):
-        raise ConfigurationError("relayed arm transmissivity must lie in [0, 1]")
+    """Rates of relayed candidates given as channel columns, lists or
+    arrays of one length: each route's hop factor, source arm and
+    relay-to-station arm.  Returns the positions of the candidates that
+    clear the fidelity threshold with a positive rate, a list or an index
+    array, and their rates as a list, to the same bits as
+    ``end_to_end_outcome`` on each.
+
+    Fewer than RELAY_BROADCAST_CANDIDATES candidates are priced one at a
+    time on Python floats (``_each_relay_rate``), more in one broadcast
+    ``acceptance_and_bell_weights`` call (``_broadcast_relay_rates``).
+    Both take their range checks from ``_relayed_arm``.
+    """
+    scalar = len(hop) < RELAY_BROADCAST_CANDIDATES
+    price = _each_relay_rate if scalar else _broadcast_relay_rates
+    columns = (hop, eta1, dark1, eta_relay, dark2)
+    return price(physics.source, mirror_efficiency, fidelity_threshold, *columns)
+
+
+def _each_relay_rate(
+    source, mirror_efficiency, fidelity_threshold, hop, eta1, dark1, eta_relay, dark2
+):
+    """``_relay_rates`` one candidate at a time, on Python floats."""
+    hop, eta1, dark1, eta_relay, dark2 = (
+        column.tolist() if isinstance(column, np.ndarray) else column
+        for column in (hop, eta1, dark1, eta_relay, dark2)
+    )
+    eta2 = _relayed_arm(hop, mirror_efficiency, eta_relay)
+    kept, rates = [], []
+    for n, channel in enumerate(zip(eta1, eta2, dark1, dark2)):
+        success, bell = acceptance_and_bell_weights(source.mean_photon_number, *channel)
+        fidelity = bell / success if success > 0.0 else 0.0
+        edr = source.repetition_rate * success
+        if fidelity >= fidelity_threshold and edr > 0:
+            kept.append(n)
+            rates.append(edr)
+    return kept, rates
+
+
+def _broadcast_relay_rates(
+    source, mirror_efficiency, fidelity_threshold, hop, eta1, dark1, eta_relay, dark2
+):
+    """``_relay_rates`` in one broadcast ``acceptance_and_bell_weights``
+    call over array columns; the kept positions stay an index array, which
+    ``_array_relays`` indexes its candidate arrays with."""
+    hop, eta1, dark1, eta_relay, dark2 = (
+        np.asarray(column, float) for column in (hop, eta1, dark1, eta_relay, dark2)
+    )
+    eta2 = _relayed_arm(hop, mirror_efficiency, eta_relay)
     success, bell = acceptance_and_bell_weights(
-        physics.source.mean_photon_number, eta1, eta2, dark1, dark2
+        source.mean_photon_number, eta1, eta2, dark1, dark2
     )
     fidelity = np.divide(
         bell, success, out=np.zeros_like(success), where=success > 0.0
     )
-    edr = physics.source.repetition_rate * success
-    return edr, (fidelity >= fidelity_threshold) & (edr > 0)
+    edr = source.repetition_rate * success
+    kept = np.flatnonzero((fidelity >= fidelity_threshold) & (edr > 0))
+    return kept, edr[kept].tolist()
+
+
+def _relayed_arm(hop, mirror_efficiency, eta_relay):
+    """Each relayed candidate's second-arm transmissivity, from its hop
+    factor and relay arm: a list from lists, an array from arrays.  A hop
+    factor or a product outside [0, 1], NaN included, is refused, with
+    one message per check on either path."""
+    if not _in_unit_interval(hop):
+        raise ConfigurationError("source-to-relay hop factor must lie in [0, 1]")
+    # multiplied in the order of reflection_arms, so each rate matches
+    # the scalar end_to_end_outcome bit for bit
+    if isinstance(hop, np.ndarray):
+        eta2 = hop * mirror_efficiency * eta_relay
+    else:
+        eta2 = [h * mirror_efficiency * eta for h, eta in zip(hop, eta_relay)]
+    if not _in_unit_interval(eta2):
+        raise ConfigurationError("relayed arm transmissivity must lie in [0, 1]")
+    return eta2
+
+
+def _in_unit_interval(values) -> bool:
+    """Whether every entry of a nonempty list or array lies in [0, 1];
+    a NaN does not."""
+    if isinstance(values, np.ndarray):
+        # min and max are NaN when any entry is, which fails both tests
+        return values.min() >= 0.0 and values.max() <= 1.0
+    return all(0.0 <= value <= 1.0 for value in values)
 
 
 def _looped_relays(snapshot, network, links, arm, hop_free_space, price):
@@ -503,10 +622,8 @@ def _looped_relays(snapshot, network, links, arm, hop_free_space, price):
                 dark2_col.append(arm_b.dark_click_prob)
     if not keys:
         return {}
-    edr, kept = price(*np.array(columns))
-    return {
-        key: rate for key, rate, keep in zip(keys, edr.tolist(), kept.tolist()) if keep
-    }
+    kept, rates = price(*columns)
+    return {keys[n]: rate for n, rate in zip(kept, rates)}
 
 
 def _array_relays(snapshot, network, links, arm, hop_free_space, price):
@@ -567,16 +684,15 @@ def _array_relays(snapshot, network, links, arm, hop_free_space, price):
     hop[near, far] = factors
     hop[far, near] = factors
     a_at, b_at = a_of[pair], b_of[pair]
-    edr, kept = price(
+    kept, rates = price(
         hop[src, rel], eta[a_at, src], dark[a_at], eta[b_at, rel], dark[b_at]
     )
-    kept = np.flatnonzero(kept)
     # satellite rows taken from ``visible``, whose ints the link table and
     # the other routes share, not new ones from the index arrays
     return {
         (visible[v], visible[w], j): rate
         for v, w, j, rate in zip(
-            src[kept].tolist(), rel[kept].tolist(), pair[kept].tolist(), edr[kept].tolist()
+            src[kept].tolist(), rel[kept].tolist(), pair[kept].tolist(), rates
         )
     }
 
@@ -922,14 +1038,10 @@ def _ratefair(instance: SlotInstance, routes: dict) -> Allocation:
             min(instance.pair_caps[j], caps_r[a], caps_r[b]) if j in remaining else 0
             for j, (a, b) in enumerate(instance.pair_stations)
         )
-        # a round reads only the caps; its weights come as its routes
-        residual = replace(
-            instance,
-            routes={},
-            sat_caps=tuple(caps_t),
-            gs_caps=tuple(caps_r),
-            pair_caps=residual_pair_caps,
-            reflector_caps=tuple(caps_u),
+        # a round reads only the caps, and its copy checks only them; its
+        # weights come as its routes
+        residual = instance.caps_only(
+            tuple(caps_t), tuple(caps_r), residual_pair_caps, tuple(caps_u)
         )
         live = {route: w for route, w in normalized.items() if route[2] in remaining}
         counts, totals = solve_one_shot_maxmin(residual, live)

@@ -1,10 +1,12 @@
 """Assignment policy tests with exhaustive-enumeration cross-checks."""
 
 import dataclasses
+import functools
 import hashlib
 import itertools
 import json
 import math
+import operator
 import random
 import re
 import weakref
@@ -711,21 +713,28 @@ def test_ratefair_hands_the_solver_no_uncontended_mip(monkeypatch):
 
 
 def test_ratefair_rounds_validate_no_route_map(monkeypatch):
-    """A max-min round's instance carries only caps: the weight builder
-    alone checks and orders a slot's routes."""
+    """A max-min round's instance carries only caps, and only they are
+    checked: the weight builder alone checks and orders a slot's routes."""
     instances = _reduced_slots("reflection_ratefair", range(0, 1440, 60))
-    validated = {"with routes": 0, "caps only": 0}
-    real_check = SlotInstance.__post_init__
+    validated = {"routes": 0, "caps only": 0}
+    real_routes, real_caps = SlotInstance._ordered_routes, SlotInstance.caps_only
 
-    def counted_check(instance):
-        validated["with routes" if instance.routes else "caps only"] += 1
-        real_check(instance)
+    def counted_routes(instance, routes):
+        validated["routes"] += 1
+        return real_routes(instance, routes)
 
-    monkeypatch.setattr(SlotInstance, "__post_init__", counted_check)
+    def counted_caps(instance, *caps):
+        validated["caps only"] += 1
+        residual = real_caps(instance, *caps)
+        assert residual.routes == {}
+        return residual
+
+    monkeypatch.setattr(SlotInstance, "_ordered_routes", counted_routes)
+    monkeypatch.setattr(SlotInstance, "caps_only", counted_caps)
     for inst in instances:
         solve_reflection_ratefair(inst)
         solve_primary_ratefair(inst)
-    assert validated["with routes"] == 0 and validated["caps only"] > 0
+    assert validated["routes"] == 0 and validated["caps only"] > 0
 
 
 def test_ratefair_relay_only_pair_needs_the_reflection_policy():
@@ -1211,13 +1220,13 @@ def test_reflection_weights_reuse_the_direct_link_table(monkeypatch):
 
     monkeypatch.setattr(orbital, "sight_line_clear", counted_sight_line)
     validated = []
-    real_check = scheduler.SlotInstance.__post_init__
+    real_check = scheduler.SlotInstance._ordered_routes
 
-    def counted_check(instance):
-        validated.append(dict(instance.routes))
-        real_check(instance)
+    def counted_check(instance, routes):
+        validated.append(dict(routes))
+        return real_check(instance, routes)
 
-    monkeypatch.setattr(scheduler.SlotInstance, "__post_init__", counted_check)
+    monkeypatch.setattr(scheduler.SlotInstance, "_ordered_routes", counted_check)
     inst = build_reflection_weights(
         snapshot, network, PHYSICS, env, 20.0, 0.85, mirror_efficiency=1.0, month=6
     )
@@ -1234,6 +1243,17 @@ def each_relay_path(monkeypatch):
     must have run by the next step."""
     for path, cutoff in (("_looped_relays", math.inf), ("_array_relays", 0)):
         monkeypatch.setattr(scheduler, "RELAY_ARRAY_CELLS", cutoff)
+        calls = _count_calls(monkeypatch, scheduler, path)
+        yield path
+        assert calls, f"{path} never ran"
+
+
+def each_relay_pricing(monkeypatch):
+    """Forces _relay_rates to price candidates one at a time, then in one
+    broadcast call, yielding each pricer's name in between; the forced
+    pricer must have run by the next step."""
+    for path, cutoff in (("_each_relay_rate", math.inf), ("_broadcast_relay_rates", 0)):
+        monkeypatch.setattr(scheduler, "RELAY_BROADCAST_CANDIDATES", cutoff)
         calls = _count_calls(monkeypatch, scheduler, path)
         yield path
         assert calls, f"{path} never ran"
@@ -1367,30 +1387,32 @@ def test_broadcast_relay_rates_equal_the_scalar_loop(weather_seed, monkeypatch):
     env = simharness.resolve_weather(config)
     network = simharness.build_network(config)
     for _ in each_relay_path(monkeypatch):
-        relayed = 0
-        for t in range(0, 8640, 613):  # default 10 s slots sampled across the day
-            snapshot = orbital.propagate(
-                config.constellation, config.stations, t, config.slot_duration
-            )
-            hour_utc = (t * config.slot_duration / 3600.0) % 24.0
-            inst = build_reflection_weights(
-                snapshot,
-                network,
-                config.physics,
-                env,
-                config.min_elevation,
-                config.fidelity_threshold,
-                config.mirror_efficiency,
-                month=config.month,
-                hour_utc=hour_utc,
-            )
-            # the builders cache the row maps and nothing else on the snapshot
-            assert _cached_on(snapshot) <= {"sat_row", "station_row"}
-            expected = _scalar_relay_rates(snapshot, network, config, env, hour_utc)
-            # the same rates, to the bit, in route order
-            assert repr(list((inst.nu or {}).items())) == repr(sorted(expected.items()))
-            relayed += len(inst.nu or {})
-        assert relayed > 1000
+        for _ in each_relay_pricing(monkeypatch):
+            relayed = 0
+            for t in range(0, 8640, 613):  # default 10 s slots sampled across the day
+                snapshot = orbital.propagate(
+                    config.constellation, config.stations, t, config.slot_duration
+                )
+                hour_utc = (t * config.slot_duration / 3600.0) % 24.0
+                inst = build_reflection_weights(
+                    snapshot,
+                    network,
+                    config.physics,
+                    env,
+                    config.min_elevation,
+                    config.fidelity_threshold,
+                    config.mirror_efficiency,
+                    month=config.month,
+                    hour_utc=hour_utc,
+                )
+                # the builders cache the row maps and nothing else on the snapshot
+                assert _cached_on(snapshot) <= {"sat_row", "station_row"}
+                expected = _scalar_relay_rates(snapshot, network, config, env, hour_utc)
+                # the same rates, to the bit, in route order
+                got = list((inst.nu or {}).items())
+                assert repr(got) == repr(sorted(expected.items()))
+                relayed += len(inst.nu or {})
+            assert relayed > 1000
 
 
 def _cached_on(snapshot):
@@ -1459,20 +1481,22 @@ def test_relay_rates_at_the_sight_line_boundary_equal_the_scalar_loop(monkeypatc
     expected = _scalar_relay_rates(snapshot, network, config, env, 0.0)
 
     for _ in each_relay_path(monkeypatch):
-        inst = build_reflection_weights(
-            snapshot, network, *args, config.mirror_efficiency, month=config.month
-        )
-        assert _cached_on(snapshot) <= {"sat_row", "station_row"}
-        assert repr(list((inst.nu or {}).items())) == repr(sorted(expected.items()))
-        # the clear and the coincident pairs are relayed both ways, the
-        # blocked pair neither way
-        relayed = {(network.sat_ids[i], network.sat_ids[k]) for i, k, _ in inst.nu}
-        assert relayed == {
-            ("clear_a", "clear_b"),
-            ("clear_b", "clear_a"),
-            ("same_a", "same_b"),
-            ("same_b", "same_a"),
-        }
+        for _ in each_relay_pricing(monkeypatch):
+            inst = build_reflection_weights(
+                snapshot, network, *args, config.mirror_efficiency, month=config.month
+            )
+            assert _cached_on(snapshot) <= {"sat_row", "station_row"}
+            got = list((inst.nu or {}).items())
+            assert repr(got) == repr(sorted(expected.items()))
+            # the clear and the coincident pairs are relayed both ways, the
+            # blocked pair neither way
+            relayed = {(network.sat_ids[i], network.sat_ids[k]) for i, k, _ in inst.nu}
+            assert relayed == {
+                ("clear_a", "clear_b"),
+                ("clear_b", "clear_a"),
+                ("same_a", "same_b"),
+                ("same_b", "same_a"),
+            }
 
 
 def test_both_relay_paths_read_the_same_stations_first(monkeypatch):
@@ -1540,10 +1564,58 @@ def test_both_relay_paths_read_the_same_stations_first(monkeypatch):
 def test_out_of_range_hop_factor_is_rejected(monkeypatch):
     snapshot, network, env = overhead_scene(n_sats=2)
     monkeypatch.setattr(scheduler, "mirror_hop", lambda physics: lambda hop: 1.5)
-    with pytest.raises(ConfigurationError, match="hop factor"):
-        build_reflection_weights(
-            snapshot, network, PHYSICS, env, 20.0, 0.85, mirror_efficiency=1.0, month=6
-        )
+    for _ in each_relay_pricing(monkeypatch):
+        with pytest.raises(ConfigurationError, match="hop factor"):
+            build_reflection_weights(
+                snapshot, network, PHYSICS, env, 20.0, 0.85, mirror_efficiency=1.0, month=6
+            )
+
+
+def test_bad_relay_factors_raise_one_message_on_both_pricing_paths(monkeypatch):
+    """A NaN hop factor fails the hop check, which NaN's comparisons
+    would slip past as a min or max test over Python floats; a relayed
+    transmissivity above 1 fails the relayed-arm check.  Each pricer
+    raises the same message."""
+    snapshot, network, env = overhead_scene(n_sats=2)
+    messages = {"hop": [], "relayed arm": []}
+    for _ in each_relay_pricing(monkeypatch):
+        with monkeypatch.context() as patched:
+            patched.setattr(scheduler, "mirror_hop", lambda physics: lambda hop: math.nan)
+            with pytest.raises(ConfigurationError) as raised:
+                build_reflection_weights(
+                    snapshot, network, PHYSICS, env, 20.0, 0.85, mirror_efficiency=1.0
+                )
+        messages["hop"].append(str(raised.value))
+        # a NaN after a valid entry, which a running min or max would keep
+        # the valid one over; and a second candidate whose relay arm
+        # passes 1, which no arm the builder makes can, so these columns go
+        # to the pricing directly
+        price = functools.partial(scheduler._relay_rates, PHYSICS, 1.0, 0.85)
+        arm1 = ([0.5, 0.5], [0.0, 0.0])
+        for what, hop, relay_arm in (
+            ("hop", [0.5, math.nan], [1.0, 1.0]),
+            ("relayed arm", [1.0, 1.0], [1.0, 1.5]),
+        ):
+            with pytest.raises(ConfigurationError) as raised:
+                price(hop, *arm1, relay_arm, [0.0, 0.0])
+            messages[what].append(str(raised.value))
+    assert messages == {
+        "hop": ["source-to-relay hop factor must lie in [0, 1]"] * 4,
+        "relayed arm": ["relayed arm transmissivity must lie in [0, 1]"] * 2,
+    }
+
+
+def test_both_pricing_paths_give_the_reduced_day_the_same_routes(monkeypatch):
+    """Every slot of the reduced day, whose slots hold at most 7 relayed
+    candidates, gets the same routes and rates, to the bit, priced one
+    candidate at a time or in one broadcast call."""
+    days = []
+    for _ in each_relay_pricing(monkeypatch):
+        instances = _reduced_slots("reflection_ratefair", range(1440))
+        days.append([repr(inst.routes) for inst in instances])
+    assert days[0] == days[1]
+    # slots that keep a relayed route
+    assert sum(inst.nu is not None for inst in instances) > 200
 
 
 def test_budget_limited_solve_fails_its_slot(monkeypatch):
@@ -1852,30 +1924,99 @@ def _two_pair_instance(routes):
     return replace(base, routes=routes)
 
 
-@pytest.mark.parametrize(
-    "route, rate, problem",
-    [
-        ((2, None, 0), 1.0, "index out of range"),
-        ((-1, None, 0), 1.0, "index out of range"),
-        ((0, None, 2), 1.0, "index out of range"),
-        ((0, 2, 0), 1.0, "index out of range"),
-        ((0, None, 1), 0.0, "rate 0.0 must be positive and finite"),
-        ((0, 1, 1), -2.5, "rate -2.5 must be positive and finite"),
-    ],
-)
+BAD_ROUTES = [
+    ((2, None, 0), 1.0, "index out of range"),
+    ((-1, None, 0), 1.0, "index out of range"),
+    ((0, None, 2), 1.0, "index out of range"),
+    ((0, 2, 0), 1.0, "index out of range"),
+    ((0, None, 1), 0.0, "rate 0.0 must be positive and finite"),
+    ((0, 1, 1), -2.5, "rate -2.5 must be positive and finite"),
+]
+NON_INTEGER_ROUTES = [((0.5, None, 0), 0.5), ((0, 1.0, 0), 1.0), ((0, None, 0.0), 0.0)]
+
+
+@pytest.mark.parametrize("route, rate, problem", BAD_ROUTES)
 def test_route_map_rejects_a_bad_route_by_name(route, rate, problem):
     routes = {(0, None, 0): 1.0, route: rate}
     with pytest.raises(StructuralError, match=re.escape(f"route {route}: {problem}")):
         _two_pair_instance(routes)
 
 
-@pytest.mark.parametrize(
-    "route, bad", [((0.5, None, 0), 0.5), ((0, 1.0, 0), 1.0), ((0, None, 0.0), 0.0)]
-)
+@pytest.mark.parametrize("route, bad", NON_INTEGER_ROUTES)
 def test_route_map_refuses_an_index_that_is_not_an_integer(route, bad):
     message = f"route {route}: index {bad!r} is not an integer"
     with pytest.raises(StructuralError, match=re.escape(message)):
         _two_pair_instance({route: 1.0})
+
+
+@pytest.mark.parametrize("route, rate, problem", BAD_ROUTES)
+def test_with_routes_rejects_a_bad_route_by_name(route, rate, problem):
+    network = _two_pair_instance({})
+    routes = {(0, None, 0): 1.0, route: rate}
+    with pytest.raises(StructuralError) as built:
+        _two_pair_instance(routes)
+    with pytest.raises(StructuralError) as copied:
+        network.with_routes(3, routes)
+    assert str(copied.value) == str(built.value) == f"route {route}: {problem}"
+
+
+@pytest.mark.parametrize("route, bad", NON_INTEGER_ROUTES)
+def test_with_routes_refuses_an_index_that_is_not_an_integer(route, bad):
+    network = _two_pair_instance({})
+    with pytest.raises(StructuralError) as built:
+        _two_pair_instance({route: 1.0})
+    with pytest.raises(StructuralError) as copied:
+        network.with_routes(3, {route: 1.0})
+    message = f"route {route}: index {bad!r} is not an integer"
+    assert str(copied.value) == str(built.value) == message
+
+
+def test_with_routes_equals_the_constructor():
+    routes = {(1, 0, 1): 1.0, (0, None, 1): 2.0, (np.int64(1), None, 0): 4.0}
+    network = _two_pair_instance({})
+    copied, built = network.with_routes(7, routes), replace(network, time=7, routes=routes)
+    assert copied == built and repr(copied) == repr(built)
+    assert list(copied.routes) == [(0, None, 1), (1, None, 0), (1, 0, 1)]
+
+
+CAP_FIELDS = ("sat_caps", "gs_caps", "pair_caps", "reflector_caps")
+
+
+def test_copies_do_not_carry_the_dense_views_over():
+    inst = make_instance([[1.0], [0.0]], [(0, 1)], 2, nu={(1, 0, 0): 2.0})
+    assert (inst.omega, inst.nu) == (((1.0,), (0.0,)), {(1, 0, 0): 2.0})
+    moved = inst.with_routes(5, {(1, None, 0): 3.0})
+    residual = inst.caps_only(*(getattr(inst, name) for name in CAP_FIELDS))
+    for copy in (moved, residual):
+        assert not {"omega", "nu"} & set(vars(copy))
+    assert (moved.time, moved.omega, moved.nu) == (5, ((0.0,), (3.0,)), None)
+    assert (residual.routes, residual.omega, residual.nu) == ({}, ((0.0,), (0.0,)), None)
+    assert (inst.omega, inst.nu) == (((1.0,), (0.0,)), {(1, 0, 0): 2.0})
+
+
+def _caps_refusals(inst, **changes):
+    """The constructor's and ``caps_only``'s messages on ``inst``'s caps
+    with ``changes``, each raised as the same exception type."""
+    caps = {name: changes.get(name, getattr(inst, name)) for name in CAP_FIELDS}
+    with pytest.raises((StructuralError, ConfigurationError)) as built:
+        replace(inst, routes={}, **caps)
+    with pytest.raises(built.type) as copied:
+        inst.caps_only(**caps)
+    return str(built.value), str(copied.value)
+
+
+@pytest.mark.parametrize("field", CAP_FIELDS)
+def test_caps_only_copy_refuses_a_cap_tuple_of_the_wrong_length(field):
+    inst = make_instance([[1.0, 0.0], [0.0, 2.0]], [(0, 1), (0, 2)], 3)
+    for wrong in (getattr(inst, field)[1:], getattr(inst, field) + (1,)):
+        built, copied = _caps_refusals(inst, **{field: wrong})
+        assert copied == built and "must align with" in built
+
+
+def test_caps_only_copy_refuses_a_receiver_dominance_breach():
+    inst = make_instance([[1.0, 0.0], [0.0, 2.0]], [(0, 1), (0, 2)], 3, gs_caps=(2, 2, 2))
+    built, copied = _caps_refusals(inst, gs_caps=(2, 2, 1), pair_caps=(1, 2))
+    assert copied == built == "station g2: receiver cap 1 below pair cap 2 of pair p1"
 
 
 def test_pair_stations_refuse_an_index_that_is_not_an_integer():
@@ -2441,9 +2582,16 @@ def _dense_priced(instance, counts):
     x = [[0] * instance.num_pairs for _ in range(instance.num_sats)]
     for i, j, c in direct:
         x[i][j] = c
-    objective = float(sum(instance.omega[i][j] * c for i, j, c in direct))
+    # left to right, as the program folds: from Python 3.12 on, the
+    # built-in sum of floats is compensated, and the objectives compared
+    # by repr below could differ
+    add = operator.add
+    objective = float(
+        functools.reduce(add, (instance.omega[i][j] * c for i, j, c in direct), 0)
+    )
     if y:
-        objective += sum(instance.nu[(i, k, j)] * c for i, k, j, c in y)
+        terms = (instance.nu[(i, k, j)] * c for i, k, j, c in y)
+        objective += functools.reduce(add, terms, 0)
     return Allocation(x=tuple(tuple(row) for row in x), y=tuple(y), objective=objective)
 
 

@@ -126,3 +126,20 @@ def test_the_weights_layer_takes_its_transcendentals_from_math(module):
         for alias in node.names
     }
     assert not (used | imported) & NUMPY_TRANSCENDENTALS
+
+
+@pytest.mark.parametrize(
+    "function",
+    [scheduler.build_weights, scheduler.build_reflection_weights, scheduler._ratefair],
+)
+def test_slot_and_round_instances_are_copies_not_replacements(function):
+    # dataclasses.replace runs every check of SlotInstance again; a slot's
+    # instance is its network's with_routes copy and a max-min round's a
+    # caps_only copy, each checking only what changed
+    tree = ast.parse(inspect.getsource(function))
+    called = {
+        node.func.id if isinstance(node.func, ast.Name) else node.func.attr
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and isinstance(node.func, (ast.Name, ast.Attribute))
+    }
+    assert "replace" not in called
