@@ -7,10 +7,11 @@ detectors, and a round is accepted when each receiver sees exactly one click.
 All functions here are pure.
 
 ``acceptance_and_bell_weights`` is one formula for scalars and for numpy
-arrays: ``end_to_end_outcome`` prices a single link through it, and the
-relay weight builder prices a slot's relayed candidates through it, one
-call per candidate on floats when they are few and one broadcast call
-when they are many.  The two give bit-identical results because every step is
+arrays: ``end_to_end_outcome`` prices a single link through it; the
+weight builders price a whole block of slots' direct links through it
+in one broadcast call, and a slot's relayed candidates one call per
+candidate on floats when they are few and in one broadcast call when
+they are many.  The two give bit-identical results because every step is
 a basic IEEE operation in the same order, except the squares: a Python
 ``float ** 2`` calls the C library's ``pow``, while numpy's ``a ** 2`` is
 ``a * a``, and the two can differ in the last ulp.  Arrays are therefore

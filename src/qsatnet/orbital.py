@@ -17,11 +17,12 @@ from contextvars import ContextVar
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from types import MappingProxyType
-from typing import ClassVar
+from typing import ClassVar, NamedTuple
 
 import numpy as np
 
-from .errors import ConfigurationError, UnknownIdError
+from .errors import ConfigurationError, QsatError, UnknownIdError
+from .linkphys import _square
 
 Vec3 = tuple[float, float, float]
 
@@ -109,37 +110,89 @@ def orbital_period(altitude: float) -> float:
     return 2.0 * math.pi * math.sqrt(cube / GRAVITATIONAL_PARAMETER)
 
 
+class BlockLinks(NamedTuple):
+    """The downlinks of a block of slots that clear an elevation mask, one
+    entry per cell in (slot, station, satellite) row-major order: the
+    cells of slot ``start`` + k are entries ``bounds[k]`` to
+    ``bounds[k + 1]``.  ``slot``, ``station`` and ``sat`` are index arrays
+    (slot row, station row, satellite row); ``elevation`` and ``slant``
+    the cells' geometry, with the bits ``link_geometry`` gives each."""
+
+    bounds: list[int]
+    slot: np.ndarray
+    station: np.ndarray
+    sat: np.ndarray
+    elevation: np.ndarray
+    slant: np.ndarray
+
+
 class SlotBlock:
     """The consecutive slots ``start``, ``start`` + 1, ... placed together:
     their positions as read-only ``(slots, n, 3)`` arrays, one per kind,
-    whose row k holds slot ``start`` + k, and their ``snapshots`` in slot
-    order.  ``cells`` screens the whole block at once, per elevation
-    mask."""
+    whose row k holds slot ``start`` + k, their ``snapshots`` in slot
+    order, and the ``slot_duration`` that placed them (None for a block
+    not placed by ``propagate_slots``).
 
-    __slots__ = ("start", "sat_xyz", "gs_xyz", "snapshots", "_screens", "__weakref__")
+    ``links`` gates the whole block at once, per elevation mask.
+    ``weights`` holds the scheduler's weights pass over the block, with
+    the key it was made for; it goes with the block.
+    """
 
-    def __init__(self, start: int, sat_xyz: np.ndarray, gs_xyz: np.ndarray):
+    __slots__ = (
+        "start",
+        "slot_duration",
+        "sat_xyz",
+        "gs_xyz",
+        "snapshots",
+        "weights",
+        "_screens",
+        "__weakref__",
+    )
+
+    def __init__(
+        self,
+        start: int,
+        sat_xyz: np.ndarray,
+        gs_xyz: np.ndarray,
+        slot_duration: float | None = None,
+    ):
         self.start = start
+        self.slot_duration = slot_duration
         self.sat_xyz = sat_xyz
         self.gs_xyz = gs_xyz
         self.snapshots: tuple[ConstellationSnapshot, ...] = ()
-        self._screens: dict[float, tuple[list[int], list[int], list[int]]] = {}
+        self.weights = None
+        self._screens: dict[float, BlockLinks | None] = {}
 
-    def cells(self, min_elevation: float) -> tuple[list[int], list[int], list[int]]:
-        """The cells that pass the screen of ``visible_links`` at
-        ``min_elevation``, slot by slot in row-major order: the station
-        and satellite rows of slot ``start`` + k are entries
-        ``bounds[k]`` to ``bounds[k + 1]`` of the two row lists.
-        Returns ``(bounds, station rows, satellite rows)``, computed once
-        per mask."""
-        cells = self._screens.get(min_elevation)
-        if cells is None:
-            passed = _screen(self.gs_xyz, self.sat_xyz, min_elevation)
-            slot, station, sat = np.nonzero(passed)
-            bounds = np.searchsorted(slot, np.arange(len(passed) + 1))
-            cells = (bounds.tolist(), station.tolist(), sat.tolist())
-            self._screens[min_elevation] = cells
-        return cells
+    @classmethod
+    def of(cls, snapshot: ConstellationSnapshot) -> SlotBlock:
+        """A block of one holding only ``snapshot``'s slot."""
+        return cls(snapshot.time, snapshot.sat_xyz[None], snapshot.gs_xyz[None])
+
+    def links(self, min_elevation: float) -> BlockLinks | None:
+        """The block's downlinks at or above ``min_elevation``, computed
+        once per mask: one ``_screen`` of every cell, then one array
+        ``link_geometry`` call over the cells it passes, which decides
+        each of them.  What that pass raises is raised on the first call;
+        later calls return None, so that the block's slots are gated
+        alone (``_slot_links``) and each raises its own error."""
+        if min_elevation in self._screens:
+            return self._screens[min_elevation]
+        self._screens[min_elevation] = None
+        slot, station, sat = np.nonzero(_screen(self.gs_xyz, self.sat_xyz, min_elevation))
+        elevation, slant = link_geometry(self, (slot, sat), (slot, station))
+        kept = np.flatnonzero(elevation >= min_elevation)
+        slot = slot[kept]
+        links = BlockLinks(
+            np.searchsorted(slot, np.arange(len(self.sat_xyz) + 1)).tolist(),
+            slot,
+            station[kept],
+            sat[kept],
+            elevation[kept],
+            slant[kept],
+        )
+        self._screens[min_elevation] = links
+        return links
 
 
 @dataclass(frozen=True, eq=False)
@@ -153,10 +206,11 @@ class ConstellationSnapshot:
 
     ``block`` is a weak reference to the ``SlotBlock`` the slot was placed
     in with its neighbours (row ``time`` - ``block.start``), so that
-    ``visible_links`` screens them all at once.  Only a run's block memory
-    keeps a block alive, so a kept snapshot holds its own slot's positions
-    and no more; once its block is gone, or when it was placed alone
-    (``block`` None), the slot is screened as a block of one.
+    ``visible_links`` and the weight builders gate and price them all at
+    once.  Only a run's block memory keeps a block alive, so a kept
+    snapshot holds its own slot's positions and no more; once its block is
+    gone, or when it was placed alone (``block`` None), the slot is gated
+    and priced as a block of one.
     """
 
     time: int
@@ -368,7 +422,7 @@ def propagate_slots(
     gs_xyz = np.array(gs_rows, dtype=float).reshape(len(slots), len(ground), 3)
     gs_xyz.flags.writeable = False
 
-    block = SlotBlock(start, sat_xyz, gs_xyz)
+    block = SlotBlock(start, sat_xyz, gs_xyz, slot_duration)
     if len(slots) > 1:
         # each snapshot owns its rows, so that a kept one holds its own
         # slot's positions and not its block's
@@ -438,8 +492,25 @@ def slot_blocks(horizon: int):
         _slot_blocks.reset(token)
 
 
-def link_geometry(snapshot: ConstellationSnapshot, sat: str, gs: str) -> LinkGeometry:
-    """Elevation and slant range for one downlink."""
+def link_geometry(
+    snapshot: ConstellationSnapshot | SlotBlock, sat, gs
+) -> LinkGeometry | tuple[np.ndarray, np.ndarray]:
+    """Elevation and slant range of one downlink, or of many at once.
+
+    Given a ``ConstellationSnapshot`` and two ids, the downlink from
+    satellite ``sat`` to station ``gs``, as a ``LinkGeometry``.  Given a
+    ``SlotBlock``, ``sat`` and ``gs`` are index tuples (slot rows,
+    satellite rows) and (slot rows, station rows) of one length, and the
+    result is the arrays (elevation, slant range) of the cells they pair
+    up, each entry with the bits the one-link form gives that cell: both
+    are ``_downlinks``.  A satellite at its station's position is refused.
+    """
+    if isinstance(snapshot, SlotBlock):
+        # each station's radius once per slot, taken as the one-link form
+        # takes it
+        gx, gy, gz = np.moveaxis(snapshot.gs_xyz, -1, 0)
+        radius = _norm(gx, gy, gz)[gs]
+        return _downlinks(snapshot.sat_xyz[sat].T, snapshot.gs_xyz[gs].T, radius)
     try:
         sat_pos = snapshot.sat_xyz[snapshot.sat_row[sat]].tolist()
     except KeyError:
@@ -448,16 +519,45 @@ def link_geometry(snapshot: ConstellationSnapshot, sat: str, gs: str) -> LinkGeo
         gs_pos = snapshot.gs_xyz[snapshot.station_row[gs]].tolist()
     except KeyError:
         raise UnknownIdError(f"unknown ground station id {gs!r}") from None
-
-    d = (sat_pos[0] - gs_pos[0], sat_pos[1] - gs_pos[1], sat_pos[2] - gs_pos[2])
-    slant = math.sqrt(d[0] ** 2 + d[1] ** 2 + d[2] ** 2)
-    if slant == 0.0:
-        raise ConfigurationError("satellite and station coincide")
-    station_radius = math.sqrt(gs_pos[0] ** 2 + gs_pos[1] ** 2 + gs_pos[2] ** 2)
-    dot_gd = gs_pos[0] * d[0] + gs_pos[1] * d[1] + gs_pos[2] * d[2]
-    sin_e = max(-1.0, min(1.0, dot_gd / (station_radius * slant)))
-    elevation = math.degrees(math.asin(sin_e))
+    elevation, slant = _downlinks(sat_pos, gs_pos, _norm(*gs_pos))
     return LinkGeometry(elevation=elevation, slant_range=slant)
+
+
+def _downlinks(sat, gs, station_radius):
+    """Elevation (degrees) and slant range of downlinks, from the
+    satellite and station coordinates, three floats each or three arrays
+    of one shape, and the station radius.  One formula for both: every
+    step is an IEEE operation in one order, and the squares (``_norm``),
+    arcsines and degrees of arrays are taken element by element as Python
+    floats take them, so an array entry has the bits its floats give."""
+    dx, dy, dz = sat[0] - gs[0], sat[1] - gs[1], sat[2] - gs[2]
+    slant = _norm(dx, dy, dz)
+    array = isinstance(slant, np.ndarray)
+    if (slant == 0.0).any() if array else slant == 0.0:
+        raise ConfigurationError("satellite and station coincide")
+    dot_gd = gs[0] * dx + gs[1] * dy + gs[2] * dz
+    scale = station_radius * slant
+    if not array:
+        # min and max keep their first argument against a NaN, so a NaN
+        # quotient reads as 1; the two np.where below do the same
+        sin_e = max(-1.0, min(1.0, dot_gd / scale))
+        return math.degrees(math.asin(sin_e)), slant
+    if not scale.all():
+        # what the float division raises
+        raise ZeroDivisionError("float division by zero")
+    sin_e = dot_gd / scale
+    sin_e = np.where(sin_e < 1.0, sin_e, 1.0)
+    sin_e = np.where(sin_e > -1.0, sin_e, -1.0)
+    degrees = map(math.degrees, map(math.asin, sin_e.tolist()))
+    return np.fromiter(degrees, float, sin_e.size), slant
+
+
+def _norm(x, y, z):
+    """The Euclidean norm of (x, y, z), floats or arrays of one shape,
+    summing the squares left to right; the squares are the C library's
+    ``pow`` on both, as a Python float ** 2 is (``linkphys._square``)."""
+    total = _square(x) + _square(y) + _square(z)
+    return np.sqrt(total) if isinstance(total, np.ndarray) else math.sqrt(total)
 
 
 # row sums of an (n, 3) array as one product, cheaper than .sum(axis=1)
@@ -519,6 +619,33 @@ def _screen(
     return passed
 
 
+def _slot_links(
+    snapshot: ConstellationSnapshot, min_elevation: float
+) -> tuple[BlockLinks, int]:
+    """The gated downlinks of the block that holds ``snapshot``'s slot
+    (``SlotBlock.links``), and the slot's row in it.  A snapshot whose
+    block is gone, or whose block's pass raised, is gated as a block of
+    one, which raises the slot's own error."""
+    links = _block_links(snapshot, min_elevation)
+    if links is None:
+        return SlotBlock.of(snapshot).links(min_elevation), 0
+    return links
+
+
+def _block_links(snapshot, min_elevation):
+    """``_slot_links`` from the snapshot's live block, or None.  The
+    block's error is dropped here: each slot raises its own, from a
+    traceback that holds no block."""
+    block = None if snapshot.block is None else snapshot.block()
+    if block is None:
+        return None
+    try:
+        links = block.links(min_elevation)
+    except (QsatError, ArithmeticError):
+        return None
+    return None if links is None else (links, snapshot.time - block.start)
+
+
 def visible_links(
     snapshot: ConstellationSnapshot, min_elevation: float
 ) -> list[dict[int, LinkGeometry]]:
@@ -528,27 +655,23 @@ def visible_links(
 
     A numpy screen (``_screen``) over every (station, satellite) cell
     keeps the cells whose elevation sine lies within SCREEN_MARGIN of the
-    mask or above it; only those reach the scalar ``link_geometry``, which
-    decides each of them and supplies every returned value.  The result
-    therefore equals gating ``link_geometry`` on every cell.  The screen
-    runs once per mask over the snapshot's whole block of slots
-    (``SlotBlock.cells``), and each slot reads its own cells; a snapshot
-    whose block is gone is screened as a block of one.
+    mask or above it; only those reach ``link_geometry``, which decides
+    each of them and supplies every returned value.  The result therefore
+    equals gating ``link_geometry`` on every cell.  Screen and geometry
+    run once per mask over the snapshot's whole block of slots, in one
+    array call each (``SlotBlock.links``), and each slot reads its own
+    cells (``_slot_links``).
     """
-    block = None if snapshot.block is None else snapshot.block()
-    if block is None:
-        block = SlotBlock(snapshot.time, snapshot.sat_xyz[None], snapshot.gs_xyz[None])
-    bounds, station_rows, sat_rows = block.cells(min_elevation)
-    row = snapshot.time - block.start
-    first, last = bounds[row], bounds[row + 1]
-
-    # cells in row-major order: station by station, satellites in order
-    sat_ids, station_ids = snapshot.sat_ids, snapshot.station_ids
-    per_station = [{} for _ in station_ids]
-    for g, s in zip(station_rows[first:last], sat_rows[first:last]):
-        geom = link_geometry(snapshot, sat_ids[s], station_ids[g])
-        if geom.elevation >= min_elevation:
-            per_station[g][s] = geom
+    links, row = _slot_links(snapshot, min_elevation)
+    cells = slice(links.bounds[row], links.bounds[row + 1])
+    per_station = [{} for _ in snapshot.station_ids]
+    for g, s, elevation, slant in zip(
+        links.station[cells].tolist(),
+        links.sat[cells].tolist(),
+        links.elevation[cells].tolist(),
+        links.slant[cells].tolist(),
+    ):
+        per_station[g][s] = LinkGeometry(elevation=elevation, slant_range=slant)
     return per_station
 
 

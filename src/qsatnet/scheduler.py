@@ -22,10 +22,11 @@ from itertools import chain
 
 import numpy as np
 
-from .environment import EnvironmentTable, effective_transmissivity
+from .environment import EnvironmentTable
 from .errors import (
     ConfigurationError,
     IngestionError,
+    QsatError,
     StructuralError,
     UnknownIdError,
 )
@@ -37,16 +38,19 @@ from .ilpcore import (
     solve_mip,
 )
 from .linkphys import (
-    ArmChannel,
     OpticsParams,
     SourceParams,
+    _square,
     acceptance_and_bell_weights,
-    arm_transmissivity,
     dark_click_prob,
-    end_to_end_outcome,
     free_space_transmissivity,
 )
-from .orbital import ConstellationSnapshot, visible_links
+from .orbital import ConstellationSnapshot, SlotBlock
+
+# the weight builders price links in arrays, to its bits, and never call
+# it; it stays a name of this module, where the benchmark's tracer
+# (perfbench/tracer.py) looks it up
+from .linkphys import end_to_end_outcome  # noqa: F401
 
 SATURATION_REL_TOL = 1e-6
 LAMBDA_SLACK = 1e-9
@@ -339,19 +343,6 @@ def _station_dark(record, physics) -> float:
     )
 
 
-def _arm_for(geom, record, physics, dark=None) -> ArmChannel:
-    """The downlink arm of one link; ``dark`` is its station's
-    ``_station_dark``, computed here when not given."""
-    fs = free_space_transmissivity(physics.optics, geom.slant_range)
-    atm = effective_transmissivity(record, geom.elevation)
-    eta = arm_transmissivity(
-        fs, atm, physics.optics.tx_efficiency, physics.optics.rx_efficiency
-    )
-    if dark is None:
-        dark = _station_dark(record, physics)
-    return ArmChannel(transmissivity=eta, dark_click_prob=dark)
-
-
 def _check_rows(snapshot, network) -> None:
     """Refuse a snapshot whose rows are not the network's satellites and
     stations in the network's order, naming a missing id first."""
@@ -373,47 +364,279 @@ def _check_rows(snapshot, network) -> None:
     )
 
 
-def _slot_links(snapshot, network, physics, env, min_elevation, month, hour_utc):
-    """The slot's gated geometry and a memoized downlink-arm lookup.
+def _arm_transmissivities(optics, elevation, slant, zenith, cloud):
+    """The downlink arms' transmissivities of cells given as arrays of one
+    length: each cell's elevation and slant range, and its station's
+    zenith transmissivity and cloud cover.  The per-link formulas
+    (``free_space_transmissivity``, ``effective_transmissivity``,
+    ``arm_transmissivity``) over arrays, with their checks as whole-array
+    tests: every step an IEEE operation in their order, and every sine,
+    radians and power taken element by element from ``math``, so each
+    entry has the bits the per-link formulas give its cell."""
+    if (slant <= 0.0).any():
+        raise ConfigurationError("slant_range must be positive")
+    ratio = optics.aperture_product / _square(optics.wavelength * slant)
+    free_space = np.where(ratio < 1.0, ratio, 1.0)
+    if (elevation > 90.0).any():
+        raise ConfigurationError("elevation cannot exceed 90 degrees")
+    # the secant air-mass law, where the satellite is above the horizon
+    # and the zenith lets light through; 0 elsewhere
+    lit = np.flatnonzero((elevation > 0.0) & (zenith != 0.0))
+    sines = map(math.sin, map(math.radians, elevation[lit].tolist()))
+    sine = np.fromiter(sines, float, lit.size)
+    if not sine.all():
+        # what the float division raises
+        raise ZeroDivisionError("float division by zero")
+    powers = map(math.pow, zenith[lit].tolist(), (1.0 / sine).tolist())
+    clear = np.zeros(elevation.shape)
+    clear[lit] = np.fromiter(powers, float, lit.size)
+    eta = free_space * (clear * (1.0 - cloud)) * optics.tx_efficiency * optics.rx_efficiency
+    if eta.size and not _in_unit_interval(eta):
+        raise ConfigurationError("transmissivity must be in [0, 1]")
+    return eta
 
-    The table holds, per station row g, the satellite rows i that clear
-    the minimum elevation there; ``arm(i, g)`` is that link's downlink
-    arm.  A station's weather is read on its first arm, so a station no
-    satellite serves needs no weather record, and its dark-click
-    probability is computed there, once for the slot.
+
+def _kept_rates(source, fidelity_threshold, eta1, eta2, dark1, dark2):
+    """The two-arm channels, given as array columns of one length, that
+    clear the fidelity threshold with a positive rate: their positions as
+    an index array, and their rates as a list.  One broadcast
+    ``acceptance_and_bell_weights`` call, to the bits ``end_to_end_outcome``
+    gives each channel."""
+    success, bell = acceptance_and_bell_weights(
+        source.mean_photon_number, eta1, eta2, dark1, dark2
+    )
+    fidelity = np.divide(
+        bell, success, out=np.zeros_like(success), where=success > 0.0
+    )
+    edr = source.repetition_rate * success
+    kept = np.flatnonzero((fidelity >= fidelity_threshold) & (edr > 0))
+    return kept, edr[kept].tolist()
+
+
+class _WeightsPass:
+    """The downlinks of a block of slots armed, and its direct links
+    decided and priced, in one array pass.
+
+    ``links`` are the block's gated downlinks (``orbital.BlockLinks``)
+    and ``hours`` each slot's weather hour.  Every (slot, station) that
+    sees a satellite has its weather record looked up, each record's
+    dark-click probability is computed once, and the arms of every
+    visible satellite are computed in one ``_arm_transmissivities`` call.
+    A station whose record cannot be read, or whose terms fail the
+    per-link checks, is left unread, and its error is raised only where a
+    route reads the station (``read``), in the order in which the
+    per-link loop first reads each station: here for the direct routes,
+    slot by slot, each pair with a direct candidate reading its first
+    station, then its second; and for the relayed routes through
+    ``_SlotLinks``.  Every direct candidate, a satellite visible at both
+    stations of a pair, is priced in one broadcast call behind the
+    fidelity gate (``_kept_rates``).  The pass holds no reference to its
+    block.
+    """
+
+    def __init__(self, links, hours, network, physics, env, fidelity_threshold, month):
+        self.links = links
+        self._terms = functools.partial(
+            _station_terms, env, network.station_ids, month, hours, physics
+        )
+        slots, stations = len(hours), len(network.station_ids)
+        shape = (slots, stations, len(network.sat_ids))
+        self.seen = np.zeros(shape, bool)
+        self.seen[links.slot, links.station, links.sat] = True
+        self.eta = np.zeros(shape)
+        self.dark = np.zeros((slots, stations))
+        self.unread: set[tuple[int, int]] = set()
+        self._arm(physics.optics)
+
+        pair_stations = network.pair_stations
+        a_of, b_of = np.array(pair_stations, np.intp).reshape(-1, 2).T
+        candidate = self.seen[:, a_of, :] & self.seen[:, b_of, :]
+        if self.unread:
+            for t, row in enumerate(candidate.any(axis=2).tolist()):
+                for j, served in enumerate(row):
+                    if served:
+                        for g in pair_stations[j]:
+                            self.read(t, g)
+
+        slot, pair, sat = np.nonzero(candidate)
+        a, b = a_of[pair], b_of[pair]
+        kept, rates = _kept_rates(
+            physics.source,
+            fidelity_threshold,
+            self.eta[slot, a, sat],
+            self.eta[slot, b, sat],
+            self.dark[slot, a],
+            self.dark[slot, b],
+        )
+        self.direct = [{} for _ in hours]
+        for t, i, j, rate in zip(
+            slot[kept].tolist(), sat[kept].tolist(), pair[kept].tolist(), rates
+        ):
+            self.direct[t][i, None, j] = rate
+
+    def _arm(self, optics) -> None:
+        """Every visible satellite's arm, where its station's terms can
+        be read; the (slot, station) cells whose terms cannot go to
+        ``unread``."""
+        links = self.links
+        zenith = np.zeros(self.dark.shape)
+        cloud = np.zeros(self.dark.shape)
+        # a station's terms once per weather record
+        terms_of: dict[int, tuple[float, float, float]] = {}
+        # stations without records for the month, whose every lookup
+        # raises after scanning the table
+        missing = set()
+        sees = np.nonzero(self.seen.any(axis=2))
+        for t, g in zip(*(axis.tolist() for axis in sees)):
+            if g in missing:
+                self.unread.add((t, g))
+                continue
+            try:
+                zenith[t, g], cloud[t, g], self.dark[t, g] = self._terms(t, g, terms_of)
+            except IngestionError:
+                missing.add(g)
+                self.unread.add((t, g))
+            except (QsatError, ArithmeticError):
+                self.unread.add((t, g))
+        slot, station, sat = links.slot, links.station, links.sat
+        cells = slice(None)
+        if self.unread:
+            read = np.ones(self.dark.shape, bool)
+            read[tuple(zip(*self.unread))] = False
+            cells = np.flatnonzero(read[slot, station])
+            slot, station, sat = slot[cells], station[cells], sat[cells]
+        self.eta[slot, station, sat] = _arm_transmissivities(
+            optics,
+            links.elevation[cells],
+            links.slant[cells],
+            zenith[slot, station],
+            cloud[slot, station],
+        )
+
+    def read(self, t: int, g: int) -> None:
+        """Raise the error of station g's weather in slot t, if the pass
+        could not read its record: the lookup and checks are made again,
+        and raise as they did."""
+        if (t, g) in self.unread:
+            self._terms(t, g, {})
+
+    def slot(self, t: int) -> _SlotLinks:
+        return _SlotLinks(self, t)
+
+
+def _station_terms(env, station_ids, month, hours, physics, t, g, known):
+    """Station g's zenith transmissivity, cloud cover and dark-click
+    probability under its weather record in slot t, with the checks the
+    per-link formulas make on them; ``known`` maps each record's id to
+    the terms already taken from it."""
+    record = _weather_record(env, station_ids[g], month, hours[t])
+    terms = known.get(id(record))
+    if terms is None:
+        zenith = record.zenith_transmissivity
+        if not 0.0 <= zenith <= 1.0:
+            raise ConfigurationError("zenith transmissivity must lie in [0, 1]")
+        dark = _station_dark(record, physics)
+        if not 0.0 <= dark <= 1.0:
+            raise ConfigurationError("dark_click_prob must be in [0, 1]")
+        terms = known[id(record)] = zenith, record.cloud_cover, dark
+    return terms
+
+
+class _SlotLinks:
+    """One slot's share of a weights pass: its direct routes (``direct``),
+    its visible satellite rows per station (``rows``, and as the
+    ``(stations, satellites)`` mask ``seen``), and its stations' arms, as
+    ``(stations, satellites)`` and ``(stations,)`` views ``eta`` and
+    ``dark``, which a relayed route reads once ``read`` has passed its
+    station."""
+
+    def __init__(self, weights: _WeightsPass, t: int):
+        self._weights = weights
+        self._t = t
+        self.direct = weights.direct[t]
+        self.seen = weights.seen[t]
+        self.eta = weights.eta[t]
+        self.dark = weights.dark[t]
+        self._arms: dict[int, tuple[list[float], float]] = {}
+
+    @cached_property
+    def rows(self) -> list[list[int]]:
+        """Per station, the satellite rows visible from it, in order."""
+        links, t = self._weights.links, self._t
+        cells = slice(links.bounds[t], links.bounds[t + 1])
+        rows = [[] for _ in range(len(self.dark))]
+        for g, s in zip(links.station[cells].tolist(), links.sat[cells].tolist()):
+            rows[g].append(s)
+        return rows
+
+    def read(self, g: int) -> None:
+        """Raise the error of station g's weather, if any."""
+        self._weights.read(self._t, g)
+
+    def arm(self, g: int) -> tuple[list[float], float]:
+        """Station g's arm transmissivity by satellite row (0.0 where it
+        sees none) and its dark-click probability, after ``read``."""
+        arm = self._arms.get(g)
+        if arm is None:
+            self.read(g)
+            arm = self._arms[g] = (self.eta[g].tolist(), float(self.dark[g]))
+        return arm
+
+
+def _slot_share(
+    snapshot, network, physics, env, min_elevation, fidelity_threshold, month, hour_utc
+) -> _SlotLinks:
+    """The slot's share of its block's weights pass.
+
+    The pass is made on first use for the network, physics, weather
+    table, mask, fidelity threshold and month, matched by identity
+    (numbers by value), and kept on the block in place of the last.  A
+    slot whose block is gone, whose ``hour_utc`` is not the block's hour
+    for it (``(t * slot_duration / 3600.0) % 24.0``, as a run takes it),
+    or whose block's pass raised, is priced as a block of one at
+    ``hour_utc``; that pass raises the slot's own error.
     """
     _check_rows(snapshot, network)
-    links = visible_links(snapshot, min_elevation)
-    station_ids = network.station_ids
-    stations = {}
-    arms: dict[tuple[int, int], ArmChannel] = {}
-
-    def arm(i, g):
-        key = (i, g)
-        if key not in arms:
-            if g not in stations:
-                record = _weather_record(env, station_ids[g], month, hour_utc)
-                stations[g] = record, _station_dark(record, physics)
-            record, dark = stations[g]
-            arms[key] = _arm_for(links[g][i], record, physics, dark)
-        return arms[key]
-
-    return links, arm
+    key = (network, physics, env, min_elevation, fidelity_threshold, month)
+    slot = _block_share(snapshot, key, hour_utc)
+    if slot is None:
+        links = SlotBlock.of(snapshot).links(min_elevation)
+        terms = (network, physics, env, fidelity_threshold, month)
+        slot = _WeightsPass(links, [hour_utc], *terms).slot(0)
+    return slot
 
 
-def _direct_routes(network, physics, links, arm, fidelity_threshold):
-    """The slot's direct routes (i, None, j) that clear the fidelity
-    threshold, mapped to their rates."""
-    routes = {}
-    for j, (a, b) in enumerate(network.pair_stations):
-        visible_b = links[b]
-        for i in links[a]:
-            if i not in visible_b:
-                continue
-            outcome = end_to_end_outcome(physics.source, arm(i, a), arm(i, b))
-            if outcome.fidelity >= fidelity_threshold and outcome.edr > 0:
-                routes[(i, None, j)] = outcome.edr
-    return routes
+def _block_share(snapshot, key, hour_utc):
+    """``_slot_share`` from the snapshot's live block, or None when the
+    slot is to be priced alone.  A pass that raises is kept as None, and
+    its error is dropped here: each slot then raises its own, from a
+    traceback that holds no block."""
+    block = None if snapshot.block is None else snapshot.block()
+    if block is None or block.slot_duration is None:
+        return None
+    duration = block.slot_duration
+    if hour_utc != (snapshot.time * duration / 3600.0) % 24.0:
+        return None
+    if block.weights is None or not _same_key(block.weights[0], key):
+        block.weights = (key, None)
+        network, physics, env, min_elevation, fidelity_threshold, month = key
+        terms = (network, physics, env, fidelity_threshold, month)
+        slots = range(block.start, block.start + len(block.snapshots))
+        hours = [(t * duration / 3600.0) % 24.0 for t in slots]
+        try:
+            links = block.links(min_elevation)
+            if links is not None:
+                block.weights = (key, _WeightsPass(links, hours, *terms))
+        except (QsatError, ArithmeticError):
+            pass
+    weights = block.weights[1]
+    return None if weights is None else weights.slot(snapshot.time - block.start)
+
+
+def _same_key(known, key) -> bool:
+    """Whether two weights-pass keys match: the network, physics and
+    weather table by identity, the mask, threshold and month by value."""
+    return all(map(operator.is_, known[:3], key[:3])) and known[3:] == key[3:]
 
 
 def build_weights(
@@ -430,14 +653,16 @@ def build_weights(
 
     A satellite gets a direct route to a pair only when it clears the
     minimum elevation at both stations and the delivered fidelity clears
-    the threshold.  The slot's instance is the network's ``with_routes``
-    copy, so only its route map is checked.
+    the threshold.  The rates come from the slot's share of its block's
+    weights pass (``_slot_share``), which decides, arms and prices the
+    direct links of all the block's slots at once, each to the bits of
+    ``end_to_end_outcome`` on its two arms.  The slot's instance is the
+    network's ``with_routes`` copy, so only its route map is checked.
     """
-    links, arm = _slot_links(
-        snapshot, network, physics, env, min_elevation, month, hour_utc
+    slot = _slot_share(
+        snapshot, network, physics, env, min_elevation, fidelity_threshold, month, hour_utc
     )
-    routes = _direct_routes(network, physics, links, arm, fidelity_threshold)
-    return network.with_routes(snapshot.time, routes)
+    return network.with_routes(snapshot.time, slot.direct)
 
 
 def build_reflection_weights(
@@ -460,27 +685,33 @@ def build_reflection_weights(
     downlink reuses the standard optics so a co-located lossless relay
     reproduces the direct link exactly.
 
-    A slot with fewer than RELAY_ARRAY_CELLS (pair, source, relay) cells
-    gathers its relayed candidates one at a time (``_looped_relays``), a
-    larger one in one array pass (``_array_relays``); both give the same
-    routes, rates and weather reads.  Either way the candidates are
-    priced together (``_relay_rates``): fewer than
-    RELAY_BROADCAST_CANDIDATES one at a time on Python floats, more in
-    one broadcast call, to the same bits.  The slot's instance is the
-    network's ``with_routes`` copy, so only its route map is checked.
+    The direct routes and the visible satellites come from the slot's
+    share of its block's weights pass, as in ``build_weights``, and the
+    relayed candidates read their arms from the same arrays.  A slot with
+    fewer than RELAY_ARRAY_CELLS (pair, source, relay) cells gathers its
+    relayed candidates one at a time (``_looped_relays``), a larger one
+    in one array pass (``_array_relays``); both give the same routes,
+    rates and weather reads.  Either way the candidates are priced
+    together (``_relay_rates``): fewer than RELAY_BROADCAST_CANDIDATES
+    one at a time on Python floats, more in one broadcast call, to the
+    same bits.  The slot's instance is the network's ``with_routes``
+    copy, so only its route map is checked.
     """
     if not 0.0 <= mirror_efficiency <= 1.0:
         raise ConfigurationError("mirror efficiency must lie in [0, 1]")
-    links, arm = _slot_links(
-        snapshot, network, physics, env, min_elevation, month, hour_utc
+    slot = _slot_share(
+        snapshot, network, physics, env, min_elevation, fidelity_threshold, month, hour_utc
     )
-    routes = _direct_routes(network, physics, links, arm, fidelity_threshold)
-    cells = sum(len(links[a]) * len(links[b]) for a, b in network.pair_stations)
+    rows = slot.rows
+    cells = sum(len(rows[a]) * len(rows[b]) for a, b in network.pair_stations)
     relays = _array_relays if cells >= RELAY_ARRAY_CELLS else _looped_relays
     price = functools.partial(
         _relay_rates, physics, mirror_efficiency, fidelity_threshold
     )
-    routes.update(relays(snapshot, network, links, arm, mirror_hop(physics), price))
+    routes = {
+        **slot.direct,
+        **relays(snapshot, network, slot, mirror_hop(physics), price),
+    }
     return network.with_routes(snapshot.time, routes)
 
 
@@ -528,22 +759,14 @@ def _each_relay_rate(
 def _broadcast_relay_rates(
     source, mirror_efficiency, fidelity_threshold, hop, eta1, dark1, eta_relay, dark2
 ):
-    """``_relay_rates`` in one broadcast ``acceptance_and_bell_weights``
-    call over array columns; the kept positions stay an index array, which
+    """``_relay_rates`` in one broadcast call over array columns
+    (``_kept_rates``); the kept positions stay an index array, which
     ``_array_relays`` indexes its candidate arrays with."""
     hop, eta1, dark1, eta_relay, dark2 = (
         np.asarray(column, float) for column in (hop, eta1, dark1, eta_relay, dark2)
     )
     eta2 = _relayed_arm(hop, mirror_efficiency, eta_relay)
-    success, bell = acceptance_and_bell_weights(
-        source.mean_photon_number, eta1, eta2, dark1, dark2
-    )
-    fidelity = np.divide(
-        bell, success, out=np.zeros_like(success), where=success > 0.0
-    )
-    edr = source.repetition_rate * success
-    kept = np.flatnonzero((fidelity >= fidelity_threshold) & (edr > 0))
-    return kept, edr[kept].tolist()
+    return _kept_rates(source, fidelity_threshold, eta1, eta2, dark1, dark2)
 
 
 def _relayed_arm(hop, mirror_efficiency, eta_relay):
@@ -573,18 +796,22 @@ def _in_unit_interval(values) -> bool:
     return all(0.0 <= value <= 1.0 for value in values)
 
 
-def _looped_relays(snapshot, network, links, arm, hop_free_space, price):
+def _looped_relays(snapshot, network, slot, hop_free_space, price):
     """The relayed routes (i, k, j) that ``price`` keeps, mapped to their
-    rates, gathered one candidate at a time.
+    rates, gathered one candidate at a time from the slot's visible
+    satellites and arms (``_SlotLinks``).
 
     Each visible satellite's position is read once, as a plain list.
     Each ordered (source, relay) pair gets one sight-line test; each
     unordered pair whose sight line is clear gets one hop distance and
-    mirror hop, since ``math.dist`` is symmetric bit for bit.
+    mirror hop, since ``math.dist`` is symmetric bit for bit.  A station's
+    arms are read at its first source, or at its first relay of a
+    candidate.
     """
     from .orbital import sight_line_clear
 
-    position = {i: snapshot.sat_xyz[i].tolist() for visible in links for i in visible}
+    rows = slot.rows
+    position = {i: snapshot.sat_xyz[i].tolist() for visible in rows for i in visible}
     # hop factors keyed by the ordered (source, relay) pair, None without a
     # sight line: the test may differ in the last bit between directions,
     # the distance may not, so a clear reverse pair lends its factor
@@ -592,12 +819,13 @@ def _looped_relays(snapshot, network, links, arm, hop_free_space, price):
     keys = []
     columns = hop_col, eta1_col, dark1_col, eta2_col, dark2_col = [], [], [], [], []
     for j, (a, b) in enumerate(network.pair_stations):
-        sources = links[a]
+        sources = rows[a]
         if not sources:
             continue
-        relays = [(k, position[k]) for k in links[b]]
+        eta_a, dark_a = slot.arm(a)
+        arm_b = None
+        relays = [(k, position[k]) for k in rows[b]]
         for i in sources:
-            arm_a = arm(i, a)
             p = position[i]
             for k, q in relays:
                 if k == i:
@@ -613,20 +841,21 @@ def _looped_relays(snapshot, network, links, arm, hop_free_space, price):
                 hop = hops[key]
                 if hop is None:
                     continue
-                arm_b = arm(k, b)
+                if arm_b is None:
+                    arm_b = eta_b, dark_b = slot.arm(b)
                 keys.append((i, k, j))
                 hop_col.append(hop)
-                eta1_col.append(arm_a.transmissivity)
-                dark1_col.append(arm_a.dark_click_prob)
-                eta2_col.append(arm_b.transmissivity)
-                dark2_col.append(arm_b.dark_click_prob)
+                eta1_col.append(eta_a[i])
+                dark1_col.append(dark_a)
+                eta2_col.append(eta_b[k])
+                dark2_col.append(dark_b)
     if not keys:
         return {}
     kept, rates = price(*columns)
     return {keys[n]: rate for n, rate in zip(kept, rates)}
 
 
-def _array_relays(snapshot, network, links, arm, hop_free_space, price):
+def _array_relays(snapshot, network, slot, hop_free_space, price):
     """``_looped_relays`` in one array pass over the slot's visible
     satellites, for slots with many candidates.
 
@@ -634,41 +863,31 @@ def _array_relays(snapshot, network, links, arm, hop_free_space, price):
     (pair, source, relay) mask holds the candidates, read out in the
     loop's (j, i, k) order; each unordered pair with a clear sight line
     that some candidate uses gets one hop distance and mirror hop; and
-    ``arm`` is called once for each arm some candidate reads, station by
-    station in the order in which the loop first reads each station's
-    weather.  Keys are built only for the routes ``price`` keeps.
+    the arms come from the slot's arrays, after ``arm`` has read each
+    station some candidate reads, in the order in which the loop first
+    reads each station's weather.  Keys are built only for the routes
+    ``price`` keeps.
     """
     from .orbital import sight_line_matrix
 
     pair_stations = network.pair_stations
-    visible = sorted({i for row in links for i in row})
-    column = {i: v for v, i in enumerate(visible)}
-    seen = np.zeros((len(links), len(visible)), bool)
-    seen[
-        [g for g, row in enumerate(links) for _ in row],
-        [column[i] for row in links for i in row],
-    ] = True
+    rows = slot.rows
+    visible = sorted({i for row in rows for i in row})
+    seen = slot.seen[:, visible]
     xyz = snapshot.sat_xyz[visible]
     a_of, b_of = np.array(pair_stations, np.intp).reshape(-1, 2).T
     mask = seen[a_of, :, None] & seen[b_of, None, :] & sight_line_matrix(xyz)
 
-    # the arms the loop reads: every source of a pair with sources, and
-    # every relay of a candidate; stations in the loop's first-read order
-    relay_used = mask.any(axis=1)
-    has_candidates = relay_used.any(axis=1).tolist()
-    needed = {}
+    # the stations the loop reads: the first of every pair with sources,
+    # and the second of every pair with a candidate, in first-read order
+    has_candidates = mask.any(axis=(1, 2)).tolist()
     for j, (a, b) in enumerate(pair_stations):
-        if links[a]:
-            needed[a] = needed.get(a, False) | seen[a]
+        if rows[a]:
+            slot.read(a)
             if has_candidates[j]:
-                needed[b] = needed.get(b, False) | relay_used[j]
-    eta = np.zeros(seen.shape)
-    dark = np.zeros(len(links))
-    for g, row in needed.items():
-        cols = np.flatnonzero(row).tolist()
-        channels = [arm(visible[v], g) for v in cols]
-        eta[g, cols] = [channel.transmissivity for channel in channels]
-        dark[g] = channels[0].dark_click_prob
+                slot.read(b)
+    eta = slot.eta[:, visible]
+    dark = slot.dark
 
     pair, src, rel = np.nonzero(mask)
     if not pair.size:

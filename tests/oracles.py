@@ -7,8 +7,9 @@ pure-integer problems small enough to enumerate, the scheduler's
 constraint arrays against the rows they were once built from, and the link
 physics' emission series; ``allocation_violations`` checks a policy's
 allocation against the instance's caps in integer arithmetic, apart from
-the solver's own check.  ``program_from_rows`` lets a test write an LP
-as rows.  The tests import this module as ``oracles``; pytest puts
+the solver's own check.  ``ScalarSlot`` prices one slot's downlinks one
+link at a time, the reference for the weight builders' block pass.
+``program_from_rows`` lets a test write an LP as rows.  The tests import this module as ``oracles``; pytest puts
 ``tests/`` on the import path.
 """
 
@@ -20,7 +21,8 @@ import operator
 
 import numpy as np
 
-from qsatnet.errors import StructuralError
+from qsatnet.environment import effective_transmissivity
+from qsatnet.errors import IngestionError, StructuralError, UnknownIdError
 from qsatnet.ilpcore import (
     INFEASIBLE,
     OPTIMAL,
@@ -30,7 +32,14 @@ from qsatnet.ilpcore import (
     SparseRow,
     max_weight_flow,
 )
-from qsatnet.orbital import Vec3
+from qsatnet.linkphys import (
+    ArmChannel,
+    arm_transmissivity,
+    dark_click_prob,
+    end_to_end_outcome,
+    free_space_transmissivity,
+)
+from qsatnet.orbital import Vec3, link_geometry
 from qsatnet.scheduler import Allocation, SlotInstance, _direct, _priced
 
 DEFAULT_VERTEX_LIMIT = 32
@@ -373,6 +382,90 @@ def allocation_violations(instance: SlotInstance, allocation: Allocation) -> lis
             f"objective {allocation.objective} differs from recomputed {expected}"
         )
     return messages
+
+
+# ---------------------------------------------------------------------------
+# one slot's downlinks, one link at a time
+
+
+class ScalarSlot:
+    """One slot's downlinks priced one link at a time.
+
+    ``links`` gates ``link_geometry`` on every (station, satellite) cell:
+    per station row, the satellite rows at or above ``min_elevation``, in
+    row order, with their geometry.  ``arm(i, g)`` is the downlink arm of
+    satellite i at station g, built from the per-link formulas
+    (``free_space_transmissivity``, ``effective_transmissivity``,
+    ``arm_transmissivity``, ``ArmChannel``); a station's weather is read
+    at its first arm, and its dark-click probability computed there.
+    ``direct`` maps each direct route (i, None, j) that clears the
+    fidelity threshold to its rate, one ``end_to_end_outcome`` call per
+    satellite visible at both stations of a pair, pair by pair.
+    """
+
+    def __init__(
+        self,
+        snapshot,
+        network,
+        physics,
+        env,
+        min_elevation,
+        fidelity_threshold,
+        month=6,
+        hour_utc=0.0,
+    ):
+        self.physics = physics
+        self._weather = env, network.station_ids, month, hour_utc
+        self._stations = {}
+        self._arms = {}
+        self.links = []
+        for gs in snapshot.station_ids:
+            row = {}
+            for s, sat in enumerate(snapshot.sat_ids):
+                geom = link_geometry(snapshot, sat, gs)
+                if geom.elevation >= min_elevation:
+                    row[s] = geom
+            self.links.append(row)
+        self.direct = {}
+        for j, (a, b) in enumerate(network.pair_stations):
+            for i in self.links[a]:
+                if i not in self.links[b]:
+                    continue
+                outcome = end_to_end_outcome(physics.source, self.arm(i, a), self.arm(i, b))
+                if outcome.fidelity >= fidelity_threshold and outcome.edr > 0:
+                    self.direct[i, None, j] = outcome.edr
+
+    def arm(self, i, g) -> ArmChannel:
+        if (i, g) not in self._arms:
+            if g not in self._stations:
+                env, station_ids, month, hour_utc = self._weather
+                try:
+                    record = env.lookup(station_ids[g], month, hour_utc)
+                except UnknownIdError as exc:
+                    raise IngestionError(
+                        f"station {station_ids[g]}: no weather records available"
+                    ) from exc
+                optics = self.physics.optics
+                dark = dark_click_prob(
+                    record.solar_irradiance,
+                    self.physics.detector_gate,
+                    self.physics.filter_bandwidth_nm,
+                    self.physics.field_of_view,
+                    optics.rx_radius,
+                    optics.wavelength,
+                )
+                self._stations[g] = record, dark
+            record, dark = self._stations[g]
+            geom = self.links[g][i]
+            optics = self.physics.optics
+            eta = arm_transmissivity(
+                free_space_transmissivity(optics, geom.slant_range),
+                effective_transmissivity(record, geom.elevation),
+                optics.tx_efficiency,
+                optics.rx_efficiency,
+            )
+            self._arms[i, g] = ArmChannel(transmissivity=eta, dark_click_prob=dark)
+        return self._arms[i, g]
 
 
 # ---------------------------------------------------------------------------

@@ -53,6 +53,7 @@ from qsatnet.scheduler import (
 
 from oracles import (
     ModeError,
+    ScalarSlot,
     SizeLimitError,
     allocation_violations,
     brute_force_mip,
@@ -1146,8 +1147,8 @@ def test_build_weights_fidelity_gate_records_chi():
     gated = build_weights(snapshot, network, PHYSICS, env, 20.0, 0.9999, month=6)
     assert admitted.omega[0][0] > 0
     assert gated.omega[0][0] == 0.0
-    _, arm = scheduler._slot_links(snapshot, network, PHYSICS, env, 20.0, 6, 0.0)
-    outcome = end_to_end_outcome(PHYSICS.source, arm(0, 0), arm(0, 1))
+    oracle = ScalarSlot(snapshot, network, PHYSICS, env, 20.0, 0.85)
+    outcome = end_to_end_outcome(PHYSICS.source, oracle.arm(0, 0), oracle.arm(0, 1))
     assert 0.85 < outcome.fidelity < 0.9999
     assert outcome.edr == admitted.omega[0][0]
 
@@ -1230,7 +1231,12 @@ def test_reflection_weights_reuse_the_direct_link_table(monkeypatch):
     inst = build_reflection_weights(
         snapshot, network, PHYSICS, env, 20.0, 0.85, mirror_efficiency=1.0, month=6
     )
-    assert len(downlinks) == len(network.station_ids) * len(network.sat_ids)
+    # one array geometry call decides the slot's cells, all of which pass
+    # the screen here; the relays read the table it made
+    assert len(downlinks) == 1
+    (slots, sats), (_, stations) = downlinks[0]
+    cells = list(zip(slots.tolist(), stations.tolist(), sats.tolist()))
+    assert cells == [(0, g, s) for g in range(2) for s in range(3)]
     assert len(sight_lines) == len(set(sight_lines)) == 3 * 2
     assert len(inst.nu) == 2 * 3 * 2
     # the instance is built, and its route map checked, once
@@ -1300,27 +1306,21 @@ def test_reflection_weights_lossy_mirror_reduces_rate():
 
 
 def _scalar_direct_omega(snapshot, network, config, env, hour_utc):
-    """The dense direct table over every satellite and pair: the scalar
-    elevation gate at both stations, end_to_end_outcome, then the fidelity
-    threshold."""
-    physics = config.physics
-    arms = {}
-    for station_id in network.station_ids:
-        record = env.lookup(station_id, config.month, hour_utc)
-        for sat_id in network.sat_ids:
-            geom = orbital.link_geometry(snapshot, sat_id, station_id)
-            if geom.elevation >= config.min_elevation:
-                arms[(sat_id, station_id)] = scheduler._arm_for(geom, record, physics)
+    """The dense direct table over every satellite and pair, priced one
+    link at a time by the scalar oracle."""
+    oracle = ScalarSlot(
+        snapshot,
+        network,
+        config.physics,
+        env,
+        config.min_elevation,
+        config.fidelity_threshold,
+        config.month,
+        hour_utc,
+    )
     omega = [[0.0] * len(network.pair_ids) for _ in network.sat_ids]
-    for i, sat_id in enumerate(network.sat_ids):
-        for j, (a, b) in enumerate(network.pair_stations):
-            arm_a = arms.get((sat_id, network.station_ids[a]))
-            arm_b = arms.get((sat_id, network.station_ids[b]))
-            if arm_a is None or arm_b is None:
-                continue
-            out = end_to_end_outcome(physics.source, arm_a, arm_b)
-            if out.fidelity >= config.fidelity_threshold:
-                omega[i][j] = out.edr
+    for (i, _, j), rate in oracle.direct.items():
+        omega[i][j] = rate
     return tuple(tuple(row) for row in omega)
 
 
@@ -1352,13 +1352,23 @@ def test_direct_table_equals_the_dense_scalar_reference(weather_seed):
     assert served > 100
 
 
-def _scalar_relay_rates(snapshot, network, config, env, hour_utc):
+def _scalar_relay_rates(snapshot, network, config, env, hour_utc, oracle=None):
     """The relayed rates priced one candidate at a time, through
-    reflection_arms and the scalar end_to_end_outcome."""
+    reflection_arms and the scalar end_to_end_outcome, from the scalar
+    oracle's links and arms (``oracle``, made here when not given)."""
     physics = config.physics
-    links, arm = scheduler._slot_links(
-        snapshot, network, physics, env, config.min_elevation, config.month, hour_utc
-    )
+    if oracle is None:
+        oracle = ScalarSlot(
+            snapshot,
+            network,
+            physics,
+            env,
+            config.min_elevation,
+            config.fidelity_threshold,
+            config.month,
+            hour_utc,
+        )
+    links, arm = oracle.links, oracle.arm
     sat_ids = network.sat_ids
     hop_free_space = scheduler.mirror_hop(physics)
     nu = {}
@@ -2244,34 +2254,59 @@ def _assert_same_table(screened, brute):
 
 
 def test_screen_calls_link_geometry_only_near_visible_cells(monkeypatch):
+    """Inside a run's block memory, one array link_geometry call per block
+    and mask decides the screened cells of all the block's slots: every
+    visible cell and fewer than all, in (slot, station, satellite) order,
+    whatever builds or reads the slots.  Each slot's table equals the
+    table of link_geometry on every cell."""
     config = default_scenario()
     network = simharness.build_network(config)
-    snapshot = orbital.propagate(
-        config.constellation, config.stations, 0, config.slot_duration
-    )
-    sat_ids = list(network.sat_ids)
-    station_ids = list(network.station_ids)
-    brute = _brute_links(snapshot, config.min_elevation)
-
+    env = simharness.resolve_weather(config)
+    masks = (config.min_elevation, 30.0)
+    # 2,400 cells a slot: blocks of 6 slots, [0, 6) and [6, 8)
+    slots = 8
+    brute = {
+        (t, mask): _brute_links(
+            orbital.propagate(config.constellation, config.stations, t, 10.0), mask
+        )
+        for t in range(slots)
+        for mask in masks
+    }
     downlinks = _count_calls(monkeypatch, orbital, "link_geometry")
-    build_weights(
-        snapshot,
-        network,
-        config.physics,
-        simharness.resolve_weather(config),
-        config.min_elevation,
-        config.fidelity_threshold,
-        month=config.month,
-    )
-    visible = sum(len(row) for row in brute)
-    assert 0 < visible <= len(downlinks) < len(station_ids) * len(sat_ids)
-    # one pass over the screen, station by station, satellites in order
-    cells = [(station_ids.index(gs), sat_ids.index(sat)) for sat, gs in downlinks]
-    assert cells == sorted(set(cells))
-    _assert_same_table(
-        orbital.visible_links(snapshot, config.min_elevation),
-        brute,
-    )
+    with orbital.slot_blocks(slots):
+        for t in range(slots):
+            snapshot = orbital.propagate(
+                config.constellation, config.stations, t, config.slot_duration
+            )
+            for _ in range(2):
+                build_weights(
+                    snapshot,
+                    network,
+                    config.physics,
+                    env,
+                    config.min_elevation,
+                    config.fidelity_threshold,
+                    month=config.month,
+                    hour_utc=(t * config.slot_duration / 3600.0) % 24.0,
+                )
+            for mask in masks:
+                _assert_same_table(orbital.visible_links(snapshot, mask), brute[t, mask])
+    # blocks in slot order, each under the builders' mask, then the other
+    assert len(downlinks) == 4
+    cells_per_slot = len(network.station_ids) * len(network.sat_ids)
+    for (start, length), mask, ((slot, sat), (_, station)) in zip(
+        [(0, 6), (0, 6), (6, 2), (6, 2)], [*masks, *masks], downlinks
+    ):
+        cells = list(zip((slot + start).tolist(), station.tolist(), sat.tolist()))
+        assert cells == sorted(set(cells))
+        visible = [
+            (t, g, s)
+            for t in range(start, start + length)
+            for g, row in enumerate(brute[t, mask])
+            for s in row
+        ]
+        assert set(visible) <= set(cells)
+        assert 0 < len(visible) <= len(cells) < length * cells_per_slot
 
 
 def _position_at_elevation(gs_pos, elevation, azimuth, slant):
@@ -2478,6 +2513,235 @@ def test_a_block_bounds_its_near_cells_by_its_largest_radii():
         brute = _brute_links(lone, mask)
         assert brute == [{}]
         _assert_same_table(orbital.visible_links(blocked, mask), brute)
+
+
+def _hex_table(table):
+    """A link table, every float by its bits, in table order."""
+    return [
+        [(s, g.elevation.hex(), g.slant_range.hex()) for s, g in row.items()]
+        for row in table
+    ]
+
+
+def _hex_routes(routes):
+    """A route map's items in order, every rate by its bits."""
+    return [(route, rate.hex()) for route, rate in routes.items()]
+
+
+def _oracle_slots(config, network, env, slots):
+    """Each slot placed alone and priced one link at a time by the scalar
+    oracle: its link table and its route map in route order, direct then
+    relayed, floats by their bits."""
+    expected = []
+    for t in slots:
+        snapshot = orbital.propagate(
+            config.constellation, config.stations, t, config.slot_duration
+        )
+        hour_utc = (t * config.slot_duration / 3600.0) % 24.0
+        oracle = ScalarSlot(
+            snapshot,
+            network,
+            config.physics,
+            env,
+            config.min_elevation,
+            config.fidelity_threshold,
+            config.month,
+            hour_utc,
+        )
+        relayed = _scalar_relay_rates(snapshot, network, config, env, hour_utc, oracle)
+        routes = dict(sorted(oracle.direct.items()))
+        routes.update(sorted(relayed.items()))
+        expected.append((_hex_table(oracle.links), _hex_routes(routes)))
+    return expected
+
+
+def _blocked_slots(config, network, env, slots):
+    """Each slot built inside a run's block memory as the run builds it,
+    with its relays: its link table and route map, floats by their bits;
+    and (start, length) of each block whose weights pass priced them."""
+    built, passes = [], []
+    with orbital.slot_blocks(slots):
+        for t in range(slots):
+            snapshot = orbital.propagate(
+                config.constellation, config.stations, t, config.slot_duration
+            )
+            instance = build_reflection_weights(
+                snapshot,
+                network,
+                config.physics,
+                env,
+                config.min_elevation,
+                config.fidelity_threshold,
+                config.mirror_efficiency,
+                month=config.month,
+                hour_utc=(t * config.slot_duration / 3600.0) % 24.0,
+            )
+            block = snapshot.block()
+            key, weights = block.weights
+            assert weights is not None and key[0] is network
+            if not passes or passes[-1][0] is not weights:
+                passes.append((weights, (block.start, len(block.snapshots))))
+            table = orbital.visible_links(snapshot, config.min_elevation)
+            built.append((_hex_table(table), _hex_routes(instance.routes)))
+    return built, [blocks for _, blocks in passes]
+
+
+def test_block_pass_equals_the_scalar_oracle_over_the_reduced_day():
+    """Every slot of the reduced day, 68-slot blocks and a last one of
+    12, gets the link table and routes of the scalar oracle, bit for bit
+    and in order."""
+    config = _reduced_day()
+    env = simharness.resolve_weather(config)
+    network = simharness.build_network(config)
+    expected = _oracle_slots(config, network, env, range(config.num_slots))
+    built, blocks = _blocked_slots(config, network, env, config.num_slots)
+    assert blocks == [(start, 68) for start in range(0, 1428, 68)] + [(1428, 12)]
+    for t, (got, want) in enumerate(zip(built, expected)):
+        assert got == want, f"slot {t}"
+    routes = [route for _, slot_routes in expected for route, _ in slot_routes]
+    assert sum(k is None for _, k, _ in routes) > 100
+    assert sum(k is not None for _, k, _ in routes) > 200
+
+
+@pytest.mark.parametrize("length", [2, 3, 7, 20])
+def test_block_pass_equals_the_scalar_oracle_across_block_boundaries(
+    monkeypatch, length
+):
+    """A 20-slot default window cut into blocks of ``length`` slots (the
+    last one shorter) gets the oracle's tables and routes, bit for bit
+    and in order."""
+    config = default_scenario()
+    env = simharness.resolve_weather(config)
+    network = simharness.build_network(config)
+    expected = _oracle_slots(config, network, env, range(20))
+    cells = len(network.station_ids) * len(network.sat_ids)
+    monkeypatch.setattr(orbital, "BLOCK_CELLS", length * cells + cells // 2)
+    built, blocks = _blocked_slots(config, network, env, 20)
+    assert blocks == [(start, min(length, 20 - start)) for start in range(0, 20, length)]
+    for t, (got, want) in enumerate(zip(built, expected)):
+        assert got == want, f"slot {t}"
+    assert sum(len(routes) for _, routes in expected) > 1000
+
+
+def _reduced_day():
+    return apply_overrides(
+        default_scenario(),
+        {
+            "constellation.rings": "4",
+            "constellation.sats_per_ring": "10",
+            "slot_duration": "60",
+            "weather_seed": "23",
+            "num_slots": "1440",
+            "policy": "reflection_ratefair",
+        },
+    )
+
+
+def test_a_station_first_read_mid_block_fails_its_own_slot(monkeypatch):
+    """new_york and toronto, without weather records, are first read by a
+    route at slot 1 of the reduced scenario, the middle of the run's one
+    block, where their pair comes first: the block's pass raises, slot 0
+    is priced as usual, and slot 1 fails with the message of the
+    per-link loop, which reads the pair's first station first."""
+    config = replace(_reduced_day(), num_slots=3, policy="primary_ratesum")
+    env = simharness.resolve_weather(config)
+    without = EnvironmentTable(
+        records={
+            k: r for k, r in env.records.items() if k[0] not in ("new_york", "toronto")
+        }
+    )
+    network = simharness.build_network(config)
+    snapshot = orbital.propagate(config.constellation, config.stations, 1, 60.0)
+    with pytest.raises(IngestionError) as per_link:
+        ScalarSlot(
+            snapshot,
+            network,
+            config.physics,
+            without,
+            config.min_elevation,
+            config.fidelity_threshold,
+            config.month,
+            60.0 / 3600.0,
+        )
+    instances = []
+    flag, solver = simharness.POLICIES[config.policy]
+
+    def kept(instance):
+        instances.append(instance)
+        return solver(instance)
+
+    monkeypatch.setitem(simharness.POLICIES, config.policy, (flag, kept))
+    with pytest.raises(SimulationError) as failure:
+        simharness.run(config, without)
+    assert failure.value.slot == 1
+    assert str(failure.value) == f"slot 1: {per_link.value}"
+    assert str(per_link.value) == "station new_york: no weather records available"
+    assert [inst.time for inst in instances] == [0]
+    failed = instances.pop()
+    simharness.run(config, env)
+    assert _hex_routes(failed.routes) == _hex_routes(instances[0].routes)
+    assert failed.routes
+
+
+def test_a_coincident_cell_mid_block_fails_its_own_slot():
+    """In a hand-built 3-slot block whose middle slot has the satellite
+    on the stations, the block's pass raises: slots 0 and 2 are priced
+    as they are alone, and slot 1 raises the per-link message."""
+    scene, network, env = overhead_scene()
+    ground = scene.gs_xyz
+    sat_xyz = np.stack([scene.sat_xyz, ground[:1], scene.sat_xyz])
+    block = orbital.SlotBlock(0, sat_xyz, np.stack([ground] * 3), slot_duration=10.0)
+    ref = weakref.ref(block)
+    block.snapshots = tuple(
+        ConstellationSnapshot(t, scene.sat_ids, sat_xyz[t], scene.station_ids, ground, ref)
+        for t in range(3)
+    )
+    alone = build_weights(scene, network, PHYSICS, env, 20.0, 0.85, month=6)
+    assert alone.routes
+    for t in (0, 2, 1):
+        snapshot = block.snapshots[t]
+        args = (snapshot, network, PHYSICS, env, 20.0, 0.85)
+        hour_utc = t * 10.0 / 3600.0
+        if t == 1:
+            with pytest.raises(ConfigurationError) as raised:
+                build_weights(*args, month=6, hour_utc=hour_utc)
+            assert str(raised.value) == "satellite and station coincide"
+        else:
+            built = build_weights(*args, month=6, hour_utc=hour_utc)
+            assert built.time == t
+            assert _hex_routes(built.routes) == _hex_routes(alone.routes)
+    # the block's pass was tried once, and failed
+    assert block.weights[1] is None
+    assert block.links(20.0) is None
+
+
+def test_a_slot_asked_at_another_hour_is_priced_alone_at_that_hour():
+    """A caller whose hour is not the run's hour for the slot gets the
+    slot priced as a block of one at its hour; the block keeps its
+    pass."""
+    config = default_scenario()
+    env = simharness.resolve_weather(config)
+    network = simharness.build_network(config)
+    args = (
+        network,
+        config.physics,
+        env,
+        config.min_elevation,
+        config.fidelity_threshold,
+    )
+    lone = orbital.propagate(config.constellation, config.stations, 1, 10.0)
+    with orbital.slot_blocks(6):
+        first = orbital.propagate(config.constellation, config.stations, 0, 10.0)
+        build_weights(first, *args, month=config.month, hour_utc=0.0)
+        made = first.block().weights
+        snapshot = orbital.propagate(config.constellation, config.stations, 1, 10.0)
+        for hour_utc in (12.0, 10.0 / 3600.0):
+            built = build_weights(snapshot, *args, month=config.month, hour_utc=hour_utc)
+            expected = build_weights(lone, *args, month=config.month, hour_utc=hour_utc)
+            assert _hex_routes(built.routes) == _hex_routes(expected.routes)
+            assert snapshot.block().weights is made
+    noon = build_weights(lone, *args, month=config.month, hour_utc=12.0)
+    assert _hex_routes(noon.routes) != _hex_routes(expected.routes)
 
 
 def test_build_weights_unknown_ids_and_coincident_link():
